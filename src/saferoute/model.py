@@ -25,7 +25,8 @@ departure can never arrive later (first-in-first-out).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 HOURS_PER_DAY = 24
 
@@ -72,7 +73,7 @@ class TimeProfile:
     def constant(cls, value: float) -> "TimeProfile":
         return cls((float(value),) * HOURS_PER_DAY)
 
-    @property
+    @cached_property
     def is_constant(self) -> bool:
         return len(set(self.values)) == 1
 
@@ -219,10 +220,23 @@ class Instance:
         except IndexError:
             raise ModelError(f"no node with id {node_id}") from None
 
-    def customers(self) -> tuple[int, ...]:
-        """Ids of demand vertices (excludes depot and its duplicates)."""
+    # Built on first use: set-up paths that never ask for customers
+    # should not pay for them.
+    @cached_property
+    def _customer_ids(self) -> tuple[int, ...]:
         special = {0, self.terminal_id, *self.dummy_ids}
         return tuple(n.id for n in self.nodes if n.id not in special)
+
+    @cached_property
+    def _customer_set(self) -> frozenset[int]:
+        return frozenset(self._customer_ids)
+
+    def customers(self) -> tuple[int, ...]:
+        """Ids of demand vertices (excludes depot and its duplicates)."""
+        return self._customer_ids
+
+    def is_customer(self, node_id: int) -> bool:
+        return node_id in self._customer_set
 
     def is_dummy(self, node_id: int) -> bool:
         return node_id in self.dummy_ids
@@ -262,7 +276,10 @@ def traverse(arc: Arc, depart: float) -> Traversal:
 
     Distance is consumed at the current hour's speed until either the
     arc ends or the clock reaches the next hour boundary, whichever
-    comes first; at a boundary the next hour's speed takes over.
+    comes first; at a boundary the next hour's speed takes over.  The
+    per-hour segments serve the distance-weighted TTI and crash blends;
+    ``travel_time`` needs only the duration and skips the integration
+    when the speed is constant.
 
     Args:
         arc: arc to traverse.
@@ -310,7 +327,18 @@ def traverse(arc: Arc, depart: float) -> Traversal:
 
 
 def travel_time(arc: Arc, depart: float) -> float:
-    """Hours needed to traverse ``arc`` when departing at ``depart``."""
+    """Hours needed to traverse ``arc`` when departing at ``depart``.
+
+    A constant speed profile never changes speed mid-arc, so the time
+    is the closed form distance / speed, the same expression
+    ``traverse`` returns as its duration; a varying profile is
+    integrated hour by hour.
+    """
+    if arc.speed.is_constant:
+        if depart < 0 or not math.isfinite(depart):
+            raise ModelError(
+                f"departure time must be finite and non-negative, got {depart!r}")
+        return arc.distance / arc.speed.values[0]
     return traverse(arc, depart).duration
 
 

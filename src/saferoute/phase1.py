@@ -140,7 +140,8 @@ def propagate_schedule(solution: RoutingSolution | tuple[tuple[int, ...], ...],
         if not route:
             timings.append(RouteTiming(dispatch, 0.0, (), dispatch))
             continue
-        load = sum(instance.node(n).demand for n in route)
+        initial_load = sum(instance.node(n).demand for n in route)
+        load = initial_load
         t = dispatch
         stops = []
         for arc, node_id in zip(arcs[:-1], route):
@@ -152,28 +153,99 @@ def propagate_schedule(solution: RoutingSolution | tuple[tuple[int, ...], ...],
             stops.append(NodeTiming(node_id, arrival, start, depart, load))
             t = depart
         return_arrival = t + travel_time(arcs[-1], t)
-        timings.append(RouteTiming(dispatch, sum(instance.node(n).demand
-                                                 for n in route),
-                                   tuple(stops), return_arrival))
+        timings.append(RouteTiming(dispatch, initial_load, tuple(stops),
+                                   return_arrival))
     return RoutingSolution(routes, dispatch, tuple(timings))
+
+
+def return_leg_time(instance: Instance, node_id: int, depart: float) -> float:
+    """Hours to regain the depot from ``node_id`` leaving at ``depart``.
+
+    Zero from a pass-through copy, which already sits at the depot;
+    infinite when no arc leads back to the terminal, since then no
+    return is guaranteed.
+    """
+    if instance.is_dummy(node_id):
+        return 0.0
+    arc = instance.arcs.get((node_id, instance.terminal_id))
+    return math.inf if arc is None else travel_time(arc, depart)
+
+
+def check_route(route: tuple[int, ...], timing: RouteTiming,
+                instance: Instance, dispatch: float,
+                vehicle: int = 0) -> tuple[Violation, ...]:
+    """Violations of one timed route, reported under ``vehicle``.
+
+    Checked: vehicle capacity, hard upper and soft lower time windows,
+    non-negativity of times and loads, the guarantee that the depot is
+    still reachable within the horizon from every departure (a stop
+    with no arc back to the depot fails it), and the return leg's
+    arrival inside the horizon.  An empty route has none.
+    """
+    if not route:
+        return ()
+    horizon = dispatch + instance.latest_time
+    violations: list[Violation] = []
+    if timing.initial_load > instance.fleet.capacity + TIME_EPS:
+        violations.append(Violation(
+            "capacity", vehicle, None,
+            f"load {timing.initial_load} exceeds capacity "
+            f"{instance.fleet.capacity}"))
+    for stop in timing.stops:
+        node = instance.node(stop.node)
+        if stop.service_start > dispatch + node.window_close + TIME_EPS:
+            violations.append(Violation(
+                "window", vehicle, stop.node,
+                f"service at {stop.service_start:.6f} after window close "
+                f"{dispatch + node.window_close:.6f}"))
+        if stop.service_start < dispatch + node.window_open - TIME_EPS:
+            violations.append(Violation(
+                "window", vehicle, stop.node,
+                "service before window opens"))
+        if stop.arrival < dispatch - TIME_EPS or stop.load_after < -TIME_EPS:
+            violations.append(Violation(
+                "non-negative", vehicle, stop.node,
+                "negative time or load along the route"))
+        back = return_leg_time(instance, stop.node, stop.departure)
+        if stop.departure + back > horizon + TIME_EPS:
+            violations.append(Violation(
+                "horizon-return", vehicle, stop.node,
+                "no arc leads back to the depot" if back == math.inf
+                else f"cannot regain depot by hour {horizon:.6f}"))
+    if timing.return_arrival > horizon + TIME_EPS:
+        violations.append(Violation(
+            "horizon", vehicle, None,
+            f"returns at {timing.return_arrival:.6f} past {horizon:.6f}"))
+    return tuple(violations)
+
+
+def _depot_copy(node_id: int) -> Violation:
+    return Violation("route-shape", -1, node_id,
+                     "depot copies may not appear inside a route")
+
+
+def depot_copy_violations(route: tuple[int, ...],
+                          instance: Instance) -> tuple[Violation, ...]:
+    """One route-shape violation per depot or terminal id inside ``route``."""
+    return tuple(_depot_copy(n) for n in sorted(set(route))
+                 if n == 0 or n == instance.terminal_id)
 
 
 def check_feasibility(solution: RoutingSolution,
                       instance: Instance) -> tuple[Violation, ...]:
     """All requirement violations of a timed solution (empty = feasible).
 
-    Checked: every customer served exactly once, pass-through dummies
-    used at most once, fleet size, vehicle capacity, hard upper time
-    windows, planning horizon on the return leg, the guarantee that a
-    vehicle can still reach the depot from every departure, and
-    non-negativity of times and loads.
+    Whole-solution checks: every customer served exactly once,
+    pass-through dummies used at most once, no depot copy inside a
+    route, and fleet size.  Each route is then audited on its own by
+    ``check_route`` (capacity, windows, non-negativity, return to the
+    depot, horizon), which the repair step also calls directly on the
+    single routes it tries.
     """
     if not solution.timed:
         raise SolutionError("feasibility needs a timed solution, propagate first")
     if instance.terminal_id is None:
         raise SolutionError("instance must be augmented before evaluation")
-    dispatch = solution.dispatch
-    horizon = dispatch + instance.latest_time
     violations: list[Violation] = []
 
     counts: dict[int, int] = {}
@@ -187,12 +259,11 @@ def check_feasibility(solution: RoutingSolution,
                 "visit-count", -1, c, f"customer visited {seen} times"))
     for n, seen in sorted(counts.items()):
         if n == 0 or n == instance.terminal_id:
-            violations.append(Violation(
-                "route-shape", -1, n, "depot copies may not appear inside a route"))
+            violations.append(_depot_copy(n))
         elif instance.is_dummy(n) and seen > 1:
             violations.append(Violation(
                 "visit-count", -1, n, f"pass-through vertex visited {seen} times"))
-        elif not instance.is_dummy(n) and n not in instance.customers():
+        elif not instance.is_dummy(n) and not instance.is_customer(n):
             violations.append(Violation(
                 "visit-count", -1, n, "unknown vertex in route"))
 
@@ -203,43 +274,8 @@ def check_feasibility(solution: RoutingSolution,
             f"{used} loaded vehicles exceed fleet of {instance.fleet.count}"))
 
     for k, (route, timing) in enumerate(zip(solution.routes, solution.timings)):
-        if not route:
-            continue
-        if timing.initial_load > instance.fleet.capacity + TIME_EPS:
-            violations.append(Violation(
-                "capacity", k, None,
-                f"load {timing.initial_load} exceeds capacity "
-                f"{instance.fleet.capacity}"))
-        for stop in timing.stops:
-            node = instance.node(stop.node)
-            if stop.service_start > dispatch + node.window_close + TIME_EPS:
-                violations.append(Violation(
-                    "window", k, stop.node,
-                    f"service at {stop.service_start:.6f} after window close "
-                    f"{dispatch + node.window_close:.6f}"))
-            if stop.service_start < dispatch + node.window_open - TIME_EPS:
-                violations.append(Violation(
-                    "window", k, stop.node,
-                    "service before window opens"))
-            if stop.arrival < dispatch - TIME_EPS or stop.load_after < -TIME_EPS:
-                violations.append(Violation(
-                    "non-negative", k, stop.node,
-                    "negative time or load along the route"))
-            # From every departure the vehicle must still be able to
-            # reach the depot within the horizon.
-            if instance.is_dummy(stop.node):
-                back = 0.0  # already at the depot location
-            else:
-                back = travel_time(instance.arc(stop.node, instance.terminal_id),
-                                   stop.departure)
-            if stop.departure + back > horizon + TIME_EPS:
-                violations.append(Violation(
-                    "horizon-return", k, stop.node,
-                    f"cannot regain depot by hour {horizon:.6f}"))
-        if timing.return_arrival > horizon + TIME_EPS:
-            violations.append(Violation(
-                "horizon", k, None,
-                f"returns at {timing.return_arrival:.6f} past {horizon:.6f}"))
+        violations.extend(check_route(route, timing, instance,
+                                      solution.dispatch, k))
     return tuple(violations)
 
 

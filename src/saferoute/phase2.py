@@ -32,6 +32,7 @@ from .phase1 import (
     RoutingSolution,
     SolutionError,
     TIME_EPS,
+    return_leg_time,
 )
 
 
@@ -181,15 +182,12 @@ def build_schedule_graph(route: tuple[int, ...], instance: Instance,
             raise ScheduleInfeasibleError(
                 f"stop {node_id}: earliest start {lo:.6f} after window close {hi:.6f}")
         grid = _grid(lo, min(hi, horizon), m)
-        # Keep only starts from which the depot stays reachable in time.
+        # Keep only starts from which the depot stays reachable in time,
+        # judged as the routing phase's audit judges it.
         kept = []
         for start in grid:
             depart = start + node.service_time
-            if instance.is_dummy(node_id):
-                back = 0.0
-            else:
-                back = travel_time(instance.arc(node_id, instance.terminal_id),
-                                   depart)
+            back = return_leg_time(instance, node_id, depart)
             if depart + back <= horizon + TIME_EPS:
                 kept.append(start)
         if not kept:

@@ -36,6 +36,8 @@ from .phase1 import (
     RoutingSolution,
     Violation,
     check_feasibility,
+    check_route,
+    depot_copy_violations,
     objective_value,
     propagate_schedule,
 )
@@ -100,11 +102,21 @@ def acceptance(delta_f: float, temperature: float, rng: random.Random) -> bool:
 # Construction
 
 
+def _arc_distance(instance: Instance, tail: int, head: int) -> float:
+    """Arc length, infinite for a missing arc so it is never preferred."""
+    arc = instance.arcs.get((tail, head))
+    return math.inf if arc is None else arc.distance
+
+
 def _route_distance(instance: Instance, route: list[int]) -> float:
     if not route:
         return 0.0
     path = [0, *route, instance.terminal_id]
-    return sum(instance.arc(a, b).distance for a, b in zip(path, path[1:]))
+    return sum(_arc_distance(instance, a, b) for a, b in zip(path, path[1:]))
+
+
+def _route_load(instance: Instance, route: list[int]) -> float:
+    return sum(instance.node(n).demand for n in route)
 
 
 def _two_opt_pass(instance: Instance, route: list[int]) -> list[int]:
@@ -178,7 +190,7 @@ def initial_solution(instance: Instance, vehicles: int | None = None,
     for c in carry:
         # full sweep done and still homeless: squeeze into the least
         # loaded route (repair or search will sort out any overflow)
-        loads = [sum(instance.node(n).demand for n in r) for r in routes]
+        loads = [_route_load(instance, r) for r in routes]
         routes[loads.index(min(loads))].append(c)
     return RoutingSolution(tuple(tuple(r) for r in routes))
 
@@ -188,22 +200,27 @@ def _insertion_delta(instance: Instance, route: list[int], pos: int,
     """Distance growth from inserting c at pos of the depot-closed path."""
     prev = route[pos - 1] if pos > 0 else 0
     nxt = route[pos] if pos < len(route) else instance.terminal_id
-    added = instance.arc(prev, c).distance + instance.arc(c, nxt).distance
+    added = _arc_distance(instance, prev, c) + _arc_distance(instance, c, nxt)
     if route:
-        added -= instance.arc(prev, nxt).distance
+        added -= _arc_distance(instance, prev, nxt)
     return added
 
 
 def _route_violations(route: list[int], instance: Instance,
                       dispatch: float) -> tuple:
-    """Window/horizon/capacity violations of one route in isolation."""
+    """Violations of one route in isolation.
+
+    The audit of a solution made of this route alone, minus visit
+    counts: unrelated customers are deliberately absent from a
+    one-route view.
+    """
+    route = tuple(route)
     try:
-        timed = propagate_schedule((tuple(route),), instance, dispatch)
+        timed = propagate_schedule((route,), instance, dispatch)
     except MissingArcError:
         return (Violation("route-shape", 0, None, "no arc joins the visits"),)
-    # unrelated customers are deliberately absent from a one-route view
-    return tuple(v for v in check_feasibility(timed, instance)
-                 if v.constraint != "visit-count")
+    return (depot_copy_violations(route, instance)
+            + check_route(route, timed.timings[0], instance, dispatch))
 
 
 def make_feasible(solution: RoutingSolution, instance: Instance,
@@ -219,7 +236,9 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
     routes = [list(r) for r in solution.routes]
     out: set[int] = set()
 
-    def pending() -> list[Violation]:
+    def pending() -> list[Violation] | None:
+        """Violations left, or None when a route still needs a missing arc
+        after its pass-through vertices are shed."""
         try:
             timed = propagate_schedule(tuple(tuple(r) for r in routes),
                                        instance, dispatch)
@@ -227,14 +246,19 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
             # pass-through vertices are optional; shed them and retry
             for r in routes:
                 r[:] = [n for n in r if not instance.is_dummy(n)]
-            timed = propagate_schedule(tuple(tuple(r) for r in routes),
-                                       instance, dispatch)
+            try:
+                timed = propagate_schedule(tuple(tuple(r) for r in routes),
+                                           instance, dispatch)
+            except MissingArcError:
+                return None
         return [v for v in check_feasibility(timed, instance)
                 if not (v.constraint == "visit-count" and v.node in out)]
 
     budget = len(instance.customers()) + len(instance.dummy_ids) + 2
     for _ in range(budget):
         violations = pending()
+        if violations is None:
+            return None
         if not violations:
             break
         ejected = False
@@ -269,7 +293,7 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
                 ejected = True
         if not ejected:
             return None
-    if pending():
+    if pending() != []:  # None or violations left
         return None
 
     capacity = instance.fleet.capacity
@@ -277,8 +301,7 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
         demand = instance.node(c).demand
         best = None
         for ri, r in enumerate(routes):
-            if sum(instance.node(n).demand for n in r) + demand \
-                    > capacity + TIME_EPS:
+            if _route_load(instance, r) + demand > capacity + TIME_EPS:
                 continue
             for pos in range(len(r) + 1):
                 if _route_violations(r[:pos] + [c] + r[pos:], instance,
@@ -308,23 +331,25 @@ def _polish(routes: list[list[int]], instance: Instance,
                        if not instance.is_dummy(c))
     for _ in range(50):
         improved = False
+        # re-summed after each relocation, in route order, so the sums
+        # match a fresh sum bit for bit
+        loads = [_route_load(instance, r) for r in routes]
         for c in customers:
             ri = next(k for k, r in enumerate(routes) if c in r)
             r = routes[ri]
             i = r.index(c)
             prev = r[i - 1] if i > 0 else 0
             nxt = r[i + 1] if i + 1 < len(r) else instance.terminal_id
-            saving = (instance.arc(prev, c).distance
-                      + instance.arc(c, nxt).distance
-                      - (instance.arc(prev, nxt).distance
+            saving = (_arc_distance(instance, prev, c)
+                      + _arc_distance(instance, c, nxt)
+                      - (_arc_distance(instance, prev, nxt)
                          if len(r) > 1 else 0.0))
             demand = instance.node(c).demand
             best = None
             for rj, other in enumerate(routes):
                 if rj == ri:
                     continue
-                if sum(instance.node(n).demand for n in other) + demand \
-                        > capacity + TIME_EPS:
+                if loads[rj] + demand > capacity + TIME_EPS:
                     continue
                 for pos in range(len(other) + 1):
                     delta = _insertion_delta(instance, other, pos, c) - saving
@@ -336,16 +361,19 @@ def _polish(routes: list[list[int]], instance: Instance,
             if best is not None:
                 r.remove(c)
                 routes[best[1]].insert(best[2], c)
+                loads[ri] = _route_load(instance, r)
+                loads[best[1]] = _route_load(instance, routes[best[1]])
                 improved = True
         for r in routes:
             hunting = True
             while hunting:
                 hunting = False
+                current = _route_distance(instance, r)
                 for i in range(len(r) - 1):
                     for j in range(i + 1, len(r)):
                         trial = r[:i] + r[i:j + 1][::-1] + r[j + 1:]
                         if _route_distance(instance, trial) \
-                                < _route_distance(instance, r) - 1e-9 \
+                                < current - 1e-9 \
                                 and not _route_violations(trial, instance,
                                                           dispatch):
                             r[:] = trial

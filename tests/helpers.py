@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from saferoute.model import (
     Arc,
@@ -68,3 +69,10 @@ def build_instance(
 
 def build_augmented(customers: list[dict], m: int = 0, **kwargs) -> Instance:
     return augment_depot(build_instance(customers, **kwargs), m)
+
+
+def no_return_from_first() -> Instance:
+    """Two customers on a line, one vehicle, and no arc from 1 to the depot."""
+    base = build_instance([{"x": 1}, {"x": 2}], fleet=(1, 100.0))
+    arcs = {key: arc for key, arc in base.arcs.items() if key != (1, 0)}
+    return augment_depot(replace(base, arcs=arcs), 0)

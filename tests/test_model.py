@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saferoute.model import (
     Arc,
@@ -134,6 +136,22 @@ class TestTravelTime:
         with pytest.raises(ModelError):
             travel_time(make_arc(), -1.0)
 
+    @pytest.mark.parametrize("depart", [-1.0, math.inf, math.nan])
+    def test_bad_departure_rejected_for_any_profile(self, depart):
+        for arc in (make_arc(), make_arc(speed=profile_with({7: 20.0}, 60.0))):
+            with pytest.raises(ModelError):
+                travel_time(arc, depart)
+
+    @settings(max_examples=300, deadline=None)
+    @given(distance=st.floats(1e-3, 500.0), speed=st.floats(1.0, 120.0),
+           depart=st.floats(0.0, 1e4))
+    def test_constant_speed_closed_form_is_exact(self, distance, speed,
+                                                 depart):
+        # the closed form must equal the hour-by-hour integration bit
+        # for bit, or goldens computed either way would drift
+        arc = make_arc(distance=distance, speed=TimeProfile.constant(speed))
+        assert travel_time(arc, depart) == traverse(arc, depart).duration
+
 
 class TestIndexBlending:
     def test_single_hour_uses_that_hour(self):
@@ -236,6 +254,13 @@ class TestAugmentation:
         for forbidden in ((0, d1), (d1, 0), (d1, d2), (d2, d1),
                           (d1, inst.terminal_id)):
             assert not inst.has_arc(*forbidden)
+
+    def test_customer_lookup_skips_depot_copies(self):
+        inst = augment_depot(small_instance(3), 2)
+        members = [n for n in range(-1, len(inst.nodes) + 2)
+                   if inst.is_customer(n)]
+        assert members == [1, 2, 3]
+        assert inst.customers() is inst.customers()
 
     def test_zero_dummies_adds_terminal_only(self):
         inst = augment_depot(small_instance(2), 0)

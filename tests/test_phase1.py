@@ -23,7 +23,7 @@ from saferoute.phase1 import (
     weighted_objective,
 )
 
-from helpers import build_augmented
+from helpers import build_augmented, no_return_from_first
 
 
 class TestPropagation:
@@ -136,6 +136,12 @@ class TestFeasibility:
         viols = check_feasibility(sol, inst)
         assert any(v.constraint == "horizon-return" and v.node == 1
                    for v in viols)
+
+    def test_stop_without_return_arc_breaks_guarantee(self):
+        inst = no_return_from_first()
+        sol = propagate_schedule(((1, 2),), inst, 0.0)
+        assert [(v.constraint, v.node) for v in check_feasibility(sol, inst)] \
+            == [("horizon-return", 1)]
 
     def test_depot_inside_route_flagged(self):
         inst = self.make()

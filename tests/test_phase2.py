@@ -31,7 +31,7 @@ from saferoute.phase2 import (
     schedule_to_timing,
 )
 
-from helpers import build_augmented
+from helpers import build_augmented, no_return_from_first
 
 
 def random_profile(rng, lo, hi):
@@ -339,6 +339,13 @@ def test_unreachable_horizon_raises():
     inst = build_augmented([{"x": 30.0, "y": 0.0}], latest=1.5)
     with pytest.raises(ScheduleInfeasibleError):
         optimize_schedule((1,), inst, 0.0, m=2, objective="tti")
+
+
+def test_stop_without_return_arc_has_no_start():
+    # the grid filter agrees with the audit's return-to-depot check
+    with pytest.raises(ScheduleInfeasibleError):
+        build_schedule_graph((1, 2), no_return_from_first(), 0.0, m=3,
+                             objective="time")
 
 
 def test_schedule_argument_errors():

@@ -3,14 +3,20 @@
 import math
 import random
 from collections import Counter
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saferoute.instances import (
     build_scenarios,
     bundled_case_study_dir,
+    generate_instance,
     load_case_study,
+    load_solomon,
 )
+from saferoute.model import MissingArcError, ensure_augmented
 from saferoute.phase1 import (
     RoutingSolution,
     check_feasibility,
@@ -27,12 +33,13 @@ from saferoute.solver import (
     evaluate,
     initial_solution,
     make_feasible,
+    _route_violations,
     sample_move,
     solve,
     solve_scenario,
 )
 
-from helpers import build_augmented
+from helpers import build_augmented, no_return_from_first
 
 
 def random_customers(rng, n):
@@ -171,6 +178,59 @@ def test_make_feasible_keeps_feasible_input_feasible():
     fixed = make_feasible(sol, inst, 0.0)
     assert fixed is not None
     assert not check_feasibility(propagate_schedule(fixed, inst, 0.0), inst)
+
+
+@lru_cache(maxsize=None)
+def audit_instance(name):
+    if name == "R101":
+        return ensure_augmented(load_solomon("R101"))
+    return ensure_augmented(generate_instance(25, seed=0))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), name=st.sampled_from(["R101", "RND25"]),
+       dispatch=st.sampled_from([0.0, 7.0, 12.0, 17.0]))
+def test_route_check_matches_whole_audit(data, name, dispatch):
+    # repair judges one route by the per-route audit; it must say what
+    # the whole-solution audit says of that route, visit counts aside
+    inst = audit_instance(name)
+    pool = [0, *inst.customers(), inst.terminal_id, *inst.dummy_ids]
+    route = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                               max_size=12))
+    try:
+        timed = propagate_schedule((tuple(route),), inst, dispatch)
+    except MissingArcError:
+        assert [v.constraint for v in
+                _route_violations(route, inst, dispatch)] == ["route-shape"]
+        return
+    expected = tuple(v for v in check_feasibility(timed, inst)
+                     if v.constraint != "visit-count")
+    assert _route_violations(route, inst, dispatch) == expected
+
+
+def test_r101_distance_pinned():
+    # bit-exact anchor of the construction, repair and polish path
+    res = solve(ensure_augmented(load_solomon("R101")),
+                SolverConfig(objective="distance", seed=0), 0.0)
+    assert res.feasible
+    assert res.value == 1846.1684329678744
+    assert res.evaluations == 52
+    assert res.history == (1846.1684329678744,) * 10
+    assert res.solution.routes == (
+        (76, 80, 55, 24), (28, 12, 77, 3, 54), (78, 29, 79, 34, 35),
+        (63, 11, 88), (71, 51, 50), (33, 65, 9, 81, 68), (27, 89, 53),
+        (31, 66, 20, 32), (90, 30, 10, 70, 1), (52, 69), (45, 82, 7),
+        (96, 98, 99, 83, 18), (), (5, 84, 61, 85, 59), (36, 47, 8, 46, 48),
+        (60, 16, 91, 93, 37), (100, 92, 97, 95, 94, 6), (87, 42, 15, 43, 13),
+        (2, 57), (40, 58), (72, 39, 74, 22, 26), (75, 73, 21, 56, 4, 25),
+        (62, 19, 49, 64), (67, 23, 41), (14, 44, 38, 86, 17))
+
+
+@pytest.mark.parametrize("objective", ["distance", "weighted"])
+def test_solve_flags_stop_without_return_arc(objective):
+    # every order either strands customer 1 or needs the missing arc
+    res = solve(no_return_from_first(), SolverConfig(objective=objective))
+    assert not res.feasible and res.value == math.inf
 
 
 # --- moves ---------------------------------------------------------------
