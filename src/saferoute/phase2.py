@@ -99,27 +99,6 @@ class ScheduleGraph:
             n *= len(ts)
         return n
 
-    def edge_cost(self, position: int, prev_index: int, cur_index: int) -> float:
-        """Cost of one link, infinite when the pair is not connected."""
-        for i, j, cost in self.edges[position]:
-            if i == prev_index and j == cur_index:
-                return cost
-        return math.inf
-
-
-def arc_cost(graph: ScheduleGraph, state_s: tuple[int, int],
-             state_p: tuple[int, int], instance: Instance,
-             weights: ObjectiveWeights | None = None) -> float:
-    """Cost between two states given as (position, time_index) pairs.
-
-    Returns the stored link cost, or infinity for a time-inconsistent
-    (unlinked) pair.  Adjacent positions only.
-    """
-    (pos_s, idx_s), (pos_p, idx_p) = state_s, state_p
-    if pos_p != pos_s + 1 or not 0 < pos_p < len(graph.times):
-        return math.inf
-    return graph.edge_cost(pos_p, idx_s, idx_p)
-
 
 def _grid(lo: float, hi: float, m: int) -> tuple[float, ...]:
     if m == 1 or hi <= lo:
@@ -328,12 +307,37 @@ def schedule_to_timing(schedule: Schedule, instance: Instance) -> RouteTiming:
                        schedule.return_arrival)
 
 
+@dataclass
+class RouteRecord:
+    """What one solve has learned about one route.
+
+    ``timing`` is the route's immediate-departure timing; ``retimed``
+    holds its optimal schedule and that schedule's timing once the
+    route has been retimed.  Both depend only on the route and on what
+    a solve holds fixed (instance, dispatch, ``m``, weights and
+    objective), so a solve keeps one record per distinct route in a
+    local dict, its route memo, and drops it on return.
+    """
+
+    timing: RouteTiming
+    retimed: tuple[Schedule, RouteTiming] | None = None
+
+
 def schedule_solution(solution: RoutingSolution, instance: Instance, m: int,
                       weights: ObjectiveWeights | None = None,
                       objective: str = "weighted",
+                      memo: dict[tuple[int, ...], RouteRecord] | None = None,
                       ) -> tuple[RoutingSolution, tuple[Schedule, ...]]:
     """Re-time every route of a solution; returns the timed solution and
-    the per-route schedules (empty routes keep their trivial timing)."""
+    the per-route schedules (empty routes keep their trivial timing).
+
+    ``memo`` is a solve's route memo (see ``RouteRecord``), shared only
+    by calls with the same instance, dispatch, ``m``, weights and
+    objective.  A route whose record is already retimed reuses that
+    retiming; any other route is retimed here, and the result is stored
+    in its record when it has one.  A route that admits no schedule
+    raises ``ScheduleInfeasibleError`` every time and is never stored.
+    """
     if solution.dispatch is None:
         raise SolutionError("schedule needs a dispatched solution")
     timings = []
@@ -343,9 +347,16 @@ def schedule_solution(solution: RoutingSolution, instance: Instance, m: int,
             timings.append(RouteTiming(solution.dispatch, 0.0, (),
                                        solution.dispatch))
             continue
-        sched = optimize_schedule(route, instance, solution.dispatch, m,
-                                  weights, objective)
+        record = memo.get(route) if memo is not None else None
+        if record is not None and record.retimed is not None:
+            sched, timing = record.retimed
+        else:
+            sched = optimize_schedule(route, instance, solution.dispatch, m,
+                                      weights, objective)
+            timing = schedule_to_timing(sched, instance)
+            if record is not None:
+                record.retimed = sched, timing
         schedules.append(sched)
-        timings.append(schedule_to_timing(sched, instance))
+        timings.append(timing)
     return (RoutingSolution(solution.routes, solution.dispatch, tuple(timings)),
             tuple(schedules))

@@ -7,6 +7,14 @@ discretized schedule graph, and scoring the re-timed solution; the
 routing and scheduling phases therefore run together on every accepted
 step rather than as separate passes.
 
+A route's immediate-departure timing and its optimal retiming depend
+only on that route once a solve has fixed the dispatch, grid size,
+weights and objective.  Each ``solve`` call therefore keeps a route
+memo, a plain dict local to the call: every distinct route is
+propagated and retimed at most once per solve, however many candidates
+it recurs in.  The feasibility audit and the objective still judge each
+assembled candidate whole.
+
 Construction divides the plane around the depot into one slice per
 vehicle, halves each slice, serves the first half outward and the
 second half inward, polishes each route with 2-opt and spills capacity
@@ -41,7 +49,12 @@ from .phase1 import (
     objective_value,
     propagate_schedule,
 )
-from .phase2 import Schedule, ScheduleInfeasibleError, schedule_solution
+from .phase2 import (
+    RouteRecord,
+    Schedule,
+    ScheduleInfeasibleError,
+    schedule_solution,
+)
 
 MOVE_KINDS = ("insertion", "swap", "two_opt", "three_opt", "reversion", "split")
 
@@ -567,6 +580,7 @@ class SolveResult:
 def evaluate(routes: RoutingSolution | tuple, instance: Instance,
              config: SolverConfig, dispatch: float,
              weights: ObjectiveWeights, force_schedule: bool = False,
+             memo: dict[tuple[int, ...], RouteRecord] | None = None,
              ) -> Evaluation:
     """Time, filter and score one candidate.
 
@@ -574,13 +588,28 @@ def evaluate(routes: RoutingSolution | tuple, instance: Instance,
     schedule phase runs per candidate unless configured off; the
     distance objective skips it (re-timing cannot change distance)
     except when the caller forces it for reporting.
+
+    ``memo`` is the calling solve's route memo (``phase2.RouteRecord``
+    per route), shared only by calls with the same instance, dispatch,
+    config and weights.  A recorded route reuses its timings; a new one
+    is propagated on its own and recorded unless it uses a missing arc.
+    The audit and the objective always run on the whole candidate, so
+    the result is the same with or without a memo.
     """
+    sol = routes if isinstance(routes, RoutingSolution) \
+        else RoutingSolution(tuple(tuple(r) for r in routes))
+    memo = {} if memo is None else memo
+    timings = []
     try:
-        timed = propagate_schedule(routes, instance, dispatch)
+        for route in sol.routes:
+            record = memo.get(route)
+            if record is None:
+                record = memo[route] = RouteRecord(propagate_schedule(
+                    (route,), instance, dispatch).timings[0])
+            timings.append(record.timing)
     except MissingArcError:
-        sol = routes if isinstance(routes, RoutingSolution) \
-            else RoutingSolution(tuple(tuple(r) for r in routes))
         return Evaluation(sol, (), math.inf, False)
+    timed = RoutingSolution(sol.routes, dispatch, tuple(timings))
     if check_feasibility(timed, instance):
         return Evaluation(timed, (), math.inf, False)
     schedules: tuple[Schedule, ...] = ()
@@ -588,7 +617,7 @@ def evaluate(routes: RoutingSolution | tuple, instance: Instance,
     if wants_schedule and (config.objective != "distance" or force_schedule):
         try:
             timed, schedules = schedule_solution(
-                timed, instance, config.m, weights, config.objective)
+                timed, instance, config.m, weights, config.objective, memo)
         except ScheduleInfeasibleError:
             return Evaluation(timed, (), math.inf, False)
     value = objective_value(config.objective, timed, instance, weights)
@@ -617,9 +646,10 @@ def solve(instance: Instance, config: SolverConfig | None = None,
 
     Deterministic for a given (instance, config, dispatch): a single
     seeded generator drives construction fallbacks, move sampling and
-    acceptance.  The result carries the re-timed best solution; when no
-    feasible solution is ever seen the best-effort candidate is
-    returned flagged infeasible with an infinite value.
+    acceptance, and the route memo lives only for this call.  The result
+    carries the re-timed best solution; when no feasible solution is
+    ever seen the best-effort candidate is returned flagged infeasible
+    with an infinite value.
     """
     started = time.perf_counter()
     config = config or SolverConfig()
@@ -640,12 +670,13 @@ def solve(instance: Instance, config: SolverConfig | None = None,
         start = initial_solution(instance)
 
     evaluations = 0
+    memo: dict[tuple[int, ...], RouteRecord] = {}
 
     def score(candidate, force_schedule=False) -> Evaluation:
         nonlocal evaluations
         evaluations += 1
         return evaluate(candidate, instance, config, dispatch, weights,
-                        force_schedule)
+                        force_schedule, memo=memo)
 
     first = score(start)
     if not first.feasible:
@@ -686,7 +717,7 @@ def solve(instance: Instance, config: SolverConfig | None = None,
 
     if best.feasible and not best.schedules:
         final = evaluate(best.solution.routes, instance, config, dispatch,
-                         weights, force_schedule=True)
+                         weights, force_schedule=True, memo=memo)
         if final.feasible:
             best = final
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from saferoute import phase2
 from saferoute.model import MissingArcError, TimeProfile, travel_time
 from saferoute.phase1 import (
     ObjectiveWeights,
@@ -22,8 +23,8 @@ from saferoute.phase2 import (
     Schedule,
     ScheduleError,
     ScheduleGraph,
+    RouteRecord,
     ScheduleInfeasibleError,
-    arc_cost,
     build_schedule_graph,
     leg_cost,
     optimize_schedule,
@@ -154,21 +155,6 @@ def test_edges_match_recomputation_from_primitives():
                 if nxt >= arrive - 1e-9:
                     expected.add((i, j, cost))
         assert set(graph.edges[pos]) == expected
-
-
-def test_arc_cost_lookup():
-    rng = random.Random(11)
-    inst = random_instance(rng, 2)
-    graph = build_schedule_graph((1, 2), inst, 0.0, m=3, objective="tti")
-    i, j, cost = graph.edges[1][0]
-    assert arc_cost(graph, (0, i), (1, j), inst) == cost
-    assert arc_cost(graph, (0, 0), (2, 0), inst) == math.inf
-    assert arc_cost(graph, (1, 0), (1, 1), inst) == math.inf
-    linked = {(i, j) for i, j, _ in graph.edges[2]}
-    unlinked = [(i, j) for i in range(len(graph.times[1]))
-                for j in range(len(graph.times[2])) if (i, j) not in linked]
-    for i, j in unlinked:
-        assert arc_cost(graph, (1, i), (2, j), inst) == math.inf
 
 
 def test_frozen_two_hour_delay():
@@ -327,6 +313,35 @@ def test_schedule_solution_keeps_empty_routes():
     assert timed.timings[1].stops == ()
     assert timed.timings[1].return_arrival == 0.0
     assert timed.routes == prop.routes
+
+
+def test_schedule_solution_retimes_each_memo_route_once(monkeypatch):
+    rng = random.Random(31)
+    inst = random_instance(rng, 3)
+    prop = propagate_schedule(((2, 1), (3,)), inst, 0.0)
+    fresh = schedule_solution(prop, inst, 3, objective="tti")
+    memo = {(2, 1): RouteRecord(prop.timings[0])}  # route (3,) has no record
+    calls = []
+    real = phase2.optimize_schedule
+    monkeypatch.setattr(phase2, "optimize_schedule",
+                        lambda *a, **k: calls.append(a[0]) or real(*a, **k))
+    assert schedule_solution(prop, inst, 3, objective="tti",
+                             memo=memo) == fresh
+    assert schedule_solution(prop, inst, 3, objective="tti",
+                             memo=memo) == fresh
+    assert calls == [(2, 1), (3,), (3,)]
+    assert memo[(2, 1)].retimed == (fresh[1][0], fresh[0].timings[0])
+    assert set(memo) == {(2, 1)}
+
+
+def test_schedule_solution_never_stores_an_infeasible_route():
+    inst = build_augmented([{"x": 30.0, "y": 0.0}], latest=1.5)
+    prop = propagate_schedule(((1,),), inst, 0.0)
+    memo = {(1,): RouteRecord(prop.timings[0])}
+    for _ in range(2):
+        with pytest.raises(ScheduleInfeasibleError):
+            schedule_solution(prop, inst, 2, objective="tti", memo=memo)
+    assert memo[(1,)].retimed is None
 
 
 def test_infeasible_window_raises():

@@ -1,14 +1,19 @@
 """Annealing search: construction, repair, moves, and the solve loop."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import saferoute
 from saferoute.instances import (
     build_scenarios,
     bundled_case_study_dir,
@@ -18,8 +23,10 @@ from saferoute.instances import (
 )
 from saferoute.model import MissingArcError, ensure_augmented
 from saferoute.phase1 import (
+    OBJECTIVES,
     RoutingSolution,
     check_feasibility,
+    objective_value,
     propagate_schedule,
 )
 from saferoute.solver import (
@@ -336,6 +343,66 @@ def test_evaluate_rejects_window_violation():
     assert not out.feasible and out.value == math.inf
 
 
+def test_evaluate_never_stores_a_route_with_a_missing_arc():
+    inst = no_return_from_first()
+    cfg = SolverConfig(objective="time")
+    memo = {}
+    for _ in range(2):
+        out = evaluate(((2, 1),), inst, cfg, 0.0, cfg.weights.resolved(inst),
+                       memo=memo)
+        assert not out.feasible and out.solution.timings is None
+    assert memo == {}
+
+
+@lru_cache(maxsize=None)
+def memo_instance(name):
+    if name == "case":
+        return ensure_augmented(load_case_study(bundled_case_study_dir()))
+    return ensure_augmented(generate_instance(25, seed=0))
+
+
+def memo_walk(name, dispatch, objective, walk_seed, steps=30):
+    """Evaluate a random walk of moves with one shared route memo and
+    again with none; returns the pairs of evaluations."""
+    inst = memo_instance(name)
+    cfg = SolverConfig(objective=objective)
+    weights = cfg.weights.resolved(inst)
+    rng = random.Random(walk_seed)
+    memo = {}
+    solution = initial_solution(inst)
+    pairs = []
+    for _ in range(steps):
+        force = rng.random() < 0.25
+        pairs.append((evaluate(solution, inst, cfg, dispatch, weights, force,
+                               memo=memo),
+                      evaluate(solution, inst, cfg, dispatch, weights,
+                               force)))
+        solution = apply_move(solution, sample_move(solution, inst, rng))
+    return pairs
+
+
+@settings(max_examples=40, deadline=None)
+@given(walk_seed=st.integers(0, 2 ** 32 - 1),
+       case=st.one_of(st.tuples(st.just("case"),
+                                st.integers(0, 23).map(float),
+                                st.sampled_from(OBJECTIVES)),
+                      st.just(("RND25", 7.0, "weighted"))))
+def test_route_memo_changes_no_evaluation(walk_seed, case):
+    # value, feasibility, routes, timings and schedules all equal
+    for shared, alone in memo_walk(*case, walk_seed):
+        assert shared == alone
+
+
+def test_memo_walk_meets_both_kinds_of_rejection():
+    # the property above must see a missing arc (untimed rejection) and
+    # an audit rejection (timed) on the case study
+    pairs = memo_walk("case", 7.0, "weighted", walk_seed=3, steps=60)
+    rejected = [shared for shared, alone in pairs if not shared.feasible]
+    assert any(e.solution.timings is None for e in rejected)
+    assert any(e.solution.timings is not None for e in rejected)
+    assert all(shared == alone for shared, alone in pairs)
+
+
 # --- solve ---------------------------------------------------------------
 
 
@@ -451,3 +518,44 @@ def test_weighted_solve_produces_schedules():
     assert res.feasible and res.schedules
     starts = res.schedules[0].service_starts
     assert all(b >= a - 1e-12 for a, b in zip(starts, starts[1:]))
+
+def _result_fields(res):
+    return repr((res.value, res.solution, res.schedules, res.history,
+                 res.evaluations, res.feasible))
+
+
+FRESH_SOLVE = """
+from saferoute import SolverConfig, bundled_case_study_dir, load_case_study, solve
+res = solve(load_case_study(bundled_case_study_dir()), SolverConfig(seed=5), 7.0)
+print(repr((res.value, res.solution, res.schedules, res.history,
+            res.evaluations, res.feasible)))
+"""
+
+
+def test_solve_keeps_no_state_between_calls():
+    # a new interpreter holds nothing an earlier solve could have left
+    src = str(Path(saferoute.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    fresh = subprocess.run([sys.executable, "-c", FRESH_SOLVE], env=env,
+                           capture_output=True, text=True, check=True,
+                           timeout=120).stdout.strip()
+    inst = load_case_study(bundled_case_study_dir())
+    # same instance object and dispatch, other objective: a route memo
+    # that outlived this solve would hand its retimings to the next one
+    solve(inst, SolverConfig(objective="tti", seed=2), 7.0)
+    assert _result_fields(solve(inst, SolverConfig(seed=5), 7.0)) == fresh
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_scheduling_only_the_incumbent(objective):
+    inst = memo_instance("case")
+    cfg = SolverConfig(objective=objective, schedule_every_candidate=False)
+    weights = cfg.weights.resolved(inst)
+    for hour in (0, 6, 7, 12, 17, 23):
+        res = solve(inst, cfg, float(hour))
+        assert res.feasible
+        loaded = tuple(r for r in res.solution.routes if r)
+        assert tuple(s.route for s in res.schedules) == loaded
+        assert res.value == objective_value(objective, res.solution, inst,
+                                            weights)
