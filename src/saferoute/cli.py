@@ -18,7 +18,6 @@ refused.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -44,10 +43,11 @@ from .oracle import (
 from .phase1 import OBJECTIVES, ObjectiveWeights, objective_value
 from .queueing import (
     DEFAULT_CONGESTION_QUANTILE,
-    FlowSeries,
     QueueingError,
     build_speed_profile,
     calibrate,
+    read_flow_table,
+    read_nominal_speeds,
 )
 from .solver import SolverConfig, SolverError, solve
 
@@ -193,61 +193,15 @@ def _route_str(instance: Instance, routes) -> str:
 # speeds
 
 
-def _read_csv_rows(path: str, required: tuple[str, ...]) -> list[dict]:
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            fields = reader.fieldnames or []
-            missing = [c for c in required if c not in fields]
-            if missing:
-                raise InputError(
-                    f"{path}: missing columns: {', '.join(missing)}")
-            rows = list(reader)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise InputError(f"{path}: no data rows")
-    return rows
-
-
 def cmd_speeds(args) -> int:
-    nominal: dict[tuple[int, int], float] = {}
-    for k, row in enumerate(_read_csv_rows(
-            args.nominal, ("tail", "head", "nominal_speed")), start=2):
-        try:
-            nominal[(int(row["tail"]), int(row["head"]))] = \
-                float(row["nominal_speed"])
-        except (TypeError, ValueError):
-            raise InputError(f"{args.nominal} line {k}: non-numeric row")
-
-    counts: dict[tuple[int, int], dict[int, float]] = {}
-    for k, row in enumerate(_read_csv_rows(
-            args.flows, ("tail", "head", "hour", "flow")), start=2):
-        try:
-            arc = (int(row["tail"]), int(row["head"]))
-            hour = int(row["hour"])
-            flow = float(row["flow"])
-        except (TypeError, ValueError):
-            raise InputError(f"{args.flows} line {k}: non-numeric row")
-        if not 0 <= hour < HOURS:
-            raise InputError(
-                f"{args.flows} line {k}: hour {hour} outside 0..23")
-        if hour in counts.setdefault(arc, {}):
-            raise InputError(
-                f"{args.flows} line {k}: duplicate hour {hour} for arc {arc}")
-        counts[arc][hour] = flow
-
+    nominal = read_nominal_speeds(args.nominal)
+    flows = read_flow_table(args.flows)
     header = ("tail", "head", *(f"h{h}" for h in range(HOURS)))
     rows = []
-    for arc in sorted(counts):
+    for arc, series in sorted(flows.items()):
         if arc not in nominal:
             raise InputError(
                 f"{args.flows}: no nominal speed for arc {arc}")
-        missing = [h for h in range(HOURS) if h not in counts[arc]]
-        if missing:
-            raise InputError(
-                f"{args.flows}: arc {arc} missing hours {missing}")
-        series = FlowSeries(tuple(counts[arc][h] for h in range(HOURS)))
         try:
             model = calibrate(series, nominal[arc])
             profile = build_speed_profile(model, series, args.quantile)

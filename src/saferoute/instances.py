@@ -8,8 +8,6 @@ Four sources of routing problems are supported:
 * synthetic generators that lay customers around a depot and give every
   arc noisy three-level step profiles for speed, congestion and risk,
 * the bundled four-node delivery case packaged as CSV files.
-
-A day of operations is replayed as 24 scenarios, one per dispatch hour.
 """
 
 from __future__ import annotations
@@ -147,27 +145,6 @@ def generate_profiles(spec: StepFunctionSpec, kind: str) -> TimeProfile:
         for base in spec.base_values()
     )
     return TimeProfile(values)
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One dispatch hour of the replayed day."""
-
-    start_hour: int
-    instance: Instance
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.start_hour < HOURS_PER_DAY:
-            raise InstanceError(f"start hour must be in 0..23, got {self.start_hour}")
-
-    @property
-    def dispatch(self) -> float:
-        return float(self.start_hour)
-
-
-def build_scenarios(instance: Instance) -> tuple[Scenario, ...]:
-    """One scenario per hour of the day, midnight first."""
-    return tuple(Scenario(h, instance) for h in range(HOURS_PER_DAY))
 
 
 # --------------------------------------------------------------------------

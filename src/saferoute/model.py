@@ -247,9 +247,6 @@ class Instance:
         except KeyError:
             raise MissingArcError(f"no arc from {tail} to {head}") from None
 
-    def has_arc(self, tail: int, head: int) -> bool:
-        return (tail, head) in self.arcs
-
     def total_demand(self) -> float:
         return sum(self.nodes[c].demand for c in self.customers())
 
@@ -265,10 +262,6 @@ class Traversal:
 
     duration: float
     segments: tuple[tuple[int, float, float], ...]
-
-    @property
-    def hours(self) -> tuple[int, ...]:
-        return tuple(seg[0] for seg in self.segments)
 
 
 def traverse(arc: Arc, depart: float) -> Traversal:
@@ -342,8 +335,8 @@ def travel_time(arc: Arc, depart: float) -> float:
     return traverse(arc, depart).duration
 
 
-def _blended(profile: TimeProfile, arc: Arc, depart: float, blend: bool) -> float:
-    if not blend or profile.is_constant:
+def _blended(profile: TimeProfile, arc: Arc, depart: float) -> float:
+    if profile.is_constant:
         return profile.value_at(depart)
     trav = traverse(arc, depart)
     if len(trav.segments) == 1:
@@ -354,23 +347,22 @@ def _blended(profile: TimeProfile, arc: Arc, depart: float, blend: bool) -> floa
     return acc / arc.distance
 
 
-def tti_at(arc: Arc, depart: float, blend: bool = True) -> float:
+def tti_at(arc: Arc, depart: float) -> float:
     """Travel time index charged for departing at ``depart``.
 
     A traversal spanning several hours is charged the distance-weighted
-    average of the hourly indices it touches; ``blend=False`` charges
-    the departure hour's value for the whole arc instead.
+    average of the hourly indices it touches.
     """
-    return _blended(arc.tti, arc, depart, blend)
+    return _blended(arc.tti, arc, depart)
 
 
-def crash_at(arc: Arc, depart: float, blend: bool = True) -> float:
+def crash_at(arc: Arc, depart: float) -> float:
     """Crash probability charged for departing at ``depart``.
 
     Multi-hour traversals blend hourly probabilities by distance share,
     mirroring ``tti_at``.
     """
-    return _blended(arc.crash, arc, depart, blend)
+    return _blended(arc.crash, arc, depart)
 
 
 def augment_depot(instance: Instance, m: int) -> Instance:

@@ -67,9 +67,6 @@ class OracleResult:
     enumerated: int
     elapsed: float
 
-    def tied(self) -> bool:
-        return len(self.solutions) > 1
-
 
 def _partitions(items: tuple[int, ...], max_blocks: int):
     """Yield set partitions of ``items`` into at most ``max_blocks`` blocks."""
@@ -215,7 +212,7 @@ def enumerate_schedules(route: tuple[int, ...], instance: Instance, m: int, *,
     while stack:
         pos, idx, acc, starts = stack.pop()
         if pos == last:
-            for i, cost, _arrive in graph.sink_edges:
+            for i, cost in graph.sink_edges:
                 if i != idx:
                     continue
                 enumerated += 1

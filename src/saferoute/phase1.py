@@ -8,8 +8,9 @@ terminal.  Pass-through depot duplicates may appear inside a route.
 Propagation turns a bare assignment into a timed solution by walking
 each route from the dispatch instant with immediate departures: arrive,
 wait out the window's soft lower bound if early, serve, leave.  The
-retiming phase may later delay service starts; both produce the same
-timed-solution shape.
+retiming phase may later choose later service starts; ``time_route``
+times a route either way, so both produce the same timed-solution
+shape from the same walk.
 
 Five objective readings are defined on a timed solution:
 
@@ -99,9 +100,6 @@ class RoutingSolution:
     def timed(self) -> bool:
         return self.timings is not None
 
-    def visited(self) -> tuple[int, ...]:
-        return tuple(n for route in self.routes for n in route)
-
 
 def _route_arcs(instance: Instance, route: tuple[int, ...]) -> list[Arc]:
     """Arcs driven along a route, depot to terminal."""
@@ -111,6 +109,42 @@ def _route_arcs(instance: Instance, route: tuple[int, ...]) -> list[Arc]:
         return []
     path = [0, *route, instance.terminal_id]
     return [instance.arc(path[i], path[i + 1]) for i in range(len(path) - 1)]
+
+
+def time_route(route: tuple[int, ...], instance: Instance, dispatch: float,
+               starts: tuple[float, ...] | None = None) -> RouteTiming:
+    """Time one route from the dispatch instant.
+
+    Each leg is driven from the departure right after the upstream
+    service.  With ``starts=None`` every stop is served as soon as the
+    vehicle is there and the window's soft lower bound has passed
+    (immediate departures); otherwise stop ``k`` is served at
+    ``starts[k]``, and a vehicle that arrives earlier waits at the stop.
+    The only code that turns a route into times: propagation and the
+    retiming phase both call it.
+
+    Raises:
+        MissingArcError: the route uses an arc absent from the graph.
+        SolutionError: instance not augmented.
+    """
+    arcs = _route_arcs(instance, route)
+    if not route:
+        return RouteTiming(dispatch, 0.0, (), dispatch)
+    initial_load = sum(instance.node(n).demand for n in route)
+    load = initial_load
+    t = dispatch
+    stops = []
+    for k, (arc, node_id) in enumerate(zip(arcs[:-1], route)):
+        node = instance.node(node_id)
+        arrival = t + travel_time(arc, t)
+        start = max(arrival, dispatch + node.window_open) if starts is None \
+            else starts[k]
+        depart = start + node.service_time
+        load -= node.demand
+        stops.append(NodeTiming(node_id, arrival, start, depart, load))
+        t = depart
+    return RouteTiming(dispatch, initial_load, tuple(stops),
+                       t + travel_time(arcs[-1], t))
 
 
 def propagate_schedule(solution: RoutingSolution | tuple[tuple[int, ...], ...],
@@ -124,7 +158,7 @@ def propagate_schedule(solution: RoutingSolution | tuple[tuple[int, ...], ...],
             node windows are interpreted relative to this instant.
 
     Returns:
-        The same routes with timings attached.
+        The same routes with ``time_route`` timings attached.
 
     Raises:
         MissingArcError: a route uses an arc absent from the graph.
@@ -134,28 +168,8 @@ def propagate_schedule(solution: RoutingSolution | tuple[tuple[int, ...], ...],
         else tuple(tuple(r) for r in solution)
     if dispatch < 0 or not math.isfinite(dispatch):
         raise SolutionError(f"dispatch must be a non-negative hour, got {dispatch!r}")
-    timings = []
-    for route in routes:
-        arcs = _route_arcs(instance, route)
-        if not route:
-            timings.append(RouteTiming(dispatch, 0.0, (), dispatch))
-            continue
-        initial_load = sum(instance.node(n).demand for n in route)
-        load = initial_load
-        t = dispatch
-        stops = []
-        for arc, node_id in zip(arcs[:-1], route):
-            node = instance.node(node_id)
-            arrival = t + travel_time(arc, t)
-            start = max(arrival, dispatch + node.window_open)
-            depart = start + node.service_time
-            load -= node.demand
-            stops.append(NodeTiming(node_id, arrival, start, depart, load))
-            t = depart
-        return_arrival = t + travel_time(arcs[-1], t)
-        timings.append(RouteTiming(dispatch, initial_load, tuple(stops),
-                                   return_arrival))
-    return RoutingSolution(routes, dispatch, tuple(timings))
+    return RoutingSolution(routes, dispatch, tuple(
+        time_route(route, instance, dispatch) for route in routes))
 
 
 def return_leg_time(instance: Instance, node_id: int, depart: float) -> float:

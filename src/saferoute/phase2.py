@@ -8,9 +8,13 @@ service-start times spread evenly over its feasible interval, a state
 ``p`` at the next stop is linked from state ``s`` when leaving right
 after service at ``s`` reaches the stop no later than ``p``, and a
 shortest path from the fixed dispatch state to the terminal gives the
-cheapest schedule.  Slack on a link is spent waiting at the upstream
-stop (equivalently: driving below the speed limit); cost is always
-charged at the actual departure instant.
+cheapest schedule.  Every leg is driven, and charged, from the
+departure right after the upstream service; a vehicle that reaches a
+stop before its chosen start spends the slack waiting at that stop.
+
+The retiming phase only picks the service starts.  The times that
+follow from them (arrivals, departures, the return) come from the
+routing phase's ``time_route``, the same walk that propagation uses.
 
 Costs are additive per driven arc.  Crash probabilities enter through
 their log-survival surrogate ``-ln(1 - xi)``, whose sum orders
@@ -26,13 +30,13 @@ from dataclasses import dataclass
 
 from .model import Instance, crash_at, travel_time, tti_at
 from .phase1 import (
-    NodeTiming,
     ObjectiveWeights,
     RouteTiming,
     RoutingSolution,
     SolutionError,
     TIME_EPS,
     return_leg_time,
+    time_route,
 )
 
 
@@ -80,7 +84,7 @@ class ScheduleGraph:
     instant).  ``edges[p]`` links position ``p-1`` states to position
     ``p`` states as (prev_index, cur_index, cost) triples; the terminal
     is a single implicit sink reached via ``sink_edges`` =
-    (prev_index, cost, arrival) triples.
+    (prev_index, cost) pairs.
     """
 
     route: tuple[int, ...]
@@ -90,7 +94,7 @@ class ScheduleGraph:
     objective: str
     times: tuple[tuple[float, ...], ...]
     edges: tuple[tuple[tuple[int, int, float], ...], ...]
-    sink_edges: tuple[tuple[int, float, float], ...]
+    sink_edges: tuple[tuple[int, float], ...]
 
     def path_count_bound(self) -> int:
         """Upper bound on source-to-sink paths: product of grid sizes."""
@@ -129,6 +133,8 @@ def build_schedule_graph(route: tuple[int, ...], instance: Instance,
 
     Raises:
         ScheduleInfeasibleError: some stop's feasible interval is empty.
+        MissingArcError: the route, return leg included, uses an arc
+            absent from the graph.
     """
     if m < 1:
         raise ScheduleError(f"need at least one candidate time per stop, got {m}")
@@ -142,16 +148,8 @@ def build_schedule_graph(route: tuple[int, ...], instance: Instance,
     horizon = dispatch + instance.latest_time
 
     # Immediate-departure propagation pins each stop's earliest start.
-    earliest: list[float] = []
-    t = dispatch
-    prev = 0
-    for node_id in route:
-        node = instance.node(node_id)
-        arrival = t + travel_time(instance.arc(prev, node_id), t)
-        start = max(arrival, dispatch + node.window_open)
-        earliest.append(start)
-        t = start + node.service_time
-        prev = node_id
+    earliest = [stop.service_start
+                for stop in time_route(route, instance, dispatch).stops]
 
     times: list[tuple[float, ...]] = [(dispatch,)]
     for node_id, lo in zip(route, earliest):
@@ -199,7 +197,7 @@ def build_schedule_graph(route: tuple[int, ...], instance: Instance,
         if arrive <= horizon + TIME_EPS:
             cost = leg_cost(instance, last, instance.terminal_id, depart,
                             weights, objective)
-            sink.append((i, cost, arrive))
+            sink.append((i, cost))
     if not sink:
         raise ScheduleInfeasibleError(
             f"no schedule returns to the depot by hour {horizon:.6f}")
@@ -210,22 +208,21 @@ def build_schedule_graph(route: tuple[int, ...], instance: Instance,
 
 @dataclass(frozen=True)
 class Schedule:
-    """Optimal re-timing of one route."""
+    """Optimal re-timing of one route: the service starts the DP chose.
+
+    ``service_starts[k]`` is when stop ``k`` of ``route`` is served and
+    ``total_cost`` the DP's additive cost of that choice, for the
+    identifying ``dispatch``, grid size ``m`` and ``objective``.  The
+    times that follow are ``time_route(route, instance, dispatch,
+    service_starts)``.
+    """
 
     route: tuple[int, ...]
     dispatch: float
     m: int
     objective: str
     service_starts: tuple[float, ...]
-    arrivals: tuple[float, ...]
-    departures: tuple[float, ...]
-    return_arrival: float
-    implied_speeds: tuple[float, ...]
     total_cost: float
-
-    def waiting(self) -> float:
-        """Total hours spent waiting beyond the immediate schedule."""
-        return sum(s - a for s, a in zip(self.service_starts, self.arrivals))
 
 
 def optimize_schedule(route: tuple[int, ...], instance: Instance,
@@ -250,13 +247,11 @@ def optimize_schedule(route: tuple[int, ...], instance: Instance,
                 pred[pos][j] = i
     sink_cost = math.inf
     sink_pred = -1
-    sink_arrival = math.nan
-    for i, cost, arrive in graph.sink_edges:
+    for i, cost in graph.sink_edges:
         cand = best[-1][i] + cost
         if cand < sink_cost:
             sink_cost = cand
             sink_pred = i
-            sink_arrival = arrive
     if sink_pred < 0:
         raise ScheduleInfeasibleError("terminal unreachable in schedule graph")
 
@@ -265,46 +260,7 @@ def optimize_schedule(route: tuple[int, ...], instance: Instance,
     for pos in range(n_pos - 1, 0, -1):
         indices[pos - 1] = pred[pos][indices[pos]]
     starts = tuple(graph.times[pos][indices[pos]] for pos in range(1, n_pos))
-
-    # Reconstruct physical arrivals and implied average speeds.
-    arrivals = []
-    departures = []
-    speeds = []
-    t = dispatch
-    prev = 0
-    for node_id, start in zip(route, starts):
-        node = instance.node(node_id)
-        arc = instance.arc(prev, node_id)
-        depart_prev = t
-        arrive = depart_prev + travel_time(arc, depart_prev)
-        arrivals.append(arrive)
-        # Waiting is booked at the upstream vertex: the leg may be
-        # driven slower so the vehicle lands exactly on its start time.
-        speeds.append(arc.distance / max(start - depart_prev, 1e-12)
-                      if start > depart_prev else arc.distance)
-        departures.append(start + node.service_time)
-        t = start + node.service_time
-        prev = node_id
-    final_arc = instance.arc(route[-1], instance.terminal_id)
-    speeds.append(final_arc.distance / max(sink_arrival - t, 1e-12))
-
-    return Schedule(tuple(route), dispatch, m, objective, starts,
-                    tuple(arrivals), tuple(departures), sink_arrival,
-                    tuple(speeds), sink_cost)
-
-
-def schedule_to_timing(schedule: Schedule, instance: Instance) -> RouteTiming:
-    """Convert a schedule into the routing phase's timing record."""
-    load = sum(instance.node(n).demand for n in schedule.route)
-    initial = load
-    stops = []
-    for node_id, arrive, start, depart in zip(
-            schedule.route, schedule.arrivals, schedule.service_starts,
-            schedule.departures):
-        load -= instance.node(node_id).demand
-        stops.append(NodeTiming(node_id, arrive, start, depart, load))
-    return RouteTiming(schedule.dispatch, initial, tuple(stops),
-                       schedule.return_arrival)
+    return Schedule(tuple(route), dispatch, m, objective, starts, sink_cost)
 
 
 @dataclass
@@ -312,11 +268,12 @@ class RouteRecord:
     """What one solve has learned about one route.
 
     ``timing`` is the route's immediate-departure timing; ``retimed``
-    holds its optimal schedule and that schedule's timing once the
-    route has been retimed.  Both depend only on the route and on what
-    a solve holds fixed (instance, dispatch, ``m``, weights and
-    objective), so a solve keeps one record per distinct route in a
-    local dict, its route memo, and drops it on return.
+    holds its optimal ``Schedule`` and the ``time_route`` timing of
+    that schedule's service starts once the route has been retimed.
+    Both depend only on the route and on what a solve holds fixed
+    (instance, dispatch, ``m``, weights and objective), so a solve
+    keeps one record per distinct route in a local dict, its route
+    memo, and drops it on return.
     """
 
     timing: RouteTiming
@@ -331,6 +288,9 @@ def schedule_solution(solution: RoutingSolution, instance: Instance, m: int,
     """Re-time every route of a solution; returns the timed solution and
     the per-route schedules (empty routes keep their trivial timing).
 
+    The DP picks each route's service starts, and ``time_route`` turns
+    them into the route's timing.
+
     ``memo`` is a solve's route memo (see ``RouteRecord``), shared only
     by calls with the same instance, dispatch, ``m``, weights and
     objective.  A route whose record is already retimed reuses that
@@ -344,8 +304,7 @@ def schedule_solution(solution: RoutingSolution, instance: Instance, m: int,
     schedules = []
     for route in solution.routes:
         if not route:
-            timings.append(RouteTiming(solution.dispatch, 0.0, (),
-                                       solution.dispatch))
+            timings.append(time_route(route, instance, solution.dispatch))
             continue
         record = memo.get(route) if memo is not None else None
         if record is not None and record.retimed is not None:
@@ -353,7 +312,8 @@ def schedule_solution(solution: RoutingSolution, instance: Instance, m: int,
         else:
             sched = optimize_schedule(route, instance, solution.dispatch, m,
                                       weights, objective)
-            timing = schedule_to_timing(sched, instance)
+            timing = time_route(route, instance, solution.dispatch,
+                                sched.service_starts)
             if record is not None:
                 record.retimed = sched, timing
         schedules.append(sched)

@@ -24,8 +24,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy import optimize
-
 from .model import HOURS_PER_DAY, TimeProfile
 
 #: Share of the day's hourly counts treated as uncongested; hours whose
@@ -136,11 +134,6 @@ def speed_from_density(q: QueueModel, density: float) -> float:
             / (2.0 * q.jam_density + density * (beta2 - 1.0)))
 
 
-def relative_speed(q: QueueModel, density: float) -> float:
-    """Speed as a fraction of free-flow speed, in [0, 1]."""
-    return speed_from_density(q, density) / q.nominal_speed
-
-
 def density_from_speed(q: QueueModel, speed: float) -> float:
     """Inverse of ``speed_from_density`` on [0, nominal_speed]."""
     if not (math.isfinite(speed) and 0 <= speed <= q.nominal_speed):
@@ -157,21 +150,19 @@ def flow_at_speed(q: QueueModel, speed: float) -> float:
 
 
 def max_flow(q: QueueModel) -> float:
-    """Capacity of the segment in veh/h.
+    """Capacity of the segment in veh/h: the peak of the flow-speed curve.
 
-    With beta = 1 the flow-speed curve peaks exactly at s0 kj / 4
-    (attained at half the free-flow speed); other service variances
-    have no closed form and are maximised numerically.
+    Setting the derivative of f(s) = 2 kj s (s0 - s) / (2 s0 + s (beta^2 - 1))
+    to zero gives the peak speed s* = 2 s0 / (sqrt(2 beta^2 + 2) + 2),
+    the cancellation-free form of s0 (sqrt(2 beta^2 + 2) - 2) / (beta^2 - 1).
+    With beta = 1 that is half the free-flow speed, and the capacity is
+    exactly s0 kj / 4.
     """
     if q.cv_service == 1.0:
         return q.nominal_speed * q.jam_density / 4.0
-    res = optimize.minimize_scalar(
-        lambda s: -flow_at_speed(q, s),
-        bounds=(0.0, q.nominal_speed),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return -float(res.fun)
+    peak = 2.0 * q.nominal_speed / (
+        math.sqrt(2.0 * q.cv_service ** 2 + 2.0) + 2.0)
+    return flow_at_speed(q, peak)
 
 
 def speeds_from_flow(q: QueueModel, flow: float) -> tuple[float, float]:
@@ -263,6 +254,34 @@ def build_speed_profile(q: QueueModel, flows: FlowSeries,
     return TimeProfile(tuple(speeds))
 
 
+def _csv_rows(path: str, columns: tuple[str, ...]):
+    """Yield (line number, row) for the data rows of a CSV file.
+
+    The header must name exactly ``columns``, every row must carry one
+    field per column, blank lines are skipped, and a file without any
+    data row is an error.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [c.strip() for c in next(reader, [])]
+        if header != list(columns):
+            missing = [c for c in columns if c not in header]
+            detail = f"missing columns: {', '.join(missing)}; " if missing else ""
+            raise QueueingError(f"{path}: {detail}expected header "
+                                f"{','.join(columns)!r}, got {header!r}")
+        seen = False
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(columns):
+                raise QueueingError(f"{path} line {lineno}: expected "
+                                    f"{len(columns)} fields, got {len(row)}")
+            seen = True
+            yield lineno, row
+    if not seen:
+        raise QueueingError(f"{path}: no data rows")
+
+
 def read_flow_table(path: str) -> dict[tuple[int, int], FlowSeries]:
     """Read mean hourly counts from a delimited text file.
 
@@ -271,29 +290,19 @@ def read_flow_table(path: str) -> dict[tuple[int, int], FlowSeries]:
     are rejected, missing hours are an error.
     """
     table: dict[tuple[int, int], dict[int, float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["tail", "head", "hour", "flow"]:
-            raise QueueingError(
-                f"{path}: expected header 'tail,head,hour,flow', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise QueueingError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            try:
-                tail, head, hour = int(row[0]), int(row[1]), int(row[2])
-                flow = float(row[3])
-            except ValueError as exc:
-                raise QueueingError(f"{path}:{lineno}: {exc}") from None
-            if not 0 <= hour < HOURS_PER_DAY:
-                raise QueueingError(f"{path}:{lineno}: hour {hour} outside 0..23")
-            slots = table.setdefault((tail, head), {})
-            if hour in slots:
-                raise QueueingError(
-                    f"{path}:{lineno}: duplicate hour {hour} for arc ({tail}, {head})")
-            slots[hour] = flow
+    for lineno, row in _csv_rows(path, ("tail", "head", "hour", "flow")):
+        try:
+            tail, head, hour = int(row[0]), int(row[1]), int(row[2])
+            flow = float(row[3])
+        except ValueError as exc:
+            raise QueueingError(f"{path} line {lineno}: {exc}") from None
+        if not 0 <= hour < HOURS_PER_DAY:
+            raise QueueingError(f"{path} line {lineno}: hour {hour} outside 0..23")
+        slots = table.setdefault((tail, head), {})
+        if hour in slots:
+            raise QueueingError(f"{path} line {lineno}: duplicate hour {hour} "
+                                f"for arc ({tail}, {head})")
+        slots[hour] = flow
     result: dict[tuple[int, int], FlowSeries] = {}
     for key, slots in table.items():
         missing = sorted(set(range(HOURS_PER_DAY)) - set(slots))
@@ -308,25 +317,16 @@ def read_nominal_speeds(path: str) -> dict[tuple[int, int], float]:
     """Read free-flow speeds per arc direction from a CSV with header
     ``tail,head,nominal_speed``."""
     speeds: dict[tuple[int, int], float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["tail", "head", "nominal_speed"]:
+    for lineno, row in _csv_rows(path, ("tail", "head", "nominal_speed")):
+        try:
+            key = (int(row[0]), int(row[1]))
+            value = float(row[2])
+        except ValueError as exc:
+            raise QueueingError(f"{path} line {lineno}: {exc}") from None
+        if key in speeds:
+            raise QueueingError(f"{path} line {lineno}: duplicate arc {key}")
+        if value <= 0:
             raise QueueingError(
-                f"{path}: expected header 'tail,head,nominal_speed', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise QueueingError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            try:
-                key = (int(row[0]), int(row[1]))
-                value = float(row[2])
-            except ValueError as exc:
-                raise QueueingError(f"{path}:{lineno}: {exc}") from None
-            if key in speeds:
-                raise QueueingError(f"{path}:{lineno}: duplicate arc {key}")
-            if value <= 0:
-                raise QueueingError(f"{path}:{lineno}: nominal speed must be positive")
-            speeds[key] = value
+                f"{path} line {lineno}: nominal speed must be positive")
+        speeds[key] = value
     return speeds

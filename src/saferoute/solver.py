@@ -724,8 +724,3 @@ def solve(instance: Instance, config: SolverConfig | None = None,
     return SolveResult(best.solution, best.schedules, best.value,
                        config.objective, best.feasible, evaluations,
                        tuple(history), time.perf_counter() - started)
-
-
-def solve_scenario(scenario, config: SolverConfig | None = None) -> SolveResult:
-    """Run solve() at the scenario's dispatch hour on its instance."""
-    return solve(scenario.instance, config, scenario.dispatch)

@@ -1,10 +1,14 @@
 """Command-line behavior: outputs, exit codes, determinism, goldens."""
 
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import saferoute
 from saferoute.cli import main
 from saferoute.instances import bundled_case_study_dir, serialize_instance
 
@@ -313,3 +317,28 @@ def test_stdout_table_is_aligned(capsys):
     shown = capsys.readouterr().out.splitlines()
     assert shown[0].startswith("scenario  feasible")
     assert "32.3009" in shown[1]
+
+
+def test_package_needs_neither_scipy_nor_numpy(tmp_path):
+    # a None entry in sys.modules makes every import of that name fail
+    out = tmp_path / "speeds.tsv"
+    script = f"""
+import sys
+sys.modules["scipy"] = None
+sys.modules["numpy"] = None
+import saferoute
+from saferoute.cli import main
+instance = saferoute.load_case_study(saferoute.bundled_case_study_dir())
+result = saferoute.solve(instance, saferoute.SolverConfig(seed=0), 7.0)
+assert result.feasible, result
+assert main(["speeds", "--flows", {FLOWS!r}, "--nominal", {NOMINAL!r},
+             "--out", {str(out)!r}]) == 0
+"""
+    src = str(Path(saferoute.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert out.read_bytes() == (GOLDENS / "speeds.tsv").read_bytes()

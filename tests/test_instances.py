@@ -12,9 +12,7 @@ from saferoute.instances import (
     InstanceError,
     MIN_SPEED,
     ProfileSpecError,
-    Scenario,
     StepFunctionSpec,
-    build_scenarios,
     bundled_case_study_dir,
     generate_instance,
     generate_profiles,
@@ -126,25 +124,6 @@ def test_clipping_keeps_kind_domains():
             StepFunctionSpec((40.0, 30.0, 10.0), noise_amplitude=3.0, seed=seed),
             "speed")
         assert all(v >= MIN_SPEED for v in speed.values)
-
-
-# -- scenarios ---------------------------------------------------------------
-
-def test_build_scenarios_covers_the_day():
-    inst = parse_solomon(SMALL_SOLOMON)
-    scenarios = build_scenarios(inst)
-    assert len(scenarios) == 24
-    assert [s.start_hour for s in scenarios] == list(range(24))
-    assert scenarios[7].dispatch == 7.0
-    assert all(s.instance is inst for s in scenarios)
-
-
-def test_scenario_rejects_bad_hour():
-    inst = parse_solomon(SMALL_SOLOMON)
-    with pytest.raises(InstanceError):
-        Scenario(24, inst)
-    with pytest.raises(InstanceError):
-        Scenario(-1, inst)
 
 
 # -- classic benchmark layout -------------------------------------------------

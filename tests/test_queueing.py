@@ -21,7 +21,6 @@ from saferoute.queueing import (
     max_flow,
     read_flow_table,
     read_nominal_speeds,
-    relative_speed,
     speed_from_density,
     speeds_from_flow,
     waiting_time,
@@ -64,7 +63,6 @@ class TestSpeedDensity:
     def test_endpoints(self):
         assert speed_from_density(REFERENCE, 0.0) == pytest.approx(60.0)
         assert speed_from_density(REFERENCE, 200.0) == 0.0
-        assert relative_speed(REFERENCE, 0.0) == pytest.approx(1.0)
 
     def test_linear_when_cv_is_one(self):
         rng = random.Random(8)
@@ -159,7 +157,7 @@ class TestMaxFlow:
         assert max_flow(QueueModel(30.0, 100.0)) == 750.0
 
     def test_numeric_matches_golden_section(self):
-        for beta in (0.5, 0.9, 1.4, 2.0):
+        for beta in (0.0, 0.5, 0.9, 1.4, 2.0, 4.0):
             q = QueueModel(55.0, 180.0, beta)
             expected = golden_section_max(
                 lambda s: flow_at_speed(q, s), 0.0, q.nominal_speed)
@@ -280,6 +278,18 @@ class TestFlowTableIO:
         with pytest.raises(QueueingError, match="duplicate"):
             read_flow_table(str(path))
 
+    @pytest.mark.parametrize("text, message", [
+        ("tail,head,hour,flow\n", "no data rows"),
+        ("tail,head,hour,flow\n0,1,0,abc\n", "line 2"),
+        ("tail,head,hour,flow\n0,1,0\n", "line 2"),
+        ("tail,head\n0,1\n", "missing columns: hour, flow; expected header"),
+    ], ids=["header-only", "bad-value", "short-row", "wrong-header"])
+    def test_reader_messages(self, tmp_path, text, message):
+        path = tmp_path / "flows.csv"
+        path.write_text(text)
+        with pytest.raises(QueueingError, match=message):
+            read_flow_table(str(path))
+
     def test_nominal_speed_table(self, tmp_path):
         path = tmp_path / "nominal.csv"
         path.write_text("tail,head,nominal_speed\n0,1,55\n1,0,60\n")
@@ -287,5 +297,8 @@ class TestFlowTableIO:
         assert speeds == {(0, 1): 55.0, (1, 0): 60.0}
         bad = tmp_path / "bad.csv"
         bad.write_text("tail,head,nominal_speed\n0,1,0\n")
-        with pytest.raises(QueueingError):
+        with pytest.raises(QueueingError, match="line 2"):
+            read_nominal_speeds(str(bad))
+        bad.write_text("tail,head,nominal_speed\n")
+        with pytest.raises(QueueingError, match="no data rows"):
             read_nominal_speeds(str(bad))

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import saferoute
 from saferoute.instances import (
-    build_scenarios,
     bundled_case_study_dir,
     generate_instance,
     load_case_study,
@@ -43,7 +42,6 @@ from saferoute.solver import (
     _route_violations,
     sample_move,
     solve,
-    solve_scenario,
 )
 
 from helpers import build_augmented, no_return_from_first
@@ -500,16 +498,6 @@ def test_case_study_distance_optimum():
     assert res.feasible
     assert abs(res.value - 32.3009) <= 1e-9
     assert res.solution.routes in (((1, 2, 3),), ((3, 2, 1),))
-
-
-def test_solve_scenario_matches_direct_call():
-    inst = load_case_study(bundled_case_study_dir())
-    scenario = build_scenarios(inst)[17]
-    cfg = SolverConfig(objective="distance", seed=1, m=2)
-    via_scenario = solve_scenario(scenario, cfg)
-    direct = solve(inst, cfg, dispatch=17.0)
-    assert via_scenario.value == direct.value
-    assert via_scenario.solution.routes == direct.solution.routes
 
 
 def test_weighted_solve_produces_schedules():

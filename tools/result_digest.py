@@ -3,7 +3,10 @@
 Two checkouts that print the same digest returned the same value,
 solution (routes and timings), schedules, incumbent history,
 evaluation count and feasibility flag on every solve of the matrix;
-only ``elapsed`` is left out.  Use it to show that a change which is
+only ``elapsed`` is left out.  A schedule is hashed by its route,
+dispatch, ``m``, objective, service starts and total cost, the fields
+every version of ``phase2.Schedule`` has, so checkouts whose
+``Schedule`` carries more or fewer fields still compare.  Use it to show that a change which is
 meant to alter speed alone left every result bit-identical.
 
 The package is imported from ``sys.path``, so point ``PYTHONPATH`` at
@@ -60,9 +63,16 @@ def matrix():
                SolverConfig(objective="distance", seed=seed), 0.0)
 
 
+def schedule_record(schedule) -> tuple:
+    """What identifies a retiming and what its DP decided."""
+    return (schedule.route, schedule.dispatch, schedule.m, schedule.objective,
+            schedule.service_starts, schedule.total_cost)
+
+
 def result_record(result) -> str:
     """Everything a solve returns except its wall time."""
-    return repr((result.value, result.solution, result.schedules,
+    return repr((result.value, result.solution,
+                 tuple(schedule_record(s) for s in result.schedules),
                  result.history, result.evaluations, result.feasible))
 
 
