@@ -143,7 +143,10 @@ def _read_config_file(path: str) -> dict:
         bad = sorted(set(weights) - weight_keys)
         if bad:
             raise InputError(f"unknown weight keys: {', '.join(bad)}")
-        kwargs["weights"] = ObjectiveWeights(**weights)
+        try:
+            kwargs["weights"] = ObjectiveWeights(**weights)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad solver configuration: {exc}") from exc
     return kwargs
 
 

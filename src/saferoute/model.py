@@ -77,9 +77,6 @@ class TimeProfile:
     def is_constant(self) -> bool:
         return len(set(self.values)) == 1
 
-    def value_at(self, t: float) -> float:
-        return self.values[hour_index(t)]
-
 
 def _check_profile(name: str, profile: TimeProfile, lo: float, hi: float,
                    lo_strict: bool) -> None:
@@ -270,9 +267,9 @@ def traverse(arc: Arc, depart: float) -> Traversal:
     Distance is consumed at the current hour's speed until either the
     arc ends or the clock reaches the next hour boundary, whichever
     comes first; at a boundary the next hour's speed takes over.  The
-    per-hour segments serve the distance-weighted TTI and crash blends;
-    ``travel_time`` needs only the duration and skips the integration
-    when the speed is constant.
+    per-hour segments serve the distance-weighted TTI and crash blends
+    of ``leg``; ``travel_time`` needs only the duration and skips the
+    integration when the speed is constant.
 
     Args:
         arc: arc to traverse.
@@ -335,34 +332,39 @@ def travel_time(arc: Arc, depart: float) -> float:
     return traverse(arc, depart).duration
 
 
-def _blended(profile: TimeProfile, arc: Arc, depart: float) -> float:
-    if profile.is_constant:
-        return profile.value_at(depart)
+def leg(arc: Arc, depart: float) -> tuple[float, float, float]:
+    """Duration, travel time index and crash probability of one traversal.
+
+    The duration equals ``travel_time``.  A traversal spanning several
+    hours is charged the distance-weighted average of the hourly TTI
+    and crash values it touches.  One ``traverse`` serves all three
+    readings, and none is needed when all three profiles are constant.
+    """
+    tti, crash = arc.tti, arc.crash
+    if arc.speed.is_constant and tti.is_constant and crash.is_constant:
+        if depart < 0 or not math.isfinite(depart):
+            raise ModelError(
+                f"departure time must be finite and non-negative, got {depart!r}")
+        return (arc.distance / arc.speed.values[0], tti.values[0],
+                crash.values[0])
     trav = traverse(arc, depart)
-    if len(trav.segments) == 1:
-        return profile.values[trav.segments[0][0]]
+    segments = trav.segments
+    if len(segments) == 1:
+        slot = segments[0][0]
+        return trav.duration, tti.values[slot], crash.values[slot]
+    return (trav.duration, _by_distance(tti, segments, arc.distance),
+            _by_distance(crash, segments, arc.distance))
+
+
+def _by_distance(profile: TimeProfile,
+                 segments: tuple[tuple[int, float, float], ...],
+                 distance: float) -> float:
+    if profile.is_constant:
+        return profile.values[0]
     acc = 0.0
-    for slot, miles, _ in trav.segments:
+    for slot, miles, _ in segments:
         acc += miles * profile.values[slot]
-    return acc / arc.distance
-
-
-def tti_at(arc: Arc, depart: float) -> float:
-    """Travel time index charged for departing at ``depart``.
-
-    A traversal spanning several hours is charged the distance-weighted
-    average of the hourly indices it touches.
-    """
-    return _blended(arc.tti, arc, depart)
-
-
-def crash_at(arc: Arc, depart: float) -> float:
-    """Crash probability charged for departing at ``depart``.
-
-    Multi-hour traversals blend hourly probabilities by distance share,
-    mirroring ``tti_at``.
-    """
-    return _blended(arc.crash, arc, depart)
+    return acc / distance
 
 
 def augment_depot(instance: Instance, m: int) -> Instance:

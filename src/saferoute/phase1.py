@@ -12,14 +12,21 @@ retiming phase may later choose later service starts; ``time_route``
 times a route either way, so both produce the same timed-solution
 shape from the same walk.
 
-Five objective readings are defined on a timed solution:
+Five objectives are read off a timed solution.  ``leg_cost`` turns
+one driven leg (``model.leg``: its duration, TTI and crash probability
+at the hour it is driven) into each objective's additive cost.  The
+retiming phase minimises each route's sum of these costs, and
+``objective_value`` reports the whole solution from the same sums:
 
 * crash: probability that at least one traversal crashes,
-  ``1 - prod(1 - xi)``, accumulated in log space,
+  ``1 - prod(1 - xi)``, from the summed log-survival costs
+  ``-ln(1 - xi)``,
 * tti: sum of the travel time indices charged per traversal,
 * distance: classical total length,
 * time: total service plus driving time, waiting excluded,
-* weighted: convex mix of crash (rescaled to TTI magnitude) and tti.
+* weighted: convex mix of crash (rescaled to TTI magnitude) and tti;
+  its additive leg cost mixes the log-survival term instead, so the
+  retiming phase minimises a related but different function.
 """
 
 from __future__ import annotations
@@ -27,14 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .model import (
-    Arc,
-    Instance,
-    ModelError,
-    crash_at,
-    travel_time,
-    tti_at,
-)
+from .model import Arc, Instance, leg, travel_time
 
 #: Small slack used when comparing times that should be exactly equal
 #: but may differ by floating point rounding.
@@ -300,66 +300,31 @@ def is_feasible(solution: RoutingSolution, instance: Instance) -> bool:
 # -- objectives ----------------------------------------------------------
 
 
-def _require_timed(solution: RoutingSolution) -> None:
-    if not solution.timed:
-        raise SolutionError("objective needs a timed solution, propagate first")
+def leg_cost(objective: str, arc: Arc, service: float,
+             driven: tuple[float, float, float],
+             weights: ObjectiveWeights | None = None) -> tuple[float, float]:
+    """Duration and additive ``objective`` cost of one driven leg.
 
-
-def _arc_departures(solution: RoutingSolution, instance: Instance):
-    """Yield (arc, departure time, tail service time) over all driven arcs."""
-    for route, timing in zip(solution.routes, solution.timings):
-        if not route:
-            continue
-        path = [0, *route, instance.terminal_id]
-        departures = [timing.depot_departure] + [s.departure for s in timing.stops]
-        services = [0.0] + [instance.node(n).service_time for n in route]
-        for i in range(len(path) - 1):
-            yield instance.arc(path[i], path[i + 1]), departures[i], services[i]
-
-
-def crash_objective(solution: RoutingSolution, instance: Instance) -> float:
-    """Probability that at least one traversal ends in a crash.
-
-    1 - prod(1 - xi) over all driven arcs, with xi evaluated at each
-    actual departure.  The product is accumulated as a sum of
-    log(1 - xi) terms, so hundreds of tiny probabilities do not
-    underflow.
+    ``driven`` is ``model.leg(arc, depart)`` and ``service`` the
+    service time at the arc's tail.  crash costs the log-survival term
+    ``-ln(1 - xi)``; weighted mixes it, rescaled, with TTI and reads the
+    resolved ``weights``; time charges the tail's service plus the
+    driving hours; distance is schedule-independent.
     """
-    _require_timed(solution)
-    log_survival = 0.0
-    for arc, depart, _ in _arc_departures(solution, instance):
-        xi = crash_at(arc, depart)
-        if xi >= 1.0:
-            return 1.0
-        log_survival += math.log1p(-xi)
-    return -math.expm1(log_survival)
-
-
-def tti_objective(solution: RoutingSolution, instance: Instance) -> float:
-    """Total travel time index charged over all traversals."""
-    _require_timed(solution)
-    return sum(tti_at(arc, depart)
-               for arc, depart, _ in _arc_departures(solution, instance))
-
-
-def distance_objective(solution: RoutingSolution, instance: Instance) -> float:
-    """Total driven distance; independent of the schedule."""
-    total = 0.0
-    for route in solution.routes:
-        for arc in _route_arcs(instance, route):
-            total += arc.distance
-    return total
-
-
-def time_objective(solution: RoutingSolution, instance: Instance) -> float:
-    """Total service plus driving time in hours.
-
-    Waiting (early arrivals and deliberate delays) is not charged; the
-    driving term uses each arc's actual departure instant.
-    """
-    _require_timed(solution)
-    return sum(service + travel_time(arc, depart)
-               for arc, depart, service in _arc_departures(solution, instance))
+    duration, tti, xi = driven
+    if objective == "distance":
+        return duration, arc.distance
+    if objective == "time":
+        return duration, service + duration
+    if objective == "tti":
+        return duration, tti
+    surrogate = math.inf if xi >= 1.0 else -math.log1p(-xi)
+    if objective == "crash":
+        return duration, surrogate
+    if objective == "weighted":
+        return duration, (weights.w_crash * weights.crash_scale * surrogate
+                          + weights.w_tti * tti)
+    raise SolutionError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
 
 
 def default_crash_scale(instance: Instance) -> float:
@@ -407,54 +372,44 @@ class ObjectiveWeights:
         return replace(self, crash_scale=default_crash_scale(instance))
 
 
-def weighted_objective(solution: RoutingSolution, instance: Instance,
-                       weights: ObjectiveWeights) -> float:
-    """w_crash * scale * crash + w_tti * tti on a timed solution."""
-    w = weights.resolved(instance)
-    return (w.w_crash * w.crash_scale * crash_objective(solution, instance)
-            + w.w_tti * tti_objective(solution, instance))
-
-
 def objective_value(name: str, solution: RoutingSolution, instance: Instance,
                     weights: ObjectiveWeights | None = None) -> float:
-    """Evaluate one of the five named objectives on a timed solution."""
-    if name == "crash":
-        return crash_objective(solution, instance)
-    if name == "tti":
-        return tti_objective(solution, instance)
+    """Evaluate one of the five named objectives on a timed solution.
+
+    Each route's legs are walked once, each leg driven from its actual
+    departure by one ``model.leg`` call and costed by ``leg_cost``.
+    time and tti are the running sum of those costs; crash is
+    ``1 - prod(1 - xi)`` recovered from the summed log-survival costs;
+    weighted is ``w_crash * scale * crash + w_tti * tti`` from that
+    crash and the running sum of the same legs' TTI.  distance is the
+    sum of arc lengths and needs neither timings nor traversals.
+    """
+    if name not in OBJECTIVES:
+        raise SolutionError(f"unknown objective {name!r}, expected one of {OBJECTIVES}")
     if name == "distance":
-        return distance_objective(solution, instance)
-    if name == "time":
-        return time_objective(solution, instance)
-    if name == "weighted":
-        return weighted_objective(solution, instance,
-                                  weights or ObjectiveWeights())
-    raise SolutionError(f"unknown objective {name!r}, expected one of {OBJECTIVES}")
-
-
-def solution_report(solution: RoutingSolution, instance: Instance,
-                    weights: ObjectiveWeights | None = None) -> str:
-    """Human-readable per-vehicle schedule table plus all objective values."""
-    _require_timed(solution)
+        total = 0.0
+        for route in solution.routes:
+            for arc in _route_arcs(instance, route):
+                total += arc.distance
+        return total
+    if not solution.timed:
+        raise SolutionError("objective needs a timed solution, propagate first")
+    part = "crash" if name == "weighted" else name
+    total = tti = 0.0
+    for route, timing in zip(solution.routes, solution.timings):
+        departs = [timing.depot_departure]
+        departs += [stop.departure for stop in timing.stops]
+        services = [0.0]
+        services += [instance.node(n).service_time for n in route]
+        for arc, depart, service in zip(_route_arcs(instance, route),
+                                        departs, services):
+            driven = leg(arc, depart)
+            total += leg_cost(part, arc, service, driven)[1]
+            tti += driven[1]
+    if name == "tti" or name == "time":
+        return total
+    crash = -math.expm1(-total)
+    if name == "crash":
+        return crash
     w = (weights or ObjectiveWeights()).resolved(instance)
-    lines = []
-    for k, (route, timing) in enumerate(zip(solution.routes, solution.timings)):
-        if not route:
-            continue
-        seq = "-".join(str(n) for n in (0, *route, instance.terminal_id))
-        lines.append(f"vehicle {k}: {seq}  depart {timing.depot_departure:.4f}  "
-                     f"load {timing.initial_load:g}")
-        for stop in timing.stops:
-            tag = " (depot pass)" if instance.is_dummy(stop.node) else ""
-            lines.append(
-                f"  node {stop.node}{tag}: arrive {stop.arrival:.4f}  "
-                f"serve {stop.service_start:.4f}  leave {stop.departure:.4f}")
-        lines.append(f"  return {timing.return_arrival:.4f}")
-    lines.append(
-        "objectives: "
-        f"crash {crash_objective(solution, instance):.6f}  "
-        f"tti {tti_objective(solution, instance):.6f}  "
-        f"distance {distance_objective(solution, instance):.6f}  "
-        f"time {time_objective(solution, instance):.6f}  "
-        f"weighted {weighted_objective(solution, instance, w):.6f}")
-    return "\n".join(lines)
+    return w.w_crash * w.crash_scale * crash + w.w_tti * tti

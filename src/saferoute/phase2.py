@@ -16,11 +16,13 @@ The retiming phase only picks the service starts.  The times that
 follow from them (arrivals, departures, the return) come from the
 routing phase's ``time_route``, the same walk that propagation uses.
 
-Costs are additive per driven arc.  Crash probabilities enter through
-their log-survival surrogate ``-ln(1 - xi)``, whose sum orders
-schedules exactly like the route's overall crash probability; the
-probability-space value is recovered by evaluating the re-timed
-solution with the routing-phase objectives.
+Costs are additive per driven arc and come from the routing phase's
+``leg_cost``, the same per-leg cost that ``objective_value`` sums, so
+each edge's arrival and cost follow from one ``model.leg`` call.
+Crash probabilities enter through their log-survival surrogate
+``-ln(1 - xi)``, whose sum orders schedules exactly like the route's
+overall crash probability; ``objective_value`` recovers the
+probability from that sum.
 """
 
 from __future__ import annotations
@@ -28,13 +30,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import Instance, crash_at, travel_time, tti_at
+from .model import Instance, leg
 from .phase1 import (
+    OBJECTIVES,
     ObjectiveWeights,
     RouteTiming,
     RoutingSolution,
     SolutionError,
     TIME_EPS,
+    leg_cost,
     return_leg_time,
     time_route,
 )
@@ -46,33 +50,6 @@ class ScheduleError(ValueError):
 
 class ScheduleInfeasibleError(ScheduleError):
     """The route admits no schedule inside its windows and horizon."""
-
-
-def leg_cost(instance: Instance, tail: int, head: int, depart: float,
-             weights: ObjectiveWeights | None, objective: str) -> float:
-    """Additive cost of driving one arc departing at ``depart``.
-
-    crash uses the log-survival surrogate; weighted mixes the rescaled
-    surrogate with TTI; time charges the tail's service plus driving
-    hours; distance is schedule-independent.
-    """
-    arc = instance.arc(tail, head)
-    if objective == "distance":
-        return arc.distance
-    if objective == "time":
-        return instance.node(tail).service_time + travel_time(arc, depart)
-    if objective == "tti":
-        return tti_at(arc, depart)
-    xi = crash_at(arc, depart)
-    surrogate = math.inf if xi >= 1.0 else -math.log1p(-xi)
-    if objective == "crash":
-        return surrogate
-    if objective == "weighted":
-        w = weights if weights is not None else ObjectiveWeights()
-        if w.crash_scale is None:
-            w = w.resolved(instance)
-        return w.w_crash * w.crash_scale * surrogate + w.w_tti * tti_at(arc, depart)
-    raise ScheduleError(f"unknown objective {objective!r}")
 
 
 @dataclass(frozen=True)
@@ -128,7 +105,8 @@ def build_schedule_graph(route: tuple[int, ...], instance: Instance,
         instance: augmented instance.
         dispatch: fixed depot departure instant (hour of day).
         m: candidate service starts per stop, >= 1.
-        weights: crash/TTI mix used when ``objective='weighted'``.
+        weights: crash/TTI mix used when ``objective='weighted'``;
+            ``None`` means the default ``ObjectiveWeights()``.
         objective: cost measure, one of crash/tti/weighted/distance/time.
 
     Raises:
@@ -142,8 +120,10 @@ def build_schedule_graph(route: tuple[int, ...], instance: Instance,
         raise SolutionError("instance must be augmented before scheduling")
     if not route:
         raise ScheduleError("cannot schedule an empty route")
-    if weights is not None and weights.crash_scale is None:
-        weights = weights.resolved(instance)
+    if objective not in OBJECTIVES:
+        raise ScheduleError(f"unknown objective {objective!r}")
+    if objective == "weighted":
+        weights = (weights or ObjectiveWeights()).resolved(instance)
     node_ids = (0, *route, instance.terminal_id)
     horizon = dispatch + instance.latest_time
 
@@ -175,28 +155,27 @@ def build_schedule_graph(route: tuple[int, ...], instance: Instance,
 
     edges: list[tuple[tuple[int, int, float], ...]] = [()]
     for pos in range(1, len(route) + 1):
-        tail, head = node_ids[pos - 1], node_ids[pos]
-        service = instance.node(tail).service_time
+        arc = instance.arc(node_ids[pos - 1], node_ids[pos])
+        service = instance.node(arc.tail).service_time
         layer = []
         for i, start in enumerate(times[pos - 1]):
             depart = start + service
-            arrive = depart + travel_time(instance.arc(tail, head), depart)
-            cost = leg_cost(instance, tail, head, depart, weights, objective)
+            duration, cost = leg_cost(objective, arc, service,
+                                      leg(arc, depart), weights)
+            arrive = depart + duration
             for j, nxt in enumerate(times[pos]):
                 if nxt >= arrive - TIME_EPS:
                     layer.append((i, j, cost))
         edges.append(tuple(layer))
 
     sink = []
-    last = route[-1]
-    service = instance.node(last).service_time
+    arc = instance.arc(route[-1], instance.terminal_id)
+    service = instance.node(arc.tail).service_time
     for i, start in enumerate(times[-1]):
         depart = start + service
-        arrive = depart + travel_time(instance.arc(last, instance.terminal_id),
-                                      depart)
-        if arrive <= horizon + TIME_EPS:
-            cost = leg_cost(instance, last, instance.terminal_id, depart,
-                            weights, objective)
+        duration, cost = leg_cost(objective, arc, service, leg(arc, depart),
+                                  weights)
+        if depart + duration <= horizon + TIME_EPS:
             sink.append((i, cost))
     if not sink:
         raise ScheduleInfeasibleError(

@@ -289,6 +289,21 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
                  str(cfg)]) == 3
     assert "JSON object" in capsys.readouterr().err
 
+    # weights that break their own rules, or are not numbers at all,
+    # are input errors, never a traceback
+    cfg.write_text('{"weights": {"w_crash": 0.7, "w_tti": 0.7}}')
+    assert main(["solve", "--instance", CASE_DIR, "--config",
+                 str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad solver configuration:")
+    assert "sum to 1" in err
+
+    cfg.write_text('{"weights": {"w_crash": "x"}}')
+    assert main(["solve", "--instance", CASE_DIR, "--config",
+                 str(cfg)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: bad solver configuration:")
+
 
 def test_seed_precedence_flag_env_config(tmp_path, capsys, monkeypatch):
     base = ["solve", "--instance", CASE_DIR, "--objective", "weighted",

@@ -17,12 +17,11 @@ from saferoute.model import (
     Node,
     TimeProfile,
     augment_depot,
-    crash_at,
     ensure_augmented,
     hour_index,
+    leg,
     travel_time,
     traverse,
-    tti_at,
 )
 
 from oracle_utils import euler_travel_time
@@ -57,9 +56,9 @@ class TestTimeProfile:
 
     def test_lookup_wraps(self):
         prof = profile_with({1: 7.0}, 2.0)
-        assert prof.value_at(25.5) == 7.0
-        assert prof.value_at(1.0) == 7.0
-        assert prof.value_at(49.9) == 7.0
+        assert prof.values[hour_index(25.5)] == 7.0
+        assert prof.values[hour_index(1.0)] == 7.0
+        assert prof.values[hour_index(49.9)] == 7.0
 
     def test_hour_index_rejects_negative(self):
         with pytest.raises(ModelError):
@@ -157,29 +156,53 @@ class TestIndexBlending:
     def test_single_hour_uses_that_hour(self):
         arc = make_arc(distance=5.0, speed=TimeProfile.constant(30.0),
                        tti=profile_with({9: 1.4}, 1.0))
-        assert tti_at(arc, 9.2) == pytest.approx(1.4)
+        assert leg(arc, 9.2)[1] == pytest.approx(1.4)
 
     def test_free_flow_index_is_one(self):
         arc = make_arc(tti=TimeProfile.constant(1.0))
-        assert tti_at(arc, 13.7) == 1.0
+        assert leg(arc, 13.7)[1] == 1.0
 
     def test_distance_weighted_blend(self):
         # 10 miles split 5/5 across hours with TTI 1.0 then 2.0.
         arc = make_arc(speed=profile_with({7: 20.0, 8: 40.0}, 60.0),
                        tti=profile_with({7: 1.0, 8: 2.0}, 1.0))
-        assert tti_at(arc, 7.75) == pytest.approx(1.5)
+        assert leg(arc, 7.75)[1] == pytest.approx(1.5)
 
     def test_crash_values(self):
         arc = make_arc(distance=5.0, speed=TimeProfile.constant(30.0),
                        crash=profile_with({9: 0.05}, 0.01))
-        assert crash_at(arc, 9.1) == pytest.approx(0.05)
+        assert leg(arc, 9.1)[2] == pytest.approx(0.05)
         arc2 = make_arc(crash=TimeProfile.constant(0.1))
-        assert crash_at(arc2, 3.0) == pytest.approx(0.1)
+        assert leg(arc2, 3.0)[2] == pytest.approx(0.1)
 
     def test_crash_blend(self):
         arc = make_arc(speed=profile_with({7: 20.0, 8: 40.0}, 60.0),
                        crash=profile_with({7: 0.02, 8: 0.06}, 0.01))
-        assert crash_at(arc, 7.75) == pytest.approx(0.04)
+        assert leg(arc, 7.75)[2] == pytest.approx(0.04)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), depart=st.floats(0.0, 100.0))
+    def test_leg_is_travel_time_plus_distance_blends(self, seed, depart):
+        rng = random.Random(seed)
+
+        def profile(lo, hi):
+            if rng.random() < 0.5:
+                return TimeProfile.constant(rng.uniform(lo, hi))
+            return TimeProfile(tuple(rng.uniform(lo, hi) for _ in range(24)))
+
+        arc = make_arc(distance=rng.uniform(0.1, 80.0),
+                       speed=profile(5.0, 70.0), tti=profile(1.0, 3.0),
+                       crash=profile(1e-4, 0.2))
+        duration, tti, crash = leg(arc, depart)
+        assert duration == travel_time(arc, depart)
+        segments = traverse(arc, depart).segments
+        for value, prof in ((tti, arc.tti), (crash, arc.crash)):
+            touched = [prof.values[slot] for slot, _, _ in segments]
+            blend = sum(miles * prof.values[slot]
+                        for slot, miles, _ in segments) / arc.distance
+            assert value == pytest.approx(blend, rel=1e-12)
+            if prof.is_constant or len(segments) == 1:
+                assert value == touched[0]
 
 
 class TestValidation:

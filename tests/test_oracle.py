@@ -16,7 +16,6 @@ from saferoute.oracle import (
 from saferoute.phase1 import (
     ObjectiveWeights,
     check_feasibility,
-    crash_objective,
     is_feasible,
     objective_value,
     propagate_schedule,
@@ -70,7 +69,7 @@ def test_dummy_detour_wins_on_risky_arc():
     dummy = inst.dummy_ids[0]
     assert all(dummy in sol.routes[0] for sol in result.solutions)
     direct = propagate_schedule(((1, 2),), inst, 0.0)
-    assert result.value < crash_objective(direct, inst) - 0.5
+    assert result.value < objective_value("crash", direct, inst) - 0.5
 
 
 def test_oracle_never_beaten_by_sampled_candidates():

@@ -11,16 +11,10 @@ from saferoute.phase1 import (
     RoutingSolution,
     SolutionError,
     check_feasibility,
-    crash_objective,
     default_crash_scale,
-    distance_objective,
     is_feasible,
     objective_value,
     propagate_schedule,
-    solution_report,
-    time_objective,
-    tti_objective,
-    weighted_objective,
 )
 
 from helpers import build_augmented, no_return_from_first
@@ -186,7 +180,8 @@ class TestObjectives:
     def test_crash_two_arcs(self):
         inst = self.crash_pair_instance()
         sol = propagate_schedule(((1,),), inst, 0.0)
-        assert crash_objective(sol, inst) == pytest.approx(0.28, abs=1e-12)
+        assert objective_value("crash", sol, inst) == pytest.approx(
+            0.28, abs=1e-12)
 
     def test_log_space_matches_direct_product(self):
         rng = random.Random(2)
@@ -204,7 +199,7 @@ class TestObjectives:
             direct = 1.0
             for x in xs:
                 direct *= (1 - x)
-            assert crash_objective(sol, inst) == pytest.approx(
+            assert objective_value("crash", sol, inst) == pytest.approx(
                 1 - direct, abs=1e-12)
 
     def test_certain_crash_saturates(self):
@@ -212,12 +207,12 @@ class TestObjectives:
             [{"x": 10, "y": 0}],
             arc_overrides={(0, 1): {"crash": 1.0}})
         sol = propagate_schedule(((1,),), inst, 0.0)
-        assert crash_objective(sol, inst) == 1.0
+        assert objective_value("crash", sol, inst) == 1.0
 
     def test_tti_sums_per_arc(self):
         inst = build_augmented([{"x": 10, "y": 0}], tti=1.5)
         sol = propagate_schedule(((1,),), inst, 0.0)
-        assert tti_objective(sol, inst) == pytest.approx(3.0)
+        assert objective_value("tti", sol, inst) == pytest.approx(3.0)
 
     def test_weighted_mix(self):
         inst = self.crash_pair_instance()
@@ -231,12 +226,13 @@ class TestObjectives:
         sol = propagate_schedule(((1,),), inst, 0.0)
         weights = ObjectiveWeights(0.5, 0.5, crash_scale=10.0)
         # 0.5 * 10 * 0.28 + 0.5 * 3.0
-        assert weighted_objective(sol, inst, weights) == pytest.approx(2.9)
+        assert objective_value("weighted", sol, inst, weights) == \
+            pytest.approx(2.9)
 
     def test_distance_total(self):
         inst = build_augmented([{"x": 3, "y": 0}, {"x": 0, "y": 4}])
         sol = propagate_schedule(((1,), (2,)), inst, 0.0)
-        assert distance_objective(sol, inst) == pytest.approx(14.0)
+        assert objective_value("distance", sol, inst) == pytest.approx(14.0)
 
     def test_time_excludes_waiting(self):
         # 30 miles at 30 mph each way, service 0.1, window opens at 5:
@@ -244,7 +240,7 @@ class TestObjectives:
         inst = build_augmented([{"x": 30, "y": 0, "service": 0.1, "open": 5.0}])
         sol = propagate_schedule(((1,),), inst, 0.0)
         assert sol.timings[0].return_arrival == pytest.approx(6.1)
-        assert time_objective(sol, inst) == pytest.approx(2.1)
+        assert objective_value("time", sol, inst) == pytest.approx(2.1)
 
     def test_time_uses_actual_departure_hour(self):
         # Speed doubles from hour 1 on; waiting shifts the return leg
@@ -252,8 +248,10 @@ class TestObjectives:
         profile = TimeProfile((15.0,) + (30.0,) * 23)
         no_wait = build_augmented([{"x": 10, "y": 0}], speed=profile)
         wait = build_augmented([{"x": 10, "y": 0, "open": 1.0}], speed=profile)
-        t_eager = time_objective(propagate_schedule(((1,),), no_wait, 0.0), no_wait)
-        t_waity = time_objective(propagate_schedule(((1,),), wait, 0.0), wait)
+        t_eager = objective_value(
+            "time", propagate_schedule(((1,),), no_wait, 0.0), no_wait)
+        t_waity = objective_value(
+            "time", propagate_schedule(((1,),), wait, 0.0), wait)
         assert t_waity < t_eager
 
     def test_crash_ranking_matches_log_surrogate(self):
@@ -268,7 +266,7 @@ class TestObjectives:
         values = []
         for perm in itertools.permutations((1, 2, 3)):
             sol = propagate_schedule((perm,), inst, 0.0)
-            p = crash_objective(sol, inst)
+            p = objective_value("crash", sol, inst)
             values.append(p)
         logs = [-math.log1p(-p) for p in values]
         assert sorted(range(6), key=values.__getitem__) == \
@@ -282,7 +280,7 @@ class TestObjectives:
         with pytest.raises(SolutionError):
             objective_value("speed", sol, inst)
         with pytest.raises(SolutionError):
-            crash_objective(RoutingSolution(((1,),)), inst)
+            objective_value("crash", RoutingSolution(((1,),)), inst)
 
     def test_weights_validation(self):
         with pytest.raises(SolutionError):
@@ -298,9 +296,3 @@ class TestObjectives:
         w = ObjectiveWeights().resolved(inst)
         assert w.crash_scale == pytest.approx(24.0)
 
-    def test_report_mentions_every_objective(self):
-        inst = build_augmented([{"x": 3, "y": 0}])
-        sol = propagate_schedule(((1,),), inst, 0.0)
-        text = solution_report(sol, inst)
-        for word in ("crash", "tti", "distance", "time", "weighted", "vehicle 0"):
-            assert word in text

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saferoute import phase2
+from saferoute import model, phase2
 from saferoute.instances import (
     bundled_case_study_dir,
     generate_instance,
@@ -18,6 +18,7 @@ from saferoute.model import (
     MissingArcError,
     TimeProfile,
     ensure_augmented,
+    leg,
     travel_time,
 )
 from saferoute.phase1 import (
@@ -28,13 +29,10 @@ from saferoute.phase1 import (
     SolutionError,
     check_feasibility,
     check_route,
-    crash_objective,
-    distance_objective,
+    leg_cost,
     objective_value,
     propagate_schedule,
-    time_objective,
     time_route,
-    tti_objective,
 )
 from saferoute.phase2 import (
     Schedule,
@@ -43,7 +41,6 @@ from saferoute.phase2 import (
     RouteRecord,
     ScheduleInfeasibleError,
     build_schedule_graph,
-    leg_cost,
     optimize_schedule,
     schedule_solution,
 )
@@ -170,7 +167,8 @@ def test_edges_match_recomputation_from_primitives():
         for i, start in enumerate(graph.times[pos - 1]):
             depart = start + service
             arrive = depart + travel_time(arc, depart)
-            cost = leg_cost(inst, tail, head, depart, weights, "weighted")
+            _, cost = leg_cost("weighted", arc, service, leg(arc, depart),
+                               weights)
             for j, nxt in enumerate(graph.times[pos]):
                 if nxt >= arrive - 1e-9:
                     expected.add((i, j, cost))
@@ -198,9 +196,11 @@ def test_frozen_two_hour_delay():
     assert stop.arrival == pytest.approx(1.0, abs=1e-12)
     assert stop.service_start - stop.arrival == pytest.approx(1.0, abs=1e-12)
     assert timed.timings[0].return_arrival == pytest.approx(3.0, abs=1e-12)
-    assert crash_objective(timed, inst) == pytest.approx(0.109, abs=1e-12)
+    assert objective_value("crash", timed, inst) == pytest.approx(
+        0.109, abs=1e-12)
     immediate = propagate_schedule(((1,),), inst, 0.0)
-    assert crash_objective(immediate, inst) == pytest.approx(0.307, abs=1e-12)
+    assert objective_value("crash", immediate, inst) == pytest.approx(
+        0.307, abs=1e-12)
     # blended middle choice: half the return hour at 0.3, half at 0.1
     mid = optimize_schedule((1,), inst, 0.0, m=2, objective="crash")
     assert mid.service_starts == (2.0,)
@@ -266,26 +266,61 @@ def test_horizon_filter_keeps_late_starts_out():
     timed = retimed(sched, inst)
     assert not check_feasibility(timed, inst)
     immediate = propagate_schedule(((1,),), inst, 0.0)
-    assert crash_objective(timed, inst) < crash_objective(immediate, inst)
+    assert objective_value("crash", timed, inst) < \
+        objective_value("crash", immediate, inst)
 
 
 def test_total_cost_maps_to_route_objectives():
+    # The DP's total and the reported objective sum the same leg_cost
+    # terms in driving order, so they agree bit for bit (crash through
+    # its log-survival sum).  weighted is left out: its DP sum and its
+    # reported value are different functions.
     rng = random.Random(71)
-    for trial in range(20):
+    checked = 0
+    for trial in range(40):
         inst = random_instance(rng, 3)
         route = tuple(rng.sample([1, 2, 3], 3))
-        for objective, evaluate in (
-                ("tti", tti_objective),
-                ("time", time_objective),
-                ("distance", distance_objective)):
-            sched = optimize_schedule(route, inst, 0.0, 4, objective=objective)
-            timed = retimed(sched, inst)
-            assert evaluate(timed, inst) == pytest.approx(sched.total_cost,
-                                                          rel=1e-12)
-        sched = optimize_schedule(route, inst, 0.0, 4, objective="crash")
-        timed = retimed(sched, inst)
-        assert crash_objective(timed, inst) == pytest.approx(
-            -math.expm1(-sched.total_cost), abs=1e-15)
+        dispatch = rng.uniform(0.0, 24.0)
+        m = rng.randint(1, 6)
+        for objective in ("tti", "time", "distance", "crash"):
+            try:
+                sched = optimize_schedule(route, inst, dispatch, m,
+                                          objective=objective)
+            except ScheduleInfeasibleError:
+                continue
+            value = objective_value(objective, retimed(sched, inst), inst)
+            if objective == "crash":
+                assert value == -math.expm1(-sched.total_cost)
+            else:
+                assert value == sched.total_cost
+            checked += 1
+    assert checked >= 100
+
+
+def test_one_traversal_per_driven_leg(monkeypatch):
+    # Each (arc, departure) the schedule graph or the objective drives
+    # is integrated once, yielding its duration, TTI and crash together.
+    inst = ensure_augmented(load_case_study(bundled_case_study_dir()))
+    calls = []
+    traverse = model.traverse
+
+    def counted(arc, depart):
+        calls.append((arc.tail, arc.head, depart))
+        return traverse(arc, depart)
+
+    monkeypatch.setattr(model, "traverse", counted)
+    route = (1, 2, 3)
+    weights = ObjectiveWeights().resolved(inst)
+    for objective in OBJECTIVES:
+        calls.clear()
+        build_schedule_graph(route, inst, 7.0, 3, weights, objective)
+        assert len(calls) <= 23, objective
+    timed = propagate_schedule((route,), inst, 7.0)
+    for objective in OBJECTIVES:
+        calls.clear()
+        objective_value(objective, timed, inst, weights)
+        assert len(calls) == (0 if objective == "distance" else 4), objective
+        assert len(set(calls)) == len(calls)
 
 
 def test_distance_ties_resolve_to_earliest_times():
@@ -432,11 +467,25 @@ def test_leg_cost_objectives_agree_with_profiles():
         [{"x": 10.0, "y": 0.0}],
         arc_overrides={(0, 1): {"crash": crash, "tti": tti}},
     )
-    assert leg_cost(inst, 0, 1, 0.0, None, "crash") == -math.log1p(-0.2)
-    assert leg_cost(inst, 0, 1, 0.0, None, "tti") == 2.5
-    assert leg_cost(inst, 0, 1, 0.0, None, "distance") == 10.0
+    arc = inst.arc(0, 1)
+    at_midnight = leg(arc, 0.0)
+
+    def cost(objective, driven=at_midnight, weights=None):
+        return leg_cost(objective, arc, 0.0, driven, weights)[1]
+
+    assert cost("crash") == -math.log1p(-0.2)
+    assert cost("tti") == 2.5
+    assert cost("distance") == 10.0
     # 10 miles at 30 mph: a third of an hour, plus no service at depot
-    assert leg_cost(inst, 0, 1, 2.0, None, "time") == pytest.approx(1 / 3)
+    assert cost("time", leg(arc, 2.0)) == pytest.approx(1 / 3)
+    assert leg_cost("time", arc, 0.25, leg(arc, 2.0))[1] == \
+        pytest.approx(0.25 + 1 / 3)
     w = ObjectiveWeights(0.5, 0.5, crash_scale=10.0)
-    mixed = leg_cost(inst, 0, 1, 0.0, w, "weighted")
+    mixed = cost("weighted", weights=w)
     assert mixed == pytest.approx(5.0 * -math.log1p(-0.2) + 0.5 * 2.5)
+    # every objective hands back the leg's own duration
+    for objective in OBJECTIVES:
+        assert leg_cost(objective, arc, 0.0, at_midnight, w)[0] == \
+            travel_time(arc, 0.0)
+    with pytest.raises(SolutionError):
+        cost("speed")
