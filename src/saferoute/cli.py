@@ -121,7 +121,7 @@ def _read_config_file(path: str) -> dict:
     scalar_keys = {
         "max_outer_iterations", "initial_temperature", "final_temperature",
         "iterations_per_temperature", "population_size", "seed", "m",
-        "objective", "schedule_every_candidate", "basic_sa",
+        "objective",
     }
     weight_keys = {"w_crash", "w_tti", "crash_scale"}
     try:

@@ -10,13 +10,16 @@ each route from the dispatch instant with immediate departures: arrive,
 wait out the window's soft lower bound if early, serve, leave.  The
 retiming phase may later choose later service starts; ``time_route``
 times a route either way, so both produce the same timed-solution
-shape from the same walk.
+shape from the same walk.  It is the only walk: it records each leg's
+``model.leg`` reading and audits the route, so the feasibility audit and
+the objectives read a timing and never walk its route again.
 
 Five objectives are read off a timed solution.  ``leg_cost`` turns
 one driven leg (``model.leg``: its duration, TTI and crash probability
 at the hour it is driven) into each objective's additive cost.  The
 retiming phase minimises each route's sum of these costs, and
-``objective_value`` reports the whole solution from the same sums:
+``objective_value`` reports the whole solution from the same sums of
+the recorded legs:
 
 * crash: probability that at least one traversal crashes,
   ``1 - prod(1 - xi)``, from the summed log-survival costs
@@ -76,12 +79,19 @@ class NodeTiming:
 
 @dataclass(frozen=True)
 class RouteTiming:
-    """Full timing of one vehicle's trip."""
+    """Full timing of one vehicle's trip, with what its walk recorded.
+
+    ``legs[k]`` is the ``model.leg`` reading (duration, TTI, crash
+    probability) of the ``k``-th driven arc, the return leg last, and
+    ``violations`` the route's audit verdict, reported under vehicle 0.
+    """
 
     depot_departure: float
     initial_load: float
     stops: tuple[NodeTiming, ...]
     return_arrival: float
+    legs: tuple[tuple[float, float, float], ...]
+    violations: tuple[Violation, ...]
 
 
 @dataclass(frozen=True)
@@ -113,15 +123,21 @@ def _route_arcs(instance: Instance, route: tuple[int, ...]) -> list[Arc]:
 
 def time_route(route: tuple[int, ...], instance: Instance, dispatch: float,
                starts: tuple[float, ...] | None = None) -> RouteTiming:
-    """Time one route from the dispatch instant.
+    """Time and audit one route from the dispatch instant.
 
-    Each leg is driven from the departure right after the upstream
-    service.  With ``starts=None`` every stop is served as soon as the
-    vehicle is there and the window's soft lower bound has passed
-    (immediate departures); otherwise stop ``k`` is served at
-    ``starts[k]``, and a vehicle that arrives earlier waits at the stop.
-    The only code that turns a route into times: propagation and the
-    retiming phase both call it.
+    Each leg is driven by one recorded ``model.leg`` call from the
+    departure right after the upstream service.  With ``starts=None``
+    every stop is served as soon as the vehicle is there and the
+    window's soft lower bound has passed (immediate departures);
+    otherwise stop ``k`` is served at ``starts[k]``, and a vehicle that
+    arrives earlier waits at the stop.  The only code that walks a
+    route: propagation and the retiming phase call it, and the audit
+    and the objective read what it records.
+
+    The audit, reported under vehicle 0, checks capacity; then per stop
+    the hard upper and soft lower windows, non-negative times and
+    loads, and that the depot stays reachable within the horizon (a
+    stop with no arc back fails it); then the return inside the horizon.
 
     Raises:
         MissingArcError: the route uses an arc absent from the graph.
@@ -129,22 +145,54 @@ def time_route(route: tuple[int, ...], instance: Instance, dispatch: float,
     """
     arcs = _route_arcs(instance, route)
     if not route:
-        return RouteTiming(dispatch, 0.0, (), dispatch)
+        return RouteTiming(dispatch, 0.0, (), dispatch, (), ())
+    horizon = dispatch + instance.latest_time
     initial_load = sum(instance.node(n).demand for n in route)
+    violations: list[Violation] = []
+    if initial_load > instance.fleet.capacity + TIME_EPS:
+        violations.append(Violation(
+            "capacity", 0, None,
+            f"load {initial_load} exceeds capacity {instance.fleet.capacity}"))
     load = initial_load
     t = dispatch
     stops = []
-    for k, (arc, node_id) in enumerate(zip(arcs[:-1], route)):
+    legs = []
+    for k, (arc, node_id) in enumerate(zip(arcs, route)):
         node = instance.node(node_id)
-        arrival = t + travel_time(arc, t)
+        legs.append(leg(arc, t))
+        arrival = t + legs[-1][0]
         start = max(arrival, dispatch + node.window_open) if starts is None \
             else starts[k]
         depart = start + node.service_time
         load -= node.demand
         stops.append(NodeTiming(node_id, arrival, start, depart, load))
+        if start > dispatch + node.window_close + TIME_EPS:
+            violations.append(Violation(
+                "window", 0, node_id,
+                f"service at {start:.6f} after window close "
+                f"{dispatch + node.window_close:.6f}"))
+        if start < dispatch + node.window_open - TIME_EPS:
+            violations.append(Violation(
+                "window", 0, node_id, "service before window opens"))
+        if arrival < dispatch - TIME_EPS or load < -TIME_EPS:
+            violations.append(Violation(
+                "non-negative", 0, node_id,
+                "negative time or load along the route"))
+        back = return_leg_time(instance, node_id, depart)
+        if depart + back > horizon + TIME_EPS:
+            violations.append(Violation(
+                "horizon-return", 0, node_id,
+                "no arc leads back to the depot" if back == math.inf
+                else f"cannot regain depot by hour {horizon:.6f}"))
         t = depart
-    return RouteTiming(dispatch, initial_load, tuple(stops),
-                       t + travel_time(arcs[-1], t))
+    legs.append(leg(arcs[-1], t))
+    return_arrival = t + legs[-1][0]
+    if return_arrival > horizon + TIME_EPS:
+        violations.append(Violation(
+            "horizon", 0, None,
+            f"returns at {return_arrival:.6f} past {horizon:.6f}"))
+    return RouteTiming(dispatch, initial_load, tuple(stops), return_arrival,
+                       tuple(legs), tuple(violations))
 
 
 def propagate_schedule(solution: RoutingSolution | tuple[tuple[int, ...], ...],
@@ -185,54 +233,6 @@ def return_leg_time(instance: Instance, node_id: int, depart: float) -> float:
     return math.inf if arc is None else travel_time(arc, depart)
 
 
-def check_route(route: tuple[int, ...], timing: RouteTiming,
-                instance: Instance, dispatch: float,
-                vehicle: int = 0) -> tuple[Violation, ...]:
-    """Violations of one timed route, reported under ``vehicle``.
-
-    Checked: vehicle capacity, hard upper and soft lower time windows,
-    non-negativity of times and loads, the guarantee that the depot is
-    still reachable within the horizon from every departure (a stop
-    with no arc back to the depot fails it), and the return leg's
-    arrival inside the horizon.  An empty route has none.
-    """
-    if not route:
-        return ()
-    horizon = dispatch + instance.latest_time
-    violations: list[Violation] = []
-    if timing.initial_load > instance.fleet.capacity + TIME_EPS:
-        violations.append(Violation(
-            "capacity", vehicle, None,
-            f"load {timing.initial_load} exceeds capacity "
-            f"{instance.fleet.capacity}"))
-    for stop in timing.stops:
-        node = instance.node(stop.node)
-        if stop.service_start > dispatch + node.window_close + TIME_EPS:
-            violations.append(Violation(
-                "window", vehicle, stop.node,
-                f"service at {stop.service_start:.6f} after window close "
-                f"{dispatch + node.window_close:.6f}"))
-        if stop.service_start < dispatch + node.window_open - TIME_EPS:
-            violations.append(Violation(
-                "window", vehicle, stop.node,
-                "service before window opens"))
-        if stop.arrival < dispatch - TIME_EPS or stop.load_after < -TIME_EPS:
-            violations.append(Violation(
-                "non-negative", vehicle, stop.node,
-                "negative time or load along the route"))
-        back = return_leg_time(instance, stop.node, stop.departure)
-        if stop.departure + back > horizon + TIME_EPS:
-            violations.append(Violation(
-                "horizon-return", vehicle, stop.node,
-                "no arc leads back to the depot" if back == math.inf
-                else f"cannot regain depot by hour {horizon:.6f}"))
-    if timing.return_arrival > horizon + TIME_EPS:
-        violations.append(Violation(
-            "horizon", vehicle, None,
-            f"returns at {timing.return_arrival:.6f} past {horizon:.6f}"))
-    return tuple(violations)
-
-
 def _depot_copy(node_id: int) -> Violation:
     return Violation("route-shape", -1, node_id,
                      "depot copies may not appear inside a route")
@@ -251,10 +251,10 @@ def check_feasibility(solution: RoutingSolution,
 
     Whole-solution checks: every customer served exactly once,
     pass-through dummies used at most once, no depot copy inside a
-    route, and fleet size.  Each route is then audited on its own by
-    ``check_route`` (capacity, windows, non-negativity, return to the
-    depot, horizon), which the repair step also calls directly on the
-    single routes it tries.
+    route, and fleet size.  Each route's own audit (capacity, windows,
+    non-negativity, return to the depot, horizon) is the verdict its
+    ``time_route`` walk recorded, relabelled with the vehicle index; no
+    route is walked again here.
     """
     if not solution.timed:
         raise SolutionError("feasibility needs a timed solution, propagate first")
@@ -287,9 +287,8 @@ def check_feasibility(solution: RoutingSolution,
             "fleet-size", -1, None,
             f"{used} loaded vehicles exceed fleet of {instance.fleet.count}"))
 
-    for k, (route, timing) in enumerate(zip(solution.routes, solution.timings)):
-        violations.extend(check_route(route, timing, instance,
-                                      solution.dispatch, k))
+    for k, timing in enumerate(solution.timings):
+        violations.extend(replace(v, vehicle=k) for v in timing.violations)
     return tuple(violations)
 
 
@@ -376,13 +375,13 @@ def objective_value(name: str, solution: RoutingSolution, instance: Instance,
                     weights: ObjectiveWeights | None = None) -> float:
     """Evaluate one of the five named objectives on a timed solution.
 
-    Each route's legs are walked once, each leg driven from its actual
-    departure by one ``model.leg`` call and costed by ``leg_cost``.
-    time and tti are the running sum of those costs; crash is
+    Each driven leg's ``model.leg`` reading, recorded by the route's
+    ``time_route`` walk, is costed by ``leg_cost``; no arc is driven
+    again.  time and tti are the running sum of those costs; crash is
     ``1 - prod(1 - xi)`` recovered from the summed log-survival costs;
     weighted is ``w_crash * scale * crash + w_tti * tti`` from that
     crash and the running sum of the same legs' TTI.  distance is the
-    sum of arc lengths and needs neither timings nor traversals.
+    sum of arc lengths and needs no timings.
     """
     if name not in OBJECTIVES:
         raise SolutionError(f"unknown objective {name!r}, expected one of {OBJECTIVES}")
@@ -397,13 +396,10 @@ def objective_value(name: str, solution: RoutingSolution, instance: Instance,
     part = "crash" if name == "weighted" else name
     total = tti = 0.0
     for route, timing in zip(solution.routes, solution.timings):
-        departs = [timing.depot_departure]
-        departs += [stop.departure for stop in timing.stops]
         services = [0.0]
         services += [instance.node(n).service_time for n in route]
-        for arc, depart, service in zip(_route_arcs(instance, route),
-                                        departs, services):
-            driven = leg(arc, depart)
+        for arc, driven, service in zip(_route_arcs(instance, route),
+                                        timing.legs, services):
             total += leg_cost(part, arc, service, driven)[1]
             tti += driven[1]
     if name == "tti" or name == "time":

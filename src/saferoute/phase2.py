@@ -18,7 +18,10 @@ routing phase's ``time_route``, the same walk that propagation uses.
 
 Costs are additive per driven arc and come from the routing phase's
 ``leg_cost``, the same per-leg cost that ``objective_value`` sums, so
-each edge's arrival and cost follow from one ``model.leg`` call.
+each edge's arrival and cost follow from one ``model.leg`` reading.
+The edges out of each stop's earliest start reuse the readings that
+the immediate-departure walk recorded; every other edge drives its leg
+once.
 Crash probabilities enter through their log-survival surrogate
 ``-ln(1 - xi)``, whose sum orders schedules exactly like the route's
 overall crash probability; ``objective_value`` recovers the
@@ -127,9 +130,11 @@ def build_schedule_graph(route: tuple[int, ...], instance: Instance,
     node_ids = (0, *route, instance.terminal_id)
     horizon = dispatch + instance.latest_time
 
-    # Immediate-departure propagation pins each stop's earliest start.
-    earliest = [stop.service_start
-                for stop in time_route(route, instance, dispatch).stops]
+    # Immediate-departure propagation pins each stop's earliest start,
+    # and its recorded legs serve the edges leaving those starts.
+    immediate = time_route(route, instance, dispatch)
+    earliest = [stop.service_start for stop in immediate.stops]
+    driven_at = [dispatch, *(stop.departure for stop in immediate.stops)]
 
     times: list[tuple[float, ...]] = [(dispatch,)]
     for node_id, lo in zip(route, earliest):
@@ -160,8 +165,9 @@ def build_schedule_graph(route: tuple[int, ...], instance: Instance,
         layer = []
         for i, start in enumerate(times[pos - 1]):
             depart = start + service
-            duration, cost = leg_cost(objective, arc, service,
-                                      leg(arc, depart), weights)
+            driven = immediate.legs[pos - 1] if depart == driven_at[pos - 1] \
+                else leg(arc, depart)
+            duration, cost = leg_cost(objective, arc, service, driven, weights)
             arrive = depart + duration
             for j, nxt in enumerate(times[pos]):
                 if nxt >= arrive - TIME_EPS:
@@ -173,8 +179,9 @@ def build_schedule_graph(route: tuple[int, ...], instance: Instance,
     service = instance.node(arc.tail).service_time
     for i, start in enumerate(times[-1]):
         depart = start + service
-        duration, cost = leg_cost(objective, arc, service, leg(arc, depart),
-                                  weights)
+        driven = immediate.legs[-1] if depart == driven_at[-1] \
+            else leg(arc, depart)
+        duration, cost = leg_cost(objective, arc, service, driven, weights)
         if depart + duration <= horizon + TIME_EPS:
             sink.append((i, cost))
     if not sink:

@@ -13,7 +13,9 @@ weights and objective.  Each ``solve`` call therefore keeps a route
 memo, a plain dict local to the call: every distinct route is
 propagated and retimed at most once per solve, however many candidates
 it recurs in.  The feasibility audit and the objective still judge each
-assembled candidate whole.
+assembled candidate whole, but they read each route's audit verdict and
+driven legs as its one timing walk recorded them, so a memo hit walks
+nothing again.
 
 Construction divides the plane around the depot into one slice per
 vehicle, halves each slice, serves the first half outward and the
@@ -44,7 +46,6 @@ from .phase1 import (
     RoutingSolution,
     Violation,
     check_feasibility,
-    check_route,
     depot_copy_violations,
     objective_value,
     propagate_schedule,
@@ -76,10 +77,13 @@ class SolverConfig:
     weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
     m: int = 3
     objective: str = "weighted"
-    schedule_every_candidate: bool = True
-    basic_sa: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("max_outer_iterations", "iterations_per_temperature",
+                     "population_size", "m", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise SolverError(f"{name} must be an integer, got {value!r}")
         if not self.initial_temperature > self.final_temperature > 0:
             raise SolverError("temperatures must satisfy T0 > Tf > 0")
         if self.max_outer_iterations < 0:
@@ -151,8 +155,7 @@ def _two_opt_pass(instance: Instance, route: list[int]) -> list[int]:
     return best
 
 
-def initial_solution(instance: Instance, vehicles: int | None = None,
-                     ) -> RoutingSolution:
+def initial_solution(instance: Instance) -> RoutingSolution:
     """Geometric sweep construction around the depot.
 
     The plane is cut into one slice per vehicle and each slice into two
@@ -162,7 +165,7 @@ def initial_solution(instance: Instance, vehicles: int | None = None,
     that would break capacity spill over to the following vehicle.
     """
     instance = ensure_augmented(instance)
-    k = vehicles if vehicles is not None else instance.fleet.count
+    k = instance.fleet.count
     if k < 1:
         raise SolverError("need at least one vehicle")
     customers = instance.customers()
@@ -225,15 +228,15 @@ def _route_violations(route: list[int], instance: Instance,
 
     The audit of a solution made of this route alone, minus visit
     counts: unrelated customers are deliberately absent from a
-    one-route view.
+    one-route view.  Depot copies plus the verdict the route's timing
+    walk recorded.
     """
     route = tuple(route)
     try:
         timed = propagate_schedule((route,), instance, dispatch)
     except MissingArcError:
         return (Violation("route-shape", 0, None, "no arc joins the visits"),)
-    return (depot_copy_violations(route, instance)
-            + check_route(route, timed.timings[0], instance, dispatch))
+    return depot_copy_violations(route, instance) + timed.timings[0].violations
 
 
 def make_feasible(solution: RoutingSolution, instance: Instance,
@@ -585,16 +588,17 @@ def evaluate(routes: RoutingSolution | tuple, instance: Instance,
     """Time, filter and score one candidate.
 
     Infeasible candidates come back with an infinite value.  The
-    schedule phase runs per candidate unless configured off; the
-    distance objective skips it (re-timing cannot change distance)
-    except when the caller forces it for reporting.
+    schedule phase runs on every feasible candidate; the distance
+    objective skips it (re-timing cannot change distance) except when
+    the caller forces it for reporting.
 
     ``memo`` is the calling solve's route memo (``phase2.RouteRecord``
     per route), shared only by calls with the same instance, dispatch,
     config and weights.  A recorded route reuses its timings; a new one
     is propagated on its own and recorded unless it uses a missing arc.
     The audit and the objective always run on the whole candidate, so
-    the result is the same with or without a memo.
+    the result is the same with or without a memo; they read each
+    route's recorded verdict and legs, so a memo hit re-walks nothing.
     """
     sol = routes if isinstance(routes, RoutingSolution) \
         else RoutingSolution(tuple(tuple(r) for r in routes))
@@ -613,8 +617,7 @@ def evaluate(routes: RoutingSolution | tuple, instance: Instance,
     if check_feasibility(timed, instance):
         return Evaluation(timed, (), math.inf, False)
     schedules: tuple[Schedule, ...] = ()
-    wants_schedule = config.schedule_every_candidate or force_schedule
-    if wants_schedule and (config.objective != "distance" or force_schedule):
+    if config.objective != "distance" or force_schedule:
         try:
             timed, schedules = schedule_solution(
                 timed, instance, config.m, weights, config.objective, memo)
@@ -659,15 +662,7 @@ def solve(instance: Instance, config: SolverConfig | None = None,
     rng = random.Random(config.seed)
     weights = config.weights.resolved(instance)
 
-    if config.basic_sa:
-        ids = list(instance.customers())
-        rng.shuffle(ids)
-        k = instance.fleet.count
-        chunk = math.ceil(len(ids) / k) if ids else 1
-        start = RoutingSolution(tuple(
-            tuple(ids[i * chunk:(i + 1) * chunk]) for i in range(k)))
-    else:
-        start = initial_solution(instance)
+    start = initial_solution(instance)
 
     evaluations = 0
     memo: dict[tuple[int, ...], RouteRecord] = {}
@@ -694,11 +689,10 @@ def solve(instance: Instance, config: SolverConfig | None = None,
                                config.final_temperature,
                                config.max_outer_iterations)
         temperature = config.initial_temperature
-        pop = 1 if config.basic_sa else config.population_size
         for _ in range(config.max_outer_iterations):
             temperature *= alpha
             # nothing feasible yet: keep searching from the best effort
-            seeds = list(pool[:pop]) if pool else [best]
+            seeds = list(pool[:config.population_size]) if pool else [best]
             for member in seeds:
                 current = member
                 for _ in range(config.iterations_per_temperature):

@@ -12,7 +12,9 @@ from saferoute.model import (
     Node,
     TimeProfile,
     augment_depot,
+    travel_time,
 )
+from saferoute.phase1 import TIME_EPS, Violation
 
 
 def build_instance(
@@ -76,3 +78,53 @@ def no_return_from_first() -> Instance:
     base = build_instance([{"x": 1}, {"x": 2}], fleet=(1, 100.0))
     arcs = {key: arc for key, arc in base.arcs.items() if key != (1, 0)}
     return augment_depot(replace(base, arcs=arcs), 0)
+
+
+def reference_audit(route: tuple[int, ...], timing, instance: Instance,
+                    dispatch: float) -> tuple[Violation, ...]:
+    """Per-route audit of a timed route, re-derived from its stops alone.
+
+    Capacity, then per stop the window close, window open,
+    non-negativity and the return-to-depot guarantee, then the return
+    leg's horizon, all under vehicle 0: the verdict ``time_route``
+    records, computed here by a separate pass over the timing.
+    """
+    if not route:
+        return ()
+    horizon = dispatch + instance.latest_time
+    violations: list[Violation] = []
+    if timing.initial_load > instance.fleet.capacity + TIME_EPS:
+        violations.append(Violation(
+            "capacity", 0, None,
+            f"load {timing.initial_load} exceeds capacity "
+            f"{instance.fleet.capacity}"))
+    for stop in timing.stops:
+        node = instance.node(stop.node)
+        if stop.service_start > dispatch + node.window_close + TIME_EPS:
+            violations.append(Violation(
+                "window", 0, stop.node,
+                f"service at {stop.service_start:.6f} after window close "
+                f"{dispatch + node.window_close:.6f}"))
+        if stop.service_start < dispatch + node.window_open - TIME_EPS:
+            violations.append(Violation(
+                "window", 0, stop.node, "service before window opens"))
+        if stop.arrival < dispatch - TIME_EPS or stop.load_after < -TIME_EPS:
+            violations.append(Violation(
+                "non-negative", 0, stop.node,
+                "negative time or load along the route"))
+        if instance.is_dummy(stop.node):
+            back = 0.0
+        else:
+            arc = instance.arcs.get((stop.node, instance.terminal_id))
+            back = (math.inf if arc is None
+                    else travel_time(arc, stop.departure))
+        if stop.departure + back > horizon + TIME_EPS:
+            violations.append(Violation(
+                "horizon-return", 0, stop.node,
+                "no arc leads back to the depot" if back == math.inf
+                else f"cannot regain depot by hour {horizon:.6f}"))
+    if timing.return_arrival > horizon + TIME_EPS:
+        violations.append(Violation(
+            "horizon", 0, None,
+            f"returns at {timing.return_arrival:.6f} past {horizon:.6f}"))
+    return tuple(violations)

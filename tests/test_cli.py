@@ -305,6 +305,21 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         "error: bad solver configuration:")
 
 
+@pytest.mark.parametrize("text", [
+    '{"max_outer_iterations": 2.5}', '{"iterations_per_temperature": 1.5}',
+    '{"population_size": 2.5}', '{"m": 2.5}', '{"m": true}', '{"seed": [1]}',
+])
+def test_config_file_rejects_non_integer_counts(tmp_path, capsys, text):
+    # a count or seed that is not an integer is an input error, never a
+    # traceback mid-solve nor silently read as a number
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["solve", "--instance", CASE_DIR, "--scenario", "0",
+                 "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: bad solver configuration:")
+
+
 def test_seed_precedence_flag_env_config(tmp_path, capsys, monkeypatch):
     base = ["solve", "--instance", CASE_DIR, "--objective", "weighted",
             "--scenario", "6", "--no-gaps"]

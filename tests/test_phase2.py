@@ -13,6 +13,7 @@ from saferoute.instances import (
     bundled_case_study_dir,
     generate_instance,
     load_case_study,
+    load_solomon,
 )
 from saferoute.model import (
     MissingArcError,
@@ -28,7 +29,6 @@ from saferoute.phase1 import (
     RoutingSolution,
     SolutionError,
     check_feasibility,
-    check_route,
     leg_cost,
     objective_value,
     propagate_schedule,
@@ -45,7 +45,7 @@ from saferoute.phase2 import (
     schedule_solution,
 )
 
-from helpers import build_augmented, no_return_from_first
+from helpers import build_augmented, no_return_from_first, reference_audit
 
 
 def random_profile(rng, lo, hi):
@@ -298,8 +298,10 @@ def test_total_cost_maps_to_route_objectives():
 
 
 def test_one_traversal_per_driven_leg(monkeypatch):
-    # Each (arc, departure) the schedule graph or the objective drives
-    # is integrated once, yielding its duration, TTI and crash together.
+    # The schedule graph takes the legs out of each stop's earliest
+    # start from the immediate walk, and drives each other (arc,
+    # departure) once for its duration, TTI and crash together; the
+    # objective reads a timed route's recorded legs and drives none.
     inst = ensure_augmented(load_case_study(bundled_case_study_dir()))
     calls = []
     traverse = model.traverse
@@ -314,13 +316,12 @@ def test_one_traversal_per_driven_leg(monkeypatch):
     for objective in OBJECTIVES:
         calls.clear()
         build_schedule_graph(route, inst, 7.0, 3, weights, objective)
-        assert len(calls) <= 23, objective
+        assert len(calls) <= 22, objective
     timed = propagate_schedule((route,), inst, 7.0)
     for objective in OBJECTIVES:
         calls.clear()
         objective_value(objective, timed, inst, weights)
-        assert len(calls) == (0 if objective == "distance" else 4), objective
-        assert len(set(calls)) == len(calls)
+        assert calls == [], objective
 
 
 def test_distance_ties_resolve_to_earliest_times():
@@ -388,19 +389,33 @@ def test_schedule_solution_never_stores_an_infeasible_route():
 
 @functools.cache
 def walk_instances():
-    """The case study, RND25 (generator seed 0) and a sparse graph."""
+    """The case study, RND25 (generator seed 0), a sparse graph and R101."""
     return (ensure_augmented(load_case_study(bundled_case_study_dir())),
             ensure_augmented(generate_instance(25, 0)),
-            no_return_from_first())
+            no_return_from_first(),
+            ensure_augmented(load_solomon("R101")))
+
+
+def assert_walk_recorded(route, timing, inst, dispatch):
+    """The timing's verdict is the reference audit's, and each recorded
+    leg is ``model.leg`` at that leg's departure, bit for bit."""
+    assert timing.violations == reference_audit(route, timing, inst, dispatch)
+    path = (0, *route, inst.terminal_id)
+    departs = (timing.depot_departure,
+               *(stop.departure for stop in timing.stops))
+    assert len(timing.legs) == len(departs)
+    for k, depart in enumerate(departs):
+        assert timing.legs[k] == leg(inst.arc(path[k], path[k + 1]), depart)
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), which=st.integers(0, 2),
+@given(data=st.data(), which=st.integers(0, 3),
        dispatch=st.floats(0.0, 23.75), objective=st.sampled_from(OBJECTIVES),
        m=st.integers(1, 5))
 def test_one_walk_times_immediate_and_retimed_routes(data, which, dispatch,
                                                      objective, m):
-    # time_route is the only walk: it reproduces propagation, and the
+    # time_route is the only walk: it reproduces propagation, records
+    # the reference audit's verdict and each leg it drives, and the
     # timing it gives a DP schedule serves exactly the DP's starts,
     # waits at the stop, and passes the audit
     inst = walk_instances()[which]
@@ -412,19 +427,27 @@ def test_one_walk_times_immediate_and_retimed_routes(data, which, dispatch,
     except MissingArcError:
         return
     immediate = prop.timings[0]
+    assert_walk_recorded(route, immediate, inst, dispatch)
     starts = tuple(stop.service_start for stop in immediate.stops)
     assert time_route(route, inst, dispatch, starts) == immediate
+    # starts off the schedule graph reach the audit's early-service check
+    shifts = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=len(route),
+                                max_size=len(route)), label="shifts")
+    moved = tuple(max(0.0, s + d) for s, d in zip(starts, shifts))
+    assert_walk_recorded(route, time_route(route, inst, dispatch, moved),
+                         inst, dispatch)
     try:
         timed, (sched,) = schedule_solution(prop, inst, m, None, objective)
     except ScheduleInfeasibleError:
         # the immediate schedule is always a path of the graph
-        assert check_route(route, immediate, inst, dispatch)
+        assert immediate.violations
         return
     timing = timed.timings[0]
+    assert_walk_recorded(route, timing, inst, dispatch)
     assert tuple(s.service_start for s in timing.stops) == sched.service_starts
     for stop in timing.stops:
         assert stop.arrival <= stop.service_start + TIME_EPS
-    assert check_route(route, timing, inst, dispatch) == ()
+    assert timing.violations == ()
 
 
 def test_infeasible_window_raises():

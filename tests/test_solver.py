@@ -475,17 +475,6 @@ def test_solve_flags_unservable_instance():
     assert all(v == math.inf for v in res.history)
 
 
-def test_basic_mode_runs_and_is_deterministic():
-    rng = random.Random(2)
-    inst = build_augmented(random_customers(rng, 5), m=1, fleet=(2, 300.0))
-    cfg = SolverConfig(basic_sa=True, seed=7, m=2)
-    a = solve(inst, cfg)
-    b = solve(inst, cfg)
-    assert a.feasible
-    assert a.solution.routes == b.solution.routes
-    assert a.value == b.value
-
-
 def test_solve_rejects_bad_dispatch():
     inst = build_augmented([{"x": 2.0, "y": 0.0}], m=0)
     with pytest.raises(SolverError):
@@ -537,8 +526,11 @@ def test_solve_keeps_no_state_between_calls():
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_scheduling_only_the_incumbent(objective):
+    # distance schedules only the incumbent, the other objectives every
+    # feasible candidate; either way the result carries one schedule per
+    # loaded route and the value of its timed solution
     inst = memo_instance("case")
-    cfg = SolverConfig(objective=objective, schedule_every_candidate=False)
+    cfg = SolverConfig(objective=objective)
     weights = cfg.weights.resolved(inst)
     for hour in (0, 6, 7, 12, 17, 23):
         res = solve(inst, cfg, float(hour))

@@ -6,8 +6,13 @@ evaluation count and feasibility flag on every solve of the matrix;
 only ``elapsed`` is left out.  A schedule is hashed by its route,
 dispatch, ``m``, objective, service starts and total cost, the fields
 every version of ``phase2.Schedule`` has, so checkouts whose
-``Schedule`` carries more or fewer fields still compare.  Use it to show that a change which is
-meant to alter speed alone left every result bit-identical.
+``Schedule`` carries more or fewer fields still compare.  Likewise a
+route timing is hashed by its depot departure, initial load, stops and
+return arrival, the fields every version of ``phase1.RouteTiming`` has;
+what a timing walk also records (leg readings, audit verdict) follows
+from those and would change the ``repr`` without changing any result.
+Use it to show that a change which is meant to alter speed alone left
+every result bit-identical.
 
 The package is imported from ``sys.path``, so point ``PYTHONPATH`` at
 the checkout to digest:
@@ -69,9 +74,18 @@ def schedule_record(schedule) -> tuple:
             schedule.service_starts, schedule.total_cost)
 
 
+def timing_record(timing) -> tuple:
+    """The times and loads of one timed route."""
+    return (timing.depot_departure, timing.initial_load, timing.stops,
+            timing.return_arrival)
+
+
 def result_record(result) -> str:
     """Everything a solve returns except its wall time."""
-    return repr((result.value, result.solution,
+    solution = result.solution
+    timings = None if solution.timings is None \
+        else tuple(timing_record(t) for t in solution.timings)
+    return repr((result.value, solution.routes, solution.dispatch, timings,
                  tuple(schedule_record(s) for s in result.schedules),
                  result.history, result.evaluations, result.feasible))
 
