@@ -33,7 +33,7 @@ from .instances import (
     parse_solomon,
     serialize_instance,
 )
-from .model import Instance, ensure_augmented
+from .model import Instance, ModelError, ensure_augmented
 from .oracle import (
     OracleBudgetError,
     OracleInfeasibleError,
@@ -322,6 +322,13 @@ def _quantile(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError("must be a finite number >= 0")
+    return value
+
+
 def _hour(text: str) -> int:
     value = int(text)
     if not 0 <= value < HOURS:
@@ -377,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="instance file or case-study directory")
     scenario_flags(p)
     solver_flags(p)
-    p.add_argument("--tolerance", type=float, default=1e-9,
+    p.add_argument("--tolerance", type=_tolerance, default=1e-9,
                    help="largest acceptable optimality gap")
     p.add_argument("--out", help="TSV output path")
     p.set_defaults(func=cmd_verify)
@@ -411,7 +418,8 @@ def main(argv=None) -> int:
     except OracleBudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (InputError, InstanceError, QueueingError, SolverError) as exc:
+    except (InputError, InstanceError, ModelError, QueueingError,
+            SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

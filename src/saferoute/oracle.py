@@ -2,12 +2,12 @@
 
 Small instances can be solved exactly: every split of the customers
 over the fleet, every visit order, and every way of weaving in the
-depot pass-through vertices is generated, timed and checked, and the
-best feasible candidates are kept.  The same idea verifies the
-retiming phase by walking every path of the schedule graph.  Both
-enumerations refuse to run past an explicit candidate budget rather
-than return a silently truncated answer, which keeps them trustworthy
-as test anchors.
+depot pass-through vertices is generated and scored by the solver's
+own ``evaluate``, and the best feasible candidates are kept.  The same
+idea verifies the retiming phase by walking every path of the schedule
+graph.  Both enumerations refuse to run past an explicit candidate
+budget rather than return a silently truncated answer, which keeps
+them trustworthy as test anchors.
 """
 
 from __future__ import annotations
@@ -18,14 +18,9 @@ import time
 from dataclasses import dataclass
 
 from .model import Instance
-from .phase1 import (
-    ObjectiveWeights,
-    RoutingSolution,
-    check_feasibility,
-    objective_value,
-    propagate_schedule,
-)
-from .phase2 import build_schedule_graph, schedule_solution
+from .phase1 import ObjectiveWeights, RoutingSolution
+from .phase2 import build_schedule_graph
+from .solver import SolverConfig, evaluate
 
 TIE_EPS = 1e-12
 
@@ -111,17 +106,20 @@ def _weave(routes: list[tuple[int, ...]], placement, dummy_ids) -> tuple:
 def enumerate_routes(instance: Instance, objective: str, *,
                      dispatch: float = 0.0,
                      weights: ObjectiveWeights | None = None,
-                     schedule_m: int | None = None,
+                     schedule_m: int = SolverConfig().m,
                      budget: int = 2_000_000,
                      max_customers: int = DEFAULT_CUSTOMER_CAP) -> OracleResult:
     """Exact routing optimum by full enumeration.
 
     Every partition of the customers over at most ``fleet.count``
     vehicles is expanded into all visit orders and all depot
-    pass-through placements, timed with immediate departures, checked,
-    and measured.  With ``schedule_m`` set, each feasible candidate is
-    re-timed on an m-point grid first, so the values are comparable to
-    a solver that runs the retiming phase.
+    pass-through placements, and each candidate is scored by
+    ``solver.evaluate``, the call ``solve`` makes: timed with immediate
+    departures, audited, retimed on a ``schedule_m``-point grid (but
+    for distance, which retiming cannot change) and measured.  A
+    candidate that is infeasible, or drives a missing arc, is skipped.
+    No route memo is shared between candidates, so the oracle stays an
+    independent check of the solver's.
 
     Raises:
         OracleSizeError: more than ``max_customers`` customers.
@@ -134,8 +132,8 @@ def enumerate_routes(instance: Instance, objective: str, *,
         raise OracleSizeError(
             f"{len(customers)} customers exceed the enumeration cap "
             f"{max_customers}")
-    if weights is not None and weights.crash_scale is None:
-        weights = weights.resolved(instance)
+    config = SolverConfig(objective=objective, m=schedule_m)
+    weights = (weights or ObjectiveWeights()).resolved(instance)
 
     capacity = instance.fleet.capacity
     demand = {c: instance.node(c).demand for c in customers}
@@ -155,20 +153,15 @@ def enumerate_routes(instance: Instance, objective: str, *,
                 if enumerated > budget:
                     raise OracleBudgetError(
                         f"enumeration budget {budget} exhausted", budget)
-                candidate = _weave(routes, placement, instance.dummy_ids)
-                timed = propagate_schedule(candidate, instance, dispatch)
-                if check_feasibility(timed, instance):
+                scored = evaluate(_weave(routes, placement, instance.dummy_ids),
+                                  instance, config, dispatch, weights)
+                if not scored.feasible:
                     continue
-                if schedule_m is not None:
-                    timed, _ = schedule_solution(timed, instance, schedule_m,
-                                                 weights, objective)
-                value = objective_value(objective, timed, instance, weights)
-                if value < best - TIE_EPS:
-                    best = min(best, value)
-                    optima = [timed]
-                elif value <= best + TIE_EPS:
-                    best = min(best, value)
-                    optima.append(timed)
+                if scored.value < best - TIE_EPS:
+                    best, optima = scored.value, [scored.solution]
+                elif scored.value <= best + TIE_EPS:
+                    best = min(best, scored.value)
+                    optima.append(scored.solution)
 
     if not optima:
         raise OracleInfeasibleError(

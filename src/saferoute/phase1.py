@@ -16,20 +16,20 @@ the objectives read a timing and never walk its route again.
 
 Five objectives are read off a timed solution.  ``leg_cost`` turns
 one driven leg (``model.leg``: its duration, TTI and crash probability
-at the hour it is driven) into each objective's additive cost.  The
-retiming phase minimises each route's sum of these costs, and
-``objective_value`` reports the whole solution from the same sums of
-the recorded legs:
+at the hour it is driven) into each objective's additive cost.  Each
+objective is the sum of those costs over every driven leg, so the
+retiming phase, which minimises each route's sum, minimises exactly
+what ``objective_value`` reports:
 
 * crash: probability that at least one traversal crashes,
-  ``1 - prod(1 - xi)``, from the summed log-survival costs
-  ``-ln(1 - xi)``,
+  ``1 - prod(1 - xi)``, reported from the summed log-survival costs
+  ``-ln(1 - xi)`` (a monotone map of the sum),
 * tti: sum of the travel time indices charged per traversal,
 * distance: classical total length,
 * time: total service plus driving time, waiting excluded,
-* weighted: convex mix of crash (rescaled to TTI magnitude) and tti;
-  its additive leg cost mixes the log-survival term instead, so the
-  retiming phase minimises a related but different function.
+* weighted: ``w_crash * scale * sum(-ln(1 - xi)) + w_tti * sum(tti)``,
+  the log-survival crash cost rescaled to TTI magnitude and mixed with
+  tti.
 """
 
 from __future__ import annotations
@@ -306,9 +306,10 @@ def leg_cost(objective: str, arc: Arc, service: float,
 
     ``driven`` is ``model.leg(arc, depart)`` and ``service`` the
     service time at the arc's tail.  crash costs the log-survival term
-    ``-ln(1 - xi)``; weighted mixes it, rescaled, with TTI and reads the
-    resolved ``weights``; time charges the tail's service plus the
-    driving hours; distance is schedule-independent.
+    ``-ln(1 - xi)``; weighted costs ``w_crash * crash_scale * (-ln(1 -
+    xi)) + w_tti * tti`` from the resolved ``weights``; time charges the
+    tail's service plus the driving hours; distance is
+    schedule-independent.  Every objective is the sum of these costs.
     """
     duration, tti, xi = driven
     if objective == "distance":
@@ -375,37 +376,24 @@ def objective_value(name: str, solution: RoutingSolution, instance: Instance,
                     weights: ObjectiveWeights | None = None) -> float:
     """Evaluate one of the five named objectives on a timed solution.
 
-    Each driven leg's ``model.leg`` reading, recorded by the route's
-    ``time_route`` walk, is costed by ``leg_cost``; no arc is driven
-    again.  time and tti are the running sum of those costs; crash is
-    ``1 - prod(1 - xi)`` recovered from the summed log-survival costs;
-    weighted is ``w_crash * scale * crash + w_tti * tti`` from that
-    crash and the running sum of the same legs' TTI.  distance is the
-    sum of arc lengths and needs no timings.
+    The sum of ``leg_cost`` over every driven leg, route by route in
+    driving order, from the ``model.leg`` readings each route's
+    ``time_route`` walk recorded; no arc is driven again.  crash reports
+    the probability ``-expm1(-sum)`` of that log-survival sum; every
+    other objective reports the sum itself, the same sum the retiming
+    phase minimises.
     """
     if name not in OBJECTIVES:
         raise SolutionError(f"unknown objective {name!r}, expected one of {OBJECTIVES}")
-    if name == "distance":
-        total = 0.0
-        for route in solution.routes:
-            for arc in _route_arcs(instance, route):
-                total += arc.distance
-        return total
     if not solution.timed:
         raise SolutionError("objective needs a timed solution, propagate first")
-    part = "crash" if name == "weighted" else name
-    total = tti = 0.0
+    if name == "weighted":
+        weights = (weights or ObjectiveWeights()).resolved(instance)
+    total = 0.0
     for route, timing in zip(solution.routes, solution.timings):
         services = [0.0]
         services += [instance.node(n).service_time for n in route]
         for arc, driven, service in zip(_route_arcs(instance, route),
                                         timing.legs, services):
-            total += leg_cost(part, arc, service, driven)[1]
-            tti += driven[1]
-    if name == "tti" or name == "time":
-        return total
-    crash = -math.expm1(-total)
-    if name == "crash":
-        return crash
-    w = (weights or ObjectiveWeights()).resolved(instance)
-    return w.w_crash * w.crash_scale * crash + w.w_tti * tti
+            total += leg_cost(name, arc, service, driven, weights)[1]
+    return -math.expm1(-total) if name == "crash" else total

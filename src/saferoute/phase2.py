@@ -22,10 +22,11 @@ each edge's arrival and cost follow from one ``model.leg`` reading.
 The edges out of each stop's earliest start reuse the readings that
 the immediate-departure walk recorded; every other edge drives its leg
 once.
-Crash probabilities enter through their log-survival surrogate
-``-ln(1 - xi)``, whose sum orders schedules exactly like the route's
-overall crash probability; ``objective_value`` recovers the
-probability from that sum.
+A path's cost is therefore the route's reported value of every
+objective, summed in the same order, except crash, which reports the
+probability ``-expm1(-sum)`` of its log-survival sum ``sum(-ln(1 -
+xi))``, a monotone map: on its grid the DP's schedule is exactly the
+one the reported objective ranks best.
 """
 
 from __future__ import annotations
@@ -268,8 +269,8 @@ class RouteRecord:
 
 def schedule_solution(solution: RoutingSolution, instance: Instance, m: int,
                       weights: ObjectiveWeights | None = None,
-                      objective: str = "weighted",
-                      memo: dict[tuple[int, ...], RouteRecord] | None = None,
+                      objective: str = "weighted", *,
+                      memo: dict[tuple[int, ...], RouteRecord],
                       ) -> tuple[RoutingSolution, tuple[Schedule, ...]]:
     """Re-time every route of a solution; returns the timed solution and
     the per-route schedules (empty routes keep their trivial timing).
@@ -292,7 +293,7 @@ def schedule_solution(solution: RoutingSolution, instance: Instance, m: int,
         if not route:
             timings.append(time_route(route, instance, solution.dispatch))
             continue
-        record = memo.get(route) if memo is not None else None
+        record = memo.get(route)
         if record is not None and record.retimed is not None:
             sched, timing = record.retimed
         else:

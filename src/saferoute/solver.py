@@ -84,8 +84,9 @@ class SolverConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise SolverError(f"{name} must be an integer, got {value!r}")
-        if not self.initial_temperature > self.final_temperature > 0:
-            raise SolverError("temperatures must satisfy T0 > Tf > 0")
+        if not (math.isfinite(self.initial_temperature)
+                and self.initial_temperature > self.final_temperature > 0):
+            raise SolverError("temperatures must be finite, T0 > Tf > 0")
         if self.max_outer_iterations < 0:
             raise SolverError("outer iteration budget cannot be negative")
         if self.iterations_per_temperature < 1 or self.population_size < 1:
@@ -620,7 +621,8 @@ def evaluate(routes: RoutingSolution | tuple, instance: Instance,
     if config.objective != "distance" or force_schedule:
         try:
             timed, schedules = schedule_solution(
-                timed, instance, config.m, weights, config.objective, memo)
+                timed, instance, config.m, weights, config.objective,
+                memo=memo)
         except ScheduleInfeasibleError:
             return Evaluation(timed, (), math.inf, False)
     value = objective_value(config.objective, timed, instance, weights)

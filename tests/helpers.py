@@ -73,11 +73,16 @@ def build_augmented(customers: list[dict], m: int = 0, **kwargs) -> Instance:
     return augment_depot(build_instance(customers, **kwargs), m)
 
 
+def two_on_a_line_without(missing: tuple[int, int]) -> Instance:
+    """Two customers on a line, one vehicle, and no arc ``missing``."""
+    base = build_instance([{"x": 1}, {"x": 2}], fleet=(1, 100.0))
+    arcs = {key: arc for key, arc in base.arcs.items() if key != missing}
+    return replace(base, arcs=arcs)
+
+
 def no_return_from_first() -> Instance:
     """Two customers on a line, one vehicle, and no arc from 1 to the depot."""
-    base = build_instance([{"x": 1}, {"x": 2}], fleet=(1, 100.0))
-    arcs = {key: arc for key, arc in base.arcs.items() if key != (1, 0)}
-    return augment_depot(replace(base, arcs=arcs), 0)
+    return augment_depot(two_on_a_line_without((1, 0)), 0)
 
 
 def reference_audit(route: tuple[int, ...], timing, instance: Instance,

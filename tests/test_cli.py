@@ -2,6 +2,7 @@
 
 import csv
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import saferoute
 from saferoute.cli import main
 from saferoute.instances import bundled_case_study_dir, serialize_instance
 
-from helpers import build_instance
+from helpers import build_instance, two_on_a_line_without
 
 GOLDENS = Path(__file__).parent / "goldens"
 CASE_DIR = str(bundled_case_study_dir())
@@ -208,10 +209,38 @@ def test_verify_scenario_golden(tmp_path, capsys, request):
 
 
 def test_verify_gap_exit_code(tmp_path, capsys):
-    # an impossible tolerance turns every scenario into a failure
-    assert main(["verify", "--instance", CASE_DIR, "--scenario", "0",
-                 "--seed", "0", "--tolerance", "-1.0"]) == 1
+    # with no annealing the construction misses the crash optimum at
+    # hour 8, a real gap
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"max_outer_iterations": 0}')
+    out = tmp_path / "verify.tsv"
+    assert main(["verify", "--instance", CASE_DIR, "--scenario", "8",
+                 "--objective", "crash", "--config", str(cfg),
+                 "--tolerance", "0", "--out", str(out)]) == 1
     capsys.readouterr()
+    row = out.read_text().splitlines()[1].split("\t")
+    assert float(row[3]) > 0 and row[4] == "no"
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf", "x"])
+def test_verify_rejects_bad_tolerance(tolerance):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--instance", CASE_DIR, "--scenario", "0",
+              "--tolerance", tolerance])
+    assert err.value.code == 2
+
+
+def test_verify_skips_candidates_with_a_missing_arc(tmp_path, capsys):
+    # the oracle meets route (1, 2), which drives the missing arc, and
+    # must skip it rather than fail
+    sparse = tmp_path / "sparse.txt"
+    sparse.write_text(serialize_instance(two_on_a_line_without((1, 2))))
+    out = tmp_path / "verify.tsv"
+    assert main(["verify", "--instance", str(sparse), "--scenario", "7",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    row = out.read_text().splitlines()[1].split("\t")
+    assert row[4] == "yes"
 
 
 def test_verify_refuses_oversized_instance(tmp_path, capsys):
@@ -253,6 +282,51 @@ def test_generate_rejects_zero_size(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["generate", "--size", "0", "--out", str(tmp_path / "x.txt")])
     assert err.value.code == 2
+
+
+def _solomon_with(row: str) -> str:
+    return "\n".join([
+        "TOY", "", "VEHICLE", "NUMBER CAPACITY", "  2  100", "",
+        "CUSTOMER",
+        "CUST NO.  XCOORD.  YCOORD.  DEMAND  READY TIME  DUE DATE"
+        "  SERVICE TIME", "",
+        "0 0 0 0 0 50 0", row, ""])
+
+
+def _case_study_with_zero_miles(tmp_path: Path) -> str:
+    case = tmp_path / "case"
+    shutil.copytree(CASE_DIR, case)
+    distances = case / "distances.csv"
+    lines = distances.read_text().splitlines()
+    tail, head, _ = lines[1].split(",")
+    lines[1] = f"{tail},{head},0"
+    distances.write_text("\n".join(lines) + "\n")
+    return str(case)
+
+
+@pytest.mark.parametrize("case", [
+    "solomon-negative-demand", "solomon-ready-after-due",
+    "case-study-zero-miles", "generate-negative-dummies",
+    "generate-infinite-latest"])
+def test_bad_numbers_in_an_instance_exit_3(tmp_path, capsys, case):
+    # the model rejects the values; the CLI reports them as bad input,
+    # never as a traceback or the verification-gap exit code
+    solve = ["solve", "--scenario", "0", "--no-gaps", "--instance"]
+    if case.startswith("solomon"):
+        row = "1 3 0 -5 0 40 1" if case.endswith("demand") \
+            else "1 3 0 5 45 40 1"
+        path = tmp_path / "toy.txt"
+        path.write_text(_solomon_with(row))
+        argv = [*solve, str(path)]
+    elif case.startswith("case-study"):
+        argv = [*solve, _case_study_with_zero_miles(tmp_path)]
+    else:
+        flag = ["--dummies", "-1"] if case.endswith("dummies") \
+            else ["--latest", "inf"]
+        argv = ["generate", "--size", "3", *flag,
+                "--out", str(tmp_path / "g.txt")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # --- configuration and seeds -----------------------------------------------
@@ -308,10 +382,15 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
 @pytest.mark.parametrize("text", [
     '{"max_outer_iterations": 2.5}', '{"iterations_per_temperature": 1.5}',
     '{"population_size": 2.5}', '{"m": 2.5}', '{"m": true}', '{"seed": [1]}',
+    '{"initial_temperature": Infinity}', '{"initial_temperature": NaN}',
+    '{"final_temperature": NaN}',
 ])
 def test_config_file_rejects_non_integer_counts(tmp_path, capsys, text):
     # a count or seed that is not an integer is an input error, never a
-    # traceback mid-solve nor silently read as a number
+    # traceback mid-solve nor silently read as a number; so is a
+    # temperature that is not finite (JSON readers accept Infinity and
+    # NaN, and an infinite start makes every temperature NaN, so the
+    # search would accept only downhill moves)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     assert main(["solve", "--instance", CASE_DIR, "--scenario", "0",

@@ -1,11 +1,13 @@
 """Tests for the exhaustive enumeration oracles."""
 
+import itertools
 import math
 import random
 
 import pytest
 
 from saferoute.instances import bundled_case_study_dir, load_case_study
+from saferoute.model import augment_depot
 from saferoute.oracle import (
     OracleBudgetError,
     OracleInfeasibleError,
@@ -14,6 +16,7 @@ from saferoute.oracle import (
     enumerate_schedules,
 )
 from saferoute.phase1 import (
+    OBJECTIVES,
     ObjectiveWeights,
     check_feasibility,
     is_feasible,
@@ -22,7 +25,7 @@ from saferoute.phase1 import (
 )
 from saferoute.phase2 import ScheduleInfeasibleError, optimize_schedule
 
-from helpers import build_augmented
+from helpers import build_augmented, two_on_a_line_without
 from test_phase2 import random_instance
 
 
@@ -94,13 +97,31 @@ def test_oracle_never_beaten_by_sampled_candidates():
 
 
 def test_retiming_never_hurts_the_optimum():
+    # every enumerated candidate is retimed, and retiming only lowers a
+    # route's value, so the optimum is no worse than any feasible
+    # candidate served with immediate departures
     rng = random.Random(17)
     inst = random_instance(rng, 3)
-    plain = enumerate_routes(inst, "crash")
-    retimed = enumerate_routes(inst, "crash", schedule_m=3)
-    assert retimed.value <= plain.value + 1e-12
-    for sol in retimed.solutions:
-        assert not check_feasibility(sol, inst)
+    orders = list(itertools.permutations((1, 2, 3)))
+    candidates = [(order,) for order in orders] + [
+        (order[:cut], order[cut:]) for order in orders for cut in (1, 2)]
+    for objective in OBJECTIVES:
+        result = enumerate_routes(inst, objective)
+        for sol in result.solutions:
+            assert not check_feasibility(sol, inst)
+        for routes in candidates:
+            immediate = propagate_schedule(routes, inst, 0.0)
+            if is_feasible(immediate, inst):
+                assert result.value <= objective_value(
+                    objective, immediate, inst) + 1e-12
+
+
+def test_candidate_with_a_missing_arc_is_skipped():
+    # (1, 2) drives the missing arc; (2, 1) serves both customers
+    inst = augment_depot(two_on_a_line_without((1, 2)), 0)
+    for objective in OBJECTIVES:
+        result = enumerate_routes(inst, objective)
+        assert tuple(sol.routes for sol in result.solutions) == (((2, 1),),)
 
 
 def test_budget_exhaustion_raises():
@@ -176,8 +197,12 @@ def test_schedule_budget_refusal():
 
 
 def test_weighted_objective_uses_weights():
+    # all weight on crash at unit scale leaves the log-survival sum,
+    # whose optimum is crash's
     inst = build_augmented([{"x": 2.0}, {"x": 4.0}], fleet=(2, 100.0))
     w = ObjectiveWeights(1.0, 0.0, crash_scale=1.0)
     result = enumerate_routes(inst, "weighted", weights=w)
     pure = enumerate_routes(inst, "crash")
-    assert result.value == pytest.approx(pure.value, rel=1e-12)
+    assert result.value == pytest.approx(-math.log1p(-pure.value), rel=1e-12)
+    assert {s.routes for s in result.solutions} == \
+        {s.routes for s in pure.solutions}

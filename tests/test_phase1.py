@@ -225,9 +225,9 @@ class TestObjectives:
             })
         sol = propagate_schedule(((1,),), inst, 0.0)
         weights = ObjectiveWeights(0.5, 0.5, crash_scale=10.0)
-        # 0.5 * 10 * 0.28 + 0.5 * 3.0
+        # 0.5 * 10 * (-ln 0.9 - ln 0.8) + 0.5 * 3.0
         assert objective_value("weighted", sol, inst, weights) == \
-            pytest.approx(2.9)
+            pytest.approx(5.0 * -math.log(0.72) + 1.5, abs=1e-12)
 
     def test_distance_total(self):
         inst = build_augmented([{"x": 3, "y": 0}, {"x": 0, "y": 4}])

@@ -1,11 +1,12 @@
 """Tests for the schedule retiming phase."""
 
 import functools
+import itertools
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from saferoute import model, phase2
@@ -52,7 +53,7 @@ def random_profile(rng, lo, hi):
     return TimeProfile(tuple(rng.uniform(lo, hi) for _ in range(24)))
 
 
-def random_instance(rng, n_customers, dummies=0):
+def random_instance(rng, n_customers, dummies=0, crash_hi=0.05):
     customers = [
         {
             "x": rng.uniform(-8.0, 8.0),
@@ -72,7 +73,7 @@ def random_instance(rng, n_customers, dummies=0):
                 overrides[(i, j)] = {
                     "speed": random_profile(rng, 15.0, 60.0),
                     "tti": random_profile(rng, 1.0, 3.0),
-                    "crash": random_profile(rng, 1e-5, 0.05),
+                    "crash": random_profile(rng, 1e-5, crash_hi),
                 }
     return build_augmented(customers, dummies, fleet=(3, 1000.0),
                            latest=24.0, arc_overrides=overrides)
@@ -112,7 +113,7 @@ def test_single_candidate_matches_propagation():
         dispatch = rng.choice([0.0, 7.25, 22.5])
         prop = propagate_schedule((route,), inst, dispatch)
         timed, (sched,) = schedule_solution(prop, inst, 1,
-                                            objective="distance")
+                                            objective="distance", memo={})
         stops = prop.timings[0].stops
         assert sched.service_starts == tuple(s.service_start for s in stops)
         assert timed == prop
@@ -239,7 +240,7 @@ def test_rescheduled_solution_stays_feasible():
             continue
         for objective in ("crash", "tti", "weighted", "time", "distance"):
             timed, scheds = schedule_solution(prop, inst, 4,
-                                              objective=objective)
+                                              objective=objective, memo={})
             assert not check_feasibility(timed, inst)
             assert len(scheds) == sum(1 for r in routes if r)
             checked += 1
@@ -273,8 +274,7 @@ def test_horizon_filter_keeps_late_starts_out():
 def test_total_cost_maps_to_route_objectives():
     # The DP's total and the reported objective sum the same leg_cost
     # terms in driving order, so they agree bit for bit (crash through
-    # its log-survival sum).  weighted is left out: its DP sum and its
-    # reported value are different functions.
+    # its log-survival sum).
     rng = random.Random(71)
     checked = 0
     for trial in range(40):
@@ -282,7 +282,7 @@ def test_total_cost_maps_to_route_objectives():
         route = tuple(rng.sample([1, 2, 3], 3))
         dispatch = rng.uniform(0.0, 24.0)
         m = rng.randint(1, 6)
-        for objective in ("tti", "time", "distance", "crash"):
+        for objective in OBJECTIVES:
             try:
                 sched = optimize_schedule(route, inst, dispatch, m,
                                           objective=objective)
@@ -294,7 +294,42 @@ def test_total_cost_maps_to_route_objectives():
             else:
                 assert value == sched.total_cost
             checked += 1
-    assert checked >= 100
+    assert checked >= 150
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4),
+       dispatch=st.floats(0.0, 23.75), w_crash=st.floats(0.0, 1.0),
+       crash_hi=st.sampled_from([0.05, 0.5, 0.9]))
+def test_dp_finds_the_reported_optimum_over_its_grid(seed, m, dispatch,
+                                                     w_crash, crash_hi):
+    # Without the DP: time every combination of the graph's grid starts,
+    # keep the schedules the audit passes and that never start service
+    # before the vehicle is there, and score them with the reported
+    # objective.  The DP's schedule must reach that minimum bit for bit.
+    rng = random.Random(seed)
+    inst = random_instance(rng, rng.randint(1, 4), crash_hi=crash_hi)
+    route = tuple(rng.sample(inst.customers(), len(inst.customers())))
+    weights = ObjectiveWeights(w_crash, 1.0 - w_crash)
+    assume(not propagate_schedule((route,), inst, dispatch).timings[0]
+           .violations)
+    for objective in OBJECTIVES:
+        graph = build_schedule_graph(route, inst, dispatch, m, weights,
+                                     objective)
+        best = math.inf
+        for starts in itertools.product(*graph.times[1:]):
+            timing = time_route(route, inst, dispatch, starts)
+            if timing.violations or any(
+                    stop.arrival > stop.service_start + TIME_EPS
+                    for stop in timing.stops):
+                continue
+            best = min(best, objective_value(
+                objective, RoutingSolution((route,), dispatch, (timing,)),
+                inst, weights))
+        sched = optimize_schedule(route, inst, dispatch, m, weights,
+                                  objective)
+        assert objective_value(objective, retimed(sched, inst), inst,
+                               weights) == best, objective
 
 
 def test_one_traversal_per_driven_leg(monkeypatch):
@@ -351,7 +386,8 @@ def test_schedule_solution_keeps_empty_routes():
     rng = random.Random(31)
     inst = random_instance(rng, 3)
     prop = propagate_schedule(((2, 1, 3), ()), inst, 0.0)
-    timed, scheds = schedule_solution(prop, inst, 3, objective="tti")
+    timed, scheds = schedule_solution(prop, inst, 3, objective="tti",
+                                      memo={})
     assert len(timed.timings) == 2 and len(scheds) == 1
     assert timed.timings[1].stops == ()
     assert timed.timings[1].return_arrival == 0.0
@@ -362,7 +398,7 @@ def test_schedule_solution_retimes_each_memo_route_once(monkeypatch):
     rng = random.Random(31)
     inst = random_instance(rng, 3)
     prop = propagate_schedule(((2, 1), (3,)), inst, 0.0)
-    fresh = schedule_solution(prop, inst, 3, objective="tti")
+    fresh = schedule_solution(prop, inst, 3, objective="tti", memo={})
     memo = {(2, 1): RouteRecord(prop.timings[0])}  # route (3,) has no record
     calls = []
     real = phase2.optimize_schedule
@@ -437,7 +473,8 @@ def test_one_walk_times_immediate_and_retimed_routes(data, which, dispatch,
     assert_walk_recorded(route, time_route(route, inst, dispatch, moved),
                          inst, dispatch)
     try:
-        timed, (sched,) = schedule_solution(prop, inst, m, None, objective)
+        timed, (sched,) = schedule_solution(prop, inst, m, None, objective,
+                                            memo={})
     except ScheduleInfeasibleError:
         # the immediate schedule is always a path of the graph
         assert immediate.violations
@@ -478,7 +515,7 @@ def test_schedule_argument_errors():
     with pytest.raises(ScheduleError):
         optimize_schedule((1,), inst, 0.0, m=2, objective="speed")
     with pytest.raises(SolutionError):
-        schedule_solution(RoutingSolution(((1,),)), inst, 2)
+        schedule_solution(RoutingSolution(((1,),)), inst, 2, memo={})
     with pytest.raises(MissingArcError):
         optimize_schedule((1, 1), inst, 0.0, m=2)
 
