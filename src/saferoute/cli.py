@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .instances import (
@@ -118,12 +118,8 @@ def load_any_instance(path: str) -> Instance:
 
 
 def _read_config_file(path: str) -> dict:
-    scalar_keys = {
-        "max_outer_iterations", "initial_temperature", "final_temperature",
-        "iterations_per_temperature", "population_size", "seed", "m",
-        "objective",
-    }
-    weight_keys = {"w_crash", "w_tti", "crash_scale"}
+    config_keys = {f.name for f in fields(SolverConfig)}
+    weight_keys = {f.name for f in fields(ObjectiveWeights)}
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -132,7 +128,7 @@ def _read_config_file(path: str) -> dict:
         raise InputError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("config must be a JSON object")
-    unknown = sorted(set(data) - scalar_keys - {"weights"})
+    unknown = sorted(set(data) - config_keys)
     if unknown:
         raise InputError(f"unknown config keys: {', '.join(unknown)}")
     kwargs = dict(data)

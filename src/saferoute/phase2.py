@@ -68,11 +68,6 @@ class ScheduleGraph:
     (prev_index, cost) pairs.
     """
 
-    route: tuple[int, ...]
-    node_ids: tuple[int, ...]
-    dispatch: float
-    m: int
-    objective: str
     times: tuple[tuple[float, ...], ...]
     edges: tuple[tuple[tuple[int, int, float], ...], ...]
     sink_edges: tuple[tuple[int, float], ...]
@@ -189,8 +184,7 @@ def build_schedule_graph(route: tuple[int, ...], instance: Instance,
         raise ScheduleInfeasibleError(
             f"no schedule returns to the depot by hour {horizon:.6f}")
 
-    return ScheduleGraph(tuple(route), node_ids, dispatch, m, objective,
-                         tuple(times), tuple(edges), tuple(sink))
+    return ScheduleGraph(tuple(times), tuple(edges), tuple(sink))
 
 
 @dataclass(frozen=True)

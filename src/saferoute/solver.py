@@ -21,8 +21,12 @@ Construction divides the plane around the depot into one slice per
 vehicle, halves each slice, serves the first half outward and the
 second half inward, polishes each route with 2-opt and spills capacity
 overflow to the next vehicle.  When time windows break the geometric
-order, a deterministic repair pulls out the offending visits and
-re-inserts each at its cheapest feasible position.
+order, a deterministic repair pulls out the offending visits,
+re-inserts each at its cheapest feasible position, and polishes the
+result with cross-route relocations and feasible 2-opt.  Construction,
+repair and polish share one insertion search and one 2-opt: the
+insertion search audits a trial route only when it would become the
+new best, and polish's 2-opt keeps only reversals that pass the audit.
 
 Annealing uses six neighborhood families (relocation including depot
 pass-through edits, swaps, 2-opt, 3-opt, segment reversal, route
@@ -36,6 +40,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .model import Instance, MissingArcError, ensure_augmented
@@ -117,7 +122,11 @@ def acceptance(delta_f: float, temperature: float, rng: random.Random) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Construction
+# Construction, repair and polish
+
+#: A local-search step counts only when it shortens the distance by
+#: more than this, so rounding noise never makes it cycle.
+_SHORTER = 1e-9
 
 
 def _arc_distance(instance: Instance, tail: int, head: int) -> float:
@@ -137,23 +146,25 @@ def _route_load(instance: Instance, route: list[int]) -> float:
     return sum(instance.node(n).demand for n in route)
 
 
-def _two_opt_pass(instance: Instance, route: list[int]) -> list[int]:
-    """First-improvement 2-opt until no reversal shortens the path."""
+def _two_opt_pass(instance: Instance, route: list[int],
+                  keep: Callable[[list[int]], bool]) -> list[int]:
+    """First-improvement 2-opt until no reversal shortens the path.
+
+    A reversal counts when it shortens the path by more than
+    ``_SHORTER`` and ``keep`` accepts the reversed route.
+    """
     best = list(route)
-    improved = True
-    while improved:
-        improved = False
+    while True:
         base = _route_distance(instance, best)
-        for i in range(len(best) - 1):
-            for j in range(i + 1, len(best)):
-                cand = best[:i] + best[i:j + 1][::-1] + best[j + 1:]
-                if _route_distance(instance, cand) < base - 1e-12:
-                    best = cand
-                    improved = True
-                    break
-            if improved:
-                break
-    return best
+        n = len(best)
+        trials = (best[:i] + best[i:j + 1][::-1] + best[j + 1:]
+                  for i in range(n - 1) for j in range(i + 1, n))
+        shorter = next((t for t in trials
+                        if _route_distance(instance, t) < base - _SHORTER
+                        and keep(t)), None)
+        if shorter is None:
+            return best
+        best = shorter
 
 
 def initial_solution(instance: Instance) -> RoutingSolution:
@@ -203,7 +214,7 @@ def initial_solution(instance: Instance) -> RoutingSolution:
                 load += demand
             else:
                 carry.append(c)
-        routes.append(_two_opt_pass(instance, kept))
+        routes.append(_two_opt_pass(instance, kept, lambda _: True))
     for c in carry:
         # full sweep done and still homeless: squeeze into the least
         # loaded route (repair or search will sort out any overflow)
@@ -240,12 +251,40 @@ def _route_violations(route: list[int], instance: Instance,
     return depot_copy_violations(route, instance) + timed.timings[0].violations
 
 
+def _cheapest_insertion(routes: list[list[int]], c: int, instance: Instance,
+                        dispatch: float, skip: int = -1,
+                        below: float = math.inf) -> tuple | None:
+    """Cheapest feasible ``(delta, route, position)`` for customer c, or None.
+
+    Scans every position of every route except ``skip`` that has room
+    for c.  A position becomes the best when its distance growth
+    ``delta`` undercuts ``below`` (or, once there is a best, the best's
+    growth) by more than ``_SHORTER`` and its trial route passes the
+    one-route audit; only such a would-be best is audited.
+    """
+    demand = instance.node(c).demand
+    capacity = instance.fleet.capacity
+    best = None
+    for ri, r in enumerate(routes):
+        if ri == skip or \
+                _route_load(instance, r) + demand > capacity + TIME_EPS:
+            continue
+        for pos in range(len(r) + 1):
+            delta = _insertion_delta(instance, r, pos, c)
+            if delta < (below if best is None else best[0]) - _SHORTER \
+                    and not _route_violations(r[:pos] + [c] + r[pos:],
+                                              instance, dispatch):
+                best = (delta, ri, pos)
+    return best
+
+
 def make_feasible(solution: RoutingSolution, instance: Instance,
                   dispatch: float) -> RoutingSolution | None:
     """Deterministic repair: eject violating visits, re-insert cheapest.
 
     Ejection removes window and horizon offenders (and trims capacity
-    overflow, heaviest first); every ejected customer is then re-added,
+    overflow, heaviest first); pass-through vertices and depot copies
+    are dropped outright.  Every ejected customer is then re-added,
     earliest window first, at the feasible position that increases
     total distance least.  Returns None when some customer fits
     nowhere.
@@ -255,14 +294,15 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
 
     def pending() -> list[Violation] | None:
         """Violations left, or None when a route still needs a missing arc
-        after its pass-through vertices are shed."""
+        after everything but its customers is shed."""
         try:
             timed = propagate_schedule(tuple(tuple(r) for r in routes),
                                        instance, dispatch)
         except MissingArcError:
-            # pass-through vertices are optional; shed them and retry
+            # pass-through vertices are optional and depot copies
+            # forbidden; shed them and retry
             for r in routes:
-                r[:] = [n for n in r if not instance.is_dummy(n)]
+                r[:] = [n for n in r if instance.is_customer(n)]
             try:
                 timed = propagate_schedule(tuple(tuple(r) for r in routes),
                                            instance, dispatch)
@@ -280,32 +320,26 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
             break
         ejected = False
         for v in violations:
-            if v.node is not None and instance.is_dummy(v.node):
-                for r in routes:
-                    if v.node in r:
-                        r.remove(v.node)  # optional detour, drop outright
-                        ejected = True
-                        break
-            elif v.node is not None:
+            if v.node is not None:
                 for r in routes:
                     if v.node in r:
                         r.remove(v.node)
-                        out.add(v.node)
+                        if instance.is_customer(v.node):
+                            out.add(v.node)
                         ejected = True
                         break
-            elif v.constraint == "capacity" and v.vehicle is not None:
+            elif v.constraint == "capacity":
                 carried = [c for c in routes[v.vehicle]
-                           if not instance.is_dummy(c)]
+                           if instance.is_customer(c)]
                 if carried:
                     heaviest = max(carried,
                                    key=lambda c: instance.node(c).demand)
                     routes[v.vehicle].remove(heaviest)
                     out.add(heaviest)
                     ejected = True
-            elif v.vehicle is not None and v.vehicle >= 0 \
-                    and routes[v.vehicle]:
+            elif v.vehicle >= 0 and routes[v.vehicle]:
                 tail = routes[v.vehicle].pop()
-                if not instance.is_dummy(tail):
+                if instance.is_customer(tail):
                     out.add(tail)
                 ejected = True
         if not ejected:
@@ -313,20 +347,8 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
     if pending() != []:  # None or violations left
         return None
 
-    capacity = instance.fleet.capacity
     for c in sorted(out, key=lambda c: (instance.node(c).window_open, c)):
-        demand = instance.node(c).demand
-        best = None
-        for ri, r in enumerate(routes):
-            if _route_load(instance, r) + demand > capacity + TIME_EPS:
-                continue
-            for pos in range(len(r) + 1):
-                if _route_violations(r[:pos] + [c] + r[pos:], instance,
-                                     dispatch):
-                    continue
-                delta = _insertion_delta(instance, r, pos, c)
-                if best is None or delta < best[0] - 1e-12:
-                    best = (delta, ri, pos)
+        best = _cheapest_insertion(routes, c, instance, dispatch)
         if best is None:
             return None
         routes[best[1]].insert(best[2], c)
@@ -343,61 +365,29 @@ def _polish(routes: list[list[int]], instance: Instance,
     Removing a visit only moves later arrivals earlier, so the donor
     route needs no recheck; the receiving route is revalidated.
     """
-    capacity = instance.fleet.capacity
+    def feasible(route: list[int]) -> bool:
+        return not _route_violations(route, instance, dispatch)
+
     customers = sorted(c for r in routes for c in r
                        if not instance.is_dummy(c))
     for _ in range(50):
         improved = False
-        # re-summed after each relocation, in route order, so the sums
-        # match a fresh sum bit for bit
-        loads = [_route_load(instance, r) for r in routes]
         for c in customers:
             ri = next(k for k, r in enumerate(routes) if c in r)
             r = routes[ri]
             i = r.index(c)
-            prev = r[i - 1] if i > 0 else 0
-            nxt = r[i + 1] if i + 1 < len(r) else instance.terminal_id
-            saving = (_arc_distance(instance, prev, c)
-                      + _arc_distance(instance, c, nxt)
-                      - (_arc_distance(instance, prev, nxt)
-                         if len(r) > 1 else 0.0))
-            demand = instance.node(c).demand
-            best = None
-            for rj, other in enumerate(routes):
-                if rj == ri:
-                    continue
-                if loads[rj] + demand > capacity + TIME_EPS:
-                    continue
-                for pos in range(len(other) + 1):
-                    delta = _insertion_delta(instance, other, pos, c) - saving
-                    if delta < -1e-9 and (best is None or delta < best[0]) \
-                            and not _route_violations(
-                                other[:pos] + [c] + other[pos:],
-                                instance, dispatch):
-                        best = (delta, rj, pos)
+            saving = _insertion_delta(instance, r[:i] + r[i + 1:], i, c)
+            best = _cheapest_insertion(routes, c, instance, dispatch,
+                                       skip=ri, below=saving)
             if best is not None:
                 r.remove(c)
                 routes[best[1]].insert(best[2], c)
-                loads[ri] = _route_load(instance, r)
-                loads[best[1]] = _route_load(instance, routes[best[1]])
                 improved = True
         for r in routes:
-            hunting = True
-            while hunting:
-                hunting = False
-                current = _route_distance(instance, r)
-                for i in range(len(r) - 1):
-                    for j in range(i + 1, len(r)):
-                        trial = r[:i] + r[i:j + 1][::-1] + r[j + 1:]
-                        if _route_distance(instance, trial) \
-                                < current - 1e-9 \
-                                and not _route_violations(trial, instance,
-                                                          dispatch):
-                            r[:] = trial
-                            improved = hunting = True
-                            break
-                    if hunting:
-                        break
+            shorter = _two_opt_pass(instance, r, feasible)
+            if shorter != r:
+                r[:] = shorter
+                improved = True
         if not improved:
             break
 
@@ -583,15 +573,15 @@ class SolveResult:
 
 def evaluate(routes: RoutingSolution | tuple, instance: Instance,
              config: SolverConfig, dispatch: float,
-             weights: ObjectiveWeights, force_schedule: bool = False,
+             weights: ObjectiveWeights,
              memo: dict[tuple[int, ...], RouteRecord] | None = None,
              ) -> Evaluation:
     """Time, filter and score one candidate.
 
     Infeasible candidates come back with an infinite value.  The
-    schedule phase runs on every feasible candidate; the distance
-    objective skips it (re-timing cannot change distance) except when
-    the caller forces it for reporting.
+    schedule phase runs on every feasible candidate, except under the
+    distance objective: re-timing cannot change distance, so ``solve``
+    re-times only its final distance incumbent, for reporting.
 
     ``memo`` is the calling solve's route memo (``phase2.RouteRecord``
     per route), shared only by calls with the same instance, dispatch,
@@ -618,7 +608,7 @@ def evaluate(routes: RoutingSolution | tuple, instance: Instance,
     if check_feasibility(timed, instance):
         return Evaluation(timed, (), math.inf, False)
     schedules: tuple[Schedule, ...] = ()
-    if config.objective != "distance" or force_schedule:
+    if config.objective != "distance":
         try:
             timed, schedules = schedule_solution(
                 timed, instance, config.m, weights, config.objective,
@@ -669,11 +659,11 @@ def solve(instance: Instance, config: SolverConfig | None = None,
     evaluations = 0
     memo: dict[tuple[int, ...], RouteRecord] = {}
 
-    def score(candidate, force_schedule=False) -> Evaluation:
+    def score(candidate) -> Evaluation:
         nonlocal evaluations
         evaluations += 1
         return evaluate(candidate, instance, config, dispatch, weights,
-                        force_schedule, memo=memo)
+                        memo=memo)
 
     first = score(start)
     if not first.feasible:
@@ -711,12 +701,17 @@ def solve(instance: Instance, config: SolverConfig | None = None,
                 best = pool[0]
             history.append(best.value)
 
-    if best.feasible and not best.schedules:
-        final = evaluate(best.solution.routes, instance, config, dispatch,
-                         weights, force_schedule=True, memo=memo)
-        if final.feasible:
-            best = final
+    solution, schedules = best.solution, best.schedules
+    if best.feasible and not schedules:
+        # a distance incumbent is retimed once, for its reported
+        # schedules; retiming cannot change its distance
+        try:
+            solution, schedules = schedule_solution(
+                solution, instance, config.m, weights, config.objective,
+                memo=memo)
+        except ScheduleInfeasibleError:
+            pass
 
-    return SolveResult(best.solution, best.schedules, best.value,
+    return SolveResult(solution, schedules, best.value,
                        config.objective, best.feasible, evaluations,
                        tuple(history), time.perf_counter() - started)

@@ -15,6 +15,7 @@ from saferoute.model import (
     travel_time,
 )
 from saferoute.phase1 import TIME_EPS, Violation
+from saferoute.solver import _SHORTER, _insertion_delta, _route_violations
 
 
 def build_instance(
@@ -133,3 +134,29 @@ def reference_audit(route: tuple[int, ...], timing, instance: Instance,
             "horizon", 0, None,
             f"returns at {timing.return_arrival:.6f} past {horizon:.6f}"))
     return tuple(violations)
+
+
+def reference_insertion(routes: list[list[int]], c: int, instance: Instance,
+                        dispatch: float, skip: int = -1,
+                        below: float = math.inf) -> tuple | None:
+    """Cheapest feasible insertion of c by a scan that audits every trial.
+
+    Each position of each route except ``skip`` with room for c is
+    audited first and compared after, by the rule of
+    ``solver._cheapest_insertion``: a feasible trial wins when its
+    distance growth undercuts ``below``, then the best so far, by more
+    than ``_SHORTER``.  Returns ``(delta, route, position)`` or None.
+    """
+    demand = instance.node(c).demand
+    best = None
+    for ri, r in enumerate(routes):
+        load = sum(instance.node(n).demand for n in r)
+        if ri == skip or load + demand > instance.fleet.capacity + TIME_EPS:
+            continue
+        for pos in range(len(r) + 1):
+            if _route_violations(r[:pos] + [c] + r[pos:], instance, dispatch):
+                continue
+            delta = _insertion_delta(instance, r, pos, c)
+            if delta < (below if best is None else best[0]) - _SHORTER:
+                best = (delta, ri, pos)
+    return best

@@ -159,9 +159,11 @@ def test_edges_match_recomputation_from_primitives():
     rng = random.Random(3)
     inst = random_instance(rng, 3)
     weights = ObjectiveWeights(0.5, 0.5).resolved(inst)
-    graph = build_schedule_graph((2, 1, 3), inst, 1.5, m=5, weights=weights)
+    route = (2, 1, 3)
+    graph = build_schedule_graph(route, inst, 1.5, m=5, weights=weights)
+    node_ids = (0, *route, inst.terminal_id)
     for pos in range(1, len(graph.times)):
-        tail, head = graph.node_ids[pos - 1], graph.node_ids[pos]
+        tail, head = node_ids[pos - 1], node_ids[pos]
         service = inst.node(tail).service_time
         arc = inst.arc(tail, head)
         expected = set()

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -28,6 +29,8 @@ from saferoute.phase1 import (
     objective_value,
     propagate_schedule,
 )
+from saferoute.phase2 import schedule_solution
+from saferoute import solver
 from saferoute.solver import (
     MOVE_KINDS,
     Move,
@@ -39,12 +42,18 @@ from saferoute.solver import (
     evaluate,
     initial_solution,
     make_feasible,
+    _cheapest_insertion,
+    _insertion_delta,
     _route_violations,
     sample_move,
     solve,
 )
 
-from helpers import build_augmented, no_return_from_first
+from helpers import (
+    build_augmented,
+    no_return_from_first,
+    reference_insertion,
+)
 
 
 def random_customers(rng, n):
@@ -185,6 +194,16 @@ def test_make_feasible_keeps_feasible_input_feasible():
     assert not check_feasibility(propagate_schedule(fixed, inst, 0.0), inst)
 
 
+@pytest.mark.parametrize("copy", ["depot", "terminal"])
+def test_make_feasible_drops_a_depot_copy(copy):
+    # the copy is no customer to re-insert: it goes, as a pass-through
+    # vertex would, and the two customers stay where they were
+    inst = build_augmented([{"x": 1}, {"x": 2}], m=0)
+    inside = 0 if copy == "depot" else inst.terminal_id
+    fixed = make_feasible(RoutingSolution(((1, inside, 2), ())), inst, 0.0)
+    assert fixed is not None and fixed.routes == ((1, 2), ())
+
+
 @lru_cache(maxsize=None)
 def audit_instance(name):
     if name == "R101":
@@ -211,6 +230,55 @@ def test_route_check_matches_whole_audit(data, name, dispatch):
     expected = tuple(v for v in check_feasibility(timed, inst)
                      if v.constraint != "visit-count")
     assert _route_violations(route, inst, dispatch) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), name=st.sampled_from(["R101", "RND25"]),
+       dispatch=st.sampled_from([0.0, 7.0, 12.0, 17.0]),
+       polish=st.booleans())
+def test_cheapest_insertion_matches_reference_scan(data, name, dispatch,
+                                                    polish):
+    # auditing only a trial that would win finds what auditing every
+    # trial finds, in repair mode and in polish mode
+    inst = audit_instance(name)
+    visits = data.draw(st.lists(st.sampled_from(inst.customers()),
+                                min_size=2, max_size=14, unique=True))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(visits)),
+                                     min_size=1, max_size=4)))
+    bounds = [0, *cuts, len(visits)]
+    routes = [visits[a:b] for a, b in zip(bounds, bounds[1:])]
+    if data.draw(st.booleans()):  # window order makes more trials feasible
+        routes = [sorted(r, key=lambda n: inst.node(n).window_close)
+                  for r in routes]
+    if polish:
+        ri = next(k for k, r in enumerate(routes) if r)
+        c = routes[ri][data.draw(st.integers(0, len(routes[ri]) - 1))]
+        i = routes[ri].index(c)
+        options = dict(skip=ri, below=_insertion_delta(
+            inst, routes[ri][:i] + routes[ri][i + 1:], i, c))
+    else:
+        c = routes[-1].pop() if routes[-1] else visits[0]
+        routes = [[n for n in r if n != c] for r in routes]
+        options = {}
+    assert _cheapest_insertion(routes, c, inst, dispatch, **options) \
+        == reference_insertion(routes, c, inst, dispatch, **options)
+
+
+def test_r101_solve_audits_only_winning_trials(monkeypatch):
+    # the scan that audited every trial position made 9,122 one-route
+    # audits in this solve
+    calls = Counter()
+    audit = solver._route_violations
+
+    def counted(*args):
+        calls["audit"] += 1
+        return audit(*args)
+
+    monkeypatch.setattr(solver, "_route_violations", counted)
+    res = solve(ensure_augmented(load_solomon("R101")),
+                SolverConfig(objective="distance", seed=0), 0.0)
+    assert res.value == 1846.1684329678744
+    assert 0 < calls["audit"] < 9122
 
 
 def test_r101_distance_pinned():
@@ -329,9 +397,6 @@ def test_evaluate_skips_scheduling_for_distance():
     out = evaluate(((1, 2), ()), inst, cfg, 0.0,
                    cfg.weights.resolved(inst))
     assert out.feasible and out.schedules == ()
-    forced = evaluate(((1, 2), ()), inst, cfg, 0.0,
-                      cfg.weights.resolved(inst), force_schedule=True)
-    assert forced.schedules and forced.value == out.value
 
 
 def test_evaluate_rejects_window_violation():
@@ -361,7 +426,9 @@ def memo_instance(name):
 
 def memo_walk(name, dispatch, objective, walk_seed, steps=30):
     """Evaluate a random walk of moves with one shared route memo and
-    again with none; returns the pairs of evaluations."""
+    again with none; returns the pairs of evaluations.  On about a
+    quarter of the steps a feasible pair is also re-timed as ``solve``
+    re-times its final incumbent, with the shared memo and without."""
     inst = memo_instance(name)
     cfg = SolverConfig(objective=objective)
     weights = cfg.weights.resolved(inst)
@@ -369,12 +436,20 @@ def memo_walk(name, dispatch, objective, walk_seed, steps=30):
     memo = {}
     solution = initial_solution(inst)
     pairs = []
+
+    def retimed(evaluation, route_memo):
+        timed, schedules = schedule_solution(
+            evaluation.solution, inst, cfg.m, weights, objective,
+            memo=route_memo)
+        return replace(evaluation, solution=timed, schedules=schedules)
+
     for _ in range(steps):
         force = rng.random() < 0.25
-        pairs.append((evaluate(solution, inst, cfg, dispatch, weights, force,
-                               memo=memo),
-                      evaluate(solution, inst, cfg, dispatch, weights,
-                               force)))
+        shared = evaluate(solution, inst, cfg, dispatch, weights, memo=memo)
+        alone = evaluate(solution, inst, cfg, dispatch, weights)
+        if force and shared.feasible:
+            shared, alone = retimed(shared, memo), retimed(alone, {})
+        pairs.append((shared, alone))
         solution = apply_move(solution, sample_move(solution, inst, rng))
     return pairs
 
