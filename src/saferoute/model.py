@@ -228,6 +228,11 @@ class Instance:
     def _customer_set(self) -> frozenset[int]:
         return frozenset(self._customer_ids)
 
+    @cached_property
+    def arc_lengths(self) -> dict[tuple[int, int], float]:
+        """Length of every arc by (tail, head), built on first use."""
+        return {key: arc.distance for key, arc in self.arcs.items()}
+
     def customers(self) -> tuple[int, ...]:
         """Ids of demand vertices (excludes depot and its duplicates)."""
         return self._customer_ids

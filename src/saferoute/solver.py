@@ -26,7 +26,23 @@ re-inserts each at its cheapest feasible position, and polishes the
 result with cross-route relocations and feasible 2-opt.  Construction,
 repair and polish share one insertion search and one 2-opt: the
 insertion search audits a trial route only when it would become the
-new best, and polish's 2-opt keeps only reversals that pass the audit.
+new best and an O(1) pre-check lets it fit, and polish's 2-opt keeps
+only reversals that pass the audit.
+
+The pre-check reads a summary of the route it inserts into: the
+immediate departures, the load, and each stop's latest service start,
+computed backward from the window close, the horizon less the service
+and the fastest return, and the next stop's latest start less the
+service and the fastest drive there (Savelsbergh 1992, in the
+time-dependent form of Donati et al. 2008).  "Fastest" is the arc's
+length over its highest hourly speed; under FIFO no departure drives
+the arc faster, so for time-dependent profiles the latest starts are a
+relaxation, and for constant ones they are exact.  Every comparison
+carries a margin far above the audit's ``TIME_EPS``, so the pre-check
+never turns down a trial that the audit would accept, and the audit
+stays the only judge of feasibility: the search finds exactly what an
+audit of every would-be best finds.  A repair keeps its summaries in
+one dict keyed by route, so an edited route simply gets a new entry.
 
 Annealing uses six neighborhood families (relocation including depot
 pass-through edits, swaps, 2-opt, 3-opt, segment reversal, route
@@ -43,7 +59,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .model import Instance, MissingArcError, ensure_augmented
+from .model import Arc, Instance, MissingArcError, ensure_augmented, travel_time
 from .phase1 import (
     OBJECTIVES,
     TIME_EPS,
@@ -54,6 +70,7 @@ from .phase1 import (
     depot_copy_violations,
     objective_value,
     propagate_schedule,
+    time_route,
 )
 from .phase2 import (
     RouteRecord,
@@ -131,8 +148,7 @@ _SHORTER = 1e-9
 
 def _arc_distance(instance: Instance, tail: int, head: int) -> float:
     """Arc length, infinite for a missing arc so it is never preferred."""
-    arc = instance.arcs.get((tail, head))
-    return math.inf if arc is None else arc.distance
+    return instance.arc_lengths.get((tail, head), math.inf)
 
 
 def _route_distance(instance: Instance, route: list[int]) -> float:
@@ -226,11 +242,12 @@ def initial_solution(instance: Instance) -> RoutingSolution:
 def _insertion_delta(instance: Instance, route: list[int], pos: int,
                      c: int) -> float:
     """Distance growth from inserting c at pos of the depot-closed path."""
+    length = instance.arc_lengths.get
     prev = route[pos - 1] if pos > 0 else 0
     nxt = route[pos] if pos < len(route) else instance.terminal_id
-    added = _arc_distance(instance, prev, c) + _arc_distance(instance, c, nxt)
+    added = length((prev, c), math.inf) + length((c, nxt), math.inf)
     if route:
-        added -= _arc_distance(instance, prev, nxt)
+        added -= length((prev, nxt), math.inf)
     return added
 
 
@@ -251,27 +268,124 @@ def _route_violations(route: list[int], instance: Instance,
     return depot_copy_violations(route, instance) + timed.timings[0].violations
 
 
+#: Margin on every time comparison of the insertion pre-check, far above
+#: the audit's ``TIME_EPS`` and the rounding of the backward pass.
+_FIT_MARGIN = 1e-6
+
+
+@dataclass(frozen=True)
+class _RouteSummary:
+    """What the insertion pre-check reads of one route.
+
+    ``departures[k]`` is the immediate departure just before stop ``k``
+    (the depot's first) and ``latest[k]`` the latest service start at
+    stop ``k`` that leaves the rest of the route a chance to pass the
+    audit; both are None when the route drives a missing arc.
+    """
+
+    load: float
+    departures: tuple[float, ...] | None
+    latest: tuple[float, ...] | None
+
+
+def _fastest(arc: Arc | None) -> float:
+    """Hours the arc takes at its highest hourly speed, a lower bound."""
+    return math.inf if arc is None else arc.distance / max(arc.speed.values)
+
+
+def _summarise(route: tuple[int, ...], instance: Instance,
+               dispatch: float) -> _RouteSummary:
+    """One timing walk of ``route`` plus a backward pass of latest starts."""
+    load = _route_load(instance, route)
+    try:
+        timing = time_route(route, instance, dispatch)
+    except MissingArcError:
+        return _RouteSummary(load, None, None)
+    horizon = dispatch + instance.latest_time
+    latest = [0.0] * len(route)
+    leave_by = math.inf  # latest departure that reaches the next stop in time
+    for k in reversed(range(len(route))):
+        node = instance.node(route[k])
+        home = 0.0 if instance.is_dummy(node.id) else _fastest(
+            instance.arcs.get((node.id, instance.terminal_id)))
+        latest[k] = min(dispatch + node.window_close,
+                        min(horizon - home, leave_by) - node.service_time)
+        if k:
+            leave_by = latest[k] - _fastest(
+                instance.arcs.get((route[k - 1], node.id)))
+    return _RouteSummary(load, (dispatch, *(s.departure for s in timing.stops)),
+                         tuple(latest))
+
+
+def _may_fit(summary: _RouteSummary, route: list[int], pos: int, c: int,
+             instance: Instance, dispatch: float) -> bool:
+    """O(1) necessary condition for c at ``pos`` to pass the audit.
+
+    Serving c right after the departure before ``pos`` must start
+    within c's window, leave time to regain the depot within the
+    horizon, and reach the old stop ``pos`` by its latest start.  A
+    missing arc defers to the audit.
+    """
+    if summary.departures is None:
+        return True
+    prev = route[pos - 1] if pos > 0 else 0
+    nxt = route[pos] if pos < len(route) else instance.terminal_id
+    into = instance.arcs.get((prev, c))
+    onward = instance.arcs.get((c, nxt))
+    home = instance.arcs.get((c, instance.terminal_id))
+    if into is None or onward is None or home is None:
+        return True
+    node = instance.node(c)
+    depart = summary.departures[pos]
+    start = max(depart + travel_time(into, depart),
+                dispatch + node.window_open)
+    leave = start + node.service_time
+    return (start <= dispatch + node.window_close + _FIT_MARGIN
+            and leave + travel_time(home, leave)
+            <= dispatch + instance.latest_time + _FIT_MARGIN
+            and (pos == len(route) or leave + travel_time(onward, leave)
+                 <= summary.latest[pos] + _FIT_MARGIN))
+
+
 def _cheapest_insertion(routes: list[list[int]], c: int, instance: Instance,
                         dispatch: float, skip: int = -1,
-                        below: float = math.inf) -> tuple | None:
+                        below: float = math.inf,
+                        summaries: dict[tuple[int, ...], _RouteSummary]
+                        | None = None) -> tuple | None:
     """Cheapest feasible ``(delta, route, position)`` for customer c, or None.
 
     Scans every position of every route except ``skip`` that has room
     for c.  A position becomes the best when its distance growth
     ``delta`` undercuts ``below`` (or, once there is a best, the best's
     growth) by more than ``_SHORTER`` and its trial route passes the
-    one-route audit; only such a would-be best is audited.
+    one-route audit.  Only such a would-be best is audited, and only
+    when ``_may_fit`` lets it: c's own start within its window close
+    and its return within the horizon, then the arrival at the stop
+    after it within that stop's latest start.  Each test adds
+    ``_FIT_MARGIN`` to its bound.  Under FIFO a feasible trial meets
+    them all: c's start and return are the very values the audit
+    compares, and no drive beats the fastest time the latest starts
+    subtract.  So the pre-check changes what is audited, never what is
+    found.  ``summaries`` holds each route's ``_summarise`` by route,
+    for reuse across calls on the same instance and dispatch.
     """
+    summaries = {} if summaries is None else summaries
     demand = instance.node(c).demand
     capacity = instance.fleet.capacity
     best = None
     for ri, r in enumerate(routes):
-        if ri == skip or \
-                _route_load(instance, r) + demand > capacity + TIME_EPS:
+        if ri == skip:
+            continue
+        key = tuple(r)
+        summary = summaries.get(key)
+        if summary is None:
+            summary = summaries[key] = _summarise(key, instance, dispatch)
+        if summary.load + demand > capacity + TIME_EPS:
             continue
         for pos in range(len(r) + 1):
             delta = _insertion_delta(instance, r, pos, c)
             if delta < (below if best is None else best[0]) - _SHORTER \
+                    and _may_fit(summary, r, pos, c, instance, dispatch) \
                     and not _route_violations(r[:pos] + [c] + r[pos:],
                                               instance, dispatch):
                 best = (delta, ri, pos)
@@ -282,15 +396,24 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
                   dispatch: float) -> RoutingSolution | None:
     """Deterministic repair: eject violating visits, re-insert cheapest.
 
-    Ejection removes window and horizon offenders (and trims capacity
-    overflow, heaviest first); pass-through vertices and depot copies
-    are dropped outright.  Every ejected customer is then re-added,
-    earliest window first, at the feasible position that increases
-    total distance least.  Returns None when some customer fits
-    nowhere.
+    A customer's surplus copies go first, and a customer served nowhere
+    counts as ejected.  Ejection then removes window and horizon
+    offenders (and trims capacity overflow, heaviest first);
+    pass-through vertices and depot copies are dropped outright.  Every
+    ejected customer is then re-added, earliest window first, at the
+    feasible position that increases total distance least.  Returns
+    None when some customer fits nowhere.
     """
-    routes = [list(r) for r in solution.routes]
-    out: set[int] = set()
+    routes: list[list[int]] = [[] for _ in solution.routes]
+    served: set[int] = set()
+    for r, route in zip(routes, solution.routes):
+        for n in route:
+            if instance.is_customer(n):
+                if n in served:
+                    continue  # a surplus copy
+                served.add(n)
+            r.append(n)
+    out = set(instance.customers()) - served
 
     def pending() -> list[Violation] | None:
         """Violations left, or None when a route still needs a missing arc
@@ -347,17 +470,19 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
     if pending() != []:  # None or violations left
         return None
 
+    summaries: dict[tuple[int, ...], _RouteSummary] = {}
     for c in sorted(out, key=lambda c: (instance.node(c).window_open, c)):
-        best = _cheapest_insertion(routes, c, instance, dispatch)
+        best = _cheapest_insertion(routes, c, instance, dispatch,
+                                   summaries=summaries)
         if best is None:
             return None
         routes[best[1]].insert(best[2], c)
-    _polish(routes, instance, dispatch)
+    _polish(routes, instance, dispatch, summaries)
     return RoutingSolution(tuple(tuple(r) for r in routes))
 
 
-def _polish(routes: list[list[int]], instance: Instance,
-            dispatch: float) -> None:
+def _polish(routes: list[list[int]], instance: Instance, dispatch: float,
+            summaries: dict[tuple[int, ...], _RouteSummary]) -> None:
     """Deterministic mileage cleanup of a feasible set of routes.
 
     Alternates single-customer relocations with within-route feasible
@@ -378,7 +503,8 @@ def _polish(routes: list[list[int]], instance: Instance,
             i = r.index(c)
             saving = _insertion_delta(instance, r[:i] + r[i + 1:], i, c)
             best = _cheapest_insertion(routes, c, instance, dispatch,
-                                       skip=ri, below=saving)
+                                       skip=ri, below=saving,
+                                       summaries=summaries)
             if best is not None:
                 r.remove(c)
                 routes[best[1]].insert(best[2], c)

@@ -24,10 +24,12 @@ from saferoute.instances import (
 from saferoute.model import MissingArcError, ensure_augmented
 from saferoute.phase1 import (
     OBJECTIVES,
+    TIME_EPS,
     RoutingSolution,
     check_feasibility,
     objective_value,
     propagate_schedule,
+    time_route,
 )
 from saferoute.phase2 import schedule_solution
 from saferoute import solver
@@ -204,10 +206,24 @@ def test_make_feasible_drops_a_depot_copy(copy):
     assert fixed is not None and fixed.routes == ((1, 2), ())
 
 
+@pytest.mark.parametrize("routes", [((1, 2, 1), ()), ((1, 2), (1,)),
+                                    ((1,), ())])
+def test_make_feasible_serves_each_customer_once(routes):
+    # a surplus copy goes, and a customer served nowhere is re-inserted
+    # like an ejected one
+    inst = build_augmented([{"x": 1}, {"x": 2}], m=0, fleet=(2, 100.0))
+    fixed = make_feasible(RoutingSolution(routes), inst, 0.0)
+    assert fixed is not None
+    assert not check_feasibility(propagate_schedule(fixed, inst, 0.0), inst)
+    assert Counter(n for r in fixed.routes for n in r) == Counter({1: 1, 2: 1})
+
+
 @lru_cache(maxsize=None)
 def audit_instance(name):
     if name == "R101":
         return ensure_augmented(load_solomon("R101"))
+    if name == "case":
+        return ensure_augmented(load_case_study(bundled_case_study_dir()))
     return ensure_augmented(generate_instance(25, seed=0))
 
 
@@ -264,9 +280,66 @@ def test_cheapest_insertion_matches_reference_scan(data, name, dispatch,
         == reference_insertion(routes, c, inst, dispatch, **options)
 
 
+def _tightened(inst, trial, pos, dispatch, what, pick):
+    """``inst`` with one bound of ``trial`` moved to half ``TIME_EPS``
+    inside the trial's immediate timing, which the audit still accepts:
+    the window close of a stop from ``pos`` on, or the horizon."""
+    try:
+        timing = time_route(tuple(trial), inst, dispatch)
+    except MissingArcError:
+        return inst
+    if what == "horizon":
+        return replace(inst, latest_time=timing.return_arrival - dispatch
+                       - TIME_EPS / 2)
+    stop = timing.stops[pos + pick % (len(trial) - pos)]
+    node = inst.node(stop.node)
+    close = max(node.window_open,
+                stop.service_start - dispatch - TIME_EPS / 2)
+    nodes = list(inst.nodes)
+    nodes[node.id] = replace(node, window_close=close)
+    return replace(inst, nodes=tuple(nodes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), name=st.sampled_from(["R101", "RND25", "case"]),
+       dispatch=st.sampled_from([0.0, 7.0, 12.0, 17.0]),
+       tighten=st.sampled_from([None, "window", "horizon"]))
+def test_fit_precheck_passes_every_trial_the_audit_accepts(data, name,
+                                                           dispatch, tighten):
+    # the pre-check is a necessary condition: it never turns down a
+    # trial route that passes the one-route audit, also when a window
+    # or the horizon sits within the audit's TIME_EPS of the trial
+    inst = audit_instance(name)
+    c = data.draw(st.sampled_from(inst.customers()))
+    visits = data.draw(st.lists(st.sampled_from(
+        [n for n in inst.customers() + inst.dummy_ids if n != c]),
+        max_size=12, unique=True))
+    if data.draw(st.booleans()):  # window order keeps more of a route
+        visits.sort(key=lambda n: inst.node(n).window_close)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(visits)),
+                                     max_size=3)))
+    bounds = [0, *cuts, len(visits)]
+    routes = []
+    for a, b in zip(bounds, bounds[1:]):
+        route = visits[a:b]
+        while route and _route_violations(route, inst, dispatch):
+            route.pop()  # a prefix of a feasible route is feasible
+        routes.append(route)
+    route = data.draw(st.sampled_from(routes))
+    pos = data.draw(st.integers(0, len(route)))
+    trial = route[:pos] + [c] + route[pos:]
+    if tighten is not None:
+        inst = _tightened(inst, trial, pos, dispatch, tighten,
+                          data.draw(st.integers(0, len(route))))
+    if not _route_violations(trial, inst, dispatch):
+        summary = solver._summarise(tuple(route), inst, dispatch)
+        assert solver._may_fit(summary, route, pos, c, inst, dispatch)
+
+
 def test_r101_solve_audits_only_winning_trials(monkeypatch):
     # the scan that audited every trial position made 9,122 one-route
-    # audits in this solve
+    # audits in this solve, and one that audited every would-be best
+    # made 6,249; the slack pre-check leaves 411
     calls = Counter()
     audit = solver._route_violations
 
@@ -278,7 +351,7 @@ def test_r101_solve_audits_only_winning_trials(monkeypatch):
     res = solve(ensure_augmented(load_solomon("R101")),
                 SolverConfig(objective="distance", seed=0), 0.0)
     assert res.value == 1846.1684329678744
-    assert 0 < calls["audit"] < 9122
+    assert 0 < calls["audit"] < 600
 
 
 def test_r101_distance_pinned():

@@ -20,6 +20,9 @@ the checkout to digest:
     PYTHONPATH=src python tools/result_digest.py
     PYTHONPATH=/path/to/other/checkout/src python tools/result_digest.py
 
+``--expect HEX`` turns the run into a check: it exits 1, printing the
+expected and the computed digest, when they differ.
+
 The matrix (150 solves, stdlib only):
 
 * the bundled case study at dispatch hours 0-23 under weighted, time,
@@ -94,6 +97,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--verbose", action="store_true",
                         help="also print one line per solve")
+    parser.add_argument("--expect", metavar="HEX",
+                        help="exit 1 unless the digest equals HEX")
     args = parser.parse_args(argv)
     digest = hashlib.sha256()
     count = 0
@@ -104,6 +109,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.verbose:
             print(label, hashlib.sha256(record.encode()).hexdigest()[:12])
     print(f"{digest.hexdigest()}  ({count} solves)")
+    if args.expect is not None and args.expect != digest.hexdigest():
+        print(f"mismatch: expected {args.expect}\n"
+              f"          computed {digest.hexdigest()}")
+        return 1
     return 0
 
 
