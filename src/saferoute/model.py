@@ -229,9 +229,12 @@ class Instance:
         return frozenset(self._customer_ids)
 
     @cached_property
-    def arc_lengths(self) -> dict[tuple[int, int], float]:
-        """Length of every arc by (tail, head), built on first use."""
-        return {key: arc.distance for key, arc in self.arcs.items()}
+    def length_matrix(self) -> list[list[float]]:
+        """``[tail][head]``: the arc's length, inf if missing; lazy."""
+        table = [[math.inf] * len(self.nodes) for _ in self.nodes]
+        for (tail, head), arc in self.arcs.items():
+            table[tail][head] = arc.distance
+        return table
 
     def customers(self) -> tuple[int, ...]:
         """Ids of demand vertices (excludes depot and its duplicates)."""

@@ -24,10 +24,12 @@ overflow to the next vehicle.  When time windows break the geometric
 order, a deterministic repair pulls out the offending visits,
 re-inserts each at its cheapest feasible position, and polishes the
 result with cross-route relocations and feasible 2-opt.  Construction,
-repair and polish share one insertion search and one 2-opt: the
-insertion search audits a trial route only when it would become the
-new best and an O(1) pre-check lets it fit, and polish's 2-opt keeps
-only reversals that pass the audit.
+repair and polish share one insertion search and one 2-opt, and read
+every distance from one table, the instance's ``length_matrix``.  The
+insertion search prices all positions of a route in one pass, skips a
+route whose cheapest position cannot win, and audits a trial route only
+when it would become the new best and an O(1) pre-check lets it fit;
+polish's 2-opt keeps only reversals that pass the audit.
 
 The pre-check reads a summary of the route it inserts into: the
 immediate departures, the load, and each stop's latest service start,
@@ -58,6 +60,7 @@ import random
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import add, sub
 
 from .model import Arc, Instance, MissingArcError, ensure_augmented, travel_time
 from .phase1 import (
@@ -146,16 +149,12 @@ def acceptance(delta_f: float, temperature: float, rng: random.Random) -> bool:
 _SHORTER = 1e-9
 
 
-def _arc_distance(instance: Instance, tail: int, head: int) -> float:
-    """Arc length, infinite for a missing arc so it is never preferred."""
-    return instance.arc_lengths.get((tail, head), math.inf)
-
-
 def _route_distance(instance: Instance, route: list[int]) -> float:
     if not route:
         return 0.0
+    length = instance.length_matrix
     path = [0, *route, instance.terminal_id]
-    return sum(_arc_distance(instance, a, b) for a, b in zip(path, path[1:]))
+    return sum(length[a][b] for a, b in zip(path, path[1:]))
 
 
 def _route_load(instance: Instance, route: list[int]) -> float:
@@ -242,12 +241,12 @@ def initial_solution(instance: Instance) -> RoutingSolution:
 def _insertion_delta(instance: Instance, route: list[int], pos: int,
                      c: int) -> float:
     """Distance growth from inserting c at pos of the depot-closed path."""
-    length = instance.arc_lengths.get
+    length = instance.length_matrix
     prev = route[pos - 1] if pos > 0 else 0
     nxt = route[pos] if pos < len(route) else instance.terminal_id
-    added = length((prev, c), math.inf) + length((c, nxt), math.inf)
+    added = length[prev][c] + length[c][nxt]
     if route:
-        added -= length((prev, nxt), math.inf)
+        added -= length[prev][nxt]
     return added
 
 
@@ -275,8 +274,10 @@ _FIT_MARGIN = 1e-6
 
 @dataclass(frozen=True)
 class _RouteSummary:
-    """What the insertion pre-check reads of one route.
+    """What the insertion search reads of one route.
 
+    Position ``pos`` lies between ``before[pos]`` and ``after[pos]`` on
+    the depot-closed path, ``edges[pos]`` apart (an empty route: 0.0).
     ``departures[k]`` is the immediate departure just before stop ``k``
     (the depot's first) and ``latest[k]`` the latest service start at
     stop ``k`` that leaves the rest of the route a chance to pass the
@@ -284,6 +285,9 @@ class _RouteSummary:
     """
 
     load: float
+    before: tuple[int, ...]
+    after: tuple[int, ...]
+    edges: tuple[float, ...]
     departures: tuple[float, ...] | None
     latest: tuple[float, ...] | None
 
@@ -295,12 +299,16 @@ def _fastest(arc: Arc | None) -> float:
 
 def _summarise(route: tuple[int, ...], instance: Instance,
                dispatch: float) -> _RouteSummary:
-    """One timing walk of ``route`` plus a backward pass of latest starts."""
+    """Edge lengths, one timing walk and a backward pass of latest starts."""
     load = _route_load(instance, route)
+    length = instance.length_matrix
+    before, after = (0, *route), (*route, instance.terminal_id)
+    edges = tuple(map(lambda a, b: length[a][b], before, after)) \
+        if route else (0.0,)
     try:
         timing = time_route(route, instance, dispatch)
     except MissingArcError:
-        return _RouteSummary(load, None, None)
+        return _RouteSummary(load, before, after, edges, None, None)
     horizon = dispatch + instance.latest_time
     latest = [0.0] * len(route)
     leave_by = math.inf  # latest departure that reaches the next stop in time
@@ -313,12 +321,12 @@ def _summarise(route: tuple[int, ...], instance: Instance,
         if k:
             leave_by = latest[k] - _fastest(
                 instance.arcs.get((route[k - 1], node.id)))
-    return _RouteSummary(load, (dispatch, *(s.departure for s in timing.stops)),
-                         tuple(latest))
+    departures = (dispatch, *(s.departure for s in timing.stops))
+    return _RouteSummary(load, before, after, edges, departures, tuple(latest))
 
 
-def _may_fit(summary: _RouteSummary, route: list[int], pos: int, c: int,
-             instance: Instance, dispatch: float) -> bool:
+def _may_fit(summary: _RouteSummary, pos: int, c: int, instance: Instance,
+             dispatch: float) -> bool:
     """O(1) necessary condition for c at ``pos`` to pass the audit.
 
     Serving c right after the departure before ``pos`` must start
@@ -328,8 +336,7 @@ def _may_fit(summary: _RouteSummary, route: list[int], pos: int, c: int,
     """
     if summary.departures is None:
         return True
-    prev = route[pos - 1] if pos > 0 else 0
-    nxt = route[pos] if pos < len(route) else instance.terminal_id
+    prev, nxt = summary.before[pos], summary.after[pos]
     into = instance.arcs.get((prev, c))
     onward = instance.arcs.get((c, nxt))
     home = instance.arcs.get((c, instance.terminal_id))
@@ -343,7 +350,8 @@ def _may_fit(summary: _RouteSummary, route: list[int], pos: int, c: int,
     return (start <= dispatch + node.window_close + _FIT_MARGIN
             and leave + travel_time(home, leave)
             <= dispatch + instance.latest_time + _FIT_MARGIN
-            and (pos == len(route) or leave + travel_time(onward, leave)
+            and (pos == len(summary.latest)
+                 or leave + travel_time(onward, leave)
                  <= summary.latest[pos] + _FIT_MARGIN))
 
 
@@ -358,20 +366,33 @@ def _cheapest_insertion(routes: list[list[int]], c: int, instance: Instance,
     for c.  A position becomes the best when its distance growth
     ``delta`` undercuts ``below`` (or, once there is a best, the best's
     growth) by more than ``_SHORTER`` and its trial route passes the
-    one-route audit.  Only such a would-be best is audited, and only
-    when ``_may_fit`` lets it: c's own start within its window close
-    and its return within the horizon, then the arrival at the stop
-    after it within that stop's latest start.  Each test adds
-    ``_FIT_MARGIN`` to its bound.  Under FIFO a feasible trial meets
-    them all: c's start and return are the very values the audit
-    compares, and no drive beats the fastest time the latest starts
-    subtract.  So the pre-check changes what is audited, never what is
-    found.  ``summaries`` holds each route's ``_summarise`` by route,
-    for reuse across calls on the same instance and dispatch.
+    one-route audit.
+
+    A route's deltas come in one pass: length into c plus length out
+    of c less the summary's edge, the sum ``_insertion_delta`` makes
+    (an empty route's edge 0.0 subtracts nothing, bit for bit).  A
+    route whose least delta cannot undercut the bound is skipped, which
+    is exact, as the bound only falls along a route, and NaN-safe (inf
+    - inf on a sparse graph): a leading NaN makes ``min`` NaN, which
+    compares false, so the route is walked, and a later NaN never
+    lowers the minimum.
+
+    Only a would-be best is audited, and only when ``_may_fit`` lets
+    it: c's own start within its window close and its return within
+    the horizon, then the arrival at the stop after it within that
+    stop's latest start.  Each test adds ``_FIT_MARGIN`` to its bound.
+    Under FIFO a feasible trial meets them all: c's start and return
+    are the very values the audit compares, and no drive beats the
+    fastest time the latest starts subtract.  So the pre-check changes
+    what is audited, never what is found.  ``summaries`` holds each
+    route's ``_summarise`` by route, for reuse across calls on the same
+    instance and dispatch.
     """
     summaries = {} if summaries is None else summaries
     demand = instance.node(c).demand
     capacity = instance.fleet.capacity
+    into_c = [row[c] for row in instance.length_matrix].__getitem__
+    out_of_c = instance.length_matrix[c].__getitem__
     best = None
     for ri, r in enumerate(routes):
         if ri == skip:
@@ -382,10 +403,14 @@ def _cheapest_insertion(routes: list[list[int]], c: int, instance: Instance,
             summary = summaries[key] = _summarise(key, instance, dispatch)
         if summary.load + demand > capacity + TIME_EPS:
             continue
-        for pos in range(len(r) + 1):
-            delta = _insertion_delta(instance, r, pos, c)
+        deltas = list(map(sub, map(add, map(into_c, summary.before),
+                                   map(out_of_c, summary.after)),
+                          summary.edges))
+        if min(deltas) >= (below if best is None else best[0]) - _SHORTER:
+            continue
+        for pos, delta in enumerate(deltas):
             if delta < (below if best is None else best[0]) - _SHORTER \
-                    and _may_fit(summary, r, pos, c, instance, dispatch) \
+                    and _may_fit(summary, pos, c, instance, dispatch) \
                     and not _route_violations(r[:pos] + [c] + r[pos:],
                                               instance, dispatch):
                 best = (delta, ri, pos)
@@ -778,7 +803,9 @@ def solve(instance: Instance, config: SolverConfig | None = None,
     if dispatch < 0 or not math.isfinite(dispatch):
         raise SolverError(f"dispatch must be a non-negative hour, got {dispatch!r}")
     rng = random.Random(config.seed)
-    weights = config.weights.resolved(instance)
+    # only weighted reads the crash scale, a pass over every arc
+    weights = config.weights.resolved(instance) \
+        if config.objective == "weighted" else config.weights
 
     start = initial_solution(instance)
 

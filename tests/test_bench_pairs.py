@@ -1,0 +1,58 @@
+"""tools/bench_pairs.py: run order, file layout and pair statistics."""
+
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+TOOL = REPO / "tools" / "bench_pairs.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pairs_alternate_and_file_holds_runs_and_quartiles(monkeypatch,
+                                                           tmp_path):
+    tool = load_tool()
+    shutil.copy(REPO / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    extracted = []
+    monkeypatch.setattr(tool, "extract",
+                        lambda rev, into: extracted.append(rev))
+    order = []
+
+    def fake_run(tree, workload, seconds, trace):
+        side = "change" if tree == tmp_path else "parent"
+        order.append((workload, side, trace))
+        assert seconds == 40  # BENCHMARK.json's run_seconds
+        k = sum(1 for w, s, t in order if (w, s, t) == (workload, side, 0))
+        # the change is faster in every pair but the third
+        solve = (1.0 if side == "parent" else 0.5) + (k == 3 and side == "change")
+        metrics = {"solve_p50_s": solve, "evals_per_s": 1 / solve,
+                   "feasible_share": 1.0, "cost_ratio": 1.0, "setup_s": 0.1}
+        return {"correct": True, "attempted": 3, "failed": 0,
+                **({"phase1.audit_calls": 7} if trace else metrics)}
+
+    monkeypatch.setattr(tool, "run", fake_run)
+    assert tool.main(["--parent", "abc123", "--name", "t",
+                      "--workload", "w"]) == 0
+    assert extracted == ["abc123"]
+    assert [s for _, s, t in order if not t] == [
+        "parent", "change", "change", "parent"] * 5
+    assert [s for _, s, t in order if t] == ["parent", "change"]
+    data = json.loads((tmp_path / "BENCH_t.json").read_text())
+    entry = data["workloads"]["w"]
+    assert len(entry["parent"]) == len(entry["change"]) == 10
+    solve = entry["stats"]["solve_p50_s"]
+    assert solve["change_better"] == 9 and solve["pairs"] == 10
+    assert solve["parent"]["median"] == 1.0
+    assert solve["change"]["median"] == 0.5
+    assert entry["stats"]["evals_per_s"]["change_better"] == 9
+    assert entry["stats"]["setup_s"]["change_better"] == 0
+    assert entry["traced"]["change"]["phase1.audit_calls"] == 7
+    assert set(data) == {"what", "host", "workloads"}

@@ -2,11 +2,13 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saferoute.instances import bundled_case_study_dir, load_case_study
 from saferoute.model import (
     Arc,
     Fleet,
@@ -302,3 +304,37 @@ class TestAugmentation:
         inst = small_instance(2)
         with pytest.raises(MissingArcError):
             inst.arc(0, 0)
+
+
+class TestLengthMatrix:
+    def test_entries_are_arc_lengths_or_inf(self):
+        inst = ensure_augmented(load_case_study(bundled_case_study_dir()))
+        # nothing on the set-up path builds the table
+        assert "length_matrix" not in inst.__dict__
+        table = inst.length_matrix
+        n = len(inst.nodes)
+        assert len(table) == n and all(len(row) == n for row in table)
+        missing = 0
+        for i in range(n):
+            for j in range(n):
+                arc = inst.arcs.get((i, j))
+                if arc is None:
+                    missing += 1
+                    assert table[i][j] == math.inf
+                else:
+                    assert table[i][j] == arc.distance
+        assert 0 < missing < n * n - n  # a sparse graph
+
+    def test_replaced_instance_gets_a_fresh_table(self):
+        inst = augment_depot(small_instance(3), 1)
+        before = inst.length_matrix
+        moved = tuple(replace(node, x=2 * node.x, y=2 * node.y)
+                      for node in inst.nodes)
+        arcs = {key: replace(arc, distance=2 * arc.distance)
+                for key, arc in inst.arcs.items()}
+        moved_inst = replace(inst, nodes=moved, arcs=arcs)
+        assert "length_matrix" not in moved_inst.__dict__
+        after = moved_inst.length_matrix
+        assert after is not before
+        for (i, j), arc in arcs.items():
+            assert after[i][j] == arc.distance == 2 * before[i][j]
