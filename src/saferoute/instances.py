@@ -35,8 +35,9 @@ PROFILE_KINDS = ("speed", "tti", "crash")
 MIN_SPEED = 1e-3
 MIN_CRASH = 1e-12
 
-DEFAULT_INTERVALS = ((0, 6), (6, 9), (9, 15), (15, 19), (19, 24))
-DEFAULT_ASSIGNMENT = (0, 2, 1, 2, 0)  # night, AM peak, midday, PM peak, evening
+#: The five day intervals of a step function, and the level each uses.
+INTERVALS = ((0, 6), (6, 9), (9, 15), (15, 19), (19, 24))
+ASSIGNMENT = (0, 2, 1, 2, 0)  # night, AM peak, midday, PM peak, evening
 
 GENERATED_FLEETS = {10: 2, 25: 3, 50: 5, 80: 12}
 
@@ -51,39 +52,21 @@ class ProfileSpecError(InstanceError):
 
 @dataclass(frozen=True)
 class StepFunctionSpec:
-    """Three-level step function over five day intervals, plus noise.
+    """Three-level step function over the five day ``INTERVALS``, plus noise.
 
-    ``levels`` are the plain values; ``assignment`` picks which level
-    each interval uses (the default gives the middle intervals the
-    midday level and both rush windows the third level).  Each hourly
-    value is drawn once as level * (1 + U(-a, +a)) with
-    a = ``noise_amplitude``.
+    ``levels`` are the plain values; ``ASSIGNMENT`` picks which level
+    each interval uses (the middle intervals the midday level, both
+    rush windows the third level).  Each hourly value is drawn once as
+    level * (1 + U(-a, +a)) with a = ``noise_amplitude``.
     """
 
     levels: tuple[float, float, float]
-    intervals: tuple[tuple[int, int], ...] = DEFAULT_INTERVALS
     noise_amplitude: float = 0.15
     seed: int = 0
-    assignment: tuple[int, ...] = DEFAULT_ASSIGNMENT
 
     def __post_init__(self) -> None:
         if len(self.levels) != 3 or not all(math.isfinite(v) for v in self.levels):
             raise ProfileSpecError(f"need 3 finite levels, got {self.levels!r}")
-        if len(self.intervals) != 5:
-            raise ProfileSpecError(f"need 5 intervals, got {len(self.intervals)}")
-        cursor = 0
-        for lo, hi in self.intervals:
-            if lo != cursor or hi <= lo:
-                raise ProfileSpecError(
-                    f"intervals must partition [0,{HOURS_PER_DAY}) in order, "
-                    f"got {self.intervals!r}")
-            cursor = hi
-        if cursor != HOURS_PER_DAY:
-            raise ProfileSpecError(f"intervals end at {cursor}, expected {HOURS_PER_DAY}")
-        if len(self.assignment) != len(self.intervals):
-            raise ProfileSpecError("one level index per interval required")
-        if any(not 0 <= k < len(self.levels) for k in self.assignment):
-            raise ProfileSpecError(f"level indices out of range: {self.assignment!r}")
         if not (math.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0):
             raise ProfileSpecError(
                 f"noise amplitude must be >= 0, got {self.noise_amplitude!r}")
@@ -91,18 +74,18 @@ class StepFunctionSpec:
     def base_values(self) -> tuple[float, ...]:
         """The noise-free hourly values."""
         out = [0.0] * HOURS_PER_DAY
-        for (lo, hi), idx in zip(self.intervals, self.assignment):
+        for (lo, hi), idx in zip(INTERVALS, ASSIGNMENT):
             for h in range(lo, hi):
                 out[h] = self.levels[idx]
         return tuple(out)
 
     def peak_level(self) -> float:
         """Level used by the second interval (the morning rush)."""
-        return self.levels[self.assignment[1]]
+        return self.levels[ASSIGNMENT[1]]
 
     def offpeak_level(self) -> float:
         """Level used by the first interval (night)."""
-        return self.levels[self.assignment[0]]
+        return self.levels[ASSIGNMENT[0]]
 
 
 def _clip(kind: str, value: float) -> float:

@@ -295,6 +295,8 @@ def traverse(arc: Arc, depart: float) -> Traversal:
     # Constant profiles never cross a speed change, so the duration is
     # exactly distance/speed; the segments are still split at hour
     # boundaries because risk and congestion profiles may vary there.
+    # The last segment carries the miles left, so the miles sum to the
+    # arc length exactly rather than to speed * duration.
     if arc.speed.is_constant:
         speed = arc.speed.values[0]
         duration = remaining / speed
@@ -302,7 +304,9 @@ def traverse(arc: Arc, depart: float) -> Traversal:
         while t < end:
             seg_end = min(math.floor(t) + 1.0, end)
             dt = seg_end - t
-            segments.append((hour_index(t), speed * dt, dt))
+            miles = remaining if seg_end == end else speed * dt
+            segments.append((hour_index(t), miles, dt))
+            remaining -= miles
             t = seg_end
         return Traversal(duration, tuple(segments))
     for _ in range(_MAX_TRAVERSAL_STEPS):

@@ -21,9 +21,10 @@ Construction divides the plane around the depot into one slice per
 vehicle, halves each slice, serves the first half outward and the
 second half inward, polishes each route with 2-opt and spills capacity
 overflow to the next vehicle.  When time windows break the geometric
-order, a deterministic repair pulls out the offending visits,
-re-inserts each at its cheapest feasible position, and polishes the
-result with cross-route relocations and feasible 2-opt.  Construction,
+order, a deterministic repair ejects, route by route, the visits each
+route's own audit names into a bank, re-inserts each banked customer
+at its cheapest feasible position, and polishes the result with
+cross-route relocations and feasible 2-opt.  Construction,
 repair and polish share one insertion search and one 2-opt, and read
 every distance from one table, the instance's ``length_matrix``.  The
 insertion search prices all positions of a route in one pass, skips a
@@ -419,84 +420,43 @@ def _cheapest_insertion(routes: list[list[int]], c: int, instance: Instance,
 
 def make_feasible(solution: RoutingSolution, instance: Instance,
                   dispatch: float) -> RoutingSolution | None:
-    """Deterministic repair: eject violating visits, re-insert cheapest.
+    """Deterministic repair: eject into a bank, re-insert cheapest.
 
-    A customer's surplus copies go first, and a customer served nowhere
-    counts as ejected.  Ejection then removes window and horizon
-    offenders (and trims capacity overflow, heaviest first);
-    pass-through vertices and depot copies are dropped outright.  Every
-    ejected customer is then re-added, earliest window first, at the
-    feasible position that increases total distance least.  Returns
-    None when some customer fits nowhere.
+    Each route keeps its customers at their first visit (pass-through
+    vertices, depot copies and surplus copies go), then sheds in rounds
+    every stop its own audit names (on a capacity overflow the heaviest
+    customer, on a late return the last stop) until it passes.  The
+    bank, every customer no route serves, is re-added earliest window
+    first at the feasible position that adds least distance, and the
+    routes are polished.  Returns None when a route drives a missing
+    arc or a customer fits nowhere; raises SolverError for more routes
+    than vehicles, which no route's audit sees.
     """
+    if len(solution.routes) > instance.fleet.count:
+        raise SolverError("more routes than vehicles")
     routes: list[list[int]] = [[] for _ in solution.routes]
     served: set[int] = set()
     for r, route in zip(routes, solution.routes):
         for n in route:
-            if instance.is_customer(n):
-                if n in served:
-                    continue  # a surplus copy
+            if instance.is_customer(n) and n not in served:
                 served.add(n)
-            r.append(n)
-    out = set(instance.customers()) - served
-
-    def pending() -> list[Violation] | None:
-        """Violations left, or None when a route still needs a missing arc
-        after everything but its customers is shed."""
-        try:
-            timed = propagate_schedule(tuple(tuple(r) for r in routes),
-                                       instance, dispatch)
-        except MissingArcError:
-            # pass-through vertices are optional and depot copies
-            # forbidden; shed them and retry
-            for r in routes:
-                r[:] = [n for n in r if instance.is_customer(n)]
-            try:
-                timed = propagate_schedule(tuple(tuple(r) for r in routes),
-                                           instance, dispatch)
-            except MissingArcError:
-                return None
-        return [v for v in check_feasibility(timed, instance)
-                if not (v.constraint == "visit-count" and v.node in out)]
-
-    budget = len(instance.customers()) + len(instance.dummy_ids) + 2
-    for _ in range(budget):
-        violations = pending()
-        if violations is None:
-            return None
-        if not violations:
-            break
-        ejected = False
-        for v in violations:
-            if v.node is not None:
-                for r in routes:
-                    if v.node in r:
+                r.append(n)
+    for r in routes:
+        while violations := _route_violations(r, instance, dispatch):
+            for v in violations:
+                if v.node is not None:
+                    if v.node in r:  # else ejected earlier this round
                         r.remove(v.node)
-                        if instance.is_customer(v.node):
-                            out.add(v.node)
-                        ejected = True
-                        break
-            elif v.constraint == "capacity":
-                carried = [c for c in routes[v.vehicle]
-                           if instance.is_customer(c)]
-                if carried:
-                    heaviest = max(carried,
-                                   key=lambda c: instance.node(c).demand)
-                    routes[v.vehicle].remove(heaviest)
-                    out.add(heaviest)
-                    ejected = True
-            elif v.vehicle >= 0 and routes[v.vehicle]:
-                tail = routes[v.vehicle].pop()
-                if instance.is_customer(tail):
-                    out.add(tail)
-                ejected = True
-        if not ejected:
-            return None
-    if pending() != []:  # None or violations left
-        return None
+                elif v.constraint == "capacity":
+                    r.remove(max(r, key=lambda c: instance.node(c).demand))
+                elif v.constraint == "horizon":
+                    r.pop()
+                else:  # no arc joins the visits
+                    return None
+    bank = set(instance.customers()).difference(*routes)
 
     summaries: dict[tuple[int, ...], _RouteSummary] = {}
-    for c in sorted(out, key=lambda c: (instance.node(c).window_open, c)):
+    for c in sorted(bank, key=lambda c: (instance.node(c).window_open, c)):
         best = _cheapest_insertion(routes, c, instance, dispatch,
                                    summaries=summaries)
         if best is None:
@@ -515,11 +475,7 @@ def _polish(routes: list[list[int]], instance: Instance, dispatch: float,
     Removing a visit only moves later arrivals earlier, so the donor
     route needs no recheck; the receiving route is revalidated.
     """
-    def feasible(route: list[int]) -> bool:
-        return not _route_violations(route, instance, dispatch)
-
-    customers = sorted(c for r in routes for c in r
-                       if not instance.is_dummy(c))
+    customers = sorted(c for r in routes for c in r)
     for _ in range(50):
         improved = False
         for c in customers:
@@ -535,7 +491,9 @@ def _polish(routes: list[list[int]], instance: Instance, dispatch: float,
                 routes[best[1]].insert(best[2], c)
                 improved = True
         for r in routes:
-            shorter = _two_opt_pass(instance, r, feasible)
+            shorter = _two_opt_pass(
+                instance, r,
+                lambda t: not _route_violations(t, instance, dispatch))
             if shorter != r:
                 r[:] = shorter
                 improved = True

@@ -7,8 +7,8 @@ import pytest
 from scipy import stats
 
 from saferoute.instances import (
-    DEFAULT_ASSIGNMENT,
-    DEFAULT_INTERVALS,
+    ASSIGNMENT,
+    INTERVALS,
     InstanceError,
     MIN_SPEED,
     ProfileSpecError,
@@ -44,7 +44,7 @@ CUST NO.  XCOORD.   YCOORD.    DEMAND   READY TIME  DUE DATE   SERVICE TIME
 def test_base_values_follow_assignment():
     spec = StepFunctionSpec((10.0, 20.0, 30.0), noise_amplitude=0.0)
     values = spec.base_values()
-    for (lo, hi), idx in zip(DEFAULT_INTERVALS, DEFAULT_ASSIGNMENT):
+    for (lo, hi), idx in zip(INTERVALS, ASSIGNMENT):
         for h in range(lo, hi):
             assert values[h] == (10.0, 20.0, 30.0)[idx]
 
@@ -81,14 +81,7 @@ def test_spec_validation():
     with pytest.raises(ProfileSpecError):
         StepFunctionSpec((1.0, 2.0))
     with pytest.raises(ProfileSpecError):
-        StepFunctionSpec((1.0, 2.0, 3.0), intervals=((0, 12), (12, 24)))
-    with pytest.raises(ProfileSpecError):
-        StepFunctionSpec((1.0, 2.0, 3.0),
-                         intervals=((0, 6), (6, 9), (9, 15), (15, 19), (19, 23)))
-    with pytest.raises(ProfileSpecError):
         StepFunctionSpec((1.0, 2.0, 3.0), noise_amplitude=-0.1)
-    with pytest.raises(ProfileSpecError):
-        StepFunctionSpec((1.0, 2.0, 3.0), assignment=(0, 1, 2, 3, 0))
 
 
 def test_kind_bounds_enforced():

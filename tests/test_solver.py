@@ -197,12 +197,14 @@ def test_make_feasible_keeps_feasible_input_feasible():
     assert not check_feasibility(propagate_schedule(fixed, inst, 0.0), inst)
 
 
-@pytest.mark.parametrize("copy", ["depot", "terminal"])
+@pytest.mark.parametrize("copy", ["depot", "terminal", "pass-through"])
 def test_make_feasible_drops_a_depot_copy(copy):
-    # the copy is no customer to re-insert: it goes, as a pass-through
-    # vertex would, and the two customers stay where they were
-    inst = build_augmented([{"x": 1}, {"x": 2}], m=0)
-    inside = 0 if copy == "depot" else inst.terminal_id
+    # the copy is no customer to re-insert: it goes, also a pass-through
+    # vertex that the audit accepts, and the two customers stay where
+    # they were
+    inst = build_augmented([{"x": 1}, {"x": 2}], m=1)
+    inside = {"depot": 0, "terminal": inst.terminal_id,
+              "pass-through": inst.dummy_ids[0]}[copy]
     fixed = make_feasible(RoutingSolution(((1, inside, 2), ())), inst, 0.0)
     assert fixed is not None and fixed.routes == ((1, 2), ())
 
@@ -217,6 +219,58 @@ def test_make_feasible_serves_each_customer_once(routes):
     assert fixed is not None
     assert not check_feasibility(propagate_schedule(fixed, inst, 0.0), inst)
     assert Counter(n for r in fixed.routes for n in r) == Counter({1: 1, 2: 1})
+
+
+def test_make_feasible_rejects_more_routes_than_vehicles():
+    # each route passes its own audit, and capacity keeps them apart, so
+    # only the fleet size could turn this start down
+    inst = build_augmented([{"x": 1, "demand": 60}, {"x": 2, "demand": 60}],
+                           m=0, fleet=(1, 100.0))
+    with pytest.raises(SolverError):
+        make_feasible(RoutingSolution(((1,), (2,))), inst, 0.0)
+
+
+def _served_distance(sol, inst):
+    return sum(inst.arc(a, b).distance for r in sol.routes if r
+               for a, b in zip((0, *r), (*r, inst.terminal_id)))
+
+
+def _passes_audit(sol, inst, dispatch):
+    try:
+        return not check_feasibility(propagate_schedule(sol, inst, dispatch),
+                                     inst)
+    except MissingArcError:
+        return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), name=st.sampled_from(["RND25", "R101", "case"]),
+       dispatch=st.sampled_from([0.0, 7.0, 12.0, 17.0]))
+def test_make_feasible_contract(data, name, dispatch):
+    # from any customer-only start with one route per vehicle, repair
+    # gives up or serves each customer once and passes the audit; a
+    # start that already passes, its own output included, comes back
+    # no longer
+    inst = audit_instance(name)
+    visits = data.draw(st.permutations(inst.customers()))
+    k = inst.fleet.count
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(visits)),
+                                     min_size=k - 1, max_size=k - 1)))
+    bounds = [0, *cuts, len(visits)]
+    start = RoutingSolution(tuple(tuple(visits[a:b])
+                                  for a, b in zip(bounds, bounds[1:])))
+    fixed = make_feasible(start, inst, dispatch)
+    if _passes_audit(start, inst, dispatch):
+        assert fixed is not None
+        assert _served_distance(fixed, inst) <= _served_distance(start, inst)
+    if fixed is None:
+        return
+    assert _passes_audit(fixed, inst, dispatch)
+    assert sorted(n for r in fixed.routes for n in r) \
+        == sorted(inst.customers())
+    again = make_feasible(fixed, inst, dispatch)
+    assert again is not None
+    assert _served_distance(again, inst) <= _served_distance(fixed, inst)
 
 
 @lru_cache(maxsize=None)
@@ -348,7 +402,8 @@ def test_fit_precheck_passes_every_trial_the_audit_accepts(data, name,
 def test_r101_solve_audits_only_winning_trials(monkeypatch):
     # the scan that audited every trial position made 9,122 one-route
     # audits in this solve, and one that audited every would-be best
-    # made 6,249; the slack pre-check leaves 411
+    # made 6,249; the slack pre-check leaves 411, and repair's
+    # ejection adds 47 more, one per round per route
     calls = Counter()
     audit = solver._route_violations
 
