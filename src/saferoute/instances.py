@@ -16,7 +16,7 @@ import csv
 import math
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .model import (

@@ -3,9 +3,9 @@
 The road network is a directed graph.  Vertex 0 is the depot, vertices
 1..n are customer sites.  Route planning works on an augmented copy of
 the graph that adds a terminal duplicate of the depot (where every
-route ends) and ``m`` optional pass-through duplicates that let a
-vehicle swing by the depot corridor in the middle of a route without
-closing it.
+route ends) and the instance's ``dummy_count`` pass-through
+duplicates that let a vehicle swing by the depot corridor in the middle
+of a route without closing it.
 
 Every arc carries three hourly profiles:
 
@@ -25,7 +25,7 @@ departure can never arrive later (first-in-first-out).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 HOURS_PER_DAY = 24
@@ -379,8 +379,8 @@ def _by_distance(profile: TimeProfile,
     return acc / distance
 
 
-def augment_depot(instance: Instance, m: int) -> Instance:
-    """Extend the graph with the terminal depot copy and ``m`` pass-through copies.
+def augment_depot(instance: Instance) -> Instance:
+    """Add a terminal depot copy and ``dummy_count`` pass-through copies.
 
     The terminal copy receives every arc that pointed at the depot, so
     routes can end on it.  Each pass-through copy inherits the full set
@@ -391,15 +391,12 @@ def augment_depot(instance: Instance, m: int) -> Instance:
 
     Args:
         instance: plain instance (never augmented twice).
-        m: number of pass-through duplicates, >= 0.
 
     Returns:
         New augmented instance; the input is left untouched.
     """
     if instance.is_augmented:
         raise ModelError("instance is already augmented")
-    if m < 0:
-        raise ModelError("dummy vertex count must be non-negative")
     depot = instance.depot
     next_id = len(instance.nodes)
     terminal = Node(next_id, depot.x, depot.y, 0.0, 0.0,
@@ -407,7 +404,7 @@ def augment_depot(instance: Instance, m: int) -> Instance:
     dummies = tuple(
         Node(next_id + 1 + k, depot.x, depot.y, 0.0, 0.0,
              depot.window_open, depot.window_close)
-        for k in range(m)
+        for k in range(instance.dummy_count)
     )
     nodes = instance.nodes + (terminal,) + dummies
     arcs = dict(instance.arcs)
@@ -423,20 +420,12 @@ def augment_depot(instance: Instance, m: int) -> Instance:
         for arc in into_depot:
             arcs[(arc.tail, dummy.id)] = Arc(
                 arc.tail, dummy.id, arc.distance, arc.speed, arc.tti, arc.crash)
-    return Instance(
-        name=instance.name,
-        nodes=nodes,
-        arcs=arcs,
-        fleet=instance.fleet,
-        latest_time=instance.latest_time,
-        dummy_count=m,
-        terminal_id=terminal.id,
-        dummy_ids=tuple(d.id for d in dummies),
-    )
+    return replace(instance, nodes=nodes, arcs=arcs, terminal_id=terminal.id,
+                   dummy_ids=tuple(d.id for d in dummies))
 
 
 def ensure_augmented(instance: Instance) -> Instance:
     """Return ``instance`` augmented with its declared dummy count (idempotent)."""
     if instance.is_augmented:
         return instance
-    return augment_depot(instance, instance.dummy_count)
+    return augment_depot(instance)

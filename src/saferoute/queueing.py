@@ -192,8 +192,7 @@ def speeds_from_flow(q: QueueModel, flow: float) -> tuple[float, float]:
     return (min(lo, hi), max(lo, hi))
 
 
-def calibrate(flows: FlowSeries, nominal_speed: float,
-              cv_service: float = 1.0) -> QueueModel:
+def calibrate(flows: FlowSeries, nominal_speed: float) -> QueueModel:
     """Fit the jam density so the observed peak count is the capacity.
 
     kj = 4 max(flows) / s0, the beta = 1 capacity relation inverted.
@@ -208,7 +207,7 @@ def calibrate(flows: FlowSeries, nominal_speed: float,
         raise CalibrationError(
             f"nominal speed must be positive, got {nominal_speed!r}")
     jam = 4.0 * peak / nominal_speed
-    return QueueModel(nominal_speed, jam, cv_service)
+    return QueueModel(nominal_speed, jam)
 
 
 def build_speed_profile(q: QueueModel, flows: FlowSeries,

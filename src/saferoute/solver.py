@@ -49,9 +49,14 @@ one dict keyed by route, so an edited route simply gets a new entry.
 
 Annealing uses six neighborhood families (relocation including depot
 pass-through edits, swaps, 2-opt, 3-opt, segment reversal, route
-splits), Boltzmann acceptance, geometric cooling between a fixed pair
-of temperatures, and a small elitist pool: each temperature restarts
-its inner searches from the best distinct solutions seen so far.
+splits), Boltzmann acceptance, geometric cooling from
+``INITIAL_TEMPERATURE`` to ``FINAL_TEMPERATURE`` over the configured
+number of temperatures, and a small elitist pool: each temperature runs
+``MOVES_PER_SEED`` moves from each of the ``POOL_SIZE`` best distinct
+feasible solutions seen so far.  The 2-opt and segment-reversal
+families share their branches in ``sample_move`` and ``apply_move``, so
+a segment reversal is drawn with probability 1/3; merging the two would
+change the random stream.
 """
 
 from __future__ import annotations
@@ -90,33 +95,29 @@ class SolverError(ValueError):
     """Invalid solver configuration or input."""
 
 
+INITIAL_TEMPERATURE = 10.0
+FINAL_TEMPERATURE = 0.01
+MOVES_PER_SEED = 5
+POOL_SIZE = 4
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Search parameters; the defaults are the tuned everyday settings."""
+    """Budget, seed, objective, weights and schedule grid of a solve."""
 
     max_outer_iterations: int = 10
-    initial_temperature: float = 10.0
-    final_temperature: float = 0.01
-    iterations_per_temperature: int = 5
-    population_size: int = 4
     seed: int = 0
     weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
     m: int = 3
     objective: str = "weighted"
 
     def __post_init__(self) -> None:
-        for name in ("max_outer_iterations", "iterations_per_temperature",
-                     "population_size", "m", "seed"):
+        for name in ("max_outer_iterations", "m", "seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise SolverError(f"{name} must be an integer, got {value!r}")
-        if not (math.isfinite(self.initial_temperature)
-                and self.initial_temperature > self.final_temperature > 0):
-            raise SolverError("temperatures must be finite, T0 > Tf > 0")
         if self.max_outer_iterations < 0:
             raise SolverError("outer iteration budget cannot be negative")
-        if self.iterations_per_temperature < 1 or self.population_size < 1:
-            raise SolverError("per-temperature and population counts must be >= 1")
         if self.m < 1:
             raise SolverError("schedule grid needs at least one point per stop")
         if self.objective not in OBJECTIVES:
@@ -450,7 +451,7 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
                 elif v.constraint == "capacity":
                     r.remove(max(r, key=lambda c: instance.node(c).demand))
                 elif v.constraint == "horizon":
-                    r.pop()
+                    del r[-1:]  # a no-op if this round emptied r
                 else:  # no arc joins the visits
                     return None
     bank = set(instance.customers()).difference(*routes)
@@ -728,8 +729,8 @@ def evaluate(routes: RoutingSolution | tuple, instance: Instance,
     return Evaluation(timed, schedules, value, True)
 
 
-def _admit(pool: list[Evaluation], candidate: Evaluation, size: int) -> None:
-    """Keep the pool as the best ``size`` distinct feasible solutions."""
+def _admit(pool: list[Evaluation], candidate: Evaluation) -> None:
+    """Keep the pool as the best ``POOL_SIZE`` distinct feasible solutions."""
     if not candidate.feasible:
         return
     key = candidate.solution.routes
@@ -741,7 +742,7 @@ def _admit(pool: list[Evaluation], candidate: Evaluation, size: int) -> None:
             return
     pool.append(candidate)
     pool.sort(key=lambda e: e.value)
-    del pool[size:]
+    del pool[POOL_SIZE:]
 
 
 def solve(instance: Instance, config: SolverConfig | None = None,
@@ -782,23 +783,19 @@ def solve(instance: Instance, config: SolverConfig | None = None,
         if repaired is not None:
             first = score(repaired)
 
-    pool: list[Evaluation] = []
-    _admit(pool, first, config.population_size)
-    best = first
+    pool = [first] if first.feasible else []
     history: list[float] = []
 
     if config.max_outer_iterations > 0:
-        alpha = cooling_factor(config.initial_temperature,
-                               config.final_temperature,
+        alpha = cooling_factor(INITIAL_TEMPERATURE, FINAL_TEMPERATURE,
                                config.max_outer_iterations)
-        temperature = config.initial_temperature
+        temperature = INITIAL_TEMPERATURE
         for _ in range(config.max_outer_iterations):
             temperature *= alpha
             # nothing feasible yet: keep searching from the best effort
-            seeds = list(pool[:config.population_size]) if pool else [best]
-            for member in seeds:
+            for member in list(pool) or [first]:
                 current = member
-                for _ in range(config.iterations_per_temperature):
+                for _ in range(MOVES_PER_SEED):
                     move = sample_move(current.solution, instance, rng)
                     candidate = score(apply_move(current.solution, move))
                     if not candidate.feasible:
@@ -807,11 +804,10 @@ def solve(instance: Instance, config: SolverConfig | None = None,
                         if current.feasible else -math.inf
                     if acceptance(delta, temperature, rng):
                         current = candidate
-                    _admit(pool, candidate, config.population_size)
-            if pool and pool[0].value < best.value:
-                best = pool[0]
-            history.append(best.value)
+                    _admit(pool, candidate)
+            history.append((pool[0] if pool else first).value)
 
+    best = pool[0] if pool else first
     solution, schedules = best.solution, best.schedules
     if best.feasible and not schedules:
         # a distance incumbent is retimed once, for its reported

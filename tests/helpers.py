@@ -71,7 +71,7 @@ def build_instance(
 
 
 def build_augmented(customers: list[dict], m: int = 0, **kwargs) -> Instance:
-    return augment_depot(build_instance(customers, **kwargs), m)
+    return augment_depot(build_instance(customers, dummy_count=m, **kwargs))
 
 
 def two_on_a_line_without(missing: tuple[int, int]) -> Instance:
@@ -83,7 +83,7 @@ def two_on_a_line_without(missing: tuple[int, int]) -> Instance:
 
 def no_return_from_first() -> Instance:
     """Two customers on a line, one vehicle, and no arc from 1 to the depot."""
-    return augment_depot(two_on_a_line_without((1, 0)), 0)
+    return augment_depot(two_on_a_line_without((1, 0)))
 
 
 def reference_audit(route: tuple[int, ...], timing, instance: Instance,

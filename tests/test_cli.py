@@ -1,6 +1,8 @@
 """Command-line behavior: outputs, exit codes, determinism, goldens."""
 
 import csv
+import dataclasses
+import json
 import os
 import shutil
 import subprocess
@@ -353,6 +355,12 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
                  str(cfg)]) == 3
     assert "unknown config keys: cooling_rate" in capsys.readouterr().err
 
+    # the annealing schedule is fixed, not configured
+    cfg.write_text('{"population_size": 4}')
+    assert main(["solve", "--instance", CASE_DIR, "--config",
+                 str(cfg)]) == 3
+    assert "unknown config keys: population_size" in capsys.readouterr().err
+
     cfg.write_text('{"weights": {"alpha": 1.0}}')
     assert main(["solve", "--instance", CASE_DIR, "--config",
                  str(cfg)]) == 3
@@ -380,23 +388,26 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", [
-    '{"max_outer_iterations": 2.5}', '{"iterations_per_temperature": 1.5}',
-    '{"population_size": 2.5}', '{"m": 2.5}', '{"m": true}', '{"seed": [1]}',
-    '{"initial_temperature": Infinity}', '{"initial_temperature": NaN}',
-    '{"final_temperature": NaN}',
+    '{"max_outer_iterations": 2.5}', '{"m": 2.5}', '{"m": true}',
+    '{"seed": [1]}',
 ])
 def test_config_file_rejects_non_integer_counts(tmp_path, capsys, text):
     # a count or seed that is not an integer is an input error, never a
-    # traceback mid-solve nor silently read as a number; so is a
-    # temperature that is not finite (JSON readers accept Infinity and
-    # NaN, and an infinite start makes every temperature NaN, so the
-    # search would accept only downhill moves)
+    # traceback mid-solve nor silently read as a number
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     assert main(["solve", "--instance", CASE_DIR, "--scenario", "0",
                  "--config", str(cfg)]) == 3
     assert capsys.readouterr().err.startswith(
         "error: bad solver configuration:")
+
+
+def test_readme_config_block_is_the_default_config():
+    # the documented keys and defaults are the fields of SolverConfig
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration file", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == dataclasses.asdict(saferoute.SolverConfig())
 
 
 def test_seed_precedence_flag_env_config(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,5 @@
 """Tests for instance parsing, generation and loading."""
 
-import math
 import random
 
 import pytest

@@ -255,7 +255,7 @@ def small_instance(n_customers=3) -> Instance:
 
 class TestAugmentation:
     def test_adds_terminal_and_dummies(self):
-        inst = augment_depot(small_instance(3), 2)
+        inst = augment_depot(replace(small_instance(3), dummy_count=2))
         assert len(inst.nodes) == 4 + 1 + 2
         assert inst.terminal_id == 4
         assert inst.dummy_ids == (5, 6)
@@ -267,14 +267,14 @@ class TestAugmentation:
 
     def test_terminal_inherits_depot_arcs(self):
         base = small_instance(3)
-        inst = augment_depot(base, 1)
+        inst = augment_depot(replace(base, dummy_count=1))
         for c in (1, 2, 3):
             assert inst.arc(c, inst.terminal_id).distance == base.arc(c, 0).distance
         # No arcs leave the terminal.
         assert not any(tail == inst.terminal_id for tail, _ in inst.arcs)
 
     def test_dummies_mirror_depot_but_skip_depot_family(self):
-        inst = augment_depot(small_instance(3), 2)
+        inst = augment_depot(replace(small_instance(3), dummy_count=2))
         d1, d2 = inst.dummy_ids
         for c in (1, 2, 3):
             assert (d1, c) in inst.arcs and (c, d1) in inst.arcs
@@ -283,26 +283,26 @@ class TestAugmentation:
             assert forbidden not in inst.arcs
 
     def test_customer_lookup_skips_depot_copies(self):
-        inst = augment_depot(small_instance(3), 2)
+        inst = augment_depot(replace(small_instance(3), dummy_count=2))
         members = [n for n in range(-1, len(inst.nodes) + 2)
                    if inst.is_customer(n)]
         assert members == [1, 2, 3]
         assert inst.customers() is inst.customers()
 
     def test_zero_dummies_adds_terminal_only(self):
-        inst = augment_depot(small_instance(2), 0)
+        inst = augment_depot(small_instance(2))
         assert inst.terminal_id == 3
         assert inst.dummy_ids == ()
 
     def test_double_augmentation_rejected(self):
-        inst = augment_depot(small_instance(2), 1)
+        inst = augment_depot(replace(small_instance(2), dummy_count=1))
         with pytest.raises(ModelError):
-            augment_depot(inst, 1)
+            augment_depot(inst)
         assert ensure_augmented(inst) is inst
 
     def test_negative_count_rejected(self):
         with pytest.raises(ModelError):
-            augment_depot(small_instance(2), -1)
+            replace(small_instance(2), dummy_count=-1)
 
     def test_missing_arc_error(self):
         inst = small_instance(2)
@@ -330,7 +330,7 @@ class TestLengthMatrix:
         assert 0 < missing < n * n - n  # a sparse graph
 
     def test_replaced_instance_gets_a_fresh_table(self):
-        inst = augment_depot(small_instance(3), 1)
+        inst = augment_depot(replace(small_instance(3), dummy_count=1))
         before = inst.length_matrix
         moved = tuple(replace(node, x=2 * node.x, y=2 * node.y)
                       for node in inst.nodes)

@@ -118,7 +118,7 @@ def test_retiming_never_hurts_the_optimum():
 
 def test_candidate_with_a_missing_arc_is_skipped():
     # (1, 2) drives the missing arc; (2, 1) serves both customers
-    inst = augment_depot(two_on_a_line_without((1, 2)), 0)
+    inst = augment_depot(two_on_a_line_without((1, 2)))
     for objective in OBJECTIVES:
         result = enumerate_routes(inst, objective)
         assert tuple(sol.routes for sol in result.solutions) == (((2, 1),),)

@@ -1,6 +1,5 @@
 """Queueing speed model: closed forms, roots, calibration, profiles."""
 
-import math
 import random
 
 import numpy as np

@@ -273,6 +273,18 @@ def test_make_feasible_contract(data, name, dispatch):
     assert _served_distance(again, inst) <= _served_distance(fixed, inst)
 
 
+def test_make_feasible_survives_a_route_it_empties():
+    # the audit names every stop but 48, the heaviest, which the
+    # capacity rule then ejects, so the late return finds the route empty
+    inst = audit_instance("R101")
+    late = (48, 38, 61, 12, 24, 14, 36, 15, 72, 78, 89, 20, 90, 58, 52, 99)
+    start = RoutingSolution((late,) + ((),) * (inst.fleet.count - 1))
+    fixed = make_feasible(start, inst, 0.0)
+    assert fixed is not None and _passes_audit(fixed, inst, 0.0)
+    assert sorted(n for r in fixed.routes for n in r) \
+        == sorted(inst.customers())
+
+
 @lru_cache(maxsize=None)
 def audit_instance(name):
     if name == "R101":
@@ -281,7 +293,7 @@ def audit_instance(name):
         return ensure_augmented(load_case_study(bundled_case_study_dir()))
     if name.startswith("line without"):  # e.g. "line without 1 0"
         tail, head = map(int, name.split()[2:])
-        return augment_depot(two_on_a_line_without((tail, head)), 0)
+        return augment_depot(two_on_a_line_without((tail, head)))
     return ensure_augmented(generate_instance(25, seed=0))
 
 
@@ -655,12 +667,6 @@ def test_memo_walk_meets_both_kinds_of_rejection():
 
 
 def test_solver_config_validation():
-    with pytest.raises(SolverError):
-        SolverConfig(initial_temperature=0.01, final_temperature=10.0)
-    with pytest.raises(SolverError):
-        SolverConfig(iterations_per_temperature=0)
-    with pytest.raises(SolverError):
-        SolverConfig(population_size=0)
     with pytest.raises(SolverError):
         SolverConfig(max_outer_iterations=-1)
     with pytest.raises(SolverError):
