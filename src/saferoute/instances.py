@@ -431,14 +431,19 @@ def generate_instance(size: int, seed: int, *, fleet_count: int | None = None,
 # Case-study CSV bundle
 
 
-CASE_STUDY_FILES = ("meta.csv", "nodes.csv", "distances.csv", "profiles.csv")
-
-
-def _read_csv(path: Path) -> list[dict]:
+def _read_csv(path: Path) -> list[tuple[str, dict]]:
+    """Rows of a case-study file, each with its place, "file line N"."""
     if not path.is_file():
         raise InstanceError(f"missing case-study file: {path.name}")
     with path.open(newline="") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        return [(f"{path.name} line {reader.line_num}", row) for row in reader]
+
+
+def _add_once(table: dict, key, value, where: str) -> None:
+    if key in table:
+        raise InstanceError(f"{where}: duplicate entry {key!r}")
+    table[key] = value
 
 
 def load_case_study(directory: str | Path) -> Instance:
@@ -446,13 +451,17 @@ def load_case_study(directory: str | Path) -> Instance:
 
     Expects meta.csv (key/value), nodes.csv, distances.csv and
     profiles.csv (one row per arc and profile kind with 24 hourly
-    columns).  Returns the augmented instance, ready to solve.
+    columns).  Returns the augmented instance, ready to solve.  A
+    repeated meta key, arc or (arc, kind), and a profile for an arc
+    without a distance, are errors.
 
     A demand total above the whole fleet's capacity only warns: the
     instance remains loadable for inspection.
     """
     directory = Path(directory)
-    meta = {row["key"]: row["value"] for row in _read_csv(directory / "meta.csv")}
+    meta: dict[str, str] = {}
+    for where, row in _read_csv(directory / "meta.csv"):
+        _add_once(meta, row["key"], row["value"], where)
     try:
         fleet = Fleet(int(meta["vehicles"]), float(meta["capacity"]))
         latest = float(meta["latest"])
@@ -462,30 +471,33 @@ def load_case_study(directory: str | Path) -> Instance:
         raise InstanceError(f"meta.csv: missing or bad entry ({exc})") from exc
 
     nodes = []
-    for row in _read_csv(directory / "nodes.csv"):
+    for where, row in _read_csv(directory / "nodes.csv"):
         try:
             nodes.append(Node(int(row["id"]), float(row["x"]), float(row["y"]),
                               float(row["demand"]), float(row["service"]),
                               float(row["open"]), float(row["close"])))
         except (KeyError, ValueError, ModelError) as exc:
-            raise InstanceError(f"nodes.csv: bad row {row!r} ({exc})") from exc
+            raise InstanceError(f"{where}: bad row {row!r} ({exc})") from exc
     nodes.sort(key=lambda n: n.id)
 
-    distances = {}
-    for row in _read_csv(directory / "distances.csv"):
+    distances: dict[tuple[int, int], float] = {}
+    for where, row in _read_csv(directory / "distances.csv"):
         try:
-            distances[(int(row["tail"]), int(row["head"]))] = float(row["miles"])
+            arc, miles = (int(row["tail"]), int(row["head"])), float(row["miles"])
         except (KeyError, ValueError) as exc:
-            raise InstanceError(f"distances.csv: bad row {row!r} ({exc})") from exc
+            raise InstanceError(f"{where}: bad row {row!r} ({exc})") from exc
+        _add_once(distances, arc, miles, where)
 
     profiles: dict[tuple[int, int, str], TimeProfile] = {}
-    for row in _read_csv(directory / "profiles.csv"):
+    for where, row in _read_csv(directory / "profiles.csv"):
         try:
             key = (int(row["tail"]), int(row["head"]), row["kind"])
             values = tuple(float(row[f"h{h}"]) for h in range(HOURS_PER_DAY))
         except (KeyError, ValueError) as exc:
-            raise InstanceError(f"profiles.csv: bad row {row!r} ({exc})") from exc
-        profiles[key] = TimeProfile(values)
+            raise InstanceError(f"{where}: bad row {row!r} ({exc})") from exc
+        if key[:2] not in distances:
+            raise InstanceError(f"{where}: arc {key[:2]} has no distances.csv row")
+        _add_once(profiles, key, TimeProfile(values), where)
 
     arcs = {}
     for (i, j), dist in sorted(distances.items()):

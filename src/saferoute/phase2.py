@@ -191,17 +191,12 @@ def build_schedule_graph(route: tuple[int, ...], instance: Instance,
 class Schedule:
     """Optimal re-timing of one route: the service starts the DP chose.
 
-    ``service_starts[k]`` is when stop ``k`` of ``route`` is served and
-    ``total_cost`` the DP's additive cost of that choice, for the
-    identifying ``dispatch``, grid size ``m`` and ``objective``.  The
-    times that follow are ``time_route(route, instance, dispatch,
+    ``service_starts[k]`` is when stop ``k`` of the route is served and
+    ``total_cost`` the DP's additive cost of that choice.  The times
+    that follow are ``time_route(route, instance, dispatch,
     service_starts)``.
     """
 
-    route: tuple[int, ...]
-    dispatch: float
-    m: int
-    objective: str
     service_starts: tuple[float, ...]
     total_cost: float
 
@@ -241,7 +236,7 @@ def optimize_schedule(route: tuple[int, ...], instance: Instance,
     for pos in range(n_pos - 1, 0, -1):
         indices[pos - 1] = pred[pos][indices[pos]]
     starts = tuple(graph.times[pos][indices[pos]] for pos in range(1, n_pos))
-    return Schedule(tuple(route), dispatch, m, objective, starts, sink_cost)
+    return Schedule(starts, sink_cost)
 
 
 @dataclass
@@ -249,55 +244,53 @@ class RouteRecord:
     """What one solve has learned about one route.
 
     ``timing`` is the route's immediate-departure timing; ``retimed``
-    holds its optimal ``Schedule`` and the ``time_route`` timing of
-    that schedule's service starts once the route has been retimed.
-    Both depend only on the route and on what a solve holds fixed
-    (instance, dispatch, ``m``, weights and objective), so a solve
-    keeps one record per distinct route in a local dict, its route
-    memo, and drops it on return.
+    is the ``time_route`` timing of its optimal service starts once the
+    route has been retimed.  Both depend only on the route and on what
+    a solve holds fixed (instance, dispatch, ``m``, weights and
+    objective), so a solve keeps one record per distinct route in a
+    local dict, its route memo, and drops it on return.
     """
 
     timing: RouteTiming
-    retimed: tuple[Schedule, RouteTiming] | None = None
+    retimed: RouteTiming | None = None
 
 
 def schedule_solution(solution: RoutingSolution, instance: Instance, m: int,
                       weights: ObjectiveWeights | None = None,
                       objective: str = "weighted", *,
                       memo: dict[tuple[int, ...], RouteRecord],
-                      ) -> tuple[RoutingSolution, tuple[Schedule, ...]]:
-    """Re-time every route of a solution; returns the timed solution and
-    the per-route schedules (empty routes keep their trivial timing).
+                      ) -> RoutingSolution:
+    """Re-time every route of a solution (empty routes keep their
+    trivial timing) and return the re-timed solution.
 
     The DP picks each route's service starts, and ``time_route`` turns
-    them into the route's timing.
+    them into the route's timing, the only thing kept of the DP's
+    answer: its starts are the timing's ``service_start``s and its cost
+    the ``leg_cost`` sum over the timing's legs.
 
     ``memo`` is a solve's route memo (see ``RouteRecord``), shared only
     by calls with the same instance, dispatch, ``m``, weights and
     objective.  A route whose record is already retimed reuses that
-    retiming; any other route is retimed here, and the result is stored
+    timing; any other route is retimed here, and the result is stored
     in its record when it has one.  A route that admits no schedule
     raises ``ScheduleInfeasibleError`` every time and is never stored.
     """
     if solution.dispatch is None:
         raise SolutionError("schedule needs a dispatched solution")
     timings = []
-    schedules = []
     for route in solution.routes:
         if not route:
             timings.append(time_route(route, instance, solution.dispatch))
             continue
         record = memo.get(route)
         if record is not None and record.retimed is not None:
-            sched, timing = record.retimed
+            timing = record.retimed
         else:
             sched = optimize_schedule(route, instance, solution.dispatch, m,
                                       weights, objective)
             timing = time_route(route, instance, solution.dispatch,
                                 sched.service_starts)
             if record is not None:
-                record.retimed = sched, timing
-        schedules.append(sched)
+                record.retimed = timing
         timings.append(timing)
-    return (RoutingSolution(solution.routes, solution.dispatch, tuple(timings)),
-            tuple(schedules))
+    return RoutingSolution(solution.routes, solution.dispatch, tuple(timings))

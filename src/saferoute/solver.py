@@ -5,7 +5,9 @@ evaluated by timing it with immediate departures, rejecting it outright
 if any constraint breaks, re-timing the surviving routes on the
 discretized schedule graph, and scoring the re-timed solution; the
 routing and scheduling phases therefore run together on every accepted
-step rather than as separate passes.
+step rather than as separate passes.  Retiming hands back timings
+only; a ``distance`` candidate, which it cannot improve, keeps its
+immediate one.
 
 A route's immediate-departure timing and its optimal retiming depend
 only on that route once a solve has fixed the dispatch, grid size,
@@ -81,12 +83,7 @@ from .phase1 import (
     propagate_schedule,
     time_route,
 )
-from .phase2 import (
-    RouteRecord,
-    Schedule,
-    ScheduleInfeasibleError,
-    schedule_solution,
-)
+from .phase2 import RouteRecord, ScheduleInfeasibleError, schedule_solution
 
 MOVE_KINDS = ("insertion", "swap", "two_opt", "three_opt", "reversion", "split")
 
@@ -662,17 +659,15 @@ class Evaluation:
     """Scored candidate: routes plus the value that ranks it."""
 
     solution: RoutingSolution
-    schedules: tuple[Schedule, ...]
     value: float
     feasible: bool
 
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Best solution found, its timing, and search telemetry."""
+    """Best solution, timed as ``evaluate`` scored it, and telemetry."""
 
     solution: RoutingSolution
-    schedules: tuple[Schedule, ...]
     value: float
     objective: str
     feasible: bool
@@ -690,8 +685,9 @@ def evaluate(routes: RoutingSolution | tuple, instance: Instance,
 
     Infeasible candidates come back with an infinite value.  The
     schedule phase runs on every feasible candidate, except under the
-    distance objective: re-timing cannot change distance, so ``solve``
-    re-times only its final distance incumbent, for reporting.
+    distance objective: re-timing cannot change distance, and the DP
+    breaks ties toward the earliest start, so a distance candidate
+    keeps its immediate-departure timing.
 
     ``memo`` is the calling solve's route memo (``phase2.RouteRecord``
     per route), shared only by calls with the same instance, dispatch,
@@ -713,20 +709,18 @@ def evaluate(routes: RoutingSolution | tuple, instance: Instance,
                     (route,), instance, dispatch).timings[0])
             timings.append(record.timing)
     except MissingArcError:
-        return Evaluation(sol, (), math.inf, False)
+        return Evaluation(sol, math.inf, False)
     timed = RoutingSolution(sol.routes, dispatch, tuple(timings))
     if check_feasibility(timed, instance):
-        return Evaluation(timed, (), math.inf, False)
-    schedules: tuple[Schedule, ...] = ()
+        return Evaluation(timed, math.inf, False)
     if config.objective != "distance":
         try:
-            timed, schedules = schedule_solution(
-                timed, instance, config.m, weights, config.objective,
-                memo=memo)
+            timed = schedule_solution(timed, instance, config.m, weights,
+                                      config.objective, memo=memo)
         except ScheduleInfeasibleError:
-            return Evaluation(timed, (), math.inf, False)
+            return Evaluation(timed, math.inf, False)
     value = objective_value(config.objective, timed, instance, weights)
-    return Evaluation(timed, schedules, value, True)
+    return Evaluation(timed, value, True)
 
 
 def _admit(pool: list[Evaluation], candidate: Evaluation) -> None:
@@ -752,9 +746,9 @@ def solve(instance: Instance, config: SolverConfig | None = None,
     Deterministic for a given (instance, config, dispatch): a single
     seeded generator drives construction fallbacks, move sampling and
     acceptance, and the route memo lives only for this call.  The result
-    carries the re-timed best solution; when no feasible solution is
-    ever seen the best-effort candidate is returned flagged infeasible
-    with an infinite value.
+    carries the best solution exactly as ``evaluate`` scored it; when no
+    feasible solution is ever seen the best-effort candidate is returned
+    flagged infeasible with an infinite value.
     """
     started = time.perf_counter()
     config = config or SolverConfig()
@@ -786,7 +780,8 @@ def solve(instance: Instance, config: SolverConfig | None = None,
     pool = [first] if first.feasible else []
     history: list[float] = []
 
-    if config.max_outer_iterations > 0:
+    # with no customer there is no move to make
+    if config.max_outer_iterations > 0 and any(start.routes):
         alpha = cooling_factor(INITIAL_TEMPERATURE, FINAL_TEMPERATURE,
                                config.max_outer_iterations)
         temperature = INITIAL_TEMPERATURE
@@ -808,17 +803,6 @@ def solve(instance: Instance, config: SolverConfig | None = None,
             history.append((pool[0] if pool else first).value)
 
     best = pool[0] if pool else first
-    solution, schedules = best.solution, best.schedules
-    if best.feasible and not schedules:
-        # a distance incumbent is retimed once, for its reported
-        # schedules; retiming cannot change its distance
-        try:
-            solution, schedules = schedule_solution(
-                solution, instance, config.m, weights, config.objective,
-                memo=memo)
-        except ScheduleInfeasibleError:
-            pass
-
-    return SolveResult(solution, schedules, best.value,
-                       config.objective, best.feasible, evaluations,
-                       tuple(history), time.perf_counter() - started)
+    return SolveResult(best.solution, best.value, config.objective,
+                       best.feasible, evaluations, tuple(history),
+                       time.perf_counter() - started)

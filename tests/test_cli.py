@@ -196,6 +196,19 @@ def test_solve_reads_native_and_solomon_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solve_and_verify_an_instance_without_customers(tmp_path, capsys):
+    # a lone depot is served by empty routes worth 0.0; there is no move
+    # to anneal
+    path = tmp_path / "depot.txt"
+    path.write_text(serialize_instance(build_instance([])))
+    assert main(["solve", "--instance", str(path), "--scenario", "0"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert row.split()[1:5] == ["yes", "-", "weighted", "0.0"]
+    assert main(["verify", "--instance", str(path), "--scenario", "0"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert row.split()[1:] == ["0.0", "0.0", "0.0", "yes"]
+
+
 # --- verify ---------------------------------------------------------------
 
 
@@ -329,6 +342,16 @@ def test_bad_numbers_in_an_instance_exit_3(tmp_path, capsys, case):
                 "--out", str(tmp_path / "g.txt")]
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_case_study_with_a_repeated_distance_exits_3(tmp_path, capsys):
+    case = tmp_path / "case"
+    shutil.copytree(CASE_DIR, case)
+    with (case / "distances.csv").open("a") as fh:
+        fh.write("0,1,99.0\n")
+    assert main(["solve", "--scenario", "0", "--instance", str(case)]) == 3
+    assert capsys.readouterr().err == \
+        "error: distances.csv line 14: duplicate entry (0, 1)\n"
 
 
 # --- configuration and seeds -----------------------------------------------

@@ -280,6 +280,33 @@ def test_case_study_missing_profile(tmp_path):
         load_case_study(tmp_path)
 
 
+def _case_study_edited(tmp_path, name, edit):
+    """The bundled case study with one file's lines passed through edit."""
+    import shutil
+    shutil.copytree(bundled_case_study_dir(), tmp_path, dirs_exist_ok=True)
+    lines = (tmp_path / name).read_text().splitlines()
+    (tmp_path / name).write_text("\n".join(edit(lines)) + "\n")
+
+
+@pytest.mark.parametrize("name, edit, match", [
+    ("distances.csv", lambda ls: ls + ["0,1,99.0"],
+     r"distances.csv line 14: duplicate entry \(0, 1\)"),
+    ("profiles.csv", lambda ls: ls + [ls[1]],
+     r"profiles.csv line 38: duplicate entry \(0, 1, 'speed'\)"),
+    ("meta.csv", lambda ls: ls + ["vehicles,2"],
+     r"meta.csv line 7: duplicate entry 'vehicles'"),
+    ("distances.csv", lambda ls: [ln for ln in ls if ln != "2,3,9.1"],
+     r"profiles.csv line 32: arc \(2, 3\) has no distances.csv row"),
+], ids=["distance", "profile", "meta-key", "profile-without-distance"])
+def test_case_study_rejects_repeated_and_orphan_rows(tmp_path, name, edit,
+                                                     match):
+    # the last of two rows used to win silently, and an orphan profile
+    # was dropped
+    _case_study_edited(tmp_path, name, edit)
+    with pytest.raises(InstanceError, match=match):
+        load_case_study(tmp_path)
+
+
 def test_case_study_overload_warns(tmp_path):
     import shutil
     src = bundled_case_study_dir()

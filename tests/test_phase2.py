@@ -79,10 +79,10 @@ def random_instance(rng, n_customers, dummies=0, crash_hi=0.05):
                            latest=24.0, arc_overrides=overrides)
 
 
-def retimed(sched: Schedule, inst) -> RoutingSolution:
+def retimed(route, dispatch, sched: Schedule, inst) -> RoutingSolution:
     """One-route solution timed at the schedule's service starts."""
-    return RoutingSolution((sched.route,), sched.dispatch, (time_route(
-        sched.route, inst, sched.dispatch, sched.service_starts),))
+    return RoutingSolution((route,), dispatch, (time_route(
+        route, inst, dispatch, sched.service_starts),))
 
 
 def all_path_costs(graph: ScheduleGraph):
@@ -112,11 +112,12 @@ def test_single_candidate_matches_propagation():
                                  len(inst.customers())))
         dispatch = rng.choice([0.0, 7.25, 22.5])
         prop = propagate_schedule((route,), inst, dispatch)
-        timed, (sched,) = schedule_solution(prop, inst, 1,
-                                            objective="distance", memo={})
+        sched = optimize_schedule(route, inst, dispatch, 1,
+                                  objective="distance")
         stops = prop.timings[0].stops
         assert sched.service_starts == tuple(s.service_start for s in stops)
-        assert timed == prop
+        assert schedule_solution(prop, inst, 1, objective="distance",
+                                 memo={}) == prop
 
 
 def test_grid_shape_and_path_bound():
@@ -193,7 +194,7 @@ def test_frozen_two_hour_delay():
     assert graph.times[1] == (1.0, 1.5, 2.0)
     sched = optimize_schedule((1,), inst, 0.0, m=3, objective="crash")
     assert sched.service_starts == (2.0,)
-    timed = retimed(sched, inst)
+    timed = retimed((1,), 0.0, sched, inst)
     (stop,) = timed.timings[0].stops
     # the hour of slack is spent waiting at the stop, not on the road
     assert stop.arrival == pytest.approx(1.0, abs=1e-12)
@@ -241,10 +242,10 @@ def test_rescheduled_solution_stays_feasible():
         if check_feasibility(prop, inst):
             continue
         for objective in ("crash", "tti", "weighted", "time", "distance"):
-            timed, scheds = schedule_solution(prop, inst, 4,
-                                              objective=objective, memo={})
+            timed = schedule_solution(prop, inst, 4, objective=objective,
+                                      memo={})
             assert not check_feasibility(timed, inst)
-            assert len(scheds) == sum(1 for r in routes if r)
+            assert len(timed.timings) == len(routes)
             checked += 1
     assert checked >= 50
 
@@ -266,7 +267,7 @@ def test_horizon_filter_keeps_late_starts_out():
     assert graph.times[1][-1] < 1.2  # the raw grid top was clipped away
     sched = optimize_schedule((1,), inst, 0.0, m=5, objective="crash")
     assert sched.service_starts[0] > lo
-    timed = retimed(sched, inst)
+    timed = retimed((1,), 0.0, sched, inst)
     assert not check_feasibility(timed, inst)
     immediate = propagate_schedule(((1,),), inst, 0.0)
     assert objective_value("crash", timed, inst) < \
@@ -290,7 +291,8 @@ def test_total_cost_maps_to_route_objectives():
                                           objective=objective)
             except ScheduleInfeasibleError:
                 continue
-            value = objective_value(objective, retimed(sched, inst), inst)
+            timed = retimed(route, dispatch, sched, inst)
+            value = objective_value(objective, timed, inst)
             if objective == "crash":
                 assert value == -math.expm1(-sched.total_cost)
             else:
@@ -330,7 +332,8 @@ def test_dp_finds_the_reported_optimum_over_its_grid(seed, m, dispatch,
                 inst, weights))
         sched = optimize_schedule(route, inst, dispatch, m, weights,
                                   objective)
-        assert objective_value(objective, retimed(sched, inst), inst,
+        assert objective_value(objective,
+                               retimed(route, dispatch, sched, inst), inst,
                                weights) == best, objective
 
 
@@ -377,7 +380,7 @@ def test_dummy_stop_schedules_and_revalidates():
     dummy = inst.dummy_ids[0]
     route = (1, dummy, 2, 3)
     sched = optimize_schedule(route, inst, 0.0, m=3, objective="crash")
-    timed = retimed(sched, inst)
+    timed = retimed(route, 0.0, sched, inst)
     assert not check_feasibility(timed, inst)
     pos = route.index(dummy) + 1
     graph = build_schedule_graph(route, inst, 0.0, m=3, objective="crash")
@@ -388,9 +391,8 @@ def test_schedule_solution_keeps_empty_routes():
     rng = random.Random(31)
     inst = random_instance(rng, 3)
     prop = propagate_schedule(((2, 1, 3), ()), inst, 0.0)
-    timed, scheds = schedule_solution(prop, inst, 3, objective="tti",
-                                      memo={})
-    assert len(timed.timings) == 2 and len(scheds) == 1
+    timed = schedule_solution(prop, inst, 3, objective="tti", memo={})
+    assert len(timed.timings) == 2 and len(timed.timings[0].stops) == 3
     assert timed.timings[1].stops == ()
     assert timed.timings[1].return_arrival == 0.0
     assert timed.routes == prop.routes
@@ -411,7 +413,7 @@ def test_schedule_solution_retimes_each_memo_route_once(monkeypatch):
     assert schedule_solution(prop, inst, 3, objective="tti",
                              memo=memo) == fresh
     assert calls == [(2, 1), (3,), (3,)]
-    assert memo[(2, 1)].retimed == (fresh[1][0], fresh[0].timings[0])
+    assert memo[(2, 1)].retimed == fresh.timings[0]
     assert set(memo) == {(2, 1)}
 
 
@@ -475,14 +477,14 @@ def test_one_walk_times_immediate_and_retimed_routes(data, which, dispatch,
     assert_walk_recorded(route, time_route(route, inst, dispatch, moved),
                          inst, dispatch)
     try:
-        timed, (sched,) = schedule_solution(prop, inst, m, None, objective,
-                                            memo={})
+        timed = schedule_solution(prop, inst, m, None, objective, memo={})
     except ScheduleInfeasibleError:
         # the immediate schedule is always a path of the graph
         assert immediate.violations
         return
     timing = timed.timings[0]
     assert_walk_recorded(route, timing, inst, dispatch)
+    sched = optimize_schedule(route, inst, dispatch, m, None, objective)
     assert tuple(s.service_start for s in timing.stops) == sched.service_starts
     for stop in timing.stops:
         assert stop.arrival <= stop.service_start + TIME_EPS

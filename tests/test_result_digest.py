@@ -31,7 +31,7 @@ def test_expect_fails_on_a_mismatch_and_prints_both(monkeypatch, capsys):
 
 #: The digest of the whole matrix.  A change that alters a result on
 #: purpose re-pins it and says why in CHANGES.md.
-PINNED = "fc80f6c3702c9297890b544449e44002252c1193fe2ba7ad7adf2581f5261788"
+PINNED = "5791b613052e3fa4b6ef4d82dc9cefd72e16a1e87398844e5fd9941140c5835c"
 
 
 def test_matrix_digest_is_pinned(capsys):

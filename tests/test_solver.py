@@ -31,7 +31,7 @@ from saferoute.phase1 import (
     propagate_schedule,
     time_route,
 )
-from saferoute.phase2 import schedule_solution
+from saferoute.phase2 import optimize_schedule, schedule_solution
 from saferoute import phase1, solver
 from saferoute.solver import (
     MOVE_KINDS,
@@ -581,9 +581,12 @@ def test_evaluate_skips_scheduling_for_distance():
     inst = build_augmented([{"x": 2.0, "y": 0.0}, {"x": 4.0, "y": 0.0}],
                            m=1, fleet=(2, 100.0))
     cfg = SolverConfig(objective="distance", m=2)
+    memo = {}
     out = evaluate(((1, 2), ()), inst, cfg, 0.0,
-                   cfg.weights.resolved(inst))
-    assert out.feasible and out.schedules == ()
+                   cfg.weights.resolved(inst), memo=memo)
+    assert out.feasible
+    assert out.solution == propagate_schedule(((1, 2), ()), inst, 0.0)
+    assert all(record.retimed is None for record in memo.values())
 
 
 def test_evaluate_rejects_window_violation():
@@ -614,8 +617,9 @@ def memo_instance(name):
 def memo_walk(name, dispatch, objective, walk_seed, steps=30):
     """Evaluate a random walk of moves with one shared route memo and
     again with none; returns the pairs of evaluations.  On about a
-    quarter of the steps a feasible pair is also re-timed as ``solve``
-    re-times its final incumbent, with the shared memo and without."""
+    quarter of the steps a feasible pair is also re-timed by
+    ``schedule_solution``, with the shared memo and without, which
+    under ``distance`` fills the shared memo's retimings."""
     inst = memo_instance(name)
     cfg = SolverConfig(objective=objective)
     weights = cfg.weights.resolved(inst)
@@ -625,10 +629,9 @@ def memo_walk(name, dispatch, objective, walk_seed, steps=30):
     pairs = []
 
     def retimed(evaluation, route_memo):
-        timed, schedules = schedule_solution(
+        return replace(evaluation, solution=schedule_solution(
             evaluation.solution, inst, cfg.m, weights, objective,
-            memo=route_memo)
-        return replace(evaluation, solution=timed, schedules=schedules)
+            memo=route_memo))
 
     for _ in range(steps):
         force = rng.random() < 0.25
@@ -648,7 +651,7 @@ def memo_walk(name, dispatch, objective, walk_seed, steps=30):
                                 st.sampled_from(OBJECTIVES)),
                       st.just(("RND25", 7.0, "weighted"))))
 def test_route_memo_changes_no_evaluation(walk_seed, case):
-    # value, feasibility, routes, timings and schedules all equal
+    # value, feasibility, routes and timings all equal
     for shared, alone in memo_walk(*case, walk_seed):
         assert shared == alone
 
@@ -696,7 +699,8 @@ def test_zero_iteration_budget_returns_scheduled_initial():
     assert res.feasible
     assert res.evaluations == 1
     assert res.history == ()
-    assert res.schedules  # the initial solution still gets timed output
+    # the initial solution still gets timed output
+    assert any(timing.stops for timing in res.solution.timings)
 
 
 def test_incumbent_history_is_nonincreasing():
@@ -748,20 +752,22 @@ def test_case_study_distance_optimum():
 def test_weighted_solve_produces_schedules():
     inst = load_case_study(bundled_case_study_dir())
     res = solve(inst, SolverConfig(seed=3, m=2), dispatch=7.0)
-    assert res.feasible and res.schedules
-    starts = res.schedules[0].service_starts
+    assert res.feasible
+    starts = tuple(stop.service_start
+                   for stop in res.solution.timings[0].stops)
+    assert starts
     assert all(b >= a - 1e-12 for a, b in zip(starts, starts[1:]))
 
 def _result_fields(res):
-    return repr((res.value, res.solution, res.schedules, res.history,
-                 res.evaluations, res.feasible))
+    return repr((res.value, res.solution, res.history, res.evaluations,
+                 res.feasible))
 
 
 FRESH_SOLVE = """
 from saferoute import SolverConfig, bundled_case_study_dir, load_case_study, solve
 res = solve(load_case_study(bundled_case_study_dir()), SolverConfig(seed=5), 7.0)
-print(repr((res.value, res.solution, res.schedules, res.history,
-            res.evaluations, res.feasible)))
+print(repr((res.value, res.solution, res.history, res.evaluations,
+            res.feasible)))
 """
 
 
@@ -782,16 +788,25 @@ def test_solve_keeps_no_state_between_calls():
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_scheduling_only_the_incumbent(objective):
-    # distance schedules only the incumbent, the other objectives every
-    # feasible candidate; either way the result carries one schedule per
-    # loaded route and the value of its timed solution
+    # every objective but distance serves each loaded route at the DP's
+    # starts; distance retimes nothing, not even the incumbent, and keeps
+    # the immediate timing; either way the value is that of the timing
     inst = memo_instance("case")
     cfg = SolverConfig(objective=objective)
     weights = cfg.weights.resolved(inst)
     for hour in (0, 6, 7, 12, 17, 23):
-        res = solve(inst, cfg, float(hour))
+        dispatch = float(hour)
+        res = solve(inst, cfg, dispatch)
         assert res.feasible
-        loaded = tuple(r for r in res.solution.routes if r)
-        assert tuple(s.route for s in res.schedules) == loaded
+        routes, timings = res.solution.routes, res.solution.timings
+        if objective == "distance":
+            assert timings == propagate_schedule(routes, inst,
+                                                 dispatch).timings
+        else:
+            for route, timing in zip(routes, timings):
+                starts = tuple(stop.service_start for stop in timing.stops)
+                assert not route or starts == optimize_schedule(
+                    route, inst, dispatch, cfg.m, weights,
+                    objective).service_starts
         assert res.value == objective_value(objective, res.solution, inst,
                                             weights)

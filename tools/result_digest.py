@@ -1,16 +1,16 @@
 """One SHA-256 over the results of a fixed matrix of solves.
 
 Two checkouts that print the same digest returned the same value,
-solution (routes and timings), schedules, incumbent history,
-evaluation count and feasibility flag on every solve of the matrix;
-only ``elapsed`` is left out.  A schedule is hashed by its route,
-dispatch, ``m``, objective, service starts and total cost, the fields
-every version of ``phase2.Schedule`` has, so checkouts whose
-``Schedule`` carries more or fewer fields still compare.  Likewise a
-route timing is hashed by its depot departure, initial load, stops and
-return arrival, the fields every version of ``phase1.RouteTiming`` has;
-what a timing walk also records (leg readings, audit verdict) follows
-from those and would change the ``repr`` without changing any result.
+solution (routes and timings), incumbent history, evaluation count and
+feasibility flag on every solve of the matrix; only ``elapsed`` is left
+out.  A route timing is hashed by its depot departure, initial load,
+stops and return arrival, the fields every version of
+``phase1.RouteTiming`` has; what a timing walk also records (leg
+readings, audit verdict) follows from those and would change the
+``repr`` without changing any result.  Retiming schedules are not
+hashed: a schedule's service starts are its route's recorded starts
+and its cost the ``leg_cost`` sum of the recorded legs, so the timings
+already hold everything a schedule says.
 Use it to show that a change which is meant to alter speed alone left
 every result bit-identical.
 
@@ -71,12 +71,6 @@ def matrix():
                SolverConfig(objective="distance", seed=seed), 0.0)
 
 
-def schedule_record(schedule) -> tuple:
-    """What identifies a retiming and what its DP decided."""
-    return (schedule.route, schedule.dispatch, schedule.m, schedule.objective,
-            schedule.service_starts, schedule.total_cost)
-
-
 def timing_record(timing) -> tuple:
     """The times and loads of one timed route."""
     return (timing.depot_departure, timing.initial_load, timing.stops,
@@ -89,7 +83,6 @@ def result_record(result) -> str:
     timings = None if solution.timings is None \
         else tuple(timing_record(t) for t in solution.timings)
     return repr((result.value, solution.routes, solution.dispatch, timings,
-                 tuple(schedule_record(s) for s in result.schedules),
                  result.history, result.evaluations, result.feasible))
 
 
