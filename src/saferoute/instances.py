@@ -452,8 +452,9 @@ def load_case_study(directory: str | Path) -> Instance:
     Expects meta.csv (key/value), nodes.csv, distances.csv and
     profiles.csv (one row per arc and profile kind with 24 hourly
     columns).  Returns the augmented instance, ready to solve.  A
-    repeated meta key, arc or (arc, kind), and a profile for an arc
-    without a distance, are errors.
+    repeated meta key, arc or (arc, kind), a profile kind other than
+    speed, tti or crash, and a profile for an arc without a distance,
+    are errors.
 
     A demand total above the whole fleet's capacity only warns: the
     instance remains loadable for inspection.
@@ -461,7 +462,12 @@ def load_case_study(directory: str | Path) -> Instance:
     directory = Path(directory)
     meta: dict[str, str] = {}
     for where, row in _read_csv(directory / "meta.csv"):
-        _add_once(meta, row["key"], row["value"], where)
+        try:
+            key, value = row["key"], row["value"]
+        except KeyError as exc:
+            raise InstanceError(f"{where}: bad row {row!r} (no column {exc})") \
+                from exc
+        _add_once(meta, key, value, where)
     try:
         fleet = Fleet(int(meta["vehicles"]), float(meta["capacity"]))
         latest = float(meta["latest"])
@@ -495,6 +501,9 @@ def load_case_study(directory: str | Path) -> Instance:
             values = tuple(float(row[f"h{h}"]) for h in range(HOURS_PER_DAY))
         except (KeyError, ValueError) as exc:
             raise InstanceError(f"{where}: bad row {row!r} ({exc})") from exc
+        if key[2] not in PROFILE_KINDS:
+            raise InstanceError(f"{where}: unknown profile kind {key[2]!r}, "
+                                f"expected one of {PROFILE_KINDS}")
         if key[:2] not in distances:
             raise InstanceError(f"{where}: arc {key[:2]} has no distances.csv row")
         _add_once(profiles, key, TimeProfile(values), where)

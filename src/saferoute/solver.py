@@ -14,10 +14,15 @@ only on that route once a solve has fixed the dispatch, grid size,
 weights and objective.  Each ``solve`` call therefore keeps a route
 memo, a plain dict local to the call: every distinct route is
 propagated and retimed at most once per solve, however many candidates
-it recurs in.  The feasibility audit and the objective still judge each
+it recurs in.  The feasibility audit and the objective judge each
 assembled candidate whole, but they read each route's audit verdict and
 driven legs as its one timing walk recorded them, so a memo hit walks
-nothing again.
+nothing again.  Beside it sits a candidate memo, a dict from a
+candidate's routes to its feasible ``Evaluation``: the annealer revisits
+the same few candidates over and over, and a repeat is served whole
+from it, with no assembly, audit or objective.  Infeasible candidates
+are left out of it and evaluated afresh, so every rejection comes from
+the check that finds the fault, where a profiler can see its reason.
 
 Construction divides the plane around the depot into one slice per
 vehicle, halves each slice, serves the first half outward and the
@@ -680,7 +685,8 @@ def evaluate(routes: RoutingSolution | tuple, instance: Instance,
              config: SolverConfig, dispatch: float,
              weights: ObjectiveWeights,
              memo: dict[tuple[int, ...], RouteRecord] | None = None,
-             ) -> Evaluation:
+             scored: dict[tuple[tuple[int, ...], ...], Evaluation]
+             | None = None) -> Evaluation:
     """Time, filter and score one candidate.
 
     Infeasible candidates come back with an infinite value.  The
@@ -693,12 +699,20 @@ def evaluate(routes: RoutingSolution | tuple, instance: Instance,
     per route), shared only by calls with the same instance, dispatch,
     config and weights.  A recorded route reuses its timings; a new one
     is propagated on its own and recorded unless it uses a missing arc.
-    The audit and the objective always run on the whole candidate, so
-    the result is the same with or without a memo; they read each
-    route's recorded verdict and legs, so a memo hit re-walks nothing.
+    A candidate that is not in ``scored`` runs the audit and the
+    objective whole, reading each route's recorded verdict and legs, so
+    a memo hit re-walks nothing.
+
+    ``scored`` is the calling solve's candidate memo, under the same
+    sharing rule: a candidate found there is returned as stored, and a
+    feasible result is stored.  An infeasible one never is, so each
+    rejection is made afresh by the check that finds the fault.  Either
+    memo leaves the result unchanged.
     """
     sol = routes if isinstance(routes, RoutingSolution) \
         else RoutingSolution(tuple(tuple(r) for r in routes))
+    if scored is not None and (hit := scored.get(sol.routes)) is not None:
+        return hit
     memo = {} if memo is None else memo
     timings = []
     try:
@@ -720,7 +734,10 @@ def evaluate(routes: RoutingSolution | tuple, instance: Instance,
         except ScheduleInfeasibleError:
             return Evaluation(timed, math.inf, False)
     value = objective_value(config.objective, timed, instance, weights)
-    return Evaluation(timed, value, True)
+    result = Evaluation(timed, value, True)
+    if scored is not None:
+        scored[sol.routes] = result
+    return result
 
 
 def _admit(pool: list[Evaluation], candidate: Evaluation) -> None:
@@ -745,7 +762,8 @@ def solve(instance: Instance, config: SolverConfig | None = None,
 
     Deterministic for a given (instance, config, dispatch): a single
     seeded generator drives construction fallbacks, move sampling and
-    acceptance, and the route memo lives only for this call.  The result
+    acceptance, and the route and candidate memos live only for this
+    call, so a repeated feasible candidate is scored once.  The result
     carries the best solution exactly as ``evaluate`` scored it; when no
     feasible solution is ever seen the best-effort candidate is returned
     flagged infeasible with an infinite value.
@@ -764,12 +782,13 @@ def solve(instance: Instance, config: SolverConfig | None = None,
 
     evaluations = 0
     memo: dict[tuple[int, ...], RouteRecord] = {}
+    scored: dict[tuple[tuple[int, ...], ...], Evaluation] = {}
 
     def score(candidate) -> Evaluation:
         nonlocal evaluations
         evaluations += 1
         return evaluate(candidate, instance, config, dispatch, weights,
-                        memo=memo)
+                        memo=memo, scored=scored)
 
     first = score(start)
     if not first.feasible:

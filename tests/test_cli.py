@@ -354,6 +354,23 @@ def test_case_study_with_a_repeated_distance_exits_3(tmp_path, capsys):
         "error: distances.csv line 14: duplicate entry (0, 1)\n"
 
 
+@pytest.mark.parametrize("name, edit, err", [
+    ("meta.csv", lambda text: text.replace("key,value", "k,v"),
+     "error: meta.csv line 2: bad row"),
+    ("profiles.csv", lambda text: text + "0,1,speeeed" + ",1.0" * 24 + "\n",
+     "error: profiles.csv line 38: unknown profile kind 'speeeed'"),
+], ids=["meta-header", "profile-kind"])
+def test_case_study_with_a_bad_header_or_kind_exits_3(tmp_path, capsys, name,
+                                                       edit, err):
+    # a wrong meta header used to end in a KeyError traceback, and a
+    # misspelt kind used to solve as if its row were absent
+    case = tmp_path / "case"
+    shutil.copytree(CASE_DIR, case)
+    (case / name).write_text(edit((case / name).read_text()))
+    assert main(["solve", "--scenario", "0", "--instance", str(case)]) == 3
+    assert capsys.readouterr().err.startswith(err)
+
+
 # --- configuration and seeds -----------------------------------------------
 
 

@@ -297,11 +297,16 @@ def _case_study_edited(tmp_path, name, edit):
      r"meta.csv line 7: duplicate entry 'vehicles'"),
     ("distances.csv", lambda ls: [ln for ln in ls if ln != "2,3,9.1"],
      r"profiles.csv line 32: arc \(2, 3\) has no distances.csv row"),
-], ids=["distance", "profile", "meta-key", "profile-without-distance"])
+    ("meta.csv", lambda ls: ["k,v"] + ls[1:],
+     r"meta.csv line 2: bad row .* \(no column 'key'\)"),
+    ("profiles.csv", lambda ls: ls + ["0,1,speeeed" + ",1.0" * 24],
+     r"profiles.csv line 38: unknown profile kind 'speeeed'"),
+], ids=["distance", "profile", "meta-key", "profile-without-distance",
+        "meta-header", "profile-kind"])
 def test_case_study_rejects_repeated_and_orphan_rows(tmp_path, name, edit,
                                                      match):
-    # the last of two rows used to win silently, and an orphan profile
-    # was dropped
+    # the last of two rows used to win silently, an orphan profile or a
+    # misspelt kind was dropped, and a wrong meta header raised KeyError
     _case_study_edited(tmp_path, name, edit)
     with pytest.raises(InstanceError, match=match):
         load_case_study(tmp_path)

@@ -615,18 +615,20 @@ def memo_instance(name):
 
 
 def memo_walk(name, dispatch, objective, walk_seed, steps=30):
-    """Evaluate a random walk of moves with one shared route memo and
-    again with none; returns the pairs of evaluations.  On about a
-    quarter of the steps a feasible pair is also re-timed by
-    ``schedule_solution``, with the shared memo and without, which
-    under ``distance`` fills the shared memo's retimings."""
+    """Evaluate a random walk of moves twice with one shared route memo
+    and candidate memo, and again with neither; returns per step the
+    shared pair, the memo-free evaluation and whether the second shared
+    call returned the candidate memo's entry.  On about a quarter of
+    the steps a feasible triple is also re-timed by
+    ``schedule_solution``, with the shared route memo and without,
+    which under ``distance`` fills the shared memo's retimings."""
     inst = memo_instance(name)
     cfg = SolverConfig(objective=objective)
     weights = cfg.weights.resolved(inst)
     rng = random.Random(walk_seed)
-    memo = {}
+    memo, scored = {}, {}
     solution = initial_solution(inst)
-    pairs = []
+    steps_seen = []
 
     def retimed(evaluation, route_memo):
         return replace(evaluation, solution=schedule_solution(
@@ -635,13 +637,18 @@ def memo_walk(name, dispatch, objective, walk_seed, steps=30):
 
     for _ in range(steps):
         force = rng.random() < 0.25
-        shared = evaluate(solution, inst, cfg, dispatch, weights, memo=memo)
+        shared = evaluate(solution, inst, cfg, dispatch, weights, memo=memo,
+                          scored=scored)
+        again = evaluate(solution, inst, cfg, dispatch, weights, memo=memo,
+                         scored=scored)
+        hit = scored.get(solution.routes) is again
         alone = evaluate(solution, inst, cfg, dispatch, weights)
         if force and shared.feasible:
-            shared, alone = retimed(shared, memo), retimed(alone, {})
-        pairs.append((shared, alone))
+            shared, again = retimed(shared, memo), retimed(again, memo)
+            alone = retimed(alone, {})
+        steps_seen.append((shared, again, alone, hit))
         solution = apply_move(solution, sample_move(solution, inst, rng))
-    return pairs
+    return steps_seen
 
 
 @settings(max_examples=40, deadline=None)
@@ -651,19 +658,43 @@ def memo_walk(name, dispatch, objective, walk_seed, steps=30):
                                 st.sampled_from(OBJECTIVES)),
                       st.just(("RND25", 7.0, "weighted"))))
 def test_route_memo_changes_no_evaluation(walk_seed, case):
-    # value, feasibility, routes and timings all equal
-    for shared, alone in memo_walk(*case, walk_seed):
-        assert shared == alone
+    # value, feasibility, routes and timings all equal; a feasible
+    # candidate is served from the candidate memo on its second call,
+    # and an infeasible one never enters it
+    for shared, again, alone, hit in memo_walk(*case, walk_seed):
+        assert shared == alone and again == alone
+        assert hit == alone.feasible
 
 
 def test_memo_walk_meets_both_kinds_of_rejection():
     # the property above must see a missing arc (untimed rejection) and
     # an audit rejection (timed) on the case study
-    pairs = memo_walk("case", 7.0, "weighted", walk_seed=3, steps=60)
-    rejected = [shared for shared, alone in pairs if not shared.feasible]
+    steps = memo_walk("case", 7.0, "weighted", walk_seed=3, steps=60)
+    rejected = [shared for shared, _, _, _ in steps if not shared.feasible]
     assert any(e.solution.timings is None for e in rejected)
     assert any(e.solution.timings is not None for e in rejected)
-    assert all(shared == alone for shared, alone in pairs)
+    assert all(shared == again == alone and hit == alone.feasible
+               for shared, again, alone, hit in steps)
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_every_candidate_is_one_evaluate_call(monkeypatch, objective):
+    # profilers wrap solver.evaluate by name and expect one call per
+    # counted evaluation, candidate memo hits included
+    inst = memo_instance("case")
+    results = []
+
+    def counted(*args, **kwargs):
+        results.append(evaluate(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(solver, "evaluate", counted)
+    for hour in (0.0, 7.0, 17.0):
+        results.clear()
+        res = solver.solve(inst, SolverConfig(objective=objective), hour)
+        assert len(results) == res.evaluations
+        # some of them were memo hits: the same stored object again
+        assert len({id(e) for e in results}) < len(results)
 
 
 # --- solve ---------------------------------------------------------------
