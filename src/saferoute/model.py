@@ -110,6 +110,10 @@ class Node:
     def __post_init__(self) -> None:
         if self.id < 0:
             raise ModelError(f"node id must be non-negative, got {self.id}")
+        for name in ("x", "y", "demand", "service_time", "window_open"):
+            if not math.isfinite(getattr(self, name)):
+                raise ModelError(f"node {self.id}: {name} must be finite, "
+                                 f"got {getattr(self, name)!r}")
         if self.demand < 0:
             raise ModelError(f"node {self.id}: negative demand")
         if self.service_time < 0:

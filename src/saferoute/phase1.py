@@ -233,18 +233,6 @@ def return_leg_time(instance: Instance, node_id: int, depart: float) -> float:
     return math.inf if arc is None else travel_time(arc, depart)
 
 
-def _depot_copy(node_id: int) -> Violation:
-    return Violation("route-shape", -1, node_id,
-                     "depot copies may not appear inside a route")
-
-
-def depot_copy_violations(route: tuple[int, ...],
-                          instance: Instance) -> tuple[Violation, ...]:
-    """One route-shape violation per depot or terminal id inside ``route``."""
-    return tuple(_depot_copy(n) for n in sorted(set(route))
-                 if n == 0 or n == instance.terminal_id)
-
-
 def check_feasibility(solution: RoutingSolution,
                       instance: Instance) -> tuple[Violation, ...]:
     """All requirement violations of a timed solution (empty = feasible).
@@ -273,7 +261,9 @@ def check_feasibility(solution: RoutingSolution,
                 "visit-count", -1, c, f"customer visited {seen} times"))
     for n, seen in sorted(counts.items()):
         if n == 0 or n == instance.terminal_id:
-            violations.append(_depot_copy(n))
+            violations.append(Violation(
+                "route-shape", -1, n,
+                "depot copies may not appear inside a route"))
         elif instance.is_dummy(n) and seen > 1:
             violations.append(Violation(
                 "visit-count", -1, n, f"pass-through vertex visited {seen} times"))
@@ -359,12 +349,14 @@ class ObjectiveWeights:
     crash_scale: float | None = None
 
     def __post_init__(self) -> None:
-        if self.w_crash < 0 or self.w_tti < 0:
-            raise SolutionError("objective weights must be non-negative")
+        if not (0 <= self.w_crash < math.inf and 0 <= self.w_tti < math.inf):
+            raise SolutionError("objective weights must be finite and "
+                                "non-negative")
         if abs(self.w_crash + self.w_tti - 1.0) > 1e-9:
             raise SolutionError("objective weights must sum to 1")
-        if self.crash_scale is not None and not self.crash_scale > 0:
-            raise SolutionError("crash scale must be positive")
+        if self.crash_scale is not None \
+                and not 0 < self.crash_scale < math.inf:
+            raise SolutionError("crash scale must be positive and finite")
 
     def resolved(self, instance: Instance) -> "ObjectiveWeights":
         if self.crash_scale is not None:

@@ -51,8 +51,11 @@ relaxation, and for constant ones they are exact.  Every comparison
 carries a margin far above the audit's ``TIME_EPS``, so the pre-check
 never turns down a trial that the audit would accept, and the audit
 stays the only judge of feasibility: the search finds exactly what an
-audit of every would-be best finds.  A repair keeps its summaries in
-one dict keyed by route, so an edited route simply gets a new entry.
+audit of every would-be best finds.  The summary's walk also records
+the route's audit verdict, which the ejection, the trial audit and
+polish's 2-opt read, and a repair keeps its summaries in one dict keyed
+by route: an edited route gets a new entry, and no route is walked
+twice in one repair.
 
 Annealing uses six neighborhood families (relocation including depot
 pass-through edits, swaps, 2-opt, 3-opt, segment reversal, route
@@ -83,7 +86,6 @@ from .phase1 import (
     RoutingSolution,
     Violation,
     check_feasibility,
-    depot_copy_violations,
     objective_value,
     propagate_schedule,
     time_route,
@@ -254,23 +256,6 @@ def _insertion_delta(instance: Instance, route: list[int], pos: int,
     return added
 
 
-def _route_violations(route: list[int], instance: Instance,
-                      dispatch: float) -> tuple:
-    """Violations of one route in isolation.
-
-    The audit of a solution made of this route alone, minus visit
-    counts: unrelated customers are deliberately absent from a
-    one-route view.  Depot copies plus the verdict the route's timing
-    walk recorded.
-    """
-    route = tuple(route)
-    try:
-        timed = propagate_schedule((route,), instance, dispatch)
-    except MissingArcError:
-        return (Violation("route-shape", 0, None, "no arc joins the visits"),)
-    return depot_copy_violations(route, instance) + timed.timings[0].violations
-
-
 #: Margin on every time comparison of the insertion pre-check, far above
 #: the audit's ``TIME_EPS`` and the rounding of the backward pass.
 _FIT_MARGIN = 1e-6
@@ -278,7 +263,7 @@ _FIT_MARGIN = 1e-6
 
 @dataclass(frozen=True)
 class _RouteSummary:
-    """What the insertion search reads of one route.
+    """Repair's one record of a route, read by its insertion search.
 
     Position ``pos`` lies between ``before[pos]`` and ``after[pos]`` on
     the depot-closed path, ``edges[pos]`` apart (an empty route: 0.0).
@@ -286,6 +271,8 @@ class _RouteSummary:
     (the depot's first) and ``latest[k]`` the latest service start at
     stop ``k`` that leaves the rest of the route a chance to pass the
     audit; both are None when the route drives a missing arc.
+    ``violations`` is the audit verdict the route's timing walk recorded,
+    or a route-shape violation for a missing arc.
     """
 
     load: float
@@ -294,6 +281,7 @@ class _RouteSummary:
     edges: tuple[float, ...]
     departures: tuple[float, ...] | None
     latest: tuple[float, ...] | None
+    violations: tuple[Violation, ...]
 
 
 def _fastest(arc: Arc | None) -> float:
@@ -303,7 +291,7 @@ def _fastest(arc: Arc | None) -> float:
 
 def _summarise(route: tuple[int, ...], instance: Instance,
                dispatch: float) -> _RouteSummary:
-    """Edge lengths, one timing walk and a backward pass of latest starts."""
+    """Edge lengths, one audited timing walk, a backward latest-start pass."""
     load = _route_load(instance, route)
     length = instance.length_matrix
     before, after = (0, *route), (*route, instance.terminal_id)
@@ -312,7 +300,8 @@ def _summarise(route: tuple[int, ...], instance: Instance,
     try:
         timing = time_route(route, instance, dispatch)
     except MissingArcError:
-        return _RouteSummary(load, before, after, edges, None, None)
+        return _RouteSummary(load, before, after, edges, None, None, (
+            Violation("route-shape", 0, None, "no arc joins the visits"),))
     horizon = dispatch + instance.latest_time
     latest = [0.0] * len(route)
     leave_by = math.inf  # latest departure that reaches the next stop in time
@@ -326,7 +315,18 @@ def _summarise(route: tuple[int, ...], instance: Instance,
             leave_by = latest[k] - _fastest(
                 instance.arcs.get((route[k - 1], node.id)))
     departures = (dispatch, *(s.departure for s in timing.stops))
-    return _RouteSummary(load, before, after, edges, departures, tuple(latest))
+    return _RouteSummary(load, before, after, edges, departures,
+                         tuple(latest), timing.violations)
+
+
+def _verdict(route: list[int], instance: Instance, dispatch: float,
+             summaries: dict[tuple[int, ...], _RouteSummary]) -> tuple:
+    """``route``'s audit verdict, from its summary, made on first use."""
+    key = tuple(route)
+    summary = summaries.get(key)
+    if summary is None:
+        summary = summaries[key] = _summarise(key, instance, dispatch)
+    return summary.violations
 
 
 def _may_fit(summary: _RouteSummary, pos: int, c: int, instance: Instance,
@@ -389,8 +389,8 @@ def _cheapest_insertion(routes: list[list[int]], c: int, instance: Instance,
     are the very values the audit compares, and no drive beats the
     fastest time the latest starts subtract.  So the pre-check changes
     what is audited, never what is found.  ``summaries`` holds each
-    route's ``_summarise`` by route, for reuse across calls on the same
-    instance and dispatch.
+    route's ``_summarise``, trial routes' too (their audit), by route,
+    for reuse across calls on the same instance and dispatch.
     """
     summaries = {} if summaries is None else summaries
     demand = instance.node(c).demand
@@ -415,8 +415,8 @@ def _cheapest_insertion(routes: list[list[int]], c: int, instance: Instance,
         for pos, delta in enumerate(deltas):
             if delta < (below if best is None else best[0]) - _SHORTER \
                     and _may_fit(summary, pos, c, instance, dispatch) \
-                    and not _route_violations(r[:pos] + [c] + r[pos:],
-                                              instance, dispatch):
+                    and not _verdict(r[:pos] + [c] + r[pos:], instance,
+                                     dispatch, summaries):
                 best = (delta, ri, pos)
     return best
 
@@ -431,9 +431,10 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
     customer, on a late return the last stop) until it passes.  The
     bank, every customer no route serves, is re-added earliest window
     first at the feasible position that adds least distance, and the
-    routes are polished.  Returns None when a route drives a missing
-    arc or a customer fits nowhere; raises SolverError for more routes
-    than vehicles, which no route's audit sees.
+    routes are polished, all reading route audits from one dict of
+    summaries.  Returns None when a route drives a missing arc or a
+    customer fits nowhere; raises SolverError for more routes than
+    vehicles, which no route's audit sees.
     """
     if len(solution.routes) > instance.fleet.count:
         raise SolverError("more routes than vehicles")
@@ -444,8 +445,9 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
             if instance.is_customer(n) and n not in served:
                 served.add(n)
                 r.append(n)
+    summaries: dict[tuple[int, ...], _RouteSummary] = {}
     for r in routes:
-        while violations := _route_violations(r, instance, dispatch):
+        while violations := _verdict(r, instance, dispatch, summaries):
             for v in violations:
                 if v.node is not None:
                     if v.node in r:  # else ejected earlier this round
@@ -457,8 +459,6 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
                 else:  # no arc joins the visits
                     return None
     bank = set(instance.customers()).difference(*routes)
-
-    summaries: dict[tuple[int, ...], _RouteSummary] = {}
     for c in sorted(bank, key=lambda c: (instance.node(c).window_open, c)):
         best = _cheapest_insertion(routes, c, instance, dispatch,
                                    summaries=summaries)
@@ -496,7 +496,7 @@ def _polish(routes: list[list[int]], instance: Instance, dispatch: float,
         for r in routes:
             shorter = _two_opt_pass(
                 instance, r,
-                lambda t: not _route_violations(t, instance, dispatch))
+                lambda t: not _verdict(t, instance, dispatch, summaries))
             if shorter != r:
                 r[:] = shorter
                 improved = True

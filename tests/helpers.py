@@ -9,13 +9,14 @@ from saferoute.model import (
     Arc,
     Fleet,
     Instance,
+    MissingArcError,
     Node,
     TimeProfile,
     augment_depot,
     travel_time,
 )
-from saferoute.phase1 import TIME_EPS, Violation
-from saferoute.solver import _SHORTER, _insertion_delta, _route_violations
+from saferoute.phase1 import TIME_EPS, Violation, time_route
+from saferoute.solver import _SHORTER, _insertion_delta
 
 
 def build_instance(
@@ -136,6 +137,17 @@ def reference_audit(route: tuple[int, ...], timing, instance: Instance,
     return tuple(violations)
 
 
+def reference_route_audit(route: tuple[int, ...], instance: Instance,
+                          dispatch: float) -> tuple[Violation, ...]:
+    """``reference_audit`` of the route's immediate timing, or the one
+    route-shape violation repair gives up on when it drives a missing arc."""
+    try:
+        timing = time_route(route, instance, dispatch)
+    except MissingArcError:
+        return (Violation("route-shape", 0, None, "no arc joins the visits"),)
+    return reference_audit(route, timing, instance, dispatch)
+
+
 def reference_insertion(routes: list[list[int]], c: int, instance: Instance,
                         dispatch: float, skip: int = -1,
                         below: float = math.inf) -> tuple | None:
@@ -154,7 +166,8 @@ def reference_insertion(routes: list[list[int]], c: int, instance: Instance,
         if ri == skip or load + demand > instance.fleet.capacity + TIME_EPS:
             continue
         for pos in range(len(r) + 1):
-            if _route_violations(r[:pos] + [c] + r[pos:], instance, dispatch):
+            if reference_route_audit((*r[:pos], c, *r[pos:]), instance,
+                                     dispatch):
                 continue
             delta = _insertion_delta(instance, r, pos, c)
             if delta < (below if best is None else best[0]) - _SHORTER:

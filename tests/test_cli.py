@@ -344,6 +344,28 @@ def test_bad_numbers_in_an_instance_exit_3(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("column, name", [(1, "x"), (3, "demand"),
+                                          (4, "service_time")])
+def test_non_finite_node_value_exits_3(tmp_path, capsys, column, name):
+    # a NaN coordinate used to crash the construction with a traceback,
+    # a NaN demand escaped the capacity check, and a NaN service time
+    # was reported as a bad departure time
+    source = tmp_path / "g.txt"
+    assert main(["generate", "--size", "5", "--seed", "1",
+                 "--out", str(source)]) == 0
+    lines = source.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("1 "))
+    fields = lines[row].split()
+    fields[column] = "nan"
+    lines[row] = " ".join(fields)
+    source.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["solve", "--instance", str(source), "--scenario", "7",
+                 "--no-gaps"]) == 3
+    assert capsys.readouterr().err == "error: line 8: bad node row " \
+        f"(node 1: {name} must be finite, got nan)\n"
+
+
 def test_case_study_with_a_repeated_distance_exits_3(tmp_path, capsys):
     case = tmp_path / "case"
     shutil.copytree(CASE_DIR, case)
@@ -425,6 +447,16 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
                  str(cfg)]) == 3
     assert capsys.readouterr().err.startswith(
         "error: bad solver configuration:")
+
+    # JSON as Python reads it takes NaN and Infinity; such weights used
+    # to solve every scenario to an infeasible inf
+    for text in ('{"weights": {"w_crash": NaN, "w_tti": 0.5}}',
+                 '{"weights": {"crash_scale": Infinity}}'):
+        cfg.write_text(text)
+        assert main(["solve", "--instance", CASE_DIR, "--scenario", "7",
+                     "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: bad solver configuration:")
 
 
 @pytest.mark.parametrize("text", [

@@ -231,6 +231,16 @@ class TestValidation:
             Node(1, 0, 0, demand=-1)
         with pytest.raises(ModelError):
             Node(1, 0, 0, window_open=5, window_close=2)
+        assert Node(1, 0, 0).window_close == math.inf  # no deadline
+
+    @pytest.mark.parametrize("field", ["x", "y", "demand", "service_time",
+                                       "window_open"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_node_rejects_non_finite_values(self, field, value):
+        # a NaN compares false against every bound, so it used to pass
+        # the sign and window checks and upset the solve downstream
+        with pytest.raises(ModelError, match=f"{field} must be finite"):
+            Node(**{"id": 1, "x": 0.0, "y": 0.0, field: value})
 
     def test_fleet_validation(self):
         with pytest.raises(ModelError):

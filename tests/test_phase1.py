@@ -289,6 +289,11 @@ class TestObjectives:
             ObjectiveWeights(0.5, 0.5, crash_scale=0.0)
         with pytest.raises(SolutionError):
             ObjectiveWeights(-0.5, 1.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(SolutionError):
+                ObjectiveWeights(bad, 0.5)
+            with pytest.raises(SolutionError):
+                ObjectiveWeights(0.5, 0.5, crash_scale=bad)
 
     def test_default_crash_scale(self):
         inst = build_augmented([{"x": 3, "y": 0}], tti=1.2, crash=0.05)

@@ -1,8 +1,8 @@
 """Queueing speed model: closed forms, roots, calibration, profiles."""
 
+import math
 import random
 
-import numpy as np
 import pytest
 
 from saferoute.model import TimeProfile
@@ -97,23 +97,28 @@ class TestFlowRelation:
         assert lo == pytest.approx(8.786796564403573, abs=1e-9)
         assert hi == pytest.approx(51.213203435596427, abs=1e-9)
 
-    def test_roots_against_numpy(self):
+    def test_roots_solve_the_quadratic(self):
+        # each root zeroes a v^2 + b v + c up to rounding, and the pair
+        # meets Vieta's sum -b/a and product c/a
         rng = random.Random(13)
         for _ in range(200):
             q = QueueModel(rng.uniform(20, 80), rng.uniform(50, 400),
                            rng.choice([1.0, 0.8, 1.3]))
             f = rng.uniform(0.0, max_flow(q))
             beta2 = q.cv_service ** 2
-            coeffs = [2 * q.jam_density,
-                      f * (beta2 - 1) - 2 * q.jam_density * q.nominal_speed,
-                      2 * f * q.nominal_speed]
-            expected = quadratic_roots(*coeffs)
-            np_roots = sorted(np.roots(coeffs).real)
+            a, b, c = (2 * q.jam_density,
+                       f * (beta2 - 1) - 2 * q.jam_density * q.nominal_speed,
+                       2 * f * q.nominal_speed)
+            expected = quadratic_roots(a, b, c)
             got = speeds_from_flow(q, f)
             assert got[0] == pytest.approx(expected[0], abs=1e-9)
             assert got[1] == pytest.approx(expected[1], abs=1e-9)
-            assert got[0] == pytest.approx(np_roots[0], abs=1e-6)
-            assert got[1] == pytest.approx(np_roots[1], abs=1e-6)
+            for v in got:
+                scale = a * v * v + abs(b) * v + c
+                assert abs(a * v * v + b * v + c) <= 1e-9 * scale
+            assert math.isclose(got[0] + got[1], -b / a, rel_tol=1e-9)
+            assert math.isclose(got[0] * got[1], c / a, rel_tol=1e-9,
+                                abs_tol=1e-9)
 
     def test_zero_flow(self):
         assert speeds_from_flow(REFERENCE, 0.0) == (0.0, 60.0)

@@ -46,7 +46,6 @@ from saferoute.solver import (
     make_feasible,
     _cheapest_insertion,
     _insertion_delta,
-    _route_violations,
     sample_move,
     solve,
 )
@@ -55,6 +54,7 @@ from helpers import (
     build_augmented,
     no_return_from_first,
     reference_insertion,
+    reference_route_audit,
     two_on_a_line_without,
 )
 
@@ -301,21 +301,23 @@ def audit_instance(name):
 @given(data=st.data(), name=st.sampled_from(["R101", "RND25"]),
        dispatch=st.sampled_from([0.0, 7.0, 12.0, 17.0]))
 def test_route_check_matches_whole_audit(data, name, dispatch):
-    # repair judges one route by the per-route audit; it must say what
-    # the whole-solution audit says of that route, visit counts aside
+    # repair judges one route by the verdict its summary records; it
+    # must say what the whole-solution audit says of that route, visit
+    # counts aside, for the customers and pass-through vertices repair
+    # hands it
     inst = audit_instance(name)
-    pool = [0, *inst.customers(), inst.terminal_id, *inst.dummy_ids]
-    route = data.draw(st.lists(st.sampled_from(pool), min_size=1,
-                               max_size=12))
+    pool = [*inst.customers(), *inst.dummy_ids]
+    route = tuple(data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                     max_size=12)))
+    verdict = solver._summarise(route, inst, dispatch).violations
     try:
-        timed = propagate_schedule((tuple(route),), inst, dispatch)
+        timed = propagate_schedule((route,), inst, dispatch)
     except MissingArcError:
-        assert [v.constraint for v in
-                _route_violations(route, inst, dispatch)] == ["route-shape"]
+        assert [v.constraint for v in verdict] == ["route-shape"]
         return
     expected = tuple(v for v in check_feasibility(timed, inst)
                      if v.constraint != "visit-count")
-    assert _route_violations(route, inst, dispatch) == expected
+    assert verdict == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -397,7 +399,7 @@ def test_fit_precheck_passes_every_trial_the_audit_accepts(data, name,
     routes = []
     for a, b in zip(bounds, bounds[1:]):
         route = visits[a:b]
-        while route and _route_violations(route, inst, dispatch):
+        while route and reference_route_audit(tuple(route), inst, dispatch):
             route.pop()  # a prefix of a feasible route is feasible
         routes.append(route)
     route = data.draw(st.sampled_from(routes))
@@ -406,7 +408,7 @@ def test_fit_precheck_passes_every_trial_the_audit_accepts(data, name,
     if tighten is not None:
         inst = _tightened(inst, trial, pos, dispatch, tighten,
                           data.draw(st.integers(0, len(route))))
-    if not _route_violations(trial, inst, dispatch):
+    if not reference_route_audit(tuple(trial), inst, dispatch):
         summary = solver._summarise(tuple(route), inst, dispatch)
         assert solver._may_fit(summary, pos, c, inst, dispatch)
 
@@ -414,20 +416,43 @@ def test_fit_precheck_passes_every_trial_the_audit_accepts(data, name,
 def test_r101_solve_audits_only_winning_trials(monkeypatch):
     # the scan that audited every trial position made 9,122 one-route
     # audits in this solve, and one that audited every would-be best
-    # made 6,249; the slack pre-check leaves 411, and repair's
-    # ejection adds 47 more, one per round per route
+    # made 6,249; the slack pre-check left 411, and repair's ejection
+    # added 47, on top of the walks that summarised the scanned routes;
+    # now a route's summary carries its audit, and the repair makes 311
     calls = Counter()
-    audit = solver._route_violations
+    summarise = solver._summarise
 
     def counted(*args):
-        calls["audit"] += 1
-        return audit(*args)
+        calls["summary"] += 1
+        return summarise(*args)
 
-    monkeypatch.setattr(solver, "_route_violations", counted)
+    monkeypatch.setattr(solver, "_summarise", counted)
     res = solve(ensure_augmented(load_solomon("R101")),
                 SolverConfig(objective="distance", seed=0), 0.0)
     assert res.value == 1846.1684329678744
-    assert 0 < calls["audit"] < 600
+    assert 0 < calls["summary"] < 600
+
+
+@pytest.mark.parametrize("name, dispatch", [("R101", 0.0), ("RND80", 7.0)])
+def test_repair_walks_each_route_once(monkeypatch, name, dispatch):
+    # repairing the construction, as solve does, once audited and
+    # summarised routes by separate walks, one R101 route 7 times; each
+    # distinct route is now walked at most once, whichever module times
+    # it
+    inst = audit_instance("R101") if name == "R101" \
+        else ensure_augmented(generate_instance(80, seed=0))
+    walks = Counter()
+
+    def counted(walk):
+        def timed(route, *args, **kwargs):
+            walks[tuple(route)] += 1
+            return walk(route, *args, **kwargs)
+        return timed
+
+    monkeypatch.setattr(phase1, "time_route", counted(phase1.time_route))
+    monkeypatch.setattr(solver, "time_route", counted(solver.time_route))
+    assert make_feasible(initial_solution(inst), inst, dispatch) is not None
+    assert walks and max(walks.values()) == 1
 
 
 def test_r101_solve_prices_each_route_in_one_pass(monkeypatch):
