@@ -286,7 +286,14 @@ def serialize_instance(instance: Instance) -> str:
 
 
 def parse_instance(text: str) -> Instance:
-    """Read the native text format back into an instance."""
+    """Read the native text format back into an instance.
+
+    Raises:
+        InstanceError: a malformed header, node or arc row, a repeated
+            ``(tail, head)`` arc row, or a non-blank line after the
+            declared arcs, each naming its line; or an inconsistent
+            instance.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() != FORMAT_HEADER:
         raise InstanceError(f"first line must be {FORMAT_HEADER!r}")
@@ -343,12 +350,17 @@ def parse_instance(text: str) -> Instance:
         except ValueError as exc:
             raise InstanceError(f"{where}: bad arc endpoints ({exc})") from exc
         try:
-            arcs[(i, j)] = Arc(i, j, dist,
-                               _parse_profile_token(toks[3], where),
-                               _parse_profile_token(toks[4], where),
-                               _parse_profile_token(toks[5], where))
+            arc = Arc(i, j, dist,
+                      _parse_profile_token(toks[3], where),
+                      _parse_profile_token(toks[4], where),
+                      _parse_profile_token(toks[5], where))
         except ModelError as exc:
             raise InstanceError(f"{where}: bad arc ({exc})") from exc
+        _add_once(arcs, (i, j), arc, where)
+    for extra in range(pos, len(lines)):
+        if lines[extra].strip():
+            raise InstanceError(
+                f"line {extra + 1}: text after the {n_arcs} declared arcs")
     try:
         return Instance(name, tuple(nodes), arcs, fleet, latest,
                         dummy_count=dummies)

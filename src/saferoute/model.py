@@ -77,15 +77,37 @@ class TimeProfile:
     def is_constant(self) -> bool:
         return len(set(self.values)) == 1
 
+    @cached_property
+    def bounds(self) -> tuple[float, float]:
+        """``(min(values), max(values))``, computed once per profile.
 
-def _check_profile(name: str, profile: TimeProfile, lo: float, hi: float,
+        Every value is finite, so all of them lie in a range exactly
+        when these two do: arcs sharing one profile object share one
+        scan of its values.
+        """
+        return min(self.values), max(self.values)
+
+
+def _check_profile(arc: "Arc", kind: str, lo: float, hi: float,
                    lo_strict: bool) -> None:
+    """Raise unless each value of the arc's ``kind`` profile is in range.
+
+    The range is (lo, hi] when ``lo_strict``, else [lo, hi].  A valid
+    profile costs two comparisons against its cached ``bounds``; only a
+    failing one is scanned hour by hour, to name its first offending
+    value in the error.
+    """
+    profile = getattr(arc, kind)
+    least, most = profile.bounds
+    if (least > lo if lo_strict else least >= lo) and most <= hi:
+        return
     for h, v in enumerate(profile.values):
         ok = (v > lo if lo_strict else v >= lo) and v <= hi
         if not ok:
             bound = f"({lo}, {hi}]" if lo_strict else f"[{lo}, {hi}]"
             raise InvalidProfileError(
-                f"{name} value {v} at hour {h} outside {bound}"
+                f"arc ({arc.tail}, {arc.head}) {kind} value {v} at hour {h} "
+                f"outside {bound}"
             )
 
 
@@ -126,7 +148,14 @@ class Node:
 
 @dataclass(frozen=True)
 class Arc:
-    """Directed road segment with its three hourly profiles."""
+    """Directed road segment with its three hourly profiles.
+
+    Construction checks speed in (0, inf), TTI in [1, inf) and crash in
+    (0, 1], in that order, each against the profile's cached ``bounds``,
+    so a profile shared by many arcs is scanned once.  The first
+    profile out of range raises ``InvalidProfileError`` naming the arc,
+    the kind, the first offending value and its hour.
+    """
 
     tail: int
     head: int
@@ -142,12 +171,9 @@ class Arc:
             raise ModelError(
                 f"arc ({self.tail}, {self.head}): distance must be positive"
             )
-        _check_profile(f"arc ({self.tail}, {self.head}) speed", self.speed,
-                       0.0, math.inf, lo_strict=True)
-        _check_profile(f"arc ({self.tail}, {self.head}) tti", self.tti,
-                       1.0, math.inf, lo_strict=False)
-        _check_profile(f"arc ({self.tail}, {self.head}) crash", self.crash,
-                       0.0, 1.0, lo_strict=True)
+        _check_profile(self, "speed", 0.0, math.inf, lo_strict=True)
+        _check_profile(self, "tti", 1.0, math.inf, lo_strict=False)
+        _check_profile(self, "crash", 0.0, 1.0, lo_strict=True)
 
 
 @dataclass(frozen=True)
@@ -239,6 +265,11 @@ class Instance:
         for (tail, head), arc in self.arcs.items():
             table[tail][head] = arc.distance
         return table
+
+    @cached_property
+    def length_columns(self) -> list[list[float]]:
+        """``[head][tail]``: ``length_matrix`` transposed; lazy."""
+        return [list(column) for column in zip(*self.length_matrix)]
 
     def customers(self) -> tuple[int, ...]:
         """Ids of demand vertices (excludes depot and its duplicates)."""

@@ -33,7 +33,8 @@ route's own audit names into a bank, re-inserts each banked customer
 at its cheapest feasible position, and polishes the result with
 cross-route relocations and feasible 2-opt.  Construction,
 repair and polish share one insertion search and one 2-opt, and read
-every distance from one table, the instance's ``length_matrix``.  The
+every distance from one table, the instance's ``length_matrix``, or
+its transpose ``length_columns`` for the lengths into a customer.  The
 insertion search prices all positions of a route in one pass, skips a
 route whose cheapest position cannot win, and audits a trial route only
 when it would become the new best and an O(1) pre-check lets it fit;
@@ -395,7 +396,7 @@ def _cheapest_insertion(routes: list[list[int]], c: int, instance: Instance,
     summaries = {} if summaries is None else summaries
     demand = instance.node(c).demand
     capacity = instance.fleet.capacity
-    into_c = [row[c] for row in instance.length_matrix].__getitem__
+    into_c = instance.length_columns[c].__getitem__
     out_of_c = instance.length_matrix[c].__getitem__
     best = None
     for ri, r in enumerate(routes):

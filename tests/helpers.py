@@ -19,6 +19,26 @@ from saferoute.phase1 import TIME_EPS, Violation, time_route
 from saferoute.solver import _SHORTER, _insertion_delta
 
 
+def reference_profile_check(tail: int, head: int, speed: TimeProfile,
+                            tti: TimeProfile, crash: TimeProfile) -> str | None:
+    """The arc's range check as a scan of every hour of every profile.
+
+    Speed in (0, inf), then TTI in [1, inf), then crash in (0, 1]:
+    returns the ``InvalidProfileError`` message for the first value out
+    of range, or None when all 72 values are in range.
+    """
+    for kind, profile, lo, hi, lo_strict in (
+            ("speed", speed, 0.0, math.inf, True),
+            ("tti", tti, 1.0, math.inf, False),
+            ("crash", crash, 0.0, 1.0, True)):
+        for h, v in enumerate(profile.values):
+            if not ((v > lo if lo_strict else v >= lo) and v <= hi):
+                bound = f"({lo}, {hi}]" if lo_strict else f"[{lo}, {hi}]"
+                return (f"arc ({tail}, {head}) {kind} value {v} at hour {h} "
+                        f"outside {bound}")
+    return None
+
+
 def build_instance(
     customers: list[dict],
     *,
@@ -69,6 +89,21 @@ def build_instance(
             )
     return Instance(name, tuple(nodes), arcs, Fleet(*fleet), latest,
                     dummy_count=dummy_count)
+
+
+def with_first_arc_repeated(text: str) -> tuple[str, int]:
+    """Native instance text whose first arc row is written twice.
+
+    The copy, with its distance changed to 99.0, takes the place of the
+    second arc row.  Returns the text and the copy's line number.
+    """
+    lines = text.splitlines()
+    first = next(k for k, line in enumerate(lines)
+                 if line.startswith("arcs ")) + 1
+    fields = lines[first].split()
+    fields[2] = "99.0"
+    lines[first + 1] = " ".join(fields)
+    return "\n".join(lines) + "\n", first + 2
 
 
 def build_augmented(customers: list[dict], m: int = 0, **kwargs) -> Instance:

@@ -15,7 +15,11 @@ import saferoute
 from saferoute.cli import main
 from saferoute.instances import bundled_case_study_dir, serialize_instance
 
-from helpers import build_instance, two_on_a_line_without
+from helpers import (
+    build_instance,
+    two_on_a_line_without,
+    with_first_arc_repeated,
+)
 
 GOLDENS = Path(__file__).parent / "goldens"
 CASE_DIR = str(bundled_case_study_dir())
@@ -374,6 +378,27 @@ def test_case_study_with_a_repeated_distance_exits_3(tmp_path, capsys):
     assert main(["solve", "--scenario", "0", "--instance", str(case)]) == 3
     assert capsys.readouterr().err == \
         "error: distances.csv line 14: duplicate entry (0, 1)\n"
+
+
+@pytest.mark.parametrize("repeat", [True, False],
+                         ids=["repeated-arc", "extra-row"])
+def test_native_file_with_a_repeated_or_extra_arc_row_exits_3(tmp_path, capsys,
+                                                              repeat):
+    # both used to solve: the repeated row as a 5-arc instance, the
+    # extra row dropped
+    text = serialize_instance(build_instance([{"x": 1}, {"x": 2}]))
+    if repeat:
+        text, line = with_first_arc_repeated(text)
+        err = f"error: line {line}: duplicate entry (0, 1)\n"
+    else:
+        line = len(text.splitlines()) + 1
+        text += "0 1 1.0 30.0 1.0 0.5\n"
+        err = f"error: line {line}: text after the 6 declared arcs\n"
+    path = tmp_path / "native.txt"
+    path.write_text(text)
+    assert main(["solve", "--scenario", "0", "--no-gaps",
+                 "--instance", str(path)]) == 3
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("name, edit, err", [

@@ -21,6 +21,9 @@ from saferoute.instances import (
     parse_solomon,
     serialize_instance,
 )
+from saferoute.model import ensure_augmented
+
+from helpers import with_first_arc_repeated
 
 SMALL_SOLOMON = """\
 TOY3
@@ -194,7 +197,6 @@ def test_native_round_trip_generated_instance():
 
 def test_native_format_errors():
     inst = generate_instance(10, seed=1)
-    from saferoute.model import ensure_augmented
     with pytest.raises(InstanceError, match="augmented"):
         serialize_instance(ensure_augmented(inst))
     with pytest.raises(InstanceError, match="first line"):
@@ -204,6 +206,30 @@ def test_native_format_errors():
         parse_instance(text.replace("\nnodes 11\n", "\nnodes 100\n"))
     with pytest.raises(InstanceError):
         parse_instance(text.replace("name", "label", 1))
+
+
+def test_native_reader_rejects_repeated_and_extra_arc_rows():
+    # the repeated row used to load as 5 arcs of the declared 6, one
+    # carrying 99.0, and the extra row used to be dropped without a word
+    text = serialize_instance(generate_instance(2, 0))
+    repeated, line = with_first_arc_repeated(text)
+    with pytest.raises(InstanceError,
+                       match=rf"^line {line}: duplicate entry \(0, 1\)$"):
+        parse_instance(repeated)
+    extra = len(text.splitlines()) + 2
+    with pytest.raises(InstanceError,
+                       match=rf"^line {extra}: text after the 6 declared arcs$"):
+        parse_instance(text + "\n0 1 1.0 30.0 1.0 0.5\n")
+
+
+def test_loaders_share_profiles():
+    def distinct(instance):
+        return {id(p) for arc in instance.arcs.values()
+                for p in (arc.speed, arc.tti, arc.crash)}
+
+    inst = load_solomon("R101")
+    assert len(distinct(inst)) == 3
+    assert len(distinct(ensure_augmented(inst))) == 3
 
 
 # -- synthetic generation ------------------------------------------------------

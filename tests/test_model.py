@@ -26,6 +26,7 @@ from saferoute.model import (
     traverse,
 )
 
+from helpers import reference_profile_check
 from oracle_utils import euler_travel_time
 
 
@@ -211,6 +212,22 @@ class TestIndexBlending:
                 assert value == touched[0]
 
 
+#: Values on and next to each range's bounds: speed (0, inf), TTI
+#: [1, inf), crash (0, 1].
+EDGES = (0.0, -0.0, 5e-324, 1.0, math.nextafter(1.0, 0),
+         math.nextafter(1.0, 2), -1.0, 30.0)
+HOURLY = st.one_of(st.sampled_from(EDGES),
+                   st.floats(-2.0, 60.0, allow_nan=False))
+PROFILES = st.one_of(
+    HOURLY.map(TimeProfile.constant),
+    st.lists(HOURLY, min_size=24, max_size=24).map(
+        lambda values: TimeProfile(tuple(values))),
+    # one drawn value, at a drawn hour, in an otherwise flat profile
+    st.tuples(st.sampled_from((1.0, 0.5, 30.0)), st.integers(0, 23),
+              HOURLY).map(lambda d: profile_with({d[1]: d[2]}, d[0])),
+)
+
+
 class TestValidation:
     def test_arc_rejects_bad_values(self):
         with pytest.raises(ModelError):
@@ -225,6 +242,23 @@ class TestValidation:
             make_arc(crash=TimeProfile.constant(1.1))
         with pytest.raises(ModelError):
             make_arc(tail=3, head=3)
+
+    @given(pool=st.lists(PROFILES, min_size=1, max_size=4),
+           picks=st.lists(st.tuples(*[st.integers(0, 3)] * 3),
+                          min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_range_check_is_the_hourly_scan(self, pool, picks):
+        # arcs draw their three profiles from a small pool, so a profile
+        # is shared across arcs and kinds as well as used once
+        for k, picked in enumerate(picks):
+            speed, tti, crash = (pool[i % len(pool)] for i in picked)
+            expected = reference_profile_check(k, k + 1, speed, tti, crash)
+            if expected is None:
+                Arc(k, k + 1, 1.0, speed, tti, crash)
+                continue
+            with pytest.raises(InvalidProfileError) as err:
+                Arc(k, k + 1, 1.0, speed, tti, crash)
+            assert str(err.value) == expected
 
     def test_node_validation(self):
         with pytest.raises(ModelError):
@@ -323,11 +357,13 @@ class TestAugmentation:
 class TestLengthMatrix:
     def test_entries_are_arc_lengths_or_inf(self):
         inst = ensure_augmented(load_case_study(bundled_case_study_dir()))
-        # nothing on the set-up path builds the table
+        # nothing on the set-up path builds the tables
         assert "length_matrix" not in inst.__dict__
-        table = inst.length_matrix
+        assert "length_columns" not in inst.__dict__
+        table, columns = inst.length_matrix, inst.length_columns
         n = len(inst.nodes)
         assert len(table) == n and all(len(row) == n for row in table)
+        assert len(columns) == n and all(len(col) == n for col in columns)
         missing = 0
         for i in range(n):
             for j in range(n):
@@ -337,6 +373,7 @@ class TestLengthMatrix:
                     assert table[i][j] == math.inf
                 else:
                     assert table[i][j] == arc.distance
+                assert columns[j][i] == table[i][j]
         assert 0 < missing < n * n - n  # a sparse graph
 
     def test_replaced_instance_gets_a_fresh_table(self):
