@@ -35,7 +35,9 @@ what ``objective_value`` reports:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .model import Arc, Instance, leg, travel_time
 
@@ -239,10 +241,14 @@ def check_feasibility(solution: RoutingSolution,
 
     Whole-solution checks: every customer served exactly once,
     pass-through dummies used at most once, no depot copy inside a
-    route, and fleet size.  Each route's own audit (capacity, windows,
-    non-negativity, return to the depot, horizon) is the verdict its
-    ``time_route`` walk recorded, relabelled with the vehicle index; no
-    route is walked again here.
+    route, and fleet size.  Visits are counted in one pass; each
+    customer's count is checked and taken out, and only what is left,
+    depot copies, pass-through vertices and unknown ids, is walked in
+    id order for the other checks, as a customer id trips none of them.
+    Each route's own audit (capacity, windows, non-negativity, return
+    to the depot, horizon) is the verdict its ``time_route`` walk
+    recorded, relabelled with the vehicle index, and a clean verdict
+    adds nothing; no route is walked again here.
     """
     if not solution.timed:
         raise SolutionError("feasibility needs a timed solution, propagate first")
@@ -250,12 +256,9 @@ def check_feasibility(solution: RoutingSolution,
         raise SolutionError("instance must be augmented before evaluation")
     violations: list[Violation] = []
 
-    counts: dict[int, int] = {}
-    for route in solution.routes:
-        for n in route:
-            counts[n] = counts.get(n, 0) + 1
+    counts = Counter(chain.from_iterable(solution.routes))
     for c in instance.customers():
-        seen = counts.get(c, 0)
+        seen = counts.pop(c, 0)
         if seen != 1:
             violations.append(Violation(
                 "visit-count", -1, c, f"customer visited {seen} times"))
@@ -267,7 +270,7 @@ def check_feasibility(solution: RoutingSolution,
         elif instance.is_dummy(n) and seen > 1:
             violations.append(Violation(
                 "visit-count", -1, n, f"pass-through vertex visited {seen} times"))
-        elif not instance.is_dummy(n) and not instance.is_customer(n):
+        elif not instance.is_dummy(n):
             violations.append(Violation(
                 "visit-count", -1, n, "unknown vertex in route"))
 
@@ -278,7 +281,8 @@ def check_feasibility(solution: RoutingSolution,
             f"{used} loaded vehicles exceed fleet of {instance.fleet.count}"))
 
     for k, timing in enumerate(solution.timings):
-        violations.extend(replace(v, vehicle=k) for v in timing.violations)
+        if timing.violations:
+            violations.extend(replace(v, vehicle=k) for v in timing.violations)
     return tuple(violations)
 
 

@@ -31,14 +31,20 @@ overflow to the next vehicle.  When time windows break the geometric
 order, a deterministic repair ejects, route by route, the visits each
 route's own audit names into a bank, re-inserts each banked customer
 at its cheapest feasible position, and polishes the result with
-cross-route relocations and feasible 2-opt.  Construction,
-repair and polish share one insertion search and one 2-opt, and read
-every distance from one table, the instance's ``length_matrix``, or
-its transpose ``length_columns`` for the lengths into a customer.  The
-insertion search prices all positions of a route in one pass, skips a
-route whose cheapest position cannot win, and audits a trial route only
-when it would become the new best and an O(1) pre-check lets it fit;
-polish's 2-opt keeps only reversals that pass the audit.
+cross-route relocations and feasible 2-opt.  A relocation needs both
+the receiving and the donor route to pass their audit.  Polish is
+incremental, Bentley's don't-look bits (1992) made exact: each route
+carries an edit stamp, a customer whose last scan found nothing prices
+only the routes edited since while its own route stands, and a route
+that last came out of 2-opt is not passed again while it stands.
+Construction, repair and polish share one insertion search and one
+2-opt, and read every distance from one table, the instance's
+``length_matrix``, or its transpose ``length_columns`` for the lengths
+into a customer.  The insertion search prices all positions of a route
+in one pass, skips a route whose cheapest position cannot win, and
+audits a trial route only when it would become the new best and an
+O(1) pre-check lets it fit; polish's 2-opt keeps only reversals that
+pass the audit.
 
 The pre-check reads a summary of the route it inserts into: the
 immediate departures, the load, and each stop's latest service start,
@@ -75,7 +81,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Set as AbstractSet
 from dataclasses import dataclass, field
 from operator import add, sub
 
@@ -287,7 +293,7 @@ class _RouteSummary:
 
 def _fastest(arc: Arc | None) -> float:
     """Hours the arc takes at its highest hourly speed, a lower bound."""
-    return math.inf if arc is None else arc.distance / max(arc.speed.values)
+    return math.inf if arc is None else arc.distance / arc.speed.bounds[1]
 
 
 def _summarise(route: tuple[int, ...], instance: Instance,
@@ -361,17 +367,19 @@ def _may_fit(summary: _RouteSummary, pos: int, c: int, instance: Instance,
 
 
 def _cheapest_insertion(routes: list[list[int]], c: int, instance: Instance,
-                        dispatch: float, skip: int = -1,
+                        dispatch: float, skip: AbstractSet[int] = frozenset(),
                         below: float = math.inf,
                         summaries: dict[tuple[int, ...], _RouteSummary]
                         | None = None) -> tuple | None:
     """Cheapest feasible ``(delta, route, position)`` for customer c, or None.
 
-    Scans every position of every route except ``skip`` that has room
-    for c.  A position becomes the best when its distance growth
-    ``delta`` undercuts ``below`` (or, once there is a best, the best's
-    growth) by more than ``_SHORTER`` and its trial route passes the
-    one-route audit.
+    Scans every position of every route whose index is not in the set
+    ``skip`` and that has room for c; polish skips c's own route and
+    the routes that offered c nothing and have not changed since.  A
+    position becomes the best when its distance growth ``delta``
+    undercuts ``below`` (or, once there is a best, the best's growth)
+    by more than ``_SHORTER`` and its trial route passes the one-route
+    audit.
 
     A route's deltas come in one pass: length into c plus length out
     of c less the summary's edge, the sum ``_insertion_delta`` makes
@@ -400,7 +408,7 @@ def _cheapest_insertion(routes: list[list[int]], c: int, instance: Instance,
     out_of_c = instance.length_matrix[c].__getitem__
     best = None
     for ri, r in enumerate(routes):
-        if ri == skip:
+        if ri in skip:
             continue
         key = tuple(r)
         summary = summaries.get(key)
@@ -475,32 +483,64 @@ def _polish(routes: list[list[int]], instance: Instance, dispatch: float,
     """Deterministic mileage cleanup of a feasible set of routes.
 
     Alternates single-customer relocations with within-route feasible
-    reversals until neither shortens the total, editing in place.
-    Removing a visit only moves later arrivals earlier, so the donor
-    route needs no recheck; the receiving route is revalidated.
+    reversals until neither shortens the total, editing in place.  A
+    relocation needs both routes to pass their audit: the insertion
+    search audits the receiving route, and the donor is audited once a
+    scan has found a position, since dropping a visit can make a later
+    stop late when the direct arc is slower than the two legs through
+    the dropped one.
+
+    Each route carries an edit stamp, the clock at its last relocation
+    or 2-opt change, and each customer the clock at its last fruitless
+    scan.  While a customer's route stands, its next scan prices only
+    the routes edited since.  This is exact: whether a position can win
+    depends only on its route, on c and on the saving, and the saving
+    only on c's route, so a route that offered nothing then offers
+    nothing under any bound as low.  A refused relocation counts as
+    fruitless, as the donor stays infeasible while its route stands.
+    A route that last came out of the 2-opt pass is a fixed point of
+    it, so it is not passed again while it stands.
     """
     customers = sorted(c for r in routes for c in r)
+    clock = 0
+    edited = [0] * len(routes)  # clock at each route's last edit
+    passed = [-1] * len(routes)  # its stamp when 2-opt last left it
+    fruitless: dict[int, int] = {}  # clock at a customer's last vain scan
     for _ in range(50):
         improved = False
         for c in customers:
             ri = next(k for k, r in enumerate(routes) if c in r)
             r = routes[ri]
             i = r.index(c)
-            saving = _insertion_delta(instance, r[:i] + r[i + 1:], i, c)
+            donor = r[:i] + r[i + 1:]
+            saving = _insertion_delta(instance, donor, i, c)
+            since = fruitless.get(c, -1)
+            skip = {k for k, stamp in enumerate(edited) if stamp <= since} \
+                if edited[ri] <= since else {ri}
             best = _cheapest_insertion(routes, c, instance, dispatch,
-                                       skip=ri, below=saving,
+                                       skip=skip, below=saving,
                                        summaries=summaries)
-            if best is not None:
-                r.remove(c)
-                routes[best[1]].insert(best[2], c)
-                improved = True
-        for r in routes:
+            if best is None or _verdict(donor, instance, dispatch,
+                                        summaries):
+                fruitless[c] = clock
+                continue
+            r.remove(c)
+            routes[best[1]].insert(best[2], c)
+            clock += 1
+            edited[ri] = edited[best[1]] = clock
+            improved = True
+        for k, r in enumerate(routes):
+            if passed[k] == edited[k]:
+                continue
             shorter = _two_opt_pass(
                 instance, r,
                 lambda t: not _verdict(t, instance, dispatch, summaries))
             if shorter != r:
                 r[:] = shorter
+                clock += 1
+                edited[k] = clock
                 improved = True
+            passed[k] = edited[k]
         if not improved:
             break
 

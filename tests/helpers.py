@@ -15,8 +15,14 @@ from saferoute.model import (
     augment_depot,
     travel_time,
 )
-from saferoute.phase1 import TIME_EPS, Violation, time_route
-from saferoute.solver import _SHORTER, _insertion_delta
+from saferoute.phase1 import TIME_EPS, RoutingSolution, Violation, time_route
+from saferoute.solver import (
+    _SHORTER,
+    _cheapest_insertion,
+    _insertion_delta,
+    _two_opt_pass,
+    _verdict,
+)
 
 
 def reference_profile_check(tail: int, head: int, speed: TimeProfile,
@@ -184,12 +190,12 @@ def reference_route_audit(route: tuple[int, ...], instance: Instance,
 
 
 def reference_insertion(routes: list[list[int]], c: int, instance: Instance,
-                        dispatch: float, skip: int = -1,
+                        dispatch: float, skip: frozenset[int] = frozenset(),
                         below: float = math.inf) -> tuple | None:
     """Cheapest feasible insertion of c by a scan that audits every trial.
 
-    Each position of each route except ``skip`` with room for c is
-    audited first and compared after, by the rule of
+    Each position of each route whose index is not in ``skip`` and that
+    has room for c is audited first and compared after, by the rule of
     ``solver._cheapest_insertion``: a feasible trial wins when its
     distance growth undercuts ``below``, then the best so far, by more
     than ``_SHORTER``.  Returns ``(delta, route, position)`` or None.
@@ -198,7 +204,7 @@ def reference_insertion(routes: list[list[int]], c: int, instance: Instance,
     best = None
     for ri, r in enumerate(routes):
         load = sum(instance.node(n).demand for n in r)
-        if ri == skip or load + demand > instance.fleet.capacity + TIME_EPS:
+        if ri in skip or load + demand > instance.fleet.capacity + TIME_EPS:
             continue
         for pos in range(len(r) + 1):
             if reference_route_audit((*r[:pos], c, *r[pos:]), instance,
@@ -208,3 +214,82 @@ def reference_insertion(routes: list[list[int]], c: int, instance: Instance,
             if delta < (below if best is None else best[0]) - _SHORTER:
                 best = (delta, ri, pos)
     return best
+
+
+def reference_polish(routes: list[list[int]], instance: Instance,
+                     dispatch: float, summaries: dict) -> None:
+    """``solver._polish`` as a full rescan: every round scans every
+    customer against every other route and passes every route to 2-opt.
+
+    A relocation needs a winning position and a donor route that passes
+    its audit, the rule of ``solver._polish``; rounds repeat until
+    neither step shortens the total, at most 50.
+    """
+    customers = sorted(c for r in routes for c in r)
+    for _ in range(50):
+        improved = False
+        for c in customers:
+            ri = next(k for k, r in enumerate(routes) if c in r)
+            r = routes[ri]
+            i = r.index(c)
+            donor = r[:i] + r[i + 1:]
+            saving = _insertion_delta(instance, donor, i, c)
+            best = _cheapest_insertion(routes, c, instance, dispatch,
+                                       skip={ri}, below=saving,
+                                       summaries=summaries)
+            if best is not None and not _verdict(donor, instance, dispatch,
+                                                 summaries):
+                r.remove(c)
+                routes[best[1]].insert(best[2], c)
+                improved = True
+        for r in routes:
+            shorter = _two_opt_pass(
+                instance, r,
+                lambda t: not _verdict(t, instance, dispatch, summaries))
+            if shorter != r:
+                r[:] = shorter
+                improved = True
+        if not improved:
+            break
+
+
+def reference_feasibility(solution: RoutingSolution,
+                          instance: Instance) -> tuple[Violation, ...]:
+    """``phase1.check_feasibility`` of a timed solution by a counting
+    loop that walks every visited id, customers included.
+
+    Customers' visit counts in id order, then every visited id in id
+    order (depot copies, repeated pass-through vertices, unknown ids),
+    then the fleet size, then each timing's violations relabelled with
+    its vehicle index.
+    """
+    violations: list[Violation] = []
+    counts: dict[int, int] = {}
+    for route in solution.routes:
+        for n in route:
+            counts[n] = counts.get(n, 0) + 1
+    for c in instance.customers():
+        seen = counts.get(c, 0)
+        if seen != 1:
+            violations.append(Violation(
+                "visit-count", -1, c, f"customer visited {seen} times"))
+    for n, seen in sorted(counts.items()):
+        if n == 0 or n == instance.terminal_id:
+            violations.append(Violation(
+                "route-shape", -1, n,
+                "depot copies may not appear inside a route"))
+        elif instance.is_dummy(n) and seen > 1:
+            violations.append(Violation(
+                "visit-count", -1, n,
+                f"pass-through vertex visited {seen} times"))
+        elif not instance.is_dummy(n) and not instance.is_customer(n):
+            violations.append(Violation(
+                "visit-count", -1, n, "unknown vertex in route"))
+    used = sum(1 for r in solution.routes if r)
+    if used > instance.fleet.count:
+        violations.append(Violation(
+            "fleet-size", -1, None,
+            f"{used} loaded vehicles exceed fleet of {instance.fleet.count}"))
+    for k, timing in enumerate(solution.timings):
+        violations.extend(replace(v, vehicle=k) for v in timing.violations)
+    return tuple(violations)

@@ -4,12 +4,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from saferoute.model import TimeProfile
+from saferoute.instances import generate_instance
+from saferoute.model import TimeProfile, ensure_augmented
 from saferoute.phase1 import (
     ObjectiveWeights,
+    RouteTiming,
     RoutingSolution,
     SolutionError,
+    Violation,
     check_feasibility,
     default_crash_scale,
     is_feasible,
@@ -17,7 +22,11 @@ from saferoute.phase1 import (
     propagate_schedule,
 )
 
-from helpers import build_augmented, no_return_from_first
+from helpers import build_augmented, no_return_from_first, reference_feasibility
+
+#: RND10 with its two pass-through vertices: ids 1-10 are customers, 11
+#: is the terminal copy, 12 and 13 pass through the depot.
+RND10 = ensure_augmented(generate_instance(10, seed=0))
 
 
 class TestPropagation:
@@ -158,6 +167,27 @@ class TestFeasibility:
         d = inst.dummy_ids[0]
         sol = propagate_schedule(((1, d, 2),), inst, 0.0)
         assert is_feasible(sol, inst)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_visit_checks_match_counting_loop(self, data):
+        # counting visits in one pass and walking only the ids left once
+        # the customers are taken out reports what walking every visited
+        # id did, in the same order: repeats, omissions, pass-throughs,
+        # depot copies and ids past the node table
+        ids = st.integers(0, len(RND10.nodes) + 2)
+        routes = data.draw(st.lists(st.lists(ids, max_size=8), max_size=5))
+        audits = st.lists(st.sampled_from([
+            Violation("capacity", 0, None, "load 120 exceeds capacity 100"),
+            Violation("window", 0, 3, "service before window opens"),
+            Violation("horizon", 0, None, "returns at 30 past 24")]),
+            max_size=2)
+        timings = tuple(RouteTiming(0.0, 0.0, (), 0.0, (),
+                                    tuple(data.draw(audits)))
+                        for _ in routes)
+        sol = RoutingSolution(tuple(map(tuple, routes)), 0.0, timings)
+        assert check_feasibility(sol, RND10) \
+            == reference_feasibility(sol, RND10)
 
     def test_untimed_solution_rejected(self):
         inst = self.make()

@@ -9,6 +9,7 @@ from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,7 @@ from helpers import (
     build_augmented,
     no_return_from_first,
     reference_insertion,
+    reference_polish,
     reference_route_audit,
     two_on_a_line_without,
 )
@@ -330,9 +332,10 @@ def test_cheapest_insertion_matches_reference_scan(data, name, dispatch,
                                                     polish):
     # pricing a route's positions in one pass and auditing only a trial
     # that would win finds what auditing every trial finds, in repair
-    # mode and in polish mode; the sparse case study and the lines with
-    # a missing arc put infinite and NaN deltas and empty routes through
-    # the one-pass pricing and its skip
+    # mode and in polish mode, with any set of routes skipped; the
+    # sparse case study and the lines with a missing arc put infinite
+    # and NaN deltas and empty routes through the one-pass pricing and
+    # its skip
     inst = audit_instance(name)
     visits = data.draw(st.lists(st.sampled_from(inst.customers()),
                                 min_size=2, max_size=14, unique=True))
@@ -343,18 +346,78 @@ def test_cheapest_insertion_matches_reference_scan(data, name, dispatch,
     if data.draw(st.booleans()):  # window order makes more trials feasible
         routes = [sorted(r, key=lambda n: inst.node(n).window_close)
                   for r in routes]
+    skip = data.draw(st.sets(st.integers(0, len(routes) - 1),
+                             max_size=len(routes)))
     if polish:
         ri = next(k for k, r in enumerate(routes) if r)
         c = routes[ri][data.draw(st.integers(0, len(routes[ri]) - 1))]
         i = routes[ri].index(c)
-        options = dict(skip=ri, below=_insertion_delta(
+        options = dict(skip=skip | {ri}, below=_insertion_delta(
             inst, routes[ri][:i] + routes[ri][i + 1:], i, c))
     else:
         c = routes[-1].pop() if routes[-1] else visits[0]
         routes = [[n for n in r if n != c] for r in routes]
-        options = {}
+        options = dict(skip=skip)
     assert _cheapest_insertion(routes, c, inst, dispatch, **options) \
         == reference_insertion(routes, c, inst, dispatch, **options)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), name=st.sampled_from(["R101", "RND25", "case"]),
+       dispatch=st.sampled_from([0.0, 7.0, 12.0, 17.0]))
+def test_stamped_polish_matches_full_rescan(data, name, dispatch):
+    # pricing only the routes edited since a customer's last fruitless
+    # scan, and passing to 2-opt only the routes it has not yet left,
+    # repairs every start as rescanning every route every round does
+    inst = audit_instance(name)
+    visits = data.draw(st.permutations(inst.customers()))
+    k = inst.fleet.count
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(visits)),
+                                     min_size=k - 1, max_size=k - 1)))
+    bounds = [0, *cuts, len(visits)]
+    start = RoutingSolution(tuple(tuple(visits[a:b])
+                                  for a, b in zip(bounds, bounds[1:])))
+    if data.draw(st.booleans()):  # window order leaves polish more to do
+        start = RoutingSolution(tuple(
+            sorted(r, key=lambda n: inst.node(n).window_close)
+            for r in start.routes))
+    with mock.patch.object(solver, "_polish", reference_polish):
+        expected = make_feasible(start, inst, dispatch)
+    assert make_feasible(start, inst, dispatch) == expected
+
+
+def test_polish_keeps_a_donor_that_would_turn_late():
+    # the direct arc 1 -> 3 is slower than the two legs through 2, so
+    # moving 2 next to 4, which shortens the total, would start 3 after
+    # its window closes; the start passes the audit and is kept
+    inst = build_augmented(
+        [{"x": 1}, {"x": 2, "y": 1}, {"x": 3, "close": 0.5, "demand": 60},
+         {"x": 2, "y": 2, "demand": 50}],
+        fleet=(2, 100.0), arc_overrides={(1, 3): {"speed": 1.0}})
+    start = RoutingSolution(((1, 2, 3), (4,)))
+    assert _passes_audit(start, inst, 0.0)
+    fixed = make_feasible(start, inst, 0.0)
+    assert fixed == start and _passes_audit(fixed, inst, 0.0)
+
+
+def test_r101_polish_prices_only_edited_routes(monkeypatch):
+    # rescanning every route for every customer in every round priced
+    # 14,400 (customer, route) pairs in this solve's polish (600 scans
+    # of 24 routes); a scan now prices only the routes edited since the
+    # customer's last fruitless scan
+    priced = Counter()
+    insertion = solver._cheapest_insertion
+
+    def counted(routes, c, *args, **kwargs):
+        if "skip" in kwargs:  # polish's scans; repair's bank skips none
+            priced["routes"] += len(routes) - len(kwargs["skip"])
+        return insertion(routes, c, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_cheapest_insertion", counted)
+    res = solve(ensure_augmented(load_solomon("R101")),
+                SolverConfig(objective="distance", seed=0), 0.0)
+    assert res.value == 1846.1684329678744
+    assert 0 < priced["routes"] <= 8000
 
 
 def _tightened(inst, trial, pos, dispatch, what, pick):
