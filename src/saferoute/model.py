@@ -175,6 +175,11 @@ class Arc:
         _check_profile(self, "tti", 1.0, math.inf, lo_strict=False)
         _check_profile(self, "crash", 0.0, 1.0, lo_strict=True)
 
+    @property
+    def fastest(self) -> float:
+        """Hours the arc takes at its highest hourly speed, a lower bound."""
+        return self.distance / self.speed.bounds[1]
+
 
 @dataclass(frozen=True)
 class Fleet:
@@ -270,6 +275,20 @@ class Instance:
     def length_columns(self) -> list[list[float]]:
         """``[head][tail]``: ``length_matrix`` transposed; lazy."""
         return [list(column) for column in zip(*self.length_matrix)]
+
+    @cached_property
+    def fastest_ends(self) -> tuple[list[float], list[float]]:
+        """``(into, out_of)``: per node, the least ``Arc.fastest`` of any
+        arc into it and out of it, inf where there is none; lazy."""
+        into = [math.inf] * len(self.nodes)
+        out_of = [math.inf] * len(self.nodes)
+        for (tail, head), arc in self.arcs.items():
+            hours = arc.fastest
+            if hours < into[head]:  # comparisons: a third of min()'s cost
+                into[head] = hours
+            if hours < out_of[tail]:
+                out_of[tail] = hours
+        return into, out_of
 
     def customers(self) -> tuple[int, ...]:
         """Ids of demand vertices (excludes depot and its duplicates)."""

@@ -40,11 +40,13 @@ that last came out of 2-opt is not passed again while it stands.
 Construction, repair and polish share one insertion search and one
 2-opt, and read every distance from one table, the instance's
 ``length_matrix``, or its transpose ``length_columns`` for the lengths
-into a customer.  The insertion search prices all positions of a route
-in one pass, skips a route whose cheapest position cannot win, and
-audits a trial route only when it would become the new best and an
-O(1) pre-check lets it fit; polish's 2-opt keeps only reversals that
-pass the audit.
+into a customer.  The insertion search prices, in one pass, only the
+positions of a route that the customer's time window leaves open,
+skips a route whose cheapest such position cannot win, and audits a
+trial route only when it would become the new best and an O(1)
+pre-check lets it fit; polish's 2-opt audits only the shorter reversals
+that a forward pass at fastest times cannot already show late, and
+keeps only those that pass.
 
 The pre-check reads a summary of the route it inserts into: the
 immediate departures, the load, and each stop's latest service start,
@@ -58,11 +60,22 @@ relaxation, and for constant ones they are exact.  Every comparison
 carries a margin far above the audit's ``TIME_EPS``, so the pre-check
 never turns down a trial that the audit would accept, and the audit
 stays the only judge of feasibility: the search finds exactly what an
-audit of every would-be best finds.  The summary's walk also records
-the route's audit verdict, which the ejection, the trial audit and
-polish's 2-opt read, and a repair keeps its summaries in one dict keyed
-by route: an edited route gets a new entry, and no route is walked
-twice in one repair.
+audit of every would-be best finds.  Both series of the summary never
+decrease along the route, so the positions where a customer can pass
+the pre-check form one slice, found by bisection (Campbell &
+Savelsbergh 2004): it ends at the last departure from which the
+fastest arc into the customer still reaches its window close, and
+starts at the first latest start that serving the customer from its
+window open and driving the fastest arc out of it can still meet.  The
+insertion search prices only that slice.  The 2-opt pre-check times
+the reversed route forward at fastest times, each stop served no
+earlier than its window open, and turns it down only when a stop starts
+past its close; both carry a margin too, so neither drops a position
+or reversal that the audit would accept.  The summary's walk also
+records the route's audit verdict, which the ejection, the trial audit
+and polish's 2-opt read, and a repair keeps its summaries in one dict
+keyed by route: an edited route gets a new entry, and no route is
+walked twice in one repair.
 
 Annealing uses six neighborhood families (relocation including depot
 pass-through edits, swaps, 2-opt, 3-opt, segment reversal, route
@@ -81,6 +94,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Set as AbstractSet
 from dataclasses import dataclass, field
 from operator import add, sub
@@ -127,6 +141,9 @@ class SolverConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise SolverError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.weights, ObjectiveWeights):
+            raise SolverError(
+                f"weights must be ObjectiveWeights, got {self.weights!r}")
         if self.max_outer_iterations < 0:
             raise SolverError("outer iteration budget cannot be negative")
         if self.m < 1:
@@ -292,8 +309,8 @@ class _RouteSummary:
 
 
 def _fastest(arc: Arc | None) -> float:
-    """Hours the arc takes at its highest hourly speed, a lower bound."""
-    return math.inf if arc is None else arc.distance / arc.speed.bounds[1]
+    """``Arc.fastest``, inf for a missing arc."""
+    return math.inf if arc is None else arc.fastest
 
 
 def _summarise(route: tuple[int, ...], instance: Instance,
@@ -366,6 +383,24 @@ def _may_fit(summary: _RouteSummary, pos: int, c: int, instance: Instance,
                  <= summary.latest[pos] + _FIT_MARGIN))
 
 
+def _window_bounds(c: int, instance: Instance,
+                   dispatch: float) -> tuple[float, float]:
+    """``(ready, close_by)``: the bounds of c's window slice of a route.
+
+    A position whose latest start ``latest[pos]`` lies below ``ready``
+    cannot be reached in time after serving c, and one whose departure
+    ``departures[pos]`` lies above ``close_by`` cannot reach c by its
+    window close, even at the fastest time of any arc out of or into c;
+    each bound carries twice ``_FIT_MARGIN``, so ``_may_fit`` turns down
+    every position it cuts.
+    """
+    into, out_of = instance.fastest_ends
+    node = instance.node(c)
+    return (dispatch + node.window_open + node.service_time + out_of[c]
+            - 2 * _FIT_MARGIN,
+            dispatch + node.window_close + 2 * _FIT_MARGIN - into[c])
+
+
 def _cheapest_insertion(routes: list[list[int]], c: int, instance: Instance,
                         dispatch: float, skip: AbstractSet[int] = frozenset(),
                         below: float = math.inf,
@@ -373,15 +408,25 @@ def _cheapest_insertion(routes: list[list[int]], c: int, instance: Instance,
                         | None = None) -> tuple | None:
     """Cheapest feasible ``(delta, route, position)`` for customer c, or None.
 
-    Scans every position of every route whose index is not in the set
-    ``skip`` and that has room for c; polish skips c's own route and
+    Scans the window slice of every route whose index is not in the
+    set ``skip`` and that has room for c; polish skips c's own route and
     the routes that offered c nothing and have not changed since.  A
     position becomes the best when its distance growth ``delta``
     undercuts ``below`` (or, once there is a best, the best's growth)
     by more than ``_SHORTER`` and its trial route passes the one-route
     audit.
 
-    A route's deltas come in one pass: length into c plus length out
+    A route's window slice is the range ``[lo, hi)`` of positions
+    whose latest start is at least ``ready`` and whose departure is at
+    most ``close_by`` (``_window_bounds``), found by bisection, as both
+    series never decrease; a route with an empty slice is skipped, and
+    one that drives a missing arc (no departures) is scanned whole.  A
+    position outside the slice fails ``_may_fit``, or drives a missing
+    arc into or out of c that the audit rejects, so the slice changes
+    what is priced, never what is found.  A NaN bound cuts nothing:
+    bisection compares false against it.
+
+    The slice's deltas come in one pass: length into c plus length out
     of c less the summary's edge, the sum ``_insertion_delta`` makes
     (an empty route's edge 0.0 subtracts nothing, bit for bit).  A
     route whose least delta cannot undercut the bound is skipped, which
@@ -406,6 +451,7 @@ def _cheapest_insertion(routes: list[list[int]], c: int, instance: Instance,
     capacity = instance.fleet.capacity
     into_c = instance.length_columns[c].__getitem__
     out_of_c = instance.length_matrix[c].__getitem__
+    ready, close_by = _window_bounds(c, instance, dispatch)
     best = None
     for ri, r in enumerate(routes):
         if ri in skip:
@@ -416,12 +462,19 @@ def _cheapest_insertion(routes: list[list[int]], c: int, instance: Instance,
             summary = summaries[key] = _summarise(key, instance, dispatch)
         if summary.load + demand > capacity + TIME_EPS:
             continue
-        deltas = list(map(sub, map(add, map(into_c, summary.before),
-                                   map(out_of_c, summary.after)),
-                          summary.edges))
+        if summary.departures is None:
+            lo, hi = 0, len(summary.edges)
+        else:
+            lo = bisect_left(summary.latest, ready)
+            hi = bisect_right(summary.departures, close_by)
+            if lo >= hi:
+                continue
+        deltas = list(map(sub, map(add, map(into_c, summary.before[lo:hi]),
+                                   map(out_of_c, summary.after[lo:hi])),
+                          summary.edges[lo:hi]))
         if min(deltas) >= (below if best is None else best[0]) - _SHORTER:
             continue
-        for pos, delta in enumerate(deltas):
+        for pos, delta in enumerate(deltas, lo):
             if delta < (below if best is None else best[0]) - _SHORTER \
                     and _may_fit(summary, pos, c, instance, dispatch) \
                     and not _verdict(r[:pos] + [c] + r[pos:], instance,
@@ -478,6 +531,30 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
     return RoutingSolution(tuple(tuple(r) for r in routes))
 
 
+def _may_keep_order(route: list[int], instance: Instance,
+                    dispatch: float) -> bool:
+    """Necessary condition for ``route`` to keep every window close.
+
+    One forward pass serves each stop at the earliest start the fastest
+    times allow, ``max(previous start + service + fastest, open)``, and
+    fails only when a start passes its close by more than
+    ``_FIT_MARGIN``.  Under FIFO no drive beats its fastest time, so no
+    timing starts a stop earlier, and the audit would find it late too.
+    A missing arc defers to the audit.
+    """
+    depart, prev = dispatch, 0
+    for n in route:
+        arc = instance.arcs.get((prev, n))
+        if arc is None:
+            return True
+        node = instance.node(n)
+        start = max(depart + arc.fastest, dispatch + node.window_open)
+        if start > dispatch + node.window_close + _FIT_MARGIN:
+            return False
+        depart, prev = start + node.service_time, n
+    return True
+
+
 def _polish(routes: list[list[int]], instance: Instance, dispatch: float,
             summaries: dict[tuple[int, ...], _RouteSummary]) -> None:
     """Deterministic mileage cleanup of a feasible set of routes.
@@ -499,7 +576,9 @@ def _polish(routes: list[list[int]], instance: Instance, dispatch: float,
     nothing under any bound as low.  A refused relocation counts as
     fruitless, as the donor stays infeasible while its route stands.
     A route that last came out of the 2-opt pass is a fixed point of
-    it, so it is not passed again while it stands.
+    it, so it is not passed again while it stands.  The pass audits a
+    shorter reversal only when ``_may_keep_order`` cannot show a stop
+    late at fastest times, which leaves the audit's verdict unchanged.
     """
     customers = sorted(c for r in routes for c in r)
     clock = 0
@@ -534,7 +613,8 @@ def _polish(routes: list[list[int]], instance: Instance, dispatch: float,
                 continue
             shorter = _two_opt_pass(
                 instance, r,
-                lambda t: not _verdict(t, instance, dispatch, summaries))
+                lambda t: _may_keep_order(t, instance, dispatch)
+                and not _verdict(t, instance, dispatch, summaries))
             if shorter != r:
                 r[:] = shorter
                 clock += 1

@@ -8,7 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from saferoute.instances import bundled_case_study_dir, load_case_study
+from saferoute.instances import (
+    bundled_case_study_dir,
+    load_case_study,
+    load_solomon,
+)
 from saferoute.model import (
     Arc,
     Fleet,
@@ -375,6 +379,27 @@ class TestLengthMatrix:
                     assert table[i][j] == arc.distance
                 assert columns[j][i] == table[i][j]
         assert 0 < missing < n * n - n  # a sparse graph
+
+    def test_fastest_ends_are_the_least_fastest_times(self):
+        # the window slice of an insertion reads these bounds; set-up
+        # never builds them, and no departure drives an arc faster, up
+        # to the rounding of the hour-by-hour sum, which the slice's
+        # margin covers
+        inst = ensure_augmented(load_case_study(bundled_case_study_dir()))
+        assert "fastest_ends" not in inst.__dict__
+        assert "fastest_ends" not in ensure_augmented(
+            load_solomon("R101")).__dict__
+        into, out_of = inst.fastest_ends
+        for v in range(len(inst.nodes)):
+            assert into[v] == min((a.fastest for (_, h), a in inst.arcs.items()
+                                   if h == v), default=math.inf)
+            assert out_of[v] == min((a.fastest for (t, _), a
+                                     in inst.arcs.items() if t == v),
+                                    default=math.inf)
+        assert math.inf in into or math.inf in out_of  # a sparse graph
+        for arc in inst.arcs.values():
+            assert all(travel_time(arc, h / 4) >= arc.fastest - 1e-12
+                       for h in range(96))
 
     def test_replaced_instance_gets_a_fresh_table(self):
         inst = augment_depot(replace(small_instance(3), dummy_count=1))

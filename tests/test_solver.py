@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -440,17 +441,10 @@ def _tightened(inst, trial, pos, dispatch, what, pick):
     return replace(inst, nodes=tuple(nodes))
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), name=st.sampled_from(["R101", "RND25", "case"]),
-       dispatch=st.sampled_from([0.0, 7.0, 12.0, 17.0]),
-       tighten=st.sampled_from([None, "window", "horizon"]))
-def test_fit_precheck_passes_every_trial_the_audit_accepts(data, name,
-                                                           dispatch, tighten):
-    # the pre-check is a necessary condition: it never turns down a
-    # trial route that passes the one-route audit, also when a window
-    # or the horizon sits within the audit's TIME_EPS of the trial
-    inst = audit_instance(name)
-    c = data.draw(st.sampled_from(inst.customers()))
+def _feasible_route(data, inst, dispatch, c):
+    """A drawn route without c that passes the audit (maybe empty): one
+    of up to four cuts of up to 12 visits, each cut to its longest
+    feasible prefix."""
     visits = data.draw(st.lists(st.sampled_from(
         [n for n in inst.customers() + inst.dummy_ids if n != c]),
         max_size=12, unique=True))
@@ -465,7 +459,21 @@ def test_fit_precheck_passes_every_trial_the_audit_accepts(data, name,
         while route and reference_route_audit(tuple(route), inst, dispatch):
             route.pop()  # a prefix of a feasible route is feasible
         routes.append(route)
-    route = data.draw(st.sampled_from(routes))
+    return data.draw(st.sampled_from(routes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), name=st.sampled_from(["R101", "RND25", "case"]),
+       dispatch=st.sampled_from([0.0, 7.0, 12.0, 17.0]),
+       tighten=st.sampled_from([None, "window", "horizon"]))
+def test_fit_precheck_passes_every_trial_the_audit_accepts(data, name,
+                                                           dispatch, tighten):
+    # the pre-check is a necessary condition: it never turns down a
+    # trial route that passes the one-route audit, also when a window
+    # or the horizon sits within the audit's TIME_EPS of the trial
+    inst = audit_instance(name)
+    c = data.draw(st.sampled_from(inst.customers()))
+    route = _feasible_route(data, inst, dispatch, c)
     pos = data.draw(st.integers(0, len(route)))
     trial = route[:pos] + [c] + route[pos:]
     if tighten is not None:
@@ -476,24 +484,98 @@ def test_fit_precheck_passes_every_trial_the_audit_accepts(data, name,
         assert solver._may_fit(summary, pos, c, inst, dispatch)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(),
+       name=st.sampled_from(["R101", "RND25", "case", "line without 1 0",
+                             "line without 1 2"]),
+       dispatch=st.sampled_from([0.0, 7.0, 12.0, 17.0]),
+       tighten=st.sampled_from([None, "window", "horizon"]))
+def test_window_slice_holds_every_trial_the_audit_accepts(data, name,
+                                                          dispatch, tighten):
+    # a summary's departures and latest starts never decrease, so c's
+    # window bounds cut each by bisection into one slice of positions;
+    # every position whose trial passes the one-route audit lies in it,
+    # also when a window or the horizon sits within the audit's
+    # TIME_EPS of the trial
+    inst = audit_instance(name)
+    c = data.draw(st.sampled_from(inst.customers()))
+    route = _feasible_route(data, inst, dispatch, c)
+    if tighten is not None:
+        pos = data.draw(st.integers(0, len(route)))
+        inst = _tightened(inst, route[:pos] + [c] + route[pos:], pos,
+                          dispatch, tighten,
+                          data.draw(st.integers(0, len(route))))
+    summary = solver._summarise(tuple(route), inst, dispatch)
+    if summary.departures is None:
+        return  # scanned whole
+    for series in (summary.departures, summary.latest):
+        assert all(a <= b for a, b in zip(series, series[1:]))
+    ready, close_by = solver._window_bounds(c, inst, dispatch)
+    lo = bisect_left(summary.latest, ready)
+    hi = bisect_right(summary.departures, close_by)
+    for pos in range(len(route) + 1):
+        trial = (*route[:pos], c, *route[pos:])
+        if not reference_route_audit(trial, inst, dispatch):
+            assert lo <= pos < hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(),
+       name=st.sampled_from(["R101", "RND25", "case", "line without 1 0",
+                             "line without 1 2"]),
+       dispatch=st.sampled_from([0.0, 7.0, 12.0, 17.0]),
+       tighten=st.sampled_from([None, "window", "horizon"]))
+def test_reversal_precheck_passes_every_route_the_audit_accepts(
+        data, name, dispatch, tighten):
+    # polish's 2-opt audits a shorter reversal only when a forward pass
+    # at fastest times shows no stop late; that pass never turns down a
+    # route the one-route audit accepts, also when a window or the
+    # horizon sits within the audit's TIME_EPS of its timing
+    inst = audit_instance(name)
+    route = data.draw(st.lists(st.sampled_from(
+        [*inst.customers(), *inst.dummy_ids]), min_size=1, max_size=12,
+        unique=True))
+    if data.draw(st.booleans()):  # window order keeps more of a route
+        route.sort(key=lambda n: inst.node(n).window_close)
+    i = data.draw(st.integers(0, len(route) - 1))
+    j = data.draw(st.integers(i, len(route) - 1))
+    route[i:j + 1] = route[i:j + 1][::-1]
+    while route and reference_route_audit(tuple(route), inst, dispatch):
+        route.pop()  # a prefix of a feasible route is feasible
+    if route and tighten is not None:
+        inst = _tightened(inst, route, 0, dispatch, tighten,
+                          data.draw(st.integers(0, len(route))))
+    if not reference_route_audit(tuple(route), inst, dispatch):
+        assert solver._may_keep_order(route, inst, dispatch)
+
+
 def test_r101_solve_audits_only_winning_trials(monkeypatch):
     # the scan that audited every trial position made 9,122 one-route
     # audits in this solve, and one that audited every would-be best
     # made 6,249; the slack pre-check left 411, and repair's ejection
     # added 47, on top of the walks that summarised the scanned routes;
-    # now a route's summary carries its audit, and the repair makes 311
+    # a route's summary carrying its audit left 311 walks, 62 of them
+    # audits of shorter 2-opt reversals, none kept.  Pricing all
+    # positions ran the fit pre-check on 4,726 would-be bests.  Now the
+    # window slice prices only positions the pre-check could pass, and
+    # a forward pass at fastest times turns down those reversals
     calls = Counter()
-    summarise = solver._summarise
 
-    def counted(*args):
-        calls["summary"] += 1
-        return summarise(*args)
+    def counted(name):
+        check = getattr(solver, name)
 
-    monkeypatch.setattr(solver, "_summarise", counted)
+        def wrapped(*args):
+            calls[name] += 1
+            return check(*args)
+        monkeypatch.setattr(solver, name, wrapped)
+
+    counted("_summarise")
+    counted("_may_fit")
     res = solve(ensure_augmented(load_solomon("R101")),
                 SolverConfig(objective="distance", seed=0), 0.0)
     assert res.value == 1846.1684329678744
-    assert 0 < calls["summary"] < 600
+    assert 0 < calls["_summarise"] <= 260
+    assert 0 < calls["_may_fit"] <= 1000
 
 
 @pytest.mark.parametrize("name, dispatch", [("R101", 0.0), ("RND80", 7.0)])
@@ -795,6 +877,9 @@ def test_solver_config_validation():
         SolverConfig(m=0)
     with pytest.raises(SolverError):
         SolverConfig(objective="profit")
+    for weights in (None, {"crash": 1.0}):  # solve died reading .resolved
+        with pytest.raises(SolverError, match="weights"):
+            SolverConfig(weights=weights)
     assert SolverConfig(max_outer_iterations=0).max_outer_iterations == 0
 
 
