@@ -134,10 +134,6 @@ def generate_profiles(spec: StepFunctionSpec, kind: str) -> TimeProfile:
 # Solomon benchmark layout
 
 
-def _tokens(line: str) -> list[str]:
-    return line.split()
-
-
 def parse_solomon(text: str) -> Instance:
     """Parse the classic benchmark layout into an instance.
 
@@ -175,7 +171,7 @@ def parse_solomon(text: str) -> Instance:
 
     fleet = None
     for i in range(vehicle_at + 1, customer_at):
-        toks = _tokens(lines[i])
+        toks = lines[i].split()
         if not toks or not toks[0].lstrip("-").isdigit():
             continue
         if len(toks) != 2:
@@ -191,7 +187,7 @@ def parse_solomon(text: str) -> Instance:
     rows: list[tuple] = []
     seen: set[int] = set()
     for i in range(customer_at + 1, len(lines)):
-        toks = _tokens(lines[i])
+        toks = lines[i].split()
         if not toks:
             continue
         if not toks[0].lstrip("-").isdigit():
@@ -356,7 +352,7 @@ def parse_instance(text: str) -> Instance:
                       _parse_profile_token(toks[5], where))
         except ModelError as exc:
             raise InstanceError(f"{where}: bad arc ({exc})") from exc
-        _add_once(arcs, (i, j), arc, where)
+        _add_once(arcs, (i, j), arc, pos)
     for extra in range(pos, len(lines)):
         if lines[extra].strip():
             raise InstanceError(
@@ -443,43 +439,86 @@ def generate_instance(size: int, seed: int, *, fleet_count: int | None = None,
 # Case-study CSV bundle
 
 
-def _read_csv(path: Path) -> list[tuple[str, dict]]:
-    """Rows of a case-study file, each with its place, "file line N"."""
-    if not path.is_file():
-        raise InstanceError(f"missing case-study file: {path.name}")
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [(f"{path.name} line {reader.line_num}", row) for row in reader]
+def _csv_rows(path: str | Path, columns: dict[str, type],
+              error: type[ValueError], name: str | None = None):
+    """The data rows of a CSV file as (line number, fields) pairs.
+
+    The header must be exactly ``columns``, in order, and every row must
+    carry one field per column, converted by that column's type.  Blank
+    lines are skipped.  Each fault, a file without data rows included,
+    raises ``error`` naming the file as ``name`` (the path by default)
+    and, where there is one, the first faulty line.
+    """
+    name = name or str(path)
+    lines, rows = [], []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = [c.strip() for c in next(reader, [])]
+            if header != list(columns):
+                missing = ", ".join(c for c in columns if c not in header)
+                detail = f"missing columns: {missing}; " if missing else ""
+                raise error(f"{name} line 1: {detail}expected header "
+                            f"{','.join(columns)!r}, got {header!r}")
+            for row in reader:
+                if len(row) == len(columns):
+                    lines.append(reader.line_num)
+                    rows.append(row)
+                elif row:
+                    raise error(f"{name} line {reader.line_num}: expected "
+                                f"{len(columns)} fields, got {len(row)}")
+    except OSError as exc:
+        raise error(f"{name}: cannot read ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{name}: {exc}") from None
+    except csv.Error as exc:
+        raise error(f"{name} line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise error(f"{name}: no data rows")
+    types = columns.values()
+    try:
+        fields = [list(map(t, texts)) for t, texts in zip(types, zip(*rows))]
+    except ValueError:
+        for line, row in zip(lines, rows):  # find the first bad row
+            try:
+                [convert(text) for convert, text in zip(types, row)]
+            except ValueError as exc:
+                raise error(f"{name} line {line}: {exc}") from None
+    return zip(lines, zip(*fields))
 
 
-def _add_once(table: dict, key, value, where: str) -> None:
+def _add_once(table: dict, key, value, line: int, name: str = "",
+              error: type[ValueError] = InstanceError) -> None:
+    """Store ``value`` under a new ``key``, else raise naming the line."""
     if key in table:
-        raise InstanceError(f"{where}: duplicate entry {key!r}")
+        where = f"{name} line {line}" if name else f"line {line}"
+        raise error(f"{where}: duplicate entry {key!r}")
     table[key] = value
 
 
 def load_case_study(directory: str | Path) -> Instance:
     """Load the bundled delivery case from its CSV directory.
 
-    Expects meta.csv (key/value), nodes.csv, distances.csv and
-    profiles.csv (one row per arc and profile kind with 24 hourly
-    columns).  Returns the augmented instance, ready to solve.  A
-    repeated meta key, arc or (arc, kind), a profile kind other than
-    speed, tti or crash, and a profile for an arc without a distance,
-    are errors.
+    Reads meta.csv ``key,value``, nodes.csv
+    ``id,x,y,demand,service,open,close``, distances.csv
+    ``tail,head,miles`` and profiles.csv ``tail,head,kind,h0,...,h23``
+    (one row per arc and profile kind) through ``_csv_rows``.  Returns
+    the augmented instance, ready to solve.  A malformed row, a repeated
+    meta key, arc or (arc, kind), a node or profile value the model
+    rejects, a kind other than speed, tti or crash, and a profile for an
+    arc without a distance are errors naming the file and line.
 
     A demand total above the whole fleet's capacity only warns: the
     instance remains loadable for inspection.
     """
     directory = Path(directory)
+
+    def rows(name: str, columns: dict[str, type]):
+        return _csv_rows(directory / name, columns, InstanceError, name)
+
     meta: dict[str, str] = {}
-    for where, row in _read_csv(directory / "meta.csv"):
-        try:
-            key, value = row["key"], row["value"]
-        except KeyError as exc:
-            raise InstanceError(f"{where}: bad row {row!r} (no column {exc})") \
-                from exc
-        _add_once(meta, key, value, where)
+    for line, (key, value) in rows("meta.csv", {"key": str, "value": str}):
+        _add_once(meta, key, value, line, "meta.csv")
     try:
         fleet = Fleet(int(meta["vehicles"]), float(meta["capacity"]))
         latest = float(meta["latest"])
@@ -489,36 +528,35 @@ def load_case_study(directory: str | Path) -> Instance:
         raise InstanceError(f"meta.csv: missing or bad entry ({exc})") from exc
 
     nodes = []
-    for where, row in _read_csv(directory / "nodes.csv"):
+    for line, fields in rows("nodes.csv", {
+            "id": int, "x": float, "y": float, "demand": float,
+            "service": float, "open": float, "close": float}):
         try:
-            nodes.append(Node(int(row["id"]), float(row["x"]), float(row["y"]),
-                              float(row["demand"]), float(row["service"]),
-                              float(row["open"]), float(row["close"])))
-        except (KeyError, ValueError, ModelError) as exc:
-            raise InstanceError(f"{where}: bad row {row!r} ({exc})") from exc
+            nodes.append(Node(*fields))
+        except ModelError as exc:
+            raise InstanceError(f"nodes.csv line {line}: {exc}") from None
     nodes.sort(key=lambda n: n.id)
 
     distances: dict[tuple[int, int], float] = {}
-    for where, row in _read_csv(directory / "distances.csv"):
-        try:
-            arc, miles = (int(row["tail"]), int(row["head"])), float(row["miles"])
-        except (KeyError, ValueError) as exc:
-            raise InstanceError(f"{where}: bad row {row!r} ({exc})") from exc
-        _add_once(distances, arc, miles, where)
+    for line, (tail, head, miles) in rows(
+            "distances.csv", {"tail": int, "head": int, "miles": float}):
+        _add_once(distances, (tail, head), miles, line, "distances.csv")
 
     profiles: dict[tuple[int, int, str], TimeProfile] = {}
-    for where, row in _read_csv(directory / "profiles.csv"):
+    hours = {f"h{h}": float for h in range(HOURS_PER_DAY)}
+    for line, (tail, head, kind, *values) in rows(
+            "profiles.csv", {"tail": int, "head": int, "kind": str, **hours}):
+        if kind not in PROFILE_KINDS:
+            raise InstanceError(f"profiles.csv line {line}: unknown profile kind "
+                                f"{kind!r}, expected one of {PROFILE_KINDS}")
+        if (tail, head) not in distances:
+            raise InstanceError(f"profiles.csv line {line}: arc "
+                                f"{(tail, head)} has no distances.csv row")
         try:
-            key = (int(row["tail"]), int(row["head"]), row["kind"])
-            values = tuple(float(row[f"h{h}"]) for h in range(HOURS_PER_DAY))
-        except (KeyError, ValueError) as exc:
-            raise InstanceError(f"{where}: bad row {row!r} ({exc})") from exc
-        if key[2] not in PROFILE_KINDS:
-            raise InstanceError(f"{where}: unknown profile kind {key[2]!r}, "
-                                f"expected one of {PROFILE_KINDS}")
-        if key[:2] not in distances:
-            raise InstanceError(f"{where}: arc {key[:2]} has no distances.csv row")
-        _add_once(profiles, key, TimeProfile(values), where)
+            profile = TimeProfile(tuple(values))
+        except ModelError as exc:
+            raise InstanceError(f"profiles.csv line {line}: {exc}") from None
+        _add_once(profiles, (tail, head, kind), profile, line, "profiles.csv")
 
     arcs = {}
     for (i, j), dist in sorted(distances.items()):

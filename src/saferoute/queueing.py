@@ -19,11 +19,11 @@ the service time, ``k`` density, ``f`` hourly flow (veh/h).
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
 
+from .instances import _add_once, _csv_rows
 from .model import HOURS_PER_DAY, TimeProfile
 
 #: Share of the day's hourly counts treated as uncongested; hours whose
@@ -253,79 +253,45 @@ def build_speed_profile(q: QueueModel, flows: FlowSeries,
     return TimeProfile(tuple(speeds))
 
 
-def _csv_rows(path: str, columns: tuple[str, ...]):
-    """Yield (line number, row) for the data rows of a CSV file.
-
-    The header must name exactly ``columns``, every row must carry one
-    field per column, blank lines are skipped, and a file without any
-    data row is an error.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = [c.strip() for c in next(reader, [])]
-        if header != list(columns):
-            missing = [c for c in columns if c not in header]
-            detail = f"missing columns: {', '.join(missing)}; " if missing else ""
-            raise QueueingError(f"{path}: {detail}expected header "
-                                f"{','.join(columns)!r}, got {header!r}")
-        seen = False
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(columns):
-                raise QueueingError(f"{path} line {lineno}: expected "
-                                    f"{len(columns)} fields, got {len(row)}")
-            seen = True
-            yield lineno, row
-    if not seen:
-        raise QueueingError(f"{path}: no data rows")
-
-
 def read_flow_table(path: str) -> dict[tuple[int, int], FlowSeries]:
-    """Read mean hourly counts from a delimited text file.
-
-    Expected CSV header ``tail,head,hour,flow``; one row per arc
-    direction and hour-of-day, 24 rows per direction.  Extra columns
-    are rejected, missing hours are an error.
-    """
+    """Read mean hourly counts from a CSV with header exactly
+    ``tail,head,hour,flow``, 24 rows per arc direction, through
+    ``instances._csv_rows``.  A malformed row, an hour outside 0..23, a
+    negative or non-finite flow and a repeated hour name their line;
+    missing hours are an error too."""
     table: dict[tuple[int, int], dict[int, float]] = {}
-    for lineno, row in _csv_rows(path, ("tail", "head", "hour", "flow")):
-        try:
-            tail, head, hour = int(row[0]), int(row[1]), int(row[2])
-            flow = float(row[3])
-        except ValueError as exc:
-            raise QueueingError(f"{path} line {lineno}: {exc}") from None
+    for line, (tail, head, hour, flow) in _csv_rows(
+            path, {"tail": int, "head": int, "hour": int, "flow": float},
+            QueueingError):
         if not 0 <= hour < HOURS_PER_DAY:
-            raise QueueingError(f"{path} line {lineno}: hour {hour} outside 0..23")
+            raise QueueingError(f"{path} line {line}: hour {hour} outside 0..23")
+        if not 0 <= flow < math.inf:
+            raise QueueingError(f"{path} line {line}: flow must be finite "
+                                f"and non-negative, got {flow!r}")
         slots = table.setdefault((tail, head), {})
         if hour in slots:
-            raise QueueingError(f"{path} line {lineno}: duplicate hour {hour} "
+            raise QueueingError(f"{path} line {line}: duplicate hour {hour} "
                                 f"for arc ({tail}, {head})")
         slots[hour] = flow
     result: dict[tuple[int, int], FlowSeries] = {}
     for key, slots in table.items():
         missing = sorted(set(range(HOURS_PER_DAY)) - set(slots))
         if missing:
-            raise QueueingError(
-                f"{path}: arc {key} missing hours {missing}")
+            raise QueueingError(f"{path}: arc {key} missing hours {missing}")
         result[key] = FlowSeries(tuple(slots[h] for h in range(HOURS_PER_DAY)))
     return result
 
 
 def read_nominal_speeds(path: str) -> dict[tuple[int, int], float]:
     """Read free-flow speeds per arc direction from a CSV with header
-    ``tail,head,nominal_speed``."""
+    exactly ``tail,head,nominal_speed``, as ``read_flow_table`` does; a
+    repeated arc or a speed not positive and finite names its line."""
     speeds: dict[tuple[int, int], float] = {}
-    for lineno, row in _csv_rows(path, ("tail", "head", "nominal_speed")):
-        try:
-            key = (int(row[0]), int(row[1]))
-            value = float(row[2])
-        except ValueError as exc:
-            raise QueueingError(f"{path} line {lineno}: {exc}") from None
-        if key in speeds:
-            raise QueueingError(f"{path} line {lineno}: duplicate arc {key}")
-        if value <= 0:
-            raise QueueingError(
-                f"{path} line {lineno}: nominal speed must be positive")
-        speeds[key] = value
+    for line, (tail, head, value) in _csv_rows(
+            path, {"tail": int, "head": int, "nominal_speed": float},
+            QueueingError):
+        _add_once(speeds, (tail, head), value, line, path, QueueingError)
+        if not 0 < value < math.inf:
+            raise QueueingError(f"{path} line {line}: nominal speed must "
+                                f"be positive and finite, got {value!r}")
     return speeds

@@ -265,7 +265,7 @@ def initial_solution(instance: Instance) -> RoutingSolution:
         # loaded route (repair or search will sort out any overflow)
         loads = [_route_load(instance, r) for r in routes]
         routes[loads.index(min(loads))].append(c)
-    return RoutingSolution(tuple(tuple(r) for r in routes))
+    return RoutingSolution(routes)
 
 
 def _insertion_delta(instance: Instance, route: list[int], pos: int,
@@ -528,7 +528,7 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
             return None
         routes[best[1]].insert(best[2], c)
     _polish(routes, instance, dispatch, summaries)
-    return RoutingSolution(tuple(tuple(r) for r in routes))
+    return RoutingSolution(routes)
 
 
 def _may_keep_order(route: list[int], instance: Instance,
@@ -773,7 +773,7 @@ def apply_move(solution: RoutingSolution, move: Move) -> RoutingSolution:
         chunk = routes[ri][cut:]
         del routes[ri][cut:]
         routes[rj].extend(chunk)
-    return RoutingSolution(tuple(tuple(r) for r in routes))
+    return RoutingSolution(routes)
 
 
 # --------------------------------------------------------------------------
@@ -831,7 +831,7 @@ def evaluate(routes: RoutingSolution | tuple, instance: Instance,
     memo leaves the result unchanged.
     """
     sol = routes if isinstance(routes, RoutingSolution) \
-        else RoutingSolution(tuple(tuple(r) for r in routes))
+        else RoutingSolution(routes)
     if scored is not None and (hit := scored.get(sol.routes)) is not None:
         return hit
     memo = {} if memo is None else memo

@@ -403,14 +403,31 @@ def test_native_file_with_a_repeated_or_extra_arc_row_exits_3(tmp_path, capsys,
 
 @pytest.mark.parametrize("name, edit, err", [
     ("meta.csv", lambda text: text.replace("key,value", "k,v"),
-     "error: meta.csv line 2: bad row"),
+     "error: meta.csv line 1: missing columns: key, value; expected header"),
     ("profiles.csv", lambda text: text + "0,1,speeeed" + ",1.0" * 24 + "\n",
      "error: profiles.csv line 38: unknown profile kind 'speeeed'"),
-], ids=["meta-header", "profile-kind"])
+    ("nodes.csv", lambda text: text.replace("1,6.3,2.6,100.0,0.1,0.0,1.3",
+                                            "1,6.3,2.6,100.0"),
+     "error: nodes.csv line 3: expected 7 fields, got 4\n"),
+    ("distances.csv", lambda text: text.replace("0,1,6.8009\n",
+                                                "0,1,6.8009,5\n", 1),
+     "error: distances.csv line 2: expected 3 fields, got 4\n"),
+    ("nodes.csv", lambda text: text.replace("id,x,y", "id,y,x"),
+     "error: nodes.csv line 1: expected header "
+     "'id,x,y,demand,service,open,close', got ['id', 'y', 'x',"),
+    ("meta.csv", lambda text: text.splitlines()[0] + "\n",
+     "error: meta.csv: no data rows\n"),
+    ("profiles.csv", lambda text: text.replace("0,1,speed,45.196226079186836",
+                                               "0,1,speed,nan", 1),
+     "error: profiles.csv line 2: profile values must be finite\n"),
+], ids=["meta-header", "profile-kind", "short-row", "extra-field",
+        "reordered-header", "header-only", "nan-profile"])
 def test_case_study_with_a_bad_header_or_kind_exits_3(tmp_path, capsys, name,
                                                        edit, err):
-    # a wrong meta header used to end in a KeyError traceback, and a
-    # misspelt kind used to solve as if its row were absent
+    # a wrong meta header used to end in a KeyError traceback, a misspelt
+    # kind used to solve as if its row were absent, a short row ended in
+    # a TypeError traceback with exit 1, an extra field and a reordered
+    # header solved, and a NaN profile value exited 3 without its place
     case = tmp_path / "case"
     shutil.copytree(CASE_DIR, case)
     (case / name).write_text(edit((case / name).read_text()))

@@ -2,8 +2,14 @@
 
 import math
 import random
+import shutil
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saferoute.instances import (
     ASSIGNMENT,
@@ -21,7 +27,12 @@ from saferoute.instances import (
     parse_solomon,
     serialize_instance,
 )
-from saferoute.model import ensure_augmented
+from saferoute.model import ModelError, ensure_augmented
+from saferoute.queueing import (
+    QueueingError,
+    read_flow_table,
+    read_nominal_speeds,
+)
 
 from helpers import with_first_arc_repeated
 
@@ -327,15 +338,30 @@ def _case_study_edited(tmp_path, name, edit):
     ("distances.csv", lambda ls: [ln for ln in ls if ln != "2,3,9.1"],
      r"profiles.csv line 32: arc \(2, 3\) has no distances.csv row"),
     ("meta.csv", lambda ls: ["k,v"] + ls[1:],
-     r"meta.csv line 2: bad row .* \(no column 'key'\)"),
+     r"meta.csv line 1: missing columns: key, value; expected header "
+     r"'key,value', got \['k', 'v'\]"),
     ("profiles.csv", lambda ls: ls + ["0,1,speeeed" + ",1.0" * 24],
      r"profiles.csv line 38: unknown profile kind 'speeeed'"),
+    ("nodes.csv", lambda ls: ls[:2] + ["1,6.3,2.6,100.0"] + ls[3:],
+     r"nodes.csv line 3: expected 7 fields, got 4"),
+    ("distances.csv", lambda ls: ls[:1] + [ls[1] + ",5"] + ls[2:],
+     r"distances.csv line 2: expected 3 fields, got 4"),
+    ("nodes.csv", lambda ls: ["id,y,x,demand,service,open,close"] + ls[1:],
+     r"nodes.csv line 1: expected header 'id,x,y,demand,service,open,"
+     r"close', got \['id', 'y', 'x',"),
+    ("profiles.csv", lambda ls: ls[:1],
+     r"profiles.csv: no data rows"),
+    ("profiles.csv", lambda ls: ls[:1] + ["0,1,speed" + ",nan" * 24] + ls[2:],
+     r"profiles.csv line 2: profile values must be finite"),
 ], ids=["distance", "profile", "meta-key", "profile-without-distance",
-        "meta-header", "profile-kind"])
+        "meta-header", "profile-kind", "short-row", "extra-field",
+        "reordered-header", "header-only", "nan-profile"])
 def test_case_study_rejects_repeated_and_orphan_rows(tmp_path, name, edit,
                                                      match):
     # the last of two rows used to win silently, an orphan profile or a
-    # misspelt kind was dropped, and a wrong meta header raised KeyError
+    # misspelt kind was dropped, a wrong meta header raised KeyError, a
+    # short row raised TypeError, an extra field and a reordered header
+    # loaded, and a NaN profile value was reported without its place
     _case_study_edited(tmp_path, name, edit)
     with pytest.raises(InstanceError, match=match):
         load_case_study(tmp_path)
@@ -351,3 +377,75 @@ def test_case_study_overload_warns(tmp_path):
     with pytest.warns(UserWarning, match="demand"):
         inst = load_case_study(tmp_path)
     assert inst.fleet.capacity == 100.0
+
+
+#: Header of every CSV file the package reads.
+CSV_HEADERS = {
+    "meta.csv": ("key", "value"),
+    "nodes.csv": ("id", "x", "y", "demand", "service", "open", "close"),
+    "distances.csv": ("tail", "head", "miles"),
+    "profiles.csv": ("tail", "head", "kind",
+                     *(f"h{h}" for h in range(24))),
+    "flows.csv": ("tail", "head", "hour", "flow"),
+    "nominal_speeds.csv": ("tail", "head", "nominal_speed"),
+}
+
+FIELDS = st.one_of(
+    st.integers(-1, 30).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "x", " 2", "1.5", "speed", "tti", "crash",
+                     "vehicles", "capacity", "latest", "dummies", "name",
+                     '"3"', '"1,2"', '"a\nb"']))
+
+
+@st.composite
+def csv_text(draw, header):
+    """CSV text that is often close to ``header``'s layout and often not:
+    exact, shuffled or partial headers, short and long rows, blank lines
+    and fields that are not numbers."""
+    head = draw(st.one_of(st.just(list(header)),
+                          st.permutations(header),
+                          st.lists(st.sampled_from(header),
+                                   max_size=len(header))))
+    width = len(header)
+    widths = st.sampled_from([0, width, width, width, width - 1, width + 1])
+    rows = draw(st.lists(
+        widths.flatmap(lambda n: st.lists(FIELDS, min_size=n, max_size=n)),
+        max_size=8))
+    ending = draw(st.sampled_from(["", "\n", "\r\n"]))
+    return "\n".join(",".join(row) for row in [head, *rows]) + ending
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(CSV_HEADERS)))
+def test_csv_readers_fail_only_with_their_own_error(data, name):
+    # each reader returns or raises its module's error naming the file,
+    # never TypeError, KeyError or IndexError: a short case-study row
+    # used to end in a TypeError traceback
+    speeds = ("flows.csv", "nominal_speeds.csv")
+    text = data.draw(csv_text(CSV_HEADERS[name]))
+    with tempfile.TemporaryDirectory() as tmp:
+        case = Path(tmp) / "case"
+        shutil.copytree(bundled_case_study_dir(), case)
+        (case / name).write_text(text, newline="")
+        path = str(case / name)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an overloaded fleet
+                if name == "flows.csv":
+                    read_flow_table(path)
+                elif name == "nominal_speeds.csv":
+                    read_nominal_speeds(path)
+                else:
+                    load_case_study(case)
+        except QueueingError as exc:
+            assert name in speeds and str(exc).startswith(path)
+        except InstanceError as exc:
+            # an orphan profile row names profiles.csv whichever file
+            # lost its row; bad meta entries are found after reading
+            assert name not in speeds
+            assert str(exc).split(" ")[0].rstrip(":") in CSV_HEADERS
+        except ModelError:
+            # checks across files (ids, arc ends, profile bounds) are the
+            # model's; the CLI reports them with exit 3 all the same
+            assert name not in speeds

@@ -287,10 +287,23 @@ class TestFlowTableIO:
         ("tail,head,hour,flow\n0,1,0,abc\n", "line 2"),
         ("tail,head,hour,flow\n0,1,0\n", "line 2"),
         ("tail,head\n0,1\n", "missing columns: hour, flow; expected header"),
-    ], ids=["header-only", "bad-value", "short-row", "wrong-header"])
+        ("tail,head,hour,flow\n0,1,0,1.0\n\n0,1,1,nan\n",
+         r"flows.csv line 4: flow must be finite and non-negative, got nan"),
+        ("tail,head,hour,flow\n0,1,0,-inf\n",
+         r"flows.csv line 2: flow must be finite and non-negative, got -inf"),
+        # not UTF-8; a locale that decodes it finds a bad number instead
+        (b"tail,head,hour,flow\n0,1,0,\xff\n", r"flows.csv"),
+        ("tail,head,hour,flow\n0,1,0," + "9" * 200_000 + "\n",
+         r"flows.csv line 2: field larger than field limit"),
+    ], ids=["header-only", "bad-value", "short-row", "wrong-header",
+            "nan-flow", "negative-flow", "not-utf8", "huge-field"])
     def test_reader_messages(self, tmp_path, text, message):
+        # the last two used to escape as UnicodeDecodeError and csv.Error
         path = tmp_path / "flows.csv"
-        path.write_text(text)
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
         with pytest.raises(QueueingError, match=message):
             read_flow_table(str(path))
 
@@ -306,3 +319,12 @@ class TestFlowTableIO:
         bad.write_text("tail,head,nominal_speed\n")
         with pytest.raises(QueueingError, match="no data rows"):
             read_nominal_speeds(str(bad))
+
+    @pytest.mark.parametrize("speed", ["nan", "inf", "-inf", "0", "-3.5"])
+    def test_nominal_speed_must_be_positive_and_finite(self, tmp_path, speed):
+        # nan and inf used to load as speeds, since nan <= 0 is false
+        path = tmp_path / "nominal.csv"
+        path.write_text(f"tail,head,nominal_speed\n0,1,55\n1,0,{speed}\n")
+        with pytest.raises(QueueingError, match=r"nominal.csv line 3: nominal "
+                           r"speed must be positive and finite, got "):
+            read_nominal_speeds(str(path))
