@@ -12,6 +12,7 @@ Four sources of routing problems are supported:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import random
@@ -24,6 +25,7 @@ from .model import (
     Arc,
     Fleet,
     Instance,
+    InvalidProfileError,
     ModelError,
     Node,
     TimeProfile,
@@ -503,10 +505,9 @@ def load_case_study(directory: str | Path) -> Instance:
     ``id,x,y,demand,service,open,close``, distances.csv
     ``tail,head,miles`` and profiles.csv ``tail,head,kind,h0,...,h23``
     (one row per arc and profile kind) through ``_csv_rows``.  Returns
-    the augmented instance, ready to solve.  A malformed row, a repeated
-    meta key, arc or (arc, kind), a node or profile value the model
-    rejects, a kind other than speed, tti or crash, and a profile for an
-    arc without a distance are errors naming the file and line.
+    the augmented instance, ready to solve.  Every fault, a value the
+    model would reject included, is an ``InstanceError`` naming its file
+    and, when one row is at fault, its line.
 
     A demand total above the whole fleet's capacity only warns: the
     instance remains loadable for inspection.
@@ -516,33 +517,52 @@ def load_case_study(directory: str | Path) -> Instance:
     def rows(name: str, columns: dict[str, type]):
         return _csv_rows(directory / name, columns, InstanceError, name)
 
-    meta: dict[str, str] = {}
+    meta: dict[str, tuple[str, int]] = {}
     for line, (key, value) in rows("meta.csv", {"key": str, "value": str}):
-        _add_once(meta, key, value, line, "meta.csv")
-    try:
-        fleet = Fleet(int(meta["vehicles"]), float(meta["capacity"]))
-        latest = float(meta["latest"])
-        dummies = int(meta["dummies"])
-        name = meta.get("name", directory.name)
-    except (KeyError, ValueError) as exc:
-        raise InstanceError(f"meta.csv: missing or bad entry ({exc})") from exc
+        _add_once(meta, key, (value, line), line, "meta.csv")
 
-    nodes = []
+    def setting(key: str, convert: type, above: float):
+        """meta.csv's ``key`` entry: a finite ``convert`` above ``above``."""
+        if key not in meta:
+            raise InstanceError(f"meta.csv: missing entry {key!r}")
+        text, line = meta[key]
+        with contextlib.suppress(ValueError, OverflowError):
+            if math.isfinite(value := convert(text)) and value > above:
+                return value
+        raise InstanceError(f"meta.csv line {line}: {key} must be a finite "
+                            f"{convert.__name__} above {above}, got {text!r}")
+
+    fleet = Fleet(setting("vehicles", int, 0), setting("capacity", float, 0))
+    latest, dummies = setting("latest", float, 0), setting("dummies", int, -1)
+    name = meta["name"][0] if "name" in meta else directory.name
+
+    nodes: dict[int, tuple[Node, int]] = {}
     for line, fields in rows("nodes.csv", {
             "id": int, "x": float, "y": float, "demand": float,
             "service": float, "open": float, "close": float}):
         try:
-            nodes.append(Node(*fields))
+            node = Node(*fields)
         except ModelError as exc:
             raise InstanceError(f"nodes.csv line {line}: {exc}") from None
-    nodes.sort(key=lambda n: n.id)
+        _add_once(nodes, node.id, (node, line), line, "nodes.csv")
+    for node, line in nodes.values():  # distinct ids below the count
+        if node.id >= len(nodes):      # run 0, 1, ... in some order
+            raise InstanceError(f"nodes.csv line {line}: node ids must run "
+                                f"from 0 to {len(nodes) - 1}, found {node.id}")
+    depot, line = nodes[0]
+    if depot.demand or depot.service_time:
+        raise InstanceError(f"nodes.csv line {line}: depot must have zero "
+                            "demand and service time")
 
-    distances: dict[tuple[int, int], float] = {}
+    distances: dict[tuple[int, int], tuple[float, int]] = {}
     for line, (tail, head, miles) in rows(
             "distances.csv", {"tail": int, "head": int, "miles": float}):
-        _add_once(distances, (tail, head), miles, line, "distances.csv")
+        if tail not in nodes or head not in nodes:
+            raise InstanceError(f"distances.csv line {line}: arc "
+                                f"{(tail, head)} references an unknown node")
+        _add_once(distances, (tail, head), (miles, line), line, "distances.csv")
 
-    profiles: dict[tuple[int, int, str], TimeProfile] = {}
+    profiles: dict[tuple[int, int, str], tuple[TimeProfile, int]] = {}
     hours = {f"h{h}": float for h in range(HOURS_PER_DAY)}
     for line, (tail, head, kind, *values) in rows(
             "profiles.csv", {"tail": int, "head": int, "kind": str, **hours}):
@@ -556,19 +576,24 @@ def load_case_study(directory: str | Path) -> Instance:
             profile = TimeProfile(tuple(values))
         except ModelError as exc:
             raise InstanceError(f"profiles.csv line {line}: {exc}") from None
-        _add_once(profiles, (tail, head, kind), profile, line, "profiles.csv")
+        _add_once(profiles, (tail, head, kind), (profile, line), line, "profiles.csv")
 
     arcs = {}
-    for (i, j), dist in sorted(distances.items()):
+    for (i, j), (dist, line) in sorted(distances.items()):
         try:
-            arcs[(i, j)] = Arc(i, j, dist, profiles[(i, j, "speed")],
-                               profiles[(i, j, "tti")], profiles[(i, j, "crash")])
+            speed, tti, crash = (profiles[i, j, kind][0] for kind in PROFILE_KINDS)
+            arcs[(i, j)] = Arc(i, j, dist, speed, tti, crash)
         except KeyError as exc:
             raise InstanceError(
                 f"profiles.csv: missing profile for arc ({i}, {j}): {exc}") from exc
+        except InvalidProfileError as exc:
+            raise InstanceError(f"profiles.csv line "
+                                f"{profiles[i, j, exc.kind][1]}: {exc}") from None
+        except ModelError as exc:  # the distance or a self-loop
+            raise InstanceError(f"distances.csv line {line}: {exc}") from None
 
-    instance = Instance(name, tuple(nodes), arcs, fleet, latest,
-                        dummy_count=dummies)
+    instance = Instance(name, tuple(nodes[i][0] for i in range(len(nodes))),
+                        arcs, fleet, latest, dummy_count=dummies)
     total = instance.total_demand()
     if total > fleet.count * fleet.capacity:
         warnings.warn(

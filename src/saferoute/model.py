@@ -42,6 +42,10 @@ class ModelError(ValueError):
 class InvalidProfileError(ModelError):
     """Hourly profile violates its value constraints."""
 
+    def __init__(self, message: str, kind: str | None = None) -> None:
+        super().__init__(message)
+        self.kind = kind  # the arc's profile out of range, if one is
+
 
 class MissingArcError(ModelError):
     """Requested arc is not present in the instance."""
@@ -107,8 +111,7 @@ def _check_profile(arc: "Arc", kind: str, lo: float, hi: float,
             bound = f"({lo}, {hi}]" if lo_strict else f"[{lo}, {hi}]"
             raise InvalidProfileError(
                 f"arc ({arc.tail}, {arc.head}) {kind} value {v} at hour {h} "
-                f"outside {bound}"
-            )
+                f"outside {bound}", kind)
 
 
 @dataclass(frozen=True)

@@ -118,8 +118,8 @@ def enumerate_routes(instance: Instance, objective: str, *,
     departures, audited, retimed on a ``schedule_m``-point grid (but
     for distance, which retiming cannot change) and measured.  A
     candidate that is infeasible, or drives a missing arc, is skipped.
-    No route memo is shared between candidates, so the oracle stays an
-    independent check of the solver's.
+    No route record is shared between candidates, so the oracle stays
+    an independent check of the solver's.
 
     Raises:
         OracleSizeError: more than ``max_customers`` customers.

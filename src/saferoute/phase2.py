@@ -239,26 +239,10 @@ def optimize_schedule(route: tuple[int, ...], instance: Instance,
     return Schedule(starts, sink_cost)
 
 
-@dataclass
-class RouteRecord:
-    """What one solve has learned about one route.
-
-    ``timing`` is the route's immediate-departure timing; ``retimed``
-    is the ``time_route`` timing of its optimal service starts once the
-    route has been retimed.  Both depend only on the route and on what
-    a solve holds fixed (instance, dispatch, ``m``, weights and
-    objective), so a solve keeps one record per distinct route in a
-    local dict, its route memo, and drops it on return.
-    """
-
-    timing: RouteTiming
-    retimed: RouteTiming | None = None
-
-
 def schedule_solution(solution: RoutingSolution, instance: Instance, m: int,
                       weights: ObjectiveWeights | None = None,
                       objective: str = "weighted", *,
-                      memo: dict[tuple[int, ...], RouteRecord],
+                      memo: dict[tuple[int, ...], RouteTiming],
                       ) -> RoutingSolution:
     """Re-time every route of a solution (empty routes keep their
     trivial timing) and return the re-timed solution.
@@ -268,12 +252,11 @@ def schedule_solution(solution: RoutingSolution, instance: Instance, m: int,
     answer: its starts are the timing's ``service_start``s and its cost
     the ``leg_cost`` sum over the timing's legs.
 
-    ``memo`` is a solve's route memo (see ``RouteRecord``), shared only
+    ``memo`` maps each route retimed so far to its timing, shared only
     by calls with the same instance, dispatch, ``m``, weights and
-    objective.  A route whose record is already retimed reuses that
-    timing; any other route is retimed here, and the result is stored
-    in its record when it has one.  A route that admits no schedule
-    raises ``ScheduleInfeasibleError`` every time and is never stored.
+    objective.  A route found there reuses its timing; any other is
+    retimed here and stored, unless it admits no schedule: that raises
+    ``ScheduleInfeasibleError`` every time.
     """
     if solution.dispatch is None:
         raise SolutionError("schedule needs a dispatched solution")
@@ -282,15 +265,11 @@ def schedule_solution(solution: RoutingSolution, instance: Instance, m: int,
         if not route:
             timings.append(time_route(route, instance, solution.dispatch))
             continue
-        record = memo.get(route)
-        if record is not None and record.retimed is not None:
-            timing = record.retimed
-        else:
+        timing = memo.get(route)
+        if timing is None:
             sched = optimize_schedule(route, instance, solution.dispatch, m,
                                       weights, objective)
-            timing = time_route(route, instance, solution.dispatch,
-                                sched.service_starts)
-            if record is not None:
-                record.retimed = timing
+            timing = memo[route] = time_route(
+                route, instance, solution.dispatch, sched.service_starts)
         timings.append(timing)
     return RoutingSolution(solution.routes, solution.dispatch, tuple(timings))

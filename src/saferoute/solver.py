@@ -11,18 +11,20 @@ immediate one.
 
 A route's immediate-departure timing and its optimal retiming depend
 only on that route once a solve has fixed the dispatch, grid size,
-weights and objective.  Each ``solve`` call therefore keeps a route
-memo, a plain dict local to the call: every distinct route is
-propagated and retimed at most once per solve, however many candidates
-it recurs in.  The feasibility audit and the objective judge each
-assembled candidate whole, but they read each route's audit verdict and
-driven legs as its one timing walk recorded them, so a memo hit walks
-nothing again.  Beside it sits a candidate memo, a dict from a
-candidate's routes to its feasible ``Evaluation``: the annealer revisits
-the same few candidates over and over, and a repeat is served whole
-from it, with no assembly, audit or objective.  Infeasible candidates
-are left out of it and evaluated afresh, so every rejection comes from
-the check that finds the fault, where a profiler can see its reason.
+weights and objective.  Each ``solve`` call therefore keeps three plain
+dicts local to the call.  Its ``RouteRecord`` per distinct route holds
+the route's one immediate-departure walk, with the audit verdict and
+driven legs that the audit and the objective read, and what repair's
+insertion search reads; repair and ``evaluate`` share these records,
+so no route is walked twice with immediate departures in one solve
+outside the retiming phase's own graph build.
+Its retimed timings hold each route ``schedule_solution`` has retimed.
+Its candidate memo maps a candidate's routes to its feasible
+``Evaluation``: the annealer revisits the same few candidates over and
+over, and a repeat is served whole, with no audit or objective.
+Infeasible candidates are left out of the memo and evaluated afresh,
+so every rejection comes from the check that finds the fault, where a
+profiler can see its reason.
 
 Construction divides the plane around the depot into one slice per
 vehicle, halves each slice, serves the first half outward and the
@@ -31,51 +33,30 @@ overflow to the next vehicle.  When time windows break the geometric
 order, a deterministic repair ejects, route by route, the visits each
 route's own audit names into a bank, re-inserts each banked customer
 at its cheapest feasible position, and polishes the result with
-cross-route relocations and feasible 2-opt.  A relocation needs both
-the receiving and the donor route to pass their audit.  Polish is
-incremental, Bentley's don't-look bits (1992) made exact: each route
-carries an edit stamp, a customer whose last scan found nothing prices
-only the routes edited since while its own route stands, and a route
-that last came out of 2-opt is not passed again while it stands.
-Construction, repair and polish share one insertion search and one
-2-opt, and read every distance from one table, the instance's
-``length_matrix``, or its transpose ``length_columns`` for the lengths
-into a customer.  The insertion search prices, in one pass, only the
-positions of a route that the customer's time window leaves open,
-skips a route whose cheapest such position cannot win, and audits a
-trial route only when it would become the new best and an O(1)
-pre-check lets it fit; polish's 2-opt audits only the shorter reversals
-that a forward pass at fastest times cannot already show late, and
-keeps only those that pass.
+cross-route relocations and feasible 2-opt; polish is incremental,
+Bentley's don't-look bits (1992) made exact.  Construction, repair and
+polish share one insertion search and one 2-opt, and read every
+distance from one table, the instance's ``length_matrix``, or its
+transpose ``length_columns``.
 
-The pre-check reads a summary of the route it inserts into: the
-immediate departures, the load, and each stop's latest service start,
-computed backward from the window close, the horizon less the service
-and the fastest return, and the next stop's latest start less the
-service and the fastest drive there (Savelsbergh 1992, in the
-time-dependent form of Donati et al. 2008).  "Fastest" is the arc's
-length over its highest hourly speed; under FIFO no departure drives
-the arc faster, so for time-dependent profiles the latest starts are a
-relaxation, and for constant ones they are exact.  Every comparison
-carries a margin far above the audit's ``TIME_EPS``, so the pre-check
-never turns down a trial that the audit would accept, and the audit
-stays the only judge of feasibility: the search finds exactly what an
-audit of every would-be best finds.  Both series of the summary never
-decrease along the route, so the positions where a customer can pass
-the pre-check form one slice, found by bisection (Campbell &
-Savelsbergh 2004): it ends at the last departure from which the
-fastest arc into the customer still reaches its window close, and
-starts at the first latest start that serving the customer from its
-window open and driving the fastest arc out of it can still meet.  The
-insertion search prices only that slice.  The 2-opt pre-check times
-the reversed route forward at fastest times, each stop served no
-earlier than its window open, and turns it down only when a stop starts
-past its close; both carry a margin too, so neither drops a position
-or reversal that the audit would accept.  The summary's walk also
-records the route's audit verdict, which the ejection, the trial audit
-and polish's 2-opt read, and a repair keeps its summaries in one dict
-keyed by route: an edited route gets a new entry, and no route is
-walked twice in one repair.
+The insertion search audits a trial route only when it would become
+the new best and an O(1) pre-check lets it fit.  The pre-check reads
+the target route's record: its immediate departures, its load, and
+each stop's latest service start, computed backward from the window
+close, the horizon less the service and the fastest return, and the
+next stop's latest start less the service and the fastest drive there
+(Savelsbergh 1992, in the time-dependent form of Donati et al. 2008).
+"Fastest" is the arc's length over its highest hourly speed; under FIFO
+no departure drives the arc faster, so for time-dependent profiles the
+latest starts are a relaxation, and for constant ones they are exact.
+Both series never decrease along the route, so the positions where a
+customer can pass the pre-check form one slice, found by bisection
+(Campbell & Savelsbergh 2004), and only that slice is priced.  Polish's
+2-opt audits only the shorter reversals that a forward pass at fastest
+times cannot already show late.  Every pre-check carries a margin far
+above the audit's ``TIME_EPS``, so none turns down a trial that the
+audit would accept: the audit stays the only judge of feasibility, and
+the search finds exactly what auditing every would-be best finds.
 
 Annealing uses six neighborhood families (relocation including depot
 pass-through edits, swaps, 2-opt, 3-opt, segment reversal, route
@@ -104,6 +85,7 @@ from .phase1 import (
     OBJECTIVES,
     TIME_EPS,
     ObjectiveWeights,
+    RouteTiming,
     RoutingSolution,
     Violation,
     check_feasibility,
@@ -111,7 +93,7 @@ from .phase1 import (
     propagate_schedule,
     time_route,
 )
-from .phase2 import RouteRecord, ScheduleInfeasibleError, schedule_solution
+from .phase2 import ScheduleInfeasibleError, schedule_solution
 
 MOVE_KINDS = ("insertion", "swap", "two_opt", "three_opt", "reversion", "split")
 
@@ -286,19 +268,21 @@ _FIT_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
-class _RouteSummary:
-    """Repair's one record of a route, read by its insertion search.
+class RouteRecord:
+    """One solve's record of one route, read by repair and ``evaluate``.
 
-    Position ``pos`` lies between ``before[pos]`` and ``after[pos]`` on
-    the depot-closed path, ``edges[pos]`` apart (an empty route: 0.0).
+    ``timing`` is the route's immediate-departure ``time_route`` walk,
+    None for a missing arc, and ``violations`` the audit verdict it
+    recorded (a route-shape violation for a missing arc).  Position
+    ``pos`` lies between ``before[pos]`` and ``after[pos]`` on the
+    depot-closed path, ``edges[pos]`` apart (an empty route: 0.0).
     ``departures[k]`` is the immediate departure just before stop ``k``
     (the depot's first) and ``latest[k]`` the latest service start at
     stop ``k`` that leaves the rest of the route a chance to pass the
-    audit; both are None when the route drives a missing arc.
-    ``violations`` is the audit verdict the route's timing walk recorded,
-    or a route-shape violation for a missing arc.
+    audit; both are None with the timing.
     """
 
+    timing: RouteTiming | None
     load: float
     before: tuple[int, ...]
     after: tuple[int, ...]
@@ -308,23 +292,25 @@ class _RouteSummary:
     violations: tuple[Violation, ...]
 
 
+#: One solve's records, by route.
+Records = dict[tuple[int, ...], RouteRecord]
+
+
 def _fastest(arc: Arc | None) -> float:
     """``Arc.fastest``, inf for a missing arc."""
     return math.inf if arc is None else arc.fastest
 
 
-def _summarise(route: tuple[int, ...], instance: Instance,
-               dispatch: float) -> _RouteSummary:
-    """Edge lengths, one audited timing walk, a backward latest-start pass."""
+def _summarise(route: tuple[int, ...], instance: Instance, dispatch: float,
+               timing: RouteTiming | None) -> RouteRecord:
+    """Edge lengths and a backward latest-start pass around ``timing``."""
     load = _route_load(instance, route)
     length = instance.length_matrix
     before, after = (0, *route), (*route, instance.terminal_id)
     edges = tuple(map(lambda a, b: length[a][b], before, after)) \
         if route else (0.0,)
-    try:
-        timing = time_route(route, instance, dispatch)
-    except MissingArcError:
-        return _RouteSummary(load, before, after, edges, None, None, (
+    if timing is None:
+        return RouteRecord(None, load, before, after, edges, None, None, (
             Violation("route-shape", 0, None, "no arc joins the visits"),))
     horizon = dispatch + instance.latest_time
     latest = [0.0] * len(route)
@@ -339,21 +325,25 @@ def _summarise(route: tuple[int, ...], instance: Instance,
             leave_by = latest[k] - _fastest(
                 instance.arcs.get((route[k - 1], node.id)))
     departures = (dispatch, *(s.departure for s in timing.stops))
-    return _RouteSummary(load, before, after, edges, departures,
-                         tuple(latest), timing.violations)
+    return RouteRecord(timing, load, before, after, edges, departures,
+                       tuple(latest), timing.violations)
 
 
-def _verdict(route: list[int], instance: Instance, dispatch: float,
-             summaries: dict[tuple[int, ...], _RouteSummary]) -> tuple:
-    """``route``'s audit verdict, from its summary, made on first use."""
+def _record(route: list[int], instance: Instance, dispatch: float,
+            records: Records) -> RouteRecord:
+    """``route``'s record, walked and stored on first use."""
     key = tuple(route)
-    summary = summaries.get(key)
-    if summary is None:
-        summary = summaries[key] = _summarise(key, instance, dispatch)
-    return summary.violations
+    record = records.get(key)
+    if record is None:
+        try:
+            timing = time_route(key, instance, dispatch)
+        except MissingArcError:
+            timing = None
+        record = records[key] = _summarise(key, instance, dispatch, timing)
+    return record
 
 
-def _may_fit(summary: _RouteSummary, pos: int, c: int, instance: Instance,
+def _may_fit(record: RouteRecord, pos: int, c: int, instance: Instance,
              dispatch: float) -> bool:
     """O(1) necessary condition for c at ``pos`` to pass the audit.
 
@@ -362,25 +352,25 @@ def _may_fit(summary: _RouteSummary, pos: int, c: int, instance: Instance,
     horizon, and reach the old stop ``pos`` by its latest start.  A
     missing arc defers to the audit.
     """
-    if summary.departures is None:
+    if record.departures is None:
         return True
-    prev, nxt = summary.before[pos], summary.after[pos]
+    prev, nxt = record.before[pos], record.after[pos]
     into = instance.arcs.get((prev, c))
     onward = instance.arcs.get((c, nxt))
     home = instance.arcs.get((c, instance.terminal_id))
     if into is None or onward is None or home is None:
         return True
     node = instance.node(c)
-    depart = summary.departures[pos]
+    depart = record.departures[pos]
     start = max(depart + travel_time(into, depart),
                 dispatch + node.window_open)
     leave = start + node.service_time
     return (start <= dispatch + node.window_close + _FIT_MARGIN
             and leave + travel_time(home, leave)
             <= dispatch + instance.latest_time + _FIT_MARGIN
-            and (pos == len(summary.latest)
+            and (pos == len(record.latest)
                  or leave + travel_time(onward, leave)
-                 <= summary.latest[pos] + _FIT_MARGIN))
+                 <= record.latest[pos] + _FIT_MARGIN))
 
 
 def _window_bounds(c: int, instance: Instance,
@@ -402,10 +392,9 @@ def _window_bounds(c: int, instance: Instance,
 
 
 def _cheapest_insertion(routes: list[list[int]], c: int, instance: Instance,
-                        dispatch: float, skip: AbstractSet[int] = frozenset(),
-                        below: float = math.inf,
-                        summaries: dict[tuple[int, ...], _RouteSummary]
-                        | None = None) -> tuple | None:
+                        dispatch: float, records: Records,
+                        skip: AbstractSet[int] = frozenset(),
+                        below: float = math.inf) -> tuple | None:
     """Cheapest feasible ``(delta, route, position)`` for customer c, or None.
 
     Scans the window slice of every route whose index is not in the
@@ -427,7 +416,7 @@ def _cheapest_insertion(routes: list[list[int]], c: int, instance: Instance,
     bisection compares false against it.
 
     The slice's deltas come in one pass: length into c plus length out
-    of c less the summary's edge, the sum ``_insertion_delta`` makes
+    of c less the record's edge, the sum ``_insertion_delta`` makes
     (an empty route's edge 0.0 subtracts nothing, bit for bit).  A
     route whose least delta cannot undercut the bound is skipped, which
     is exact, as the bound only falls along a route, and NaN-safe (inf
@@ -442,11 +431,10 @@ def _cheapest_insertion(routes: list[list[int]], c: int, instance: Instance,
     Under FIFO a feasible trial meets them all: c's start and return
     are the very values the audit compares, and no drive beats the
     fastest time the latest starts subtract.  So the pre-check changes
-    what is audited, never what is found.  ``summaries`` holds each
-    route's ``_summarise``, trial routes' too (their audit), by route,
+    what is audited, never what is found.  ``records`` holds each
+    route's ``RouteRecord``, trial routes' too (their audit), by route,
     for reuse across calls on the same instance and dispatch.
     """
-    summaries = {} if summaries is None else summaries
     demand = instance.node(c).demand
     capacity = instance.fleet.capacity
     into_c = instance.length_columns[c].__getitem__
@@ -456,35 +444,34 @@ def _cheapest_insertion(routes: list[list[int]], c: int, instance: Instance,
     for ri, r in enumerate(routes):
         if ri in skip:
             continue
-        key = tuple(r)
-        summary = summaries.get(key)
-        if summary is None:
-            summary = summaries[key] = _summarise(key, instance, dispatch)
-        if summary.load + demand > capacity + TIME_EPS:
+        record = records.get(tuple(r)) or _record(r, instance, dispatch,
+                                                  records)
+        if record.load + demand > capacity + TIME_EPS:
             continue
-        if summary.departures is None:
-            lo, hi = 0, len(summary.edges)
+        if record.departures is None:
+            lo, hi = 0, len(record.edges)
         else:
-            lo = bisect_left(summary.latest, ready)
-            hi = bisect_right(summary.departures, close_by)
+            lo = bisect_left(record.latest, ready)
+            hi = bisect_right(record.departures, close_by)
             if lo >= hi:
                 continue
-        deltas = list(map(sub, map(add, map(into_c, summary.before[lo:hi]),
-                                   map(out_of_c, summary.after[lo:hi])),
-                          summary.edges[lo:hi]))
+        deltas = list(map(sub, map(add, map(into_c, record.before[lo:hi]),
+                                   map(out_of_c, record.after[lo:hi])),
+                          record.edges[lo:hi]))
         if min(deltas) >= (below if best is None else best[0]) - _SHORTER:
             continue
         for pos, delta in enumerate(deltas, lo):
             if delta < (below if best is None else best[0]) - _SHORTER \
-                    and _may_fit(summary, pos, c, instance, dispatch) \
-                    and not _verdict(r[:pos] + [c] + r[pos:], instance,
-                                     dispatch, summaries):
+                    and _may_fit(record, pos, c, instance, dispatch) \
+                    and not _record(r[:pos] + [c] + r[pos:], instance,
+                                    dispatch, records).violations:
                 best = (delta, ri, pos)
     return best
 
 
 def make_feasible(solution: RoutingSolution, instance: Instance,
-                  dispatch: float) -> RoutingSolution | None:
+                  dispatch: float, records: Records | None = None
+                  ) -> RoutingSolution | None:
     """Deterministic repair: eject into a bank, re-insert cheapest.
 
     Each route keeps its customers at their first visit (pass-through
@@ -493,10 +480,11 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
     customer, on a late return the last stop) until it passes.  The
     bank, every customer no route serves, is re-added earliest window
     first at the feasible position that adds least distance, and the
-    routes are polished, all reading route audits from one dict of
-    summaries.  Returns None when a route drives a missing arc or a
-    customer fits nowhere; raises SolverError for more routes than
-    vehicles, which no route's audit sees.
+    routes are polished, all reading route audits from ``records``, the
+    route records ``solve`` shares with ``evaluate`` (a new dict when
+    None).  Returns None when a route drives a missing arc or a customer
+    fits nowhere; raises SolverError for more routes than vehicles,
+    which no route's audit sees.
     """
     if len(solution.routes) > instance.fleet.count:
         raise SolverError("more routes than vehicles")
@@ -507,9 +495,9 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
             if instance.is_customer(n) and n not in served:
                 served.add(n)
                 r.append(n)
-    summaries: dict[tuple[int, ...], _RouteSummary] = {}
+    records = {} if records is None else records
     for r in routes:
-        while violations := _verdict(r, instance, dispatch, summaries):
+        while violations := _record(r, instance, dispatch, records).violations:
             for v in violations:
                 if v.node is not None:
                     if v.node in r:  # else ejected earlier this round
@@ -522,12 +510,11 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
                     return None
     bank = set(instance.customers()).difference(*routes)
     for c in sorted(bank, key=lambda c: (instance.node(c).window_open, c)):
-        best = _cheapest_insertion(routes, c, instance, dispatch,
-                                   summaries=summaries)
+        best = _cheapest_insertion(routes, c, instance, dispatch, records)
         if best is None:
             return None
         routes[best[1]].insert(best[2], c)
-    _polish(routes, instance, dispatch, summaries)
+    _polish(routes, instance, dispatch, records)
     return RoutingSolution(routes)
 
 
@@ -556,7 +543,7 @@ def _may_keep_order(route: list[int], instance: Instance,
 
 
 def _polish(routes: list[list[int]], instance: Instance, dispatch: float,
-            summaries: dict[tuple[int, ...], _RouteSummary]) -> None:
+            records: Records) -> None:
     """Deterministic mileage cleanup of a feasible set of routes.
 
     Alternates single-customer relocations with within-route feasible
@@ -597,10 +584,9 @@ def _polish(routes: list[list[int]], instance: Instance, dispatch: float,
             skip = {k for k, stamp in enumerate(edited) if stamp <= since} \
                 if edited[ri] <= since else {ri}
             best = _cheapest_insertion(routes, c, instance, dispatch,
-                                       skip=skip, below=saving,
-                                       summaries=summaries)
-            if best is None or _verdict(donor, instance, dispatch,
-                                        summaries):
+                                       records, skip=skip, below=saving)
+            if best is None or _record(donor, instance, dispatch,
+                                       records).violations:
                 fruitless[c] = clock
                 continue
             r.remove(c)
@@ -614,7 +600,7 @@ def _polish(routes: list[list[int]], instance: Instance, dispatch: float,
             shorter = _two_opt_pass(
                 instance, r,
                 lambda t: _may_keep_order(t, instance, dispatch)
-                and not _verdict(t, instance, dispatch, summaries))
+                and not _record(t, instance, dispatch, records).violations)
             if shorter != r:
                 r[:] = shorter
                 clock += 1
@@ -804,8 +790,8 @@ class SolveResult:
 
 def evaluate(routes: RoutingSolution | tuple, instance: Instance,
              config: SolverConfig, dispatch: float,
-             weights: ObjectiveWeights,
-             memo: dict[tuple[int, ...], RouteRecord] | None = None,
+             weights: ObjectiveWeights, records: Records | None = None,
+             retimed: dict[tuple[int, ...], RouteTiming] | None = None,
              scored: dict[tuple[tuple[int, ...], ...], Evaluation]
              | None = None) -> Evaluation:
     """Time, filter and score one candidate.
@@ -816,32 +802,35 @@ def evaluate(routes: RoutingSolution | tuple, instance: Instance,
     breaks ties toward the earliest start, so a distance candidate
     keeps its immediate-departure timing.
 
-    ``memo`` is the calling solve's route memo (``phase2.RouteRecord``
-    per route), shared only by calls with the same instance, dispatch,
-    config and weights.  A recorded route reuses its timings; a new one
-    is propagated on its own and recorded unless it uses a missing arc.
-    A candidate that is not in ``scored`` runs the audit and the
-    objective whole, reading each route's recorded verdict and legs, so
-    a memo hit re-walks nothing.
+    ``records`` is the calling solve's route records, which its repair
+    shares, and ``retimed`` its ``schedule_solution`` memo; both serve
+    only calls with the same instance and dispatch, ``retimed`` also
+    only the same config and weights.  A route whose record holds a
+    timing reuses it; any other is timed by ``propagate_schedule``,
+    where a profiler sees a missing arc raise, and recorded unless it
+    drives one.  A candidate not in ``scored`` is
+    audited and scored whole from its routes' recorded verdicts and
+    legs, so a recorded route re-walks nothing.
 
     ``scored`` is the calling solve's candidate memo, under the same
     sharing rule: a candidate found there is returned as stored, and a
     feasible result is stored.  An infeasible one never is, so each
-    rejection is made afresh by the check that finds the fault.  Either
-    memo leaves the result unchanged.
+    rejection is made afresh by the check that finds the fault.  No
+    dict changes the result.
     """
     sol = routes if isinstance(routes, RoutingSolution) \
         else RoutingSolution(routes)
     if scored is not None and (hit := scored.get(sol.routes)) is not None:
         return hit
-    memo = {} if memo is None else memo
+    records = {} if records is None else records
     timings = []
     try:
         for route in sol.routes:
-            record = memo.get(route)
-            if record is None:
-                record = memo[route] = RouteRecord(propagate_schedule(
-                    (route,), instance, dispatch).timings[0])
+            record = records.get(route)
+            if record is None or record.timing is None:
+                record = records[route] = _summarise(
+                    route, instance, dispatch, propagate_schedule(
+                        (route,), instance, dispatch).timings[0])
             timings.append(record.timing)
     except MissingArcError:
         return Evaluation(sol, math.inf, False)
@@ -850,8 +839,9 @@ def evaluate(routes: RoutingSolution | tuple, instance: Instance,
         return Evaluation(timed, math.inf, False)
     if config.objective != "distance":
         try:
-            timed = schedule_solution(timed, instance, config.m, weights,
-                                      config.objective, memo=memo)
+            timed = schedule_solution(
+                timed, instance, config.m, weights, config.objective,
+                memo={} if retimed is None else retimed)
         except ScheduleInfeasibleError:
             return Evaluation(timed, math.inf, False)
     value = objective_value(config.objective, timed, instance, weights)
@@ -883,8 +873,9 @@ def solve(instance: Instance, config: SolverConfig | None = None,
 
     Deterministic for a given (instance, config, dispatch): a single
     seeded generator drives construction fallbacks, move sampling and
-    acceptance, and the route and candidate memos live only for this
-    call, so a repeated feasible candidate is scored once.  The result
+    acceptance, and the route records, the retimed timings and the
+    candidate memo live only for this call, so a repeated feasible
+    candidate is scored once.  The result
     carries the best solution exactly as ``evaluate`` scored it; when no
     feasible solution is ever seen the best-effort candidate is returned
     flagged infeasible with an infinite value.
@@ -902,18 +893,19 @@ def solve(instance: Instance, config: SolverConfig | None = None,
     start = initial_solution(instance)
 
     evaluations = 0
-    memo: dict[tuple[int, ...], RouteRecord] = {}
+    records: Records = {}
+    retimed: dict[tuple[int, ...], RouteTiming] = {}
     scored: dict[tuple[tuple[int, ...], ...], Evaluation] = {}
 
     def score(candidate) -> Evaluation:
         nonlocal evaluations
         evaluations += 1
         return evaluate(candidate, instance, config, dispatch, weights,
-                        memo=memo, scored=scored)
+                        records, retimed, scored)
 
     first = score(start)
     if not first.feasible:
-        repaired = make_feasible(first.solution, instance, dispatch)
+        repaired = make_feasible(first.solution, instance, dispatch, records)
         if repaired is not None:
             first = score(repaired)
 

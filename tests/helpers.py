@@ -20,8 +20,8 @@ from saferoute.solver import (
     _SHORTER,
     _cheapest_insertion,
     _insertion_delta,
+    _record,
     _two_opt_pass,
-    _verdict,
 )
 
 
@@ -217,7 +217,7 @@ def reference_insertion(routes: list[list[int]], c: int, instance: Instance,
 
 
 def reference_polish(routes: list[list[int]], instance: Instance,
-                     dispatch: float, summaries: dict) -> None:
+                     dispatch: float, records: dict) -> None:
     """``solver._polish`` as a full rescan: every round scans every
     customer against every other route and passes every route to 2-opt.
 
@@ -235,17 +235,17 @@ def reference_polish(routes: list[list[int]], instance: Instance,
             donor = r[:i] + r[i + 1:]
             saving = _insertion_delta(instance, donor, i, c)
             best = _cheapest_insertion(routes, c, instance, dispatch,
-                                       skip={ri}, below=saving,
-                                       summaries=summaries)
-            if best is not None and not _verdict(donor, instance, dispatch,
-                                                 summaries):
+                                       records, skip={ri}, below=saving)
+            if best is not None and not _record(donor, instance, dispatch,
+                                                records).violations:
                 r.remove(c)
                 routes[best[1]].insert(best[2], c)
                 improved = True
         for r in routes:
             shorter = _two_opt_pass(
                 instance, r,
-                lambda t: not _verdict(t, instance, dispatch, summaries))
+                lambda t: not _record(t, instance, dispatch,
+                                      records).violations)
             if shorter != r:
                 r[:] = shorter
                 improved = True

@@ -27,7 +27,7 @@ from saferoute.instances import (
     parse_solomon,
     serialize_instance,
 )
-from saferoute.model import ModelError, ensure_augmented
+from saferoute.model import ensure_augmented
 from saferoute.queueing import (
     QueueingError,
     read_flow_table,
@@ -353,15 +353,27 @@ def _case_study_edited(tmp_path, name, edit):
      r"profiles.csv: no data rows"),
     ("profiles.csv", lambda ls: ls[:1] + ["0,1,speed" + ",nan" * 24] + ls[2:],
      r"profiles.csv line 2: profile values must be finite"),
+    ("distances.csv", lambda ls: ls[:1] + ["0,1,0"] + ls[2:],
+     r"distances.csv line 2: arc \(0, 1\): distance must be positive"),
+    ("nodes.csv", lambda ls: ls[:2] + ["5" + ls[2][1:]] + ls[3:],
+     r"nodes.csv line 3: node ids must run from 0 to 3, found 5"),
+    ("meta.csv", lambda ls: [ln.replace("latest,23.0", "latest,-1")
+                             for ln in ls],
+     r"meta.csv line 5: latest must be a finite float above 0, got '-1'"),
+    ("profiles.csv", lambda ls: ls[:1] + ["0,1,speed" + ",-1.0" * 24] + ls[2:],
+     r"profiles.csv line 2: arc \(0, 1\) speed value -1.0 at hour 0"),
 ], ids=["distance", "profile", "meta-key", "profile-without-distance",
         "meta-header", "profile-kind", "short-row", "extra-field",
-        "reordered-header", "header-only", "nan-profile"])
+        "reordered-header", "header-only", "nan-profile", "zero-distance",
+        "node-id-gap", "negative-latest", "profile-range"])
 def test_case_study_rejects_repeated_and_orphan_rows(tmp_path, name, edit,
                                                      match):
     # the last of two rows used to win silently, an orphan profile or a
     # misspelt kind was dropped, a wrong meta header raised KeyError, a
     # short row raised TypeError, an extra field and a reordered header
-    # loaded, and a NaN profile value was reported without its place
+    # loaded, and a NaN profile value was reported without its place; a
+    # zero distance, a gap in the node ids, a negative horizon and a
+    # profile value out of range named no file
     _case_study_edited(tmp_path, name, edit)
     with pytest.raises(InstanceError, match=match):
         load_case_study(tmp_path)
@@ -420,8 +432,9 @@ def csv_text(draw, header):
 @given(data=st.data(), name=st.sampled_from(sorted(CSV_HEADERS)))
 def test_csv_readers_fail_only_with_their_own_error(data, name):
     # each reader returns or raises its module's error naming the file,
-    # never TypeError, KeyError or IndexError: a short case-study row
-    # used to end in a TypeError traceback
+    # never TypeError, KeyError, IndexError or the model's error: a short
+    # case-study row used to end in a TypeError traceback, and a check
+    # across files (node ids, arc ends, profile bounds) named no file
     speeds = ("flows.csv", "nominal_speeds.csv")
     text = data.draw(csv_text(CSV_HEADERS[name]))
     with tempfile.TemporaryDirectory() as tmp:
@@ -442,10 +455,6 @@ def test_csv_readers_fail_only_with_their_own_error(data, name):
             assert name in speeds and str(exc).startswith(path)
         except InstanceError as exc:
             # an orphan profile row names profiles.csv whichever file
-            # lost its row; bad meta entries are found after reading
+            # lost its row, and an arc to an unknown node distances.csv
             assert name not in speeds
             assert str(exc).split(" ")[0].rstrip(":") in CSV_HEADERS
-        except ModelError:
-            # checks across files (ids, arc ends, profile bounds) are the
-            # model's; the CLI reports them with exit 3 all the same
-            assert name not in speeds

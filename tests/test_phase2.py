@@ -39,7 +39,6 @@ from saferoute.phase2 import (
     Schedule,
     ScheduleError,
     ScheduleGraph,
-    RouteRecord,
     ScheduleInfeasibleError,
     build_schedule_graph,
     optimize_schedule,
@@ -403,7 +402,7 @@ def test_schedule_solution_retimes_each_memo_route_once(monkeypatch):
     inst = random_instance(rng, 3)
     prop = propagate_schedule(((2, 1), (3,)), inst, 0.0)
     fresh = schedule_solution(prop, inst, 3, objective="tti", memo={})
-    memo = {(2, 1): RouteRecord(prop.timings[0])}  # route (3,) has no record
+    memo = {}
     calls = []
     real = phase2.optimize_schedule
     monkeypatch.setattr(phase2, "optimize_schedule",
@@ -412,19 +411,18 @@ def test_schedule_solution_retimes_each_memo_route_once(monkeypatch):
                              memo=memo) == fresh
     assert schedule_solution(prop, inst, 3, objective="tti",
                              memo=memo) == fresh
-    assert calls == [(2, 1), (3,), (3,)]
-    assert memo[(2, 1)].retimed == fresh.timings[0]
-    assert set(memo) == {(2, 1)}
+    assert calls == [(2, 1), (3,)]
+    assert memo == {(2, 1): fresh.timings[0], (3,): fresh.timings[1]}
 
 
 def test_schedule_solution_never_stores_an_infeasible_route():
     inst = build_augmented([{"x": 30.0, "y": 0.0}], latest=1.5)
     prop = propagate_schedule(((1,),), inst, 0.0)
-    memo = {(1,): RouteRecord(prop.timings[0])}
+    memo = {}
     for _ in range(2):
         with pytest.raises(ScheduleInfeasibleError):
             schedule_solution(prop, inst, 2, objective="tti", memo=memo)
-    assert memo[(1,)].retimed is None
+    assert memo == {}
 
 
 @functools.cache

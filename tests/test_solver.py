@@ -304,7 +304,7 @@ def audit_instance(name):
 @given(data=st.data(), name=st.sampled_from(["R101", "RND25"]),
        dispatch=st.sampled_from([0.0, 7.0, 12.0, 17.0]))
 def test_route_check_matches_whole_audit(data, name, dispatch):
-    # repair judges one route by the verdict its summary records; it
+    # repair judges one route by the verdict its record holds; it
     # must say what the whole-solution audit says of that route, visit
     # counts aside, for the customers and pass-through vertices repair
     # hands it
@@ -312,7 +312,7 @@ def test_route_check_matches_whole_audit(data, name, dispatch):
     pool = [*inst.customers(), *inst.dummy_ids]
     route = tuple(data.draw(st.lists(st.sampled_from(pool), min_size=1,
                                      max_size=12)))
-    verdict = solver._summarise(route, inst, dispatch).violations
+    verdict = solver._record(route, inst, dispatch, {}).violations
     try:
         timed = propagate_schedule((route,), inst, dispatch)
     except MissingArcError:
@@ -359,7 +359,7 @@ def test_cheapest_insertion_matches_reference_scan(data, name, dispatch,
         c = routes[-1].pop() if routes[-1] else visits[0]
         routes = [[n for n in r if n != c] for r in routes]
         options = dict(skip=skip)
-    assert _cheapest_insertion(routes, c, inst, dispatch, **options) \
+    assert _cheapest_insertion(routes, c, inst, dispatch, {}, **options) \
         == reference_insertion(routes, c, inst, dispatch, **options)
 
 
@@ -480,8 +480,8 @@ def test_fit_precheck_passes_every_trial_the_audit_accepts(data, name,
         inst = _tightened(inst, trial, pos, dispatch, tighten,
                           data.draw(st.integers(0, len(route))))
     if not reference_route_audit(tuple(trial), inst, dispatch):
-        summary = solver._summarise(tuple(route), inst, dispatch)
-        assert solver._may_fit(summary, pos, c, inst, dispatch)
+        record = solver._record(route, inst, dispatch, {})
+        assert solver._may_fit(record, pos, c, inst, dispatch)
 
 
 @settings(max_examples=300, deadline=None)
@@ -492,7 +492,7 @@ def test_fit_precheck_passes_every_trial_the_audit_accepts(data, name,
        tighten=st.sampled_from([None, "window", "horizon"]))
 def test_window_slice_holds_every_trial_the_audit_accepts(data, name,
                                                           dispatch, tighten):
-    # a summary's departures and latest starts never decrease, so c's
+    # a record's departures and latest starts never decrease, so c's
     # window bounds cut each by bisection into one slice of positions;
     # every position whose trial passes the one-route audit lies in it,
     # also when a window or the horizon sits within the audit's
@@ -505,14 +505,14 @@ def test_window_slice_holds_every_trial_the_audit_accepts(data, name,
         inst = _tightened(inst, route[:pos] + [c] + route[pos:], pos,
                           dispatch, tighten,
                           data.draw(st.integers(0, len(route))))
-    summary = solver._summarise(tuple(route), inst, dispatch)
-    if summary.departures is None:
+    record = solver._record(route, inst, dispatch, {})
+    if record.departures is None:
         return  # scanned whole
-    for series in (summary.departures, summary.latest):
+    for series in (record.departures, record.latest):
         assert all(a <= b for a, b in zip(series, series[1:]))
     ready, close_by = solver._window_bounds(c, inst, dispatch)
-    lo = bisect_left(summary.latest, ready)
-    hi = bisect_right(summary.departures, close_by)
+    lo = bisect_left(record.latest, ready)
+    hi = bisect_right(record.departures, close_by)
     for pos in range(len(route) + 1):
         trial = (*route[:pos], c, *route[pos:])
         if not reference_route_audit(trial, inst, dispatch):
@@ -558,19 +558,30 @@ def test_r101_solve_audits_only_winning_trials(monkeypatch):
     # audits of shorter 2-opt reversals, none kept.  Pricing all
     # positions ran the fit pre-check on 4,726 would-be bests.  Now the
     # window slice prices only positions the pre-check could pass, and
-    # a forward pass at fastest times turns down those reversals
+    # a forward pass at fastest times turns down those reversals.
+    # Records that evaluate makes are summarised too, so only the
+    # records made inside repair are counted
     calls = Counter()
+    repairing = [False]
 
     def counted(name):
         check = getattr(solver, name)
 
         def wrapped(*args):
-            calls[name] += 1
+            calls[name] += repairing[0]
             return check(*args)
         monkeypatch.setattr(solver, name, wrapped)
 
+    def repair(*args):
+        repairing[0] = True
+        try:
+            return make_feasible(*args)
+        finally:
+            repairing[0] = False
+
     counted("_summarise")
     counted("_may_fit")
+    monkeypatch.setattr(solver, "make_feasible", repair)
     res = solve(ensure_augmented(load_solomon("R101")),
                 SolverConfig(objective="distance", seed=0), 0.0)
     assert res.value == 1846.1684329678744
@@ -580,24 +591,28 @@ def test_r101_solve_audits_only_winning_trials(monkeypatch):
 
 @pytest.mark.parametrize("name, dispatch", [("R101", 0.0), ("RND80", 7.0)])
 def test_repair_walks_each_route_once(monkeypatch, name, dispatch):
-    # repairing the construction, as solve does, once audited and
-    # summarised routes by separate walks, one R101 route 7 times; each
-    # distinct route is now walked at most once, whichever module times
-    # it
+    # a solve once kept repair's records and evaluate's apart, so 51
+    # R101 routes (RND80: 26) were walked by both; both now read one
+    # dict of records, and each distinct route gets at most one
+    # immediate walk, whichever module times it, besides the one inside
+    # phase 2's graph build
     inst = audit_instance("R101") if name == "R101" \
         else ensure_augmented(generate_instance(80, seed=0))
     walks = Counter()
 
     def counted(walk):
-        def timed(route, *args, **kwargs):
-            walks[tuple(route)] += 1
-            return walk(route, *args, **kwargs)
+        def timed(route, instance, dispatch, starts=None):
+            walks[tuple(route)] += starts is None
+            return walk(route, instance, dispatch, starts)
         return timed
 
     monkeypatch.setattr(phase1, "time_route", counted(phase1.time_route))
     monkeypatch.setattr(solver, "time_route", counted(solver.time_route))
-    assert make_feasible(initial_solution(inst), inst, dispatch) is not None
+    objective = "distance" if name == "R101" else "weighted"
+    res = solve(inst, SolverConfig(objective=objective, seed=0), dispatch)
+    assert res.feasible
     assert walks and max(walks.values()) == 1
+    assert sum(walks.values()) <= (317 if name == "R101" else 345)
 
 
 def test_r101_solve_prices_each_route_in_one_pass(monkeypatch):
@@ -751,12 +766,12 @@ def test_evaluate_skips_scheduling_for_distance():
     inst = build_augmented([{"x": 2.0, "y": 0.0}, {"x": 4.0, "y": 0.0}],
                            m=1, fleet=(2, 100.0))
     cfg = SolverConfig(objective="distance", m=2)
-    memo = {}
+    retimed = {}
     out = evaluate(((1, 2), ()), inst, cfg, 0.0,
-                   cfg.weights.resolved(inst), memo=memo)
+                   cfg.weights.resolved(inst), retimed=retimed)
     assert out.feasible
     assert out.solution == propagate_schedule(((1, 2), ()), inst, 0.0)
-    assert all(record.retimed is None for record in memo.values())
+    assert retimed == {}
 
 
 def test_evaluate_rejects_window_violation():
@@ -769,55 +784,70 @@ def test_evaluate_rejects_window_violation():
 def test_evaluate_never_stores_a_route_with_a_missing_arc():
     inst = no_return_from_first()
     cfg = SolverConfig(objective="time")
-    memo = {}
+    records = {}
     for _ in range(2):
         out = evaluate(((2, 1),), inst, cfg, 0.0, cfg.weights.resolved(inst),
-                       memo=memo)
+                       records=records)
         assert not out.feasible and out.solution.timings is None
-    assert memo == {}
+    assert records == {}
 
 
 @lru_cache(maxsize=None)
 def memo_instance(name):
     if name == "case":
         return ensure_augmented(load_case_study(bundled_case_study_dir()))
+    if name == "R101":
+        return ensure_augmented(load_solomon("R101"))
     return ensure_augmented(generate_instance(25, seed=0))
 
 
 def memo_walk(name, dispatch, objective, walk_seed, steps=30):
-    """Evaluate a random walk of moves twice with one shared route memo
-    and candidate memo, and again with neither; returns per step the
-    shared pair, the memo-free evaluation and whether the second shared
-    call returned the candidate memo's entry.  On about a quarter of
-    the steps a feasible triple is also re-timed by
-    ``schedule_solution``, with the shared route memo and without,
-    which under ``distance`` fills the shared memo's retimings."""
+    """Evaluate a random walk of moves twice with one shared dict of
+    route records, retimed memo and candidate memo, and again with
+    none; returns per step the shared pair, the dict-free evaluation
+    and whether the second shared call returned the candidate memo's
+    entry.  On about a quarter of the steps a feasible triple is also
+    re-timed by ``schedule_solution``, with the shared retimed memo and
+    without, which under ``distance`` fills the shared memo.  Then
+    repairs the walk's last candidate with the records the walk filled
+    and with none, and evaluates the second with the records it left
+    and with none: the last step holds the two repairs and the two
+    evaluations."""
     inst = memo_instance(name)
     cfg = SolverConfig(objective=objective)
     weights = cfg.weights.resolved(inst)
     rng = random.Random(walk_seed)
-    memo, scored = {}, {}
+    records, retimed, scored = {}, {}, {}
     solution = initial_solution(inst)
     steps_seen = []
 
-    def retimed(evaluation, route_memo):
+    def reschedule(evaluation, memo):
         return replace(evaluation, solution=schedule_solution(
             evaluation.solution, inst, cfg.m, weights, objective,
-            memo=route_memo))
+            memo=memo))
 
     for _ in range(steps):
         force = rng.random() < 0.25
-        shared = evaluate(solution, inst, cfg, dispatch, weights, memo=memo,
-                          scored=scored)
-        again = evaluate(solution, inst, cfg, dispatch, weights, memo=memo,
-                         scored=scored)
+        shared = evaluate(solution, inst, cfg, dispatch, weights, records,
+                          retimed, scored)
+        again = evaluate(solution, inst, cfg, dispatch, weights, records,
+                         retimed, scored)
         hit = scored.get(solution.routes) is again
         alone = evaluate(solution, inst, cfg, dispatch, weights)
         if force and shared.feasible:
-            shared, again = retimed(shared, memo), retimed(again, memo)
-            alone = retimed(alone, {})
+            shared = reschedule(shared, retimed)
+            again = reschedule(again, retimed)
+            alone = reschedule(alone, {})
         steps_seen.append((shared, again, alone, hit))
+        last = solution
         solution = apply_move(solution, sample_move(solution, inst, rng))
+    fixes = {}  # the records a repair from a fresh dict leaves
+    fresh = make_feasible(last, inst, dispatch, fixes)
+    shared = make_feasible(last, inst, dispatch, records)
+    scores = (evaluate(fresh, inst, cfg, dispatch, weights, fixes),
+              evaluate(fresh, inst, cfg, dispatch, weights)) \
+        if fresh is not None else (None, None)
+    steps_seen.append((shared, fresh, *scores))
     return steps_seen
 
 
@@ -826,20 +856,27 @@ def memo_walk(name, dispatch, objective, walk_seed, steps=30):
        case=st.one_of(st.tuples(st.just("case"),
                                 st.integers(0, 23).map(float),
                                 st.sampled_from(OBJECTIVES)),
-                      st.just(("RND25", 7.0, "weighted"))))
+                      st.tuples(st.sampled_from(["RND25", "R101"]),
+                                st.sampled_from([0.0, 7.0, 12.0, 17.0]),
+                                st.sampled_from(OBJECTIVES))))
 def test_route_memo_changes_no_evaluation(walk_seed, case):
     # value, feasibility, routes and timings all equal; a feasible
     # candidate is served from the candidate memo on its second call,
-    # and an infeasible one never enters it
-    for shared, again, alone, hit in memo_walk(*case, walk_seed):
+    # and an infeasible one never enters it.  Repair reads the records
+    # evaluate left and finds what it finds with none, and evaluate
+    # reads the records repair left and scores what it scores with none
+    *steps, repair = memo_walk(*case, walk_seed)
+    for shared, again, alone, hit in steps:
         assert shared == alone and again == alone
         assert hit == alone.feasible
+    shared, fresh, with_records, alone = repair
+    assert shared == fresh and with_records == alone
 
 
 def test_memo_walk_meets_both_kinds_of_rejection():
     # the property above must see a missing arc (untimed rejection) and
     # an audit rejection (timed) on the case study
-    steps = memo_walk("case", 7.0, "weighted", walk_seed=3, steps=60)
+    *steps, _ = memo_walk("case", 7.0, "weighted", walk_seed=3, steps=60)
     rejected = [shared for shared, _, _, _ in steps if not shared.feasible]
     assert any(e.solution.timings is None for e in rejected)
     assert any(e.solution.timings is not None for e in rejected)
