@@ -14,14 +14,17 @@ stop before its chosen start spends the slack waiting at that stop.
 
 The retiming phase only picks the service starts.  The times that
 follow from them (arrivals, departures, the return) come from the
-routing phase's ``time_route``, the same walk that propagation uses.
+routing phase's ``time_route``, the same walk that propagation uses;
+a route whose given timing already serves those starts keeps it.
 
 Costs are additive per driven arc and come from the routing phase's
 ``leg_cost``, the same per-leg cost that ``objective_value`` sums, so
 each edge's arrival and cost follow from one ``model.leg`` reading.
-The edges out of each stop's earliest start reuse the readings that
-the immediate-departure walk recorded; every other edge drives its leg
-once.
+The graph is built in one pass over the stops that drives each (arc,
+departure) once and walks no route: the reading out of a stop's
+earliest state gives the next stop's earliest start, and the last
+stop's homeward readings serve both its return check and the sink
+edges.
 A path's cost is therefore the route's reported value of every
 objective, summed in the same order, except crash, which reports the
 probability ``-expm1(-sum)`` of its log-survival sum ``sum(-ln(1 -
@@ -99,6 +102,14 @@ def build_schedule_graph(route: tuple[int, ...], instance: Instance,
                          objective: str = "weighted") -> ScheduleGraph:
     """Discretise a route's schedule choices into a layered DAG.
 
+    One pass over the stops builds each layer from the one before and
+    walks no route.  The leg into a stop is driven once from every
+    state of the stop before, and the reading out of the earliest
+    state gives the stop's earliest start, as ``time_route`` serves it
+    (driven apart from the immediate departure only when no state
+    leaves then).  The last stop's homeward legs serve both its return
+    check and the sink edges.
+
     Args:
         route: visited vertex ids, depot and terminal implicit.
         instance: augmented instance.
@@ -111,7 +122,7 @@ def build_schedule_graph(route: tuple[int, ...], instance: Instance,
     Raises:
         ScheduleInfeasibleError: some stop's feasible interval is empty.
         MissingArcError: the route, return leg included, uses an arc
-            absent from the graph.
+            absent from the graph; raised before any leg is driven.
     """
     if m < 1:
         raise ScheduleError(f"need at least one candidate time per stop, got {m}")
@@ -124,67 +135,60 @@ def build_schedule_graph(route: tuple[int, ...], instance: Instance,
     if objective == "weighted":
         weights = (weights or ObjectiveWeights()).resolved(instance)
     node_ids = (0, *route, instance.terminal_id)
+    arcs = [instance.arc(a, b) for a, b in zip(node_ids, node_ids[1:])]
     horizon = dispatch + instance.latest_time
 
-    # Immediate-departure propagation pins each stop's earliest start,
-    # and its recorded legs serve the edges leaving those starts.
-    immediate = time_route(route, instance, dispatch)
-    earliest = [stop.service_start for stop in immediate.stops]
-    driven_at = [dispatch, *(stop.departure for stop in immediate.stops)]
-
     times: list[tuple[float, ...]] = [(dispatch,)]
-    for node_id, lo in zip(route, earliest):
+    edges: list[tuple[tuple[int, int, float], ...]] = [()]
+    immediate = dispatch  # departure before the stop, all served at once
+    # The loop ends at the last stop, whose ``kept`` grid points and
+    # ``homeward`` readings the sink edges read.
+    for pos, (arc, node_id) in enumerate(zip(arcs, route), 1):
+        service = instance.node(arc.tail).service_time
+        departs = [start + service for start in times[-1]]
+        driven = [leg(arc, depart) for depart in departs]
+        now = driven[0] if departs[0] == immediate else leg(arc, immediate)
         node = instance.node(node_id)
+        lo = max(immediate + now[0], dispatch + node.window_open)
         hi = dispatch + node.window_close
         if lo > hi + TIME_EPS:
             raise ScheduleInfeasibleError(
                 f"stop {node_id}: earliest start {lo:.6f} after window close {hi:.6f}")
         grid = _grid(lo, min(hi, horizon), m)
         # Keep only starts from which the depot stays reachable in time,
-        # judged as the routing phase's audit judges it.
-        kept = []
-        for start in grid:
-            depart = start + node.service_time
-            back = return_leg_time(instance, node_id, depart)
-            if depart + back <= horizon + TIME_EPS:
-                kept.append(start)
+        # judged as the routing phase's audit judges it.  The last stop
+        # drives the homeward arc, so it is no pass-through copy, which
+        # has none, and its homeward readings give its return times.
+        leaving = [start + node.service_time for start in grid]
+        if pos == len(route):
+            homeward = [leg(arcs[-1], depart) for depart in leaving]
+            backs = [reading[0] for reading in homeward]
+        else:
+            backs = [return_leg_time(instance, node_id, depart)
+                     for depart in leaving]
+        kept = [k for k, depart in enumerate(leaving)
+                if depart + backs[k] <= horizon + TIME_EPS]
         if not kept:
             raise ScheduleInfeasibleError(
                 f"stop {node_id}: no start allows regaining the depot by "
                 f"hour {horizon:.6f}")
-        times.append(tuple(kept))
-
-    edges: list[tuple[tuple[int, int, float], ...]] = [()]
-    for pos in range(1, len(route) + 1):
-        arc = instance.arc(node_ids[pos - 1], node_ids[pos])
-        service = instance.node(arc.tail).service_time
+        times.append(tuple(grid[k] for k in kept))
         layer = []
-        for i, start in enumerate(times[pos - 1]):
-            depart = start + service
-            driven = immediate.legs[pos - 1] if depart == driven_at[pos - 1] \
-                else leg(arc, depart)
-            duration, cost = leg_cost(objective, arc, service, driven, weights)
+        for i, depart in enumerate(departs):
+            duration, cost = leg_cost(objective, arc, service, driven[i], weights)
             arrive = depart + duration
-            for j, nxt in enumerate(times[pos]):
+            for j, nxt in enumerate(times[-1]):
                 if nxt >= arrive - TIME_EPS:
                     layer.append((i, j, cost))
         edges.append(tuple(layer))
+        immediate = lo + node.service_time
 
-    sink = []
-    arc = instance.arc(route[-1], instance.terminal_id)
-    service = instance.node(arc.tail).service_time
-    for i, start in enumerate(times[-1]):
-        depart = start + service
-        driven = immediate.legs[-1] if depart == driven_at[-1] \
-            else leg(arc, depart)
-        duration, cost = leg_cost(objective, arc, service, driven, weights)
-        if depart + duration <= horizon + TIME_EPS:
-            sink.append((i, cost))
-    if not sink:
-        raise ScheduleInfeasibleError(
-            f"no schedule returns to the depot by hour {horizon:.6f}")
-
-    return ScheduleGraph(tuple(times), tuple(edges), tuple(sink))
+    # Every kept start regains the depot in time, by the very reading
+    # its sink edge is charged.
+    sink = tuple((i, leg_cost(objective, arcs[-1], node.service_time,
+                              homeward[k], weights)[1])
+                 for i, k in enumerate(kept))
+    return ScheduleGraph(tuple(times), tuple(edges), sink)
 
 
 @dataclass(frozen=True)
@@ -244,13 +248,16 @@ def schedule_solution(solution: RoutingSolution, instance: Instance, m: int,
                       objective: str = "weighted", *,
                       memo: dict[tuple[int, ...], RouteTiming],
                       ) -> RoutingSolution:
-    """Re-time every route of a solution (empty routes keep their
-    trivial timing) and return the re-timed solution.
+    """Re-time every route of a solution and return the re-timed solution.
 
-    The DP picks each route's service starts, and ``time_route`` turns
-    them into the route's timing, the only thing kept of the DP's
-    answer: its starts are the timing's ``service_start``s and its cost
-    the ``leg_cost`` sum over the timing's legs.
+    The DP picks each route's service starts (an empty route has none),
+    and ``time_route`` turns them into the route's timing, the only
+    thing kept of the DP's answer: its starts are the timing's
+    ``service_start``s and its cost the ``leg_cost`` sum over the
+    timing's legs.  A timed solution's own timing of a route is kept
+    when its service starts equal the DP's, as then it is the very
+    timing that walk would give; so each timing in ``solution.timings``
+    must come from ``time_route`` at ``solution.dispatch``.
 
     ``memo`` maps each route retimed so far to its timing, shared only
     by calls with the same instance, dispatch, ``m``, weights and
@@ -260,16 +267,19 @@ def schedule_solution(solution: RoutingSolution, instance: Instance, m: int,
     """
     if solution.dispatch is None:
         raise SolutionError("schedule needs a dispatched solution")
+    given = solution.timings or (None,) * len(solution.routes)
     timings = []
-    for route in solution.routes:
-        if not route:
-            timings.append(time_route(route, instance, solution.dispatch))
-            continue
+    for route, held in zip(solution.routes, given):
         timing = memo.get(route)
         if timing is None:
-            sched = optimize_schedule(route, instance, solution.dispatch, m,
-                                      weights, objective)
-            timing = memo[route] = time_route(
-                route, instance, solution.dispatch, sched.service_starts)
+            starts = optimize_schedule(route, instance, solution.dispatch, m,
+                                       weights, objective).service_starts \
+                if route else ()
+            if held is not None and starts == tuple(
+                    stop.service_start for stop in held.stops):
+                timing = memo[route] = held
+            else:
+                timing = memo[route] = time_route(
+                    route, instance, solution.dispatch, starts)
         timings.append(timing)
     return RoutingSolution(solution.routes, solution.dispatch, tuple(timings))

@@ -14,10 +14,11 @@ only on that route once a solve has fixed the dispatch, grid size,
 weights and objective.  Each ``solve`` call therefore keeps three plain
 dicts local to the call.  Its ``RouteRecord`` per distinct route holds
 the route's one immediate-departure walk, with the audit verdict and
-driven legs that the audit and the objective read, and what repair's
-insertion search reads; repair and ``evaluate`` share these records,
-so no route is walked twice with immediate departures in one solve
-outside the retiming phase's own graph build.
+driven legs that the audit and the objective read, and fills what
+repair's insertion search reads on repair's first read of it; repair
+and ``evaluate`` share these records, and the retiming phase walks no
+route with immediate departures, so no route is walked twice that way
+in one solve.
 Its retimed timings hold each route ``schedule_solution`` has retimed.
 Its candidate memo maps a candidate's routes to its feasible
 ``Evaluation``: the annealer revisits the same few candidates over and
@@ -78,6 +79,7 @@ import time
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Set as AbstractSet
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import add, sub
 
 from .model import Arc, Instance, MissingArcError, ensure_augmented, travel_time
@@ -271,25 +273,54 @@ _FIT_MARGIN = 1e-6
 class RouteRecord:
     """One solve's record of one route, read by repair and ``evaluate``.
 
-    ``timing`` is the route's immediate-departure ``time_route`` walk,
-    None for a missing arc, and ``violations`` the audit verdict it
-    recorded (a route-shape violation for a missing arc).  Position
-    ``pos`` lies between ``before[pos]`` and ``after[pos]`` on the
-    depot-closed path, ``edges[pos]`` apart (an empty route: 0.0).
-    ``departures[k]`` is the immediate departure just before stop ``k``
-    (the depot's first) and ``latest[k]`` the latest service start at
-    stop ``k`` that leaves the rest of the route a chance to pass the
-    audit; both are None with the timing.
+    ``timing`` is the route's immediate-departure ``time_route`` walk at
+    ``dispatch``, None for a missing arc, and ``violations`` the audit
+    verdict it recorded (a route-shape violation for a missing arc):
+    all that ``evaluate`` reads.  The rest is repair's, each computed on
+    its first read.  Position ``pos`` lies between ``before[pos]`` and
+    ``after[pos]`` on the depot-closed path, ``edges[pos]`` apart (an
+    empty route: 0.0).  ``departures[k]`` is the immediate departure
+    just before stop ``k`` (the depot's first) and ``latest[k]`` the
+    latest service start at stop ``k`` that leaves the rest of the
+    route a chance to pass the audit (``_latest_starts``); both are
+    None with the timing.
     """
 
+    route: tuple[int, ...]
+    instance: Instance = field(repr=False, compare=False)
+    dispatch: float
     timing: RouteTiming | None
-    load: float
-    before: tuple[int, ...]
-    after: tuple[int, ...]
-    edges: tuple[float, ...]
-    departures: tuple[float, ...] | None
-    latest: tuple[float, ...] | None
     violations: tuple[Violation, ...]
+
+    @cached_property
+    def load(self) -> float:
+        return _route_load(self.instance, self.route)
+
+    @cached_property
+    def before(self) -> tuple[int, ...]:
+        return (0, *self.route)
+
+    @cached_property
+    def after(self) -> tuple[int, ...]:
+        return (*self.route, self.instance.terminal_id)
+
+    @cached_property
+    def edges(self) -> tuple[float, ...]:
+        length = self.instance.length_matrix
+        return tuple(map(lambda a, b: length[a][b], self.before, self.after)) \
+            if self.route else (0.0,)
+
+    @cached_property
+    def departures(self) -> tuple[float, ...] | None:
+        if self.timing is None:
+            return None
+        return (self.dispatch, *(s.departure for s in self.timing.stops))
+
+    @cached_property
+    def latest(self) -> tuple[float, ...] | None:
+        if self.timing is None:
+            return None
+        return _latest_starts(self.route, self.instance, self.dispatch)
 
 
 #: One solve's records, by route.
@@ -301,17 +332,11 @@ def _fastest(arc: Arc | None) -> float:
     return math.inf if arc is None else arc.fastest
 
 
-def _summarise(route: tuple[int, ...], instance: Instance, dispatch: float,
-               timing: RouteTiming | None) -> RouteRecord:
-    """Edge lengths and a backward latest-start pass around ``timing``."""
-    load = _route_load(instance, route)
-    length = instance.length_matrix
-    before, after = (0, *route), (*route, instance.terminal_id)
-    edges = tuple(map(lambda a, b: length[a][b], before, after)) \
-        if route else (0.0,)
-    if timing is None:
-        return RouteRecord(None, load, before, after, edges, None, None, (
-            Violation("route-shape", 0, None, "no arc joins the visits"),))
+def _latest_starts(route: tuple[int, ...], instance: Instance,
+                   dispatch: float) -> tuple[float, ...]:
+    """Each stop's latest service start, by a backward pass at fastest
+    times from the window close and the horizon less the service and
+    the fastest return."""
     horizon = dispatch + instance.latest_time
     latest = [0.0] * len(route)
     leave_by = math.inf  # latest departure that reaches the next stop in time
@@ -324,9 +349,7 @@ def _summarise(route: tuple[int, ...], instance: Instance, dispatch: float,
         if k:
             leave_by = latest[k] - _fastest(
                 instance.arcs.get((route[k - 1], node.id)))
-    departures = (dispatch, *(s.departure for s in timing.stops))
-    return RouteRecord(timing, load, before, after, edges, departures,
-                       tuple(latest), timing.violations)
+    return tuple(latest)
 
 
 def _record(route: list[int], instance: Instance, dispatch: float,
@@ -338,8 +361,12 @@ def _record(route: list[int], instance: Instance, dispatch: float,
         try:
             timing = time_route(key, instance, dispatch)
         except MissingArcError:
-            timing = None
-        record = records[key] = _summarise(key, instance, dispatch, timing)
+            record = RouteRecord(key, instance, dispatch, None, (Violation(
+                "route-shape", 0, None, "no arc joins the visits"),))
+        else:
+            record = RouteRecord(key, instance, dispatch, timing,
+                                 timing.violations)
+        records[key] = record
     return record
 
 
@@ -808,9 +835,12 @@ def evaluate(routes: RoutingSolution | tuple, instance: Instance,
     only the same config and weights.  A route whose record holds a
     timing reuses it; any other is timed by ``propagate_schedule``,
     where a profiler sees a missing arc raise, and recorded unless it
-    drives one.  A candidate not in ``scored`` is
-    audited and scored whole from its routes' recorded verdicts and
-    legs, so a recorded route re-walks nothing.
+    drives one.  The record holds only the walk and its verdict; the
+    fields repair reads are computed if repair reads them.  A candidate
+    not in ``scored`` is audited and scored whole from its routes'
+    recorded verdicts and legs, so a recorded route re-walks nothing,
+    and its immediate timings go to ``schedule_solution``, which keeps
+    each one the DP leaves unchanged.
 
     ``scored`` is the calling solve's candidate memo, under the same
     sharing rule: a candidate found there is returned as stored, and a
@@ -828,9 +858,10 @@ def evaluate(routes: RoutingSolution | tuple, instance: Instance,
         for route in sol.routes:
             record = records.get(route)
             if record is None or record.timing is None:
-                record = records[route] = _summarise(
-                    route, instance, dispatch, propagate_schedule(
-                        (route,), instance, dispatch).timings[0])
+                timing = propagate_schedule((route,), instance,
+                                            dispatch).timings[0]
+                record = records[route] = RouteRecord(
+                    route, instance, dispatch, timing, timing.violations)
             timings.append(record.timing)
     except MissingArcError:
         return Evaluation(sol, math.inf, False)

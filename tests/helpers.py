@@ -13,14 +13,33 @@ from saferoute.model import (
     Node,
     TimeProfile,
     augment_depot,
+    leg,
     travel_time,
 )
-from saferoute.phase1 import TIME_EPS, RoutingSolution, Violation, time_route
+from saferoute.phase1 import (
+    OBJECTIVES,
+    TIME_EPS,
+    ObjectiveWeights,
+    RoutingSolution,
+    SolutionError,
+    Violation,
+    leg_cost,
+    return_leg_time,
+    time_route,
+)
+from saferoute.phase2 import (
+    ScheduleError,
+    ScheduleGraph,
+    ScheduleInfeasibleError,
+    _grid,
+)
 from saferoute.solver import (
     _SHORTER,
     _cheapest_insertion,
+    _fastest,
     _insertion_delta,
     _record,
+    _route_load,
     _two_opt_pass,
 )
 
@@ -293,3 +312,136 @@ def reference_feasibility(solution: RoutingSolution,
     for k, timing in enumerate(solution.timings):
         violations.extend(replace(v, vehicle=k) for v in timing.violations)
     return tuple(violations)
+
+
+def reference_schedule_graph(route: tuple[int, ...], instance: Instance,
+                             dispatch: float, m: int,
+                             weights: ObjectiveWeights | None = None,
+                             objective: str = "weighted") -> ScheduleGraph:
+    """``phase2.build_schedule_graph`` as it was before the layer pass
+    took over the immediate walk: the route is first walked by
+    ``time_route`` with immediate departures, whose stops pin the
+    earliest starts and whose recorded legs serve the edges leaving
+    them; the return check drives each grid point's homeward leg by
+    ``return_leg_time`` and the sink edges drive it again.
+
+    Args:
+        route: visited vertex ids, depot and terminal implicit.
+        instance: augmented instance.
+        dispatch: fixed depot departure instant (hour of day).
+        m: candidate service starts per stop, >= 1.
+        weights: crash/TTI mix used when ``objective='weighted'``;
+            ``None`` means the default ``ObjectiveWeights()``.
+        objective: cost measure, one of crash/tti/weighted/distance/time.
+
+    Raises:
+        ScheduleInfeasibleError: some stop's feasible interval is empty.
+        MissingArcError: the route, return leg included, uses an arc
+            absent from the graph.
+    """
+    if m < 1:
+        raise ScheduleError(f"need at least one candidate time per stop, got {m}")
+    if instance.terminal_id is None:
+        raise SolutionError("instance must be augmented before scheduling")
+    if not route:
+        raise ScheduleError("cannot schedule an empty route")
+    if objective not in OBJECTIVES:
+        raise ScheduleError(f"unknown objective {objective!r}")
+    if objective == "weighted":
+        weights = (weights or ObjectiveWeights()).resolved(instance)
+    node_ids = (0, *route, instance.terminal_id)
+    horizon = dispatch + instance.latest_time
+
+    # Immediate-departure propagation pins each stop's earliest start,
+    # and its recorded legs serve the edges leaving those starts.
+    immediate = time_route(route, instance, dispatch)
+    earliest = [stop.service_start for stop in immediate.stops]
+    driven_at = [dispatch, *(stop.departure for stop in immediate.stops)]
+
+    times: list[tuple[float, ...]] = [(dispatch,)]
+    for node_id, lo in zip(route, earliest):
+        node = instance.node(node_id)
+        hi = dispatch + node.window_close
+        if lo > hi + TIME_EPS:
+            raise ScheduleInfeasibleError(
+                f"stop {node_id}: earliest start {lo:.6f} after window close {hi:.6f}")
+        grid = _grid(lo, min(hi, horizon), m)
+        # Keep only starts from which the depot stays reachable in time,
+        # judged as the routing phase's audit judges it.
+        kept = []
+        for start in grid:
+            depart = start + node.service_time
+            back = return_leg_time(instance, node_id, depart)
+            if depart + back <= horizon + TIME_EPS:
+                kept.append(start)
+        if not kept:
+            raise ScheduleInfeasibleError(
+                f"stop {node_id}: no start allows regaining the depot by "
+                f"hour {horizon:.6f}")
+        times.append(tuple(kept))
+
+    edges: list[tuple[tuple[int, int, float], ...]] = [()]
+    for pos in range(1, len(route) + 1):
+        arc = instance.arc(node_ids[pos - 1], node_ids[pos])
+        service = instance.node(arc.tail).service_time
+        layer = []
+        for i, start in enumerate(times[pos - 1]):
+            depart = start + service
+            driven = immediate.legs[pos - 1] if depart == driven_at[pos - 1] \
+                else leg(arc, depart)
+            duration, cost = leg_cost(objective, arc, service, driven, weights)
+            arrive = depart + duration
+            for j, nxt in enumerate(times[pos]):
+                if nxt >= arrive - TIME_EPS:
+                    layer.append((i, j, cost))
+        edges.append(tuple(layer))
+
+    sink = []
+    arc = instance.arc(route[-1], instance.terminal_id)
+    service = instance.node(arc.tail).service_time
+    for i, start in enumerate(times[-1]):
+        depart = start + service
+        driven = immediate.legs[-1] if depart == driven_at[-1] \
+            else leg(arc, depart)
+        duration, cost = leg_cost(objective, arc, service, driven, weights)
+        if depart + duration <= horizon + TIME_EPS:
+            sink.append((i, cost))
+    if not sink:
+        raise ScheduleInfeasibleError(
+            f"no schedule returns to the depot by hour {horizon:.6f}")
+
+    return ScheduleGraph(tuple(times), tuple(edges), tuple(sink))
+
+
+def reference_summary(route: tuple[int, ...], instance: Instance,
+                      dispatch: float, timing) -> dict:
+    """Every ``solver.RouteRecord`` field, by name, as records were
+    filled when each was built whole: edge lengths and a backward
+    latest-start pass around the route's immediate ``timing`` (None
+    for a missing arc)."""
+    load = _route_load(instance, route)
+    length = instance.length_matrix
+    before, after = (0, *route), (*route, instance.terminal_id)
+    edges = tuple(map(lambda a, b: length[a][b], before, after)) \
+        if route else (0.0,)
+    if timing is None:
+        return dict(timing=None, load=load, before=before, after=after,
+                    edges=edges, departures=None, latest=None, violations=(
+                        Violation("route-shape", 0, None,
+                                  "no arc joins the visits"),))
+    horizon = dispatch + instance.latest_time
+    latest = [0.0] * len(route)
+    leave_by = math.inf  # latest departure that reaches the next stop in time
+    for k in reversed(range(len(route))):
+        node = instance.node(route[k])
+        home = 0.0 if instance.is_dummy(node.id) else _fastest(
+            instance.arcs.get((node.id, instance.terminal_id)))
+        latest[k] = min(dispatch + node.window_close,
+                        min(horizon - home, leave_by) - node.service_time)
+        if k:
+            leave_by = latest[k] - _fastest(
+                instance.arcs.get((route[k - 1], node.id)))
+    departures = (dispatch, *(s.departure for s in timing.stops))
+    return dict(timing=timing, load=load, before=before, after=after,
+                edges=edges, departures=departures, latest=tuple(latest),
+                violations=timing.violations)

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -45,7 +46,12 @@ from saferoute.phase2 import (
     schedule_solution,
 )
 
-from helpers import build_augmented, no_return_from_first, reference_audit
+from helpers import (
+    build_augmented,
+    no_return_from_first,
+    reference_audit,
+    reference_schedule_graph,
+)
 
 
 def random_profile(rng, lo, hi):
@@ -337,9 +343,12 @@ def test_dp_finds_the_reported_optimum_over_its_grid(seed, m, dispatch,
 
 
 def test_one_traversal_per_driven_leg(monkeypatch):
-    # The schedule graph takes the legs out of each stop's earliest
-    # start from the immediate walk, and drives each other (arc,
-    # departure) once for its duration, TTI and crash together; the
+    # The schedule graph walks no route with immediate departures: its
+    # layer pass drives each (arc, departure) once, for duration, TTI
+    # and crash together, the earliest state's leg pins the next
+    # stop's earliest start, and the last stop's homeward legs serve
+    # its return check and the sink edges.  It drove 22 traversals
+    # here, 16 of them distinct, when it also walked the route.  The
     # objective reads a timed route's recorded legs and drives none.
     inst = ensure_augmented(load_case_study(bundled_case_study_dir()))
     calls = []
@@ -355,12 +364,72 @@ def test_one_traversal_per_driven_leg(monkeypatch):
     for objective in OBJECTIVES:
         calls.clear()
         build_schedule_graph(route, inst, 7.0, 3, weights, objective)
-        assert len(calls) <= 22, objective
+        assert len(calls) <= 16, objective
+        assert len(set(calls)) == len(calls), objective
     timed = propagate_schedule((route,), inst, 7.0)
     for objective in OBJECTIVES:
         calls.clear()
         objective_value(objective, timed, inst, weights)
         assert calls == [], objective
+
+
+def outcome(build):
+    """``build()``, or the class of the scheduling error it raised."""
+    try:
+        return build()
+    except (ScheduleInfeasibleError, MissingArcError) as err:
+        return type(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+       dispatch=st.floats(0.0, 23.75), objective=st.sampled_from(OBJECTIVES),
+       m=st.integers(1, 5))
+def test_layer_pass_matches_reference_graph(data, seed, dispatch, objective,
+                                            m):
+    # the layer pass builds, bit for bit, the graph that the build
+    # reading an immediate walk built, raises the same error class
+    # where it raised, and schedule_solution times each route at the
+    # DP's starts whether it is handed an untimed route, its immediate
+    # timing (kept when the DP starts there) or its retimed timing
+    rng = random.Random(seed)
+    inst = random_instance(rng, rng.randint(2, 5),
+                           dummies=rng.randint(0, 2))
+    ids = list(inst.customers()) + list(inst.dummy_ids)
+    route = tuple(data.draw(st.permutations(ids)))[
+        :data.draw(st.integers(1, len(ids)))]
+    # cut nothing, one arc of the path or one stop's way home, and
+    # shorten the horizon and the windows to reach every failure
+    path = (0, *route, inst.terminal_id)
+    cut = data.draw(st.none() | st.sampled_from(
+        [*zip(path, path[1:]), *((n, inst.terminal_id) for n in route)]))
+    shrink = data.draw(st.just(1.0) | st.floats(0.125, 1.0))
+    inst = replace(
+        inst, arcs={k: a for k, a in inst.arcs.items() if k != cut},
+        latest_time=data.draw(st.just(24.0) | st.floats(0.25, 6.0)),
+        nodes=tuple(replace(n, window_close=n.window_close * shrink)
+                    if inst.is_customer(n.id) else n for n in inst.nodes))
+    weights = ObjectiveWeights().resolved(inst)
+    args = (route, inst, dispatch, m, weights, objective)
+    graph = outcome(lambda: build_schedule_graph(*args))
+    # repr tells -0.0 from 0.0 and prints every float in full
+    assert repr(graph) == repr(outcome(lambda: reference_schedule_graph(
+        *args)))
+    untimed = RoutingSolution((route,), dispatch)
+    if not isinstance(graph, ScheduleGraph):
+        with pytest.raises(graph):
+            schedule_solution(untimed, inst, m, weights, objective, memo={})
+        return
+    starts = optimize_schedule(*args).service_starts
+    expected = time_route(route, inst, dispatch, starts)
+    immediate = propagate_schedule(untimed, inst, dispatch)
+    for handed in (untimed, immediate,
+                   RoutingSolution((route,), dispatch, (expected,))):
+        got = schedule_solution(handed, inst, m, weights, objective, memo={})
+        assert got.timings == (expected,)
+        if handed.timed and starts == tuple(
+                stop.service_start for stop in handed.timings[0].stops):
+            assert got.timings[0] is handed.timings[0]
 
 
 def test_distance_ties_resolve_to_earliest_times():

@@ -34,7 +34,7 @@ from saferoute.phase1 import (
     time_route,
 )
 from saferoute.phase2 import optimize_schedule, schedule_solution
-from saferoute import phase1, solver
+from saferoute import phase1, phase2, solver
 from saferoute.solver import (
     MOVE_KINDS,
     Move,
@@ -58,8 +58,10 @@ from helpers import (
     reference_insertion,
     reference_polish,
     reference_route_audit,
+    reference_summary,
     two_on_a_line_without,
 )
+from test_phase2 import random_instance
 
 
 def random_customers(rng, n):
@@ -558,9 +560,9 @@ def test_r101_solve_audits_only_winning_trials(monkeypatch):
     # audits of shorter 2-opt reversals, none kept.  Pricing all
     # positions ran the fit pre-check on 4,726 would-be bests.  Now the
     # window slice prices only positions the pre-check could pass, and
-    # a forward pass at fastest times turns down those reversals.
-    # Records that evaluate makes are summarised too, so only the
-    # records made inside repair are counted
+    # a forward pass at fastest times turns down those reversals.  A
+    # record computes its latest starts on first read, which only
+    # repair makes, so the passes counted are those inside repair
     calls = Counter()
     repairing = [False]
 
@@ -579,14 +581,67 @@ def test_r101_solve_audits_only_winning_trials(monkeypatch):
         finally:
             repairing[0] = False
 
-    counted("_summarise")
+    counted("_latest_starts")
     counted("_may_fit")
     monkeypatch.setattr(solver, "make_feasible", repair)
     res = solve(ensure_augmented(load_solomon("R101")),
                 SolverConfig(objective="distance", seed=0), 0.0)
     assert res.value == 1846.1684329678744
-    assert 0 < calls["_summarise"] <= 260
+    assert 0 < calls["_latest_starts"] <= 260
     assert 0 < calls["_may_fit"] <= 1000
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+       dispatch=st.floats(0.0, 23.75))
+def test_lazy_record_equals_eager_summary(data, seed, dispatch):
+    # a record fills repair's fields on first read; each equals, bit
+    # for bit, what the summary built with every record computed,
+    # whether repair or evaluate made the record, and for routes that
+    # drive a missing arc or lack a way home too
+    rng = random.Random(seed)
+    inst = random_instance(rng, rng.randint(2, 5),
+                           dummies=rng.randint(0, 2))
+    ids = list(inst.customers()) + list(inst.dummy_ids)
+    route = tuple(data.draw(st.permutations(ids)))[
+        :data.draw(st.integers(0, len(ids)))]
+    path = (0, *route, inst.terminal_id)
+    cut = data.draw(st.none() | st.sampled_from(
+        [*zip(path, path[1:]), *((n, inst.terminal_id) for n in route)]))
+    inst = replace(inst, arcs={k: a for k, a in inst.arcs.items()
+                               if k != cut})
+    try:
+        timing = time_route(route, inst, dispatch)
+    except MissingArcError:
+        timing = None
+    records = {}
+    evaluate(RoutingSolution((route,)), inst,
+             SolverConfig(objective="distance"), dispatch,
+             SolverConfig().weights, records)
+    made = [solver._record(list(route), inst, dispatch, {}),
+            *records.values()]
+    for name, value in reference_summary(route, inst, dispatch,
+                                         timing).items():
+        for record in made:
+            # repr tells -0.0 from 0.0 and prints every float in full
+            assert repr(getattr(record, name)) == repr(value), name
+
+
+def test_case_study_solve_runs_no_latest_start_pass(monkeypatch):
+    # only repair reads a record's latest starts, and no case-study
+    # solve repairs, so none runs the backward pass that every record
+    # once paid for
+    calls = Counter()
+    latest, repair = solver._latest_starts, solver.make_feasible
+    monkeypatch.setattr(solver, "_latest_starts",
+                        lambda *a: calls.update(["latest"]) or latest(*a))
+    monkeypatch.setattr(solver, "make_feasible",
+                        lambda *a: calls.update(["repair"]) or repair(*a))
+    inst = ensure_augmented(load_case_study(bundled_case_study_dir()))
+    for hour in range(24):
+        for objective in OBJECTIVES:
+            solve(inst, SolverConfig(objective=objective), float(hour))
+    assert calls == {}
 
 
 @pytest.mark.parametrize("name, dispatch", [("R101", 0.0), ("RND80", 7.0)])
@@ -594,8 +649,8 @@ def test_repair_walks_each_route_once(monkeypatch, name, dispatch):
     # a solve once kept repair's records and evaluate's apart, so 51
     # R101 routes (RND80: 26) were walked by both; both now read one
     # dict of records, and each distinct route gets at most one
-    # immediate walk, whichever module times it, besides the one inside
-    # phase 2's graph build
+    # immediate walk, whichever module times it.  Phase 2 makes none:
+    # its graph build once walked every route it retimed
     inst = audit_instance("R101") if name == "R101" \
         else ensure_augmented(generate_instance(80, seed=0))
     walks = Counter()
@@ -608,6 +663,7 @@ def test_repair_walks_each_route_once(monkeypatch, name, dispatch):
 
     monkeypatch.setattr(phase1, "time_route", counted(phase1.time_route))
     monkeypatch.setattr(solver, "time_route", counted(solver.time_route))
+    monkeypatch.setattr(phase2, "time_route", counted(phase2.time_route))
     objective = "distance" if name == "R101" else "weighted"
     res = solve(inst, SolverConfig(objective=objective, seed=0), dispatch)
     assert res.feasible
