@@ -40,13 +40,17 @@ polish share one insertion search and one 2-opt, and read every
 distance from one table, the instance's ``length_matrix``, or its
 transpose ``length_columns``.
 
-The insertion search audits a trial route only when it would become
-the new best and an O(1) pre-check lets it fit.  The pre-check reads
-the target route's record: its immediate departures, its load, and
-each stop's latest service start, computed backward from the window
-close, the horizon less the service and the fastest return, and the
-next stop's latest start less the service and the fastest drive there
-(Savelsbergh 1992, in the time-dependent form of Donati et al. 2008).
+The insertion search takes the records of the routes it scans from a
+list its caller keeps beside the routes and refreshes after each edit,
+so it looks up a record only for a trial route it audits.  It prices
+each open position with one plain sum and audits a trial route only
+when it would become the new best and an O(1) pre-check lets it fit.
+The pre-check reads the target route's record: its immediate
+departures, its load, and each stop's latest service start, computed
+backward from the window close, the horizon less the service and the
+fastest return, and the next stop's latest start less the service and
+the fastest drive there (Savelsbergh 1992, in the time-dependent form
+of Donati et al. 2008).
 "Fastest" is the arc's length over its highest hourly speed; under FIFO
 no departure drives the arc faster, so for time-dependent profiles the
 latest starts are a relaxation, and for constant ones they are exact.
@@ -77,10 +81,9 @@ import math
 import random
 import time
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Set as AbstractSet
+from collections.abc import Callable, Sequence, Set as AbstractSet
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add, sub
 
 from .model import Arc, Instance, MissingArcError, ensure_augmented, travel_time
 from .phase1 import (
@@ -352,7 +355,7 @@ def _latest_starts(route: tuple[int, ...], instance: Instance,
     return tuple(latest)
 
 
-def _record(route: list[int], instance: Instance, dispatch: float,
+def _record(route: Sequence[int], instance: Instance, dispatch: float,
             records: Records) -> RouteRecord:
     """``route``'s record, walked and stored on first use."""
     key = tuple(route)
@@ -418,19 +421,21 @@ def _window_bounds(c: int, instance: Instance,
             dispatch + node.window_close + 2 * _FIT_MARGIN - into[c])
 
 
-def _cheapest_insertion(routes: list[list[int]], c: int, instance: Instance,
+def _cheapest_insertion(held: list[RouteRecord], c: int, instance: Instance,
                         dispatch: float, records: Records,
                         skip: AbstractSet[int] = frozenset(),
                         below: float = math.inf) -> tuple | None:
     """Cheapest feasible ``(delta, route, position)`` for customer c, or None.
 
-    Scans the window slice of every route whose index is not in the
-    set ``skip`` and that has room for c; polish skips c's own route and
-    the routes that offered c nothing and have not changed since.  A
-    position becomes the best when its distance growth ``delta``
-    undercuts ``below`` (or, once there is a best, the best's growth)
-    by more than ``_SHORTER`` and its trial route passes the one-route
-    audit.
+    ``held`` holds the caller's routes' records, aligned by index with
+    its routes; the caller refreshes an entry whenever it edits that
+    route.  Scans the window slice of every route whose index is not in
+    the set ``skip`` and that has room for c; polish skips c's own
+    route and the routes that offered c nothing and have not changed
+    since.  A position becomes the best when its distance growth
+    ``delta`` undercuts ``below`` (or, once there is a best, the best's
+    growth) by more than ``_SHORTER`` and its trial route passes the
+    one-route audit.
 
     A route's window slice is the range ``[lo, hi)`` of positions
     whose latest start is at least ``ready`` and whose departure is at
@@ -442,14 +447,12 @@ def _cheapest_insertion(routes: list[list[int]], c: int, instance: Instance,
     what is priced, never what is found.  A NaN bound cuts nothing:
     bisection compares false against it.
 
-    The slice's deltas come in one pass: length into c plus length out
-    of c less the record's edge, the sum ``_insertion_delta`` makes
-    (an empty route's edge 0.0 subtracts nothing, bit for bit).  A
-    route whose least delta cannot undercut the bound is skipped, which
-    is exact, as the bound only falls along a route, and NaN-safe (inf
-    - inf on a sparse graph): a leading NaN makes ``min`` NaN, which
-    compares false, so the route is walked, and a later NaN never
-    lowers the minimum.
+    One plain loop prices the slice: length into c plus length out of c
+    less the record's edge, the sum ``_insertion_delta`` makes (an empty
+    route's edge 0.0 subtracts nothing, bit for bit), compared with a
+    running ``limit``, ``below`` then the best's growth, less
+    ``_SHORTER``; a NaN delta (inf - inf on a sparse graph) compares
+    false and never wins.
 
     Only a would-be best is audited, and only when ``_may_fit`` lets
     it: c's own start within its window close and its return within
@@ -458,22 +461,20 @@ def _cheapest_insertion(routes: list[list[int]], c: int, instance: Instance,
     Under FIFO a feasible trial meets them all: c's start and return
     are the very values the audit compares, and no drive beats the
     fastest time the latest starts subtract.  So the pre-check changes
-    what is audited, never what is found.  ``records`` holds each
-    route's ``RouteRecord``, trial routes' too (their audit), by route,
-    for reuse across calls on the same instance and dispatch.
+    what is audited, never what is found.  ``records`` holds every
+    trial route's ``RouteRecord`` (its audit), by route, for reuse
+    across calls on the same instance and dispatch; the scan reads
+    ``records`` for trial audits only.
     """
     demand = instance.node(c).demand
-    capacity = instance.fleet.capacity
-    into_c = instance.length_columns[c].__getitem__
-    out_of_c = instance.length_matrix[c].__getitem__
+    room = instance.fleet.capacity + TIME_EPS
+    into_c = instance.length_columns[c]
+    out_of_c = instance.length_matrix[c]
     ready, close_by = _window_bounds(c, instance, dispatch)
     best = None
-    for ri, r in enumerate(routes):
-        if ri in skip:
-            continue
-        record = records.get(tuple(r)) or _record(r, instance, dispatch,
-                                                  records)
-        if record.load + demand > capacity + TIME_EPS:
+    limit = below - _SHORTER
+    for ri, record in enumerate(held):
+        if ri in skip or record.load + demand > room:
             continue
         if record.departures is None:
             lo, hi = 0, len(record.edges)
@@ -482,17 +483,16 @@ def _cheapest_insertion(routes: list[list[int]], c: int, instance: Instance,
             hi = bisect_right(record.departures, close_by)
             if lo >= hi:
                 continue
-        deltas = list(map(sub, map(add, map(into_c, record.before[lo:hi]),
-                                   map(out_of_c, record.after[lo:hi])),
-                          record.edges[lo:hi]))
-        if min(deltas) >= (below if best is None else best[0]) - _SHORTER:
-            continue
-        for pos, delta in enumerate(deltas, lo):
-            if delta < (below if best is None else best[0]) - _SHORTER \
+        before, after, edges = record.before, record.after, record.edges
+        for pos in range(lo, hi):
+            delta = into_c[before[pos]] + out_of_c[after[pos]] - edges[pos]
+            if delta < limit \
                     and _may_fit(record, pos, c, instance, dispatch) \
-                    and not _record(r[:pos] + [c] + r[pos:], instance,
+                    and not _record(record.route[:pos] + (c,)
+                                    + record.route[pos:], instance,
                                     dispatch, records).violations:
                 best = (delta, ri, pos)
+                limit = delta - _SHORTER
     return best
 
 
@@ -512,6 +512,12 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
     None).  Returns None when a route drives a missing arc or a customer
     fits nowhere; raises SolverError for more routes than vehicles,
     which no route's audit sees.
+
+    Once ejection ends, ``held`` keeps each route's record beside it for
+    the insertion search.  After each bank insertion the receiving
+    route's entry is replaced by the winning trial's record, a dict hit,
+    as the search audited that trial; ``_polish`` keeps it up to date
+    from then on.
     """
     if len(solution.routes) > instance.fleet.count:
         raise SolverError("more routes than vehicles")
@@ -535,13 +541,16 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
                     del r[-1:]  # a no-op if this round emptied r
                 else:  # no arc joins the visits
                     return None
+    held = [_record(r, instance, dispatch, records) for r in routes]
     bank = set(instance.customers()).difference(*routes)
     for c in sorted(bank, key=lambda c: (instance.node(c).window_open, c)):
-        best = _cheapest_insertion(routes, c, instance, dispatch, records)
+        best = _cheapest_insertion(held, c, instance, dispatch, records)
         if best is None:
             return None
-        routes[best[1]].insert(best[2], c)
-    _polish(routes, instance, dispatch, records)
+        _, k, pos = best
+        routes[k].insert(pos, c)
+        held[k] = records[tuple(routes[k])]  # the winning trial's audit
+    _polish(routes, held, instance, dispatch, records)
     return RoutingSolution(routes)
 
 
@@ -569,8 +578,8 @@ def _may_keep_order(route: list[int], instance: Instance,
     return True
 
 
-def _polish(routes: list[list[int]], instance: Instance, dispatch: float,
-            records: Records) -> None:
+def _polish(routes: list[list[int]], held: list[RouteRecord],
+            instance: Instance, dispatch: float, records: Records) -> None:
     """Deterministic mileage cleanup of a feasible set of routes.
 
     Alternates single-customer relocations with within-route feasible
@@ -593,6 +602,13 @@ def _polish(routes: list[list[int]], instance: Instance, dispatch: float,
     it, so it is not passed again while it stands.  The pass audits a
     shorter reversal only when ``_may_keep_order`` cannot show a stop
     late at fastest times, which leaves the audit's verdict unchanged.
+
+    ``held`` holds each route's record, aligned with ``routes``, for the
+    insertion search.  A relocation replaces the donor's entry with the
+    donor audit it has just made and the receiver's with the winning
+    trial's record; a 2-opt change replaces the route's entry with the
+    record of the reversal ``keep`` accepted.  Each is a dict hit on a
+    route just audited, so refreshing walks no route.
     """
     customers = sorted(c for r in routes for c in r)
     clock = 0
@@ -610,16 +626,18 @@ def _polish(routes: list[list[int]], instance: Instance, dispatch: float,
             since = fruitless.get(c, -1)
             skip = {k for k, stamp in enumerate(edited) if stamp <= since} \
                 if edited[ri] <= since else {ri}
-            best = _cheapest_insertion(routes, c, instance, dispatch,
+            best = _cheapest_insertion(held, c, instance, dispatch,
                                        records, skip=skip, below=saving)
-            if best is None or _record(donor, instance, dispatch,
-                                       records).violations:
+            if best is None or (left := _record(donor, instance, dispatch,
+                                                records)).violations:
                 fruitless[c] = clock
                 continue
+            _, k, pos = best
             r.remove(c)
-            routes[best[1]].insert(best[2], c)
+            routes[k].insert(pos, c)
+            held[ri], held[k] = left, records[tuple(routes[k])]
             clock += 1
-            edited[ri] = edited[best[1]] = clock
+            edited[ri] = edited[k] = clock
             improved = True
         for k, r in enumerate(routes):
             if passed[k] == edited[k]:
@@ -630,6 +648,7 @@ def _polish(routes: list[list[int]], instance: Instance, dispatch: float,
                 and not _record(t, instance, dispatch, records).violations)
             if shorter != r:
                 r[:] = shorter
+                held[k] = records[tuple(r)]  # the accepted reversal's audit
                 clock += 1
                 edited[k] = clock
                 improved = True

@@ -235,14 +235,17 @@ def reference_insertion(routes: list[list[int]], c: int, instance: Instance,
     return best
 
 
-def reference_polish(routes: list[list[int]], instance: Instance,
-                     dispatch: float, records: dict) -> None:
+def reference_polish(routes: list[list[int]], held: list,
+                     instance: Instance, dispatch: float,
+                     records: dict) -> None:
     """``solver._polish`` as a full rescan: every round scans every
     customer against every other route and passes every route to 2-opt.
 
-    A relocation needs a winning position and a donor route that passes
-    its audit, the rule of ``solver._polish``; rounds repeat until
-    neither step shortens the total, at most 50.
+    The route records the scan reads are rebuilt from ``routes`` before
+    every scan, so none can be stale; ``held`` is ignored.  A relocation
+    needs a winning position and a donor route that passes its audit,
+    the rule of ``solver._polish``; rounds repeat until neither step
+    shortens the total, at most 50.
     """
     customers = sorted(c for r in routes for c in r)
     for _ in range(50):
@@ -253,7 +256,9 @@ def reference_polish(routes: list[list[int]], instance: Instance,
             i = r.index(c)
             donor = r[:i] + r[i + 1:]
             saving = _insertion_delta(instance, donor, i, c)
-            best = _cheapest_insertion(routes, c, instance, dispatch,
+            held = [_record(route, instance, dispatch, records)
+                    for route in routes]
+            best = _cheapest_insertion(held, c, instance, dispatch,
                                        records, skip={ri}, below=saving)
             if best is not None and not _record(donor, instance, dispatch,
                                                 records).violations:

@@ -48,6 +48,7 @@ from saferoute.solver import (
     make_feasible,
     _cheapest_insertion,
     _insertion_delta,
+    _record,
     sample_move,
     solve,
 )
@@ -361,7 +362,9 @@ def test_cheapest_insertion_matches_reference_scan(data, name, dispatch,
         c = routes[-1].pop() if routes[-1] else visits[0]
         routes = [[n for n in r if n != c] for r in routes]
         options = dict(skip=skip)
-    assert _cheapest_insertion(routes, c, inst, dispatch, {}, **options) \
+    records = {}
+    held = [_record(r, inst, dispatch, records) for r in routes]
+    assert _cheapest_insertion(held, c, inst, dispatch, records, **options) \
         == reference_insertion(routes, c, inst, dispatch, **options)
 
 
@@ -387,6 +390,43 @@ def test_stamped_polish_matches_full_rescan(data, name, dispatch):
     with mock.patch.object(solver, "_polish", reference_polish):
         expected = make_feasible(start, inst, dispatch)
     assert make_feasible(start, inst, dispatch) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), name=st.sampled_from(["R101", "RND25", "case"]),
+       dispatch=st.sampled_from([0.0, 7.0, 12.0, 17.0]))
+def test_held_records_follow_each_bank_insertion(data, name, dispatch):
+    # the insertion search reads the records repair holds beside its
+    # routes; across consecutive scans of the bank loop, and into
+    # polish's first scan, they must be the previous scan's routes with
+    # its winner inserted where it said
+    inst = audit_instance(name)
+    visits = data.draw(st.permutations(inst.customers()))
+    fleet = inst.fleet.count
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(visits)),
+                                     min_size=fleet - 1, max_size=fleet - 1)))
+    bounds = [0, *cuts, len(visits)]
+    start = RoutingSolution(tuple(tuple(visits[a:b])
+                                  for a, b in zip(bounds, bounds[1:])))
+    scans = []
+    insertion = solver._cheapest_insertion
+
+    def seen(held, c, *args, **kwargs):
+        best = insertion(held, c, *args, **kwargs)
+        scans.append(([h.route for h in held], c, best, "skip" in kwargs))
+        return best
+
+    with mock.patch.object(solver, "_cheapest_insertion", seen):
+        make_feasible(start, inst, dispatch)
+    bank = [scan for scan in scans if not scan[3]]
+    after = scans[len(bank):len(bank) + 1]  # polish's first scan
+    assert all(scan[3] for scan in scans[len(bank):])
+    for (routes, c, best, _), (held, *_) in zip(bank, bank[1:] + after):
+        assert best is not None
+        _, k, pos = best
+        expected = list(routes)
+        expected[k] = routes[k][:pos] + (c,) + routes[k][pos:]
+        assert held == expected
 
 
 def test_polish_keeps_a_donor_that_would_turn_late():
@@ -669,6 +709,36 @@ def test_repair_walks_each_route_once(monkeypatch, name, dispatch):
     assert res.feasible
     assert walks and max(walks.values()) == 1
     assert sum(walks.values()) <= (317 if name == "R101" else 345)
+
+
+def test_r101_scan_looks_up_only_trial_records(monkeypatch):
+    # looking up every scanned route's record by its tuple made 9,375
+    # lookups inside the insertion search in this solve; the search now
+    # reads the records its caller holds, and looks up only the trials
+    # it audits
+    lookups = Counter()
+    insertion = solver._cheapest_insertion
+
+    class Counted:
+        def __init__(self, records):
+            self.records = records
+
+        def get(self, key, default=None):
+            lookups["records"] += 1
+            return self.records.get(key, default)
+
+        def __setitem__(self, key, record):
+            self.records[key] = record
+
+    def counted(held, c, instance, dispatch, records, **kwargs):
+        return insertion(held, c, instance, dispatch, Counted(records),
+                         **kwargs)
+
+    monkeypatch.setattr(solver, "_cheapest_insertion", counted)
+    res = solve(ensure_augmented(load_solomon("R101")),
+                SolverConfig(objective="distance", seed=0), 0.0)
+    assert res.value == 1846.1684329678744
+    assert 0 < lookups["records"] <= 181
 
 
 def test_r101_solve_prices_each_route_in_one_pass(monkeypatch):
