@@ -326,15 +326,23 @@ class Traversal:
     segments: tuple[tuple[int, float, float], ...]
 
 
+def _bad_departure(depart: float) -> ModelError:
+    return ModelError(
+        f"departure time must be finite and non-negative, got {depart!r}")
+
+
 def traverse(arc: Arc, depart: float) -> Traversal:
     """Integrate the arc's speed profile starting at time ``depart``.
 
     Distance is consumed at the current hour's speed until either the
     arc ends or the clock reaches the next hour boundary, whichever
-    comes first; at a boundary the next hour's speed takes over.  The
-    per-hour segments serve the distance-weighted TTI and crash blends
-    of ``leg``; ``travel_time`` needs only the duration and skips the
-    integration when the speed is constant.
+    comes first; at a boundary the next hour's speed takes over.
+
+    This is the segment-recording reference for ``leg`` and
+    ``travel_time``: no solve calls it.  They read an arc through
+    ``_read_arc``, which does the same float operations in the same
+    order without recording segments, so each of their readings
+    equals the one computed from this breakdown bit for bit.
 
     Args:
         arc: arc to traverse.
@@ -345,7 +353,7 @@ def traverse(arc: Arc, depart: float) -> Traversal:
         Traversal with total duration and per-hour segments.
     """
     if depart < 0 or not math.isfinite(depart):
-        raise ModelError(f"departure time must be finite and non-negative, got {depart!r}")
+        raise _bad_departure(depart)
     remaining = arc.distance
     t = depart
     segments: list[tuple[int, float, float]] = []
@@ -385,20 +393,79 @@ def traverse(arc: Arc, depart: float) -> Traversal:
     )
 
 
+def _read_arc(arc: Arc, depart: float) -> tuple[float, float, float]:
+    """Duration, TTI and crash of one traversal from a checked ``depart``.
+
+    The loop of ``traverse`` without its segments: each hour's miles go
+    straight into running sums of miles * TTI and miles * crash, in
+    driving order, and each sum is divided by the arc length once at
+    the end.  A one-segment reading is that hour's values and a
+    constant TTI or crash profile its one value.  The clock never falls
+    below ``depart >= 0``, so ``int(t)`` is its floor and
+    ``int(t) % HOURS_PER_DAY`` its hour, with no check per step.
+    """
+    remaining = distance = arc.distance
+    tti, crash = arc.tti, arc.crash
+    ttis, crashes = tti.values, crash.values
+    t = depart
+    tti_sum = crash_sum = 0.0
+    slot = count = 0
+    if arc.speed.is_constant:
+        speed = arc.speed.values[0]
+        duration = remaining / speed
+        end = depart + duration
+        while t < end:
+            whole = int(t)
+            seg_end = whole + 1.0
+            if end < seg_end:
+                seg_end = end
+            miles = remaining if seg_end == end else speed * (seg_end - t)
+            slot = whole % HOURS_PER_DAY
+            tti_sum += miles * ttis[slot]
+            crash_sum += miles * crashes[slot]
+            remaining -= miles
+            t = seg_end
+            count += 1
+    else:
+        speeds = arc.speed.values
+        for count in range(1, _MAX_TRAVERSAL_STEPS + 1):
+            whole = int(t)
+            slot = whole % HOURS_PER_DAY
+            speed = speeds[slot]
+            boundary = whole + 1.0
+            reachable = speed * (boundary - t)
+            if reachable >= remaining:
+                tti_sum += remaining * ttis[slot]
+                crash_sum += remaining * crashes[slot]
+                duration = (t + remaining / speed) - depart
+                break
+            tti_sum += reachable * ttis[slot]
+            crash_sum += reachable * crashes[slot]
+            remaining -= reachable
+            t = boundary
+        else:
+            raise ModelError(f"arc ({arc.tail}, {arc.head}): traversal "
+                             f"from t={depart} did not converge")
+    if count == 1:
+        return duration, ttis[slot], crashes[slot]
+    return (duration,
+            ttis[0] if tti.is_constant else tti_sum / distance,
+            crashes[0] if crash.is_constant else crash_sum / distance)
+
+
 def travel_time(arc: Arc, depart: float) -> float:
     """Hours needed to traverse ``arc`` when departing at ``depart``.
 
     A constant speed profile never changes speed mid-arc, so the time
-    is the closed form distance / speed, the same expression
-    ``traverse`` returns as its duration; a varying profile is
-    integrated hour by hour.
+    is the closed form distance / speed, the duration ``traverse``
+    returns too; a varying profile is integrated hour by hour by
+    ``_read_arc``, the kernel ``leg`` reads, which builds no segments.
     """
+    if depart < 0 or not math.isfinite(depart):
+        raise _bad_departure(depart)
     if arc.speed.is_constant:
-        if depart < 0 or not math.isfinite(depart):
-            raise ModelError(
-                f"departure time must be finite and non-negative, got {depart!r}")
         return arc.distance / arc.speed.values[0]
-    return traverse(arc, depart).duration
+    return _read_arc(arc, depart)[0]
 
 
 def leg(arc: Arc, depart: float) -> tuple[float, float, float]:
@@ -406,34 +473,19 @@ def leg(arc: Arc, depart: float) -> tuple[float, float, float]:
 
     The duration equals ``travel_time``.  A traversal spanning several
     hours is charged the distance-weighted average of the hourly TTI
-    and crash values it touches.  One ``traverse`` serves all three
-    readings, and none is needed when all three profiles are constant.
+    and crash values it touches, summed in driving order; one hour's
+    traversal is charged that hour's values.  All three readings come
+    from one pass of ``_read_arc``, which records no segments, and none
+    is needed when all three profiles are constant.  Each equals the
+    reading computed from ``traverse``'s segments bit for bit.
     """
+    if depart < 0 or not math.isfinite(depart):
+        raise _bad_departure(depart)
     tti, crash = arc.tti, arc.crash
     if arc.speed.is_constant and tti.is_constant and crash.is_constant:
-        if depart < 0 or not math.isfinite(depart):
-            raise ModelError(
-                f"departure time must be finite and non-negative, got {depart!r}")
         return (arc.distance / arc.speed.values[0], tti.values[0],
                 crash.values[0])
-    trav = traverse(arc, depart)
-    segments = trav.segments
-    if len(segments) == 1:
-        slot = segments[0][0]
-        return trav.duration, tti.values[slot], crash.values[slot]
-    return (trav.duration, _by_distance(tti, segments, arc.distance),
-            _by_distance(crash, segments, arc.distance))
-
-
-def _by_distance(profile: TimeProfile,
-                 segments: tuple[tuple[int, float, float], ...],
-                 distance: float) -> float:
-    if profile.is_constant:
-        return profile.values[0]
-    acc = 0.0
-    for slot, miles, _ in segments:
-        acc += miles * profile.values[slot]
-    return acc / distance
+    return _read_arc(arc, depart)
 
 
 def augment_depot(instance: Instance) -> Instance:

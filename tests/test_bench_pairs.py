@@ -26,10 +26,11 @@ def test_pairs_alternate_and_file_holds_runs_and_quartiles(monkeypatch,
                         lambda rev, into: extracted.append(rev))
     order = []
 
-    def fake_run(tree, workload, seconds, trace):
+    def fake_run(tree, workload, seconds, trace, seed):
         side = "change" if tree == tmp_path else "parent"
         order.append((workload, side, trace))
         assert seconds == 40  # BENCHMARK.json's run_seconds
+        assert seed == 0  # the default workload seed
         k = sum(1 for w, s, t in order if (w, s, t) == (workload, side, 0))
         # the change is faster in every pair but the third
         solve = (1.0 if side == "parent" else 0.5) + (k == 3 and side == "change")
@@ -54,5 +55,43 @@ def test_pairs_alternate_and_file_holds_runs_and_quartiles(monkeypatch,
     assert solve["change"]["median"] == 0.5
     assert entry["stats"]["evals_per_s"]["change_better"] == 9
     assert entry["stats"]["setup_s"]["change_better"] == 0
+    assert entry["stats"]["setup_s"]["ties"] == 10
+    assert solve["ties"] == 0
     assert entry["traced"]["change"]["phase1.audit_calls"] == 7
-    assert set(data) == {"what", "host", "workloads"}
+    assert set(data) == {"what", "seed", "host", "workloads"}
+    assert data["seed"] == 0
+
+
+def test_values_within_tie_count_for_neither_side():
+    tool = load_tool()
+    cost = 1.1218134732745175
+    parent = [{"cost_ratio": cost}, {"cost_ratio": 2.0},
+              {"cost_ratio": 2.0}]
+    change = [{"cost_ratio": 1.1218134732745195},  # rounding apart
+              {"cost_ratio": 2.0}, {"cost_ratio": 1.5}]
+    out = tool.stats(parent, change, {"cost_ratio": "lower"})["cost_ratio"]
+    assert out["change_better"] == 1 and out["ties"] == 2
+    assert out["pairs"] == 3
+    # rounding apart the other way is no win for the change either
+    out = tool.stats(change[:2], parent[:2], {"cost_ratio": "lower"})
+    assert out["cost_ratio"]["change_better"] == 0
+    assert out["cost_ratio"]["ties"] == 2
+
+
+def test_seed_reaches_every_run_and_the_file(monkeypatch, tmp_path):
+    tool = load_tool()
+    shutil.copy(REPO / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    monkeypatch.setattr(tool, "extract", lambda rev, into: None)
+    seeds = []
+
+    def fake_run(tree, workload, seconds, trace, seed):
+        seeds.append(seed)
+        return {"correct": True, "solve_p50_s": 1.0, "evals_per_s": 1.0,
+                "feasible_share": 1.0, "cost_ratio": 1.0, "setup_s": 0.1}
+
+    monkeypatch.setattr(tool, "run", fake_run)
+    assert tool.main(["--parent", "abc123", "--name", "s", "--seed", "1",
+                      "--workload", "w"]) == 0
+    assert seeds == [1] * 22  # ten pairs and one traced run a side
+    assert json.loads((tmp_path / "BENCH_s.json").read_text())["seed"] == 1

@@ -145,9 +145,19 @@ class TestTravelTime:
 
     @pytest.mark.parametrize("depart", [-1.0, math.inf, math.nan])
     def test_bad_departure_rejected_for_any_profile(self, depart):
-        for arc in (make_arc(), make_arc(speed=profile_with({7: 20.0}, 60.0))):
-            with pytest.raises(ModelError):
-                travel_time(arc, depart)
+        varying = {"speed": profile_with({7: 20.0}, 60.0),
+                   "tti": profile_with({7: 1.5}, 1.0),
+                   "crash": profile_with({7: 0.05}, 0.01)}
+        # every mix of constant and varying profiles: each takes its
+        # own branch in travel_time or leg
+        for mask in range(8):
+            arc = make_arc(**{kind: profile
+                              for bit, (kind, profile)
+                              in enumerate(varying.items())
+                              if mask >> bit & 1})
+            for read in (travel_time, leg):
+                with pytest.raises(ModelError, match="departure time"):
+                    read(arc, depart)
 
     @settings(max_examples=300, deadline=None)
     @given(distance=st.floats(1e-3, 500.0), speed=st.floats(1.0, 120.0),
@@ -189,11 +199,23 @@ class TestIndexBlending:
         assert leg(arc, 7.75)[2] == pytest.approx(0.04)
 
     @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), depart=st.floats(0.0, 100.0))
+    @given(seed=st.integers(0, 2**32 - 1), depart=st.floats(0.0, 100.0),
+           nudge=st.sampled_from(("as drawn", "on the hour", "ulp below")))
     # constant speed, 0.181 miles in one segment: speed * duration came
     # to 2.1e-12 less than the arc length
-    @example(seed=3574762, depart=64.0)
-    def test_leg_is_travel_time_plus_distance_blends(self, seed, depart):
+    @example(seed=3574762, depart=64.0, nudge="as drawn")
+    @example(seed=3574762, depart=64.0, nudge="ulp below")
+    @example(seed=1, depart=7.0, nudge="on the hour")
+    @example(seed=1, depart=7.0, nudge="ulp below")
+    def test_leg_is_travel_time_plus_distance_blends(self, seed, depart,
+                                                     nudge):
+        # leg and travel_time read arcs through a kernel that records
+        # no segments; its readings must equal those computed from
+        # traverse's segments bit for bit
+        if nudge != "as drawn":
+            depart = float(math.ceil(depart))
+        if nudge == "ulp below" and depart > 0:
+            depart = math.nextafter(depart, 0.0)
         rng = random.Random(seed)
 
         def profile(lo, hi):
@@ -206,14 +228,19 @@ class TestIndexBlending:
                        crash=profile(1e-4, 0.2))
         duration, tti, crash = leg(arc, depart)
         assert duration == travel_time(arc, depart)
-        segments = traverse(arc, depart).segments
+        trav = traverse(arc, depart)
+        assert duration == trav.duration
+        segments = trav.segments
         for value, prof in ((tti, arc.tti), (crash, arc.crash)):
-            touched = [prof.values[slot] for slot, _, _ in segments]
-            blend = sum(miles * prof.values[slot]
-                        for slot, miles, _ in segments) / arc.distance
-            assert value == pytest.approx(blend, rel=1e-12)
-            if prof.is_constant or len(segments) == 1:
-                assert value == touched[0]
+            if prof.is_constant:
+                assert value == prof.values[0]
+            elif len(segments) == 1:
+                assert value == prof.values[segments[0][0]]
+            else:
+                acc = 0.0
+                for slot, miles, _ in segments:  # in driving order
+                    acc += miles * prof.values[slot]
+                assert value == acc / arc.distance
 
 
 #: Values on and next to each range's bounds: speed (0, inf), TTI

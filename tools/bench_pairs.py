@@ -9,22 +9,26 @@ The parent revision is extracted with ``git archive REV | tar -x`` into
 a temporary directory: no worktree, nothing written under ``.git``.
 For each workload, pair k of ten (from 1) runs
 
-    python3 perfbench/run.py --workload W --seed 0 --seconds T --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-once in each tree, with T the ``run_seconds`` of BENCHMARK.json, the
-parent first in odd pairs and the working tree first in even ones, so
-drift of the host's speed hits both sides alike.  Ten pairs are the
-fewest that can back a claimed gain.  One ``--trace 1`` run a side and
-workload follows the pairs.
+once in each tree, with S the workload seed (``--seed``, default 0)
+and T the ``run_seconds`` of BENCHMARK.json, the parent first in odd
+pairs and the working tree first in even ones, so drift of the host's
+speed hits both sides alike.  Ten pairs are the fewest that can back a
+claimed gain.  One ``--trace 1`` run a side and workload follows the
+pairs.
 
 The result is ``BENCH_<name>.json`` in the repository root:
 
-* ``what`` (from ``--what``) and ``host`` (cpus, python, machine);
+* ``what`` (from ``--what``), ``seed`` and ``host`` (cpus, python,
+  machine);
 * ``workloads.<W>.parent`` and ``.change``: one summary per run, with
   ``correct``, ``attempted``, ``failed`` and every end-to-end metric;
 * ``workloads.<W>.stats.<metric>``: per side the median and quartiles,
-  and ``change_better`` (pairs in which the change was better, by the
-  metric's ``better`` in BENCHMARK.json) out of ``pairs``;
+  ``change_better`` (pairs in which the change was better, by the
+  metric's ``better`` in BENCHMARK.json, by more than ``TIE`` of the
+  larger value) and ``ties`` (pairs within ``TIE`` of each other,
+  which count for neither side) out of ``pairs``;
 * ``workloads.<W>.traced.parent`` and ``.change``: ``correct`` and
   every per-layer metric of the traced run.
 
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -46,7 +51,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
-SEED = 0
+#: Relative difference at or below which a pair is a tie: a mean over
+#: a different number of identical solves can round apart in the 16th
+#: digit, and that is no win for either side.
+TIE = 1e-9
 
 
 def extract(rev: str, into: Path) -> None:
@@ -60,11 +68,12 @@ def extract(rev: str, into: Path) -> None:
         raise SystemExit(f"git archive {rev} failed")
 
 
-def run(tree: Path, workload: str, seconds: float, trace: int) -> dict:
+def run(tree: Path, workload: str, seconds: float, trace: int,
+        seed: int) -> dict:
     """One perfbench run in ``tree``; its summary with metrics flattened."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(SEED), "--seconds", str(seconds),
+         "--seed", str(seed), "--seconds", str(seconds),
          "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=True)
     summary = json.loads(done.stdout.strip().splitlines()[-1])
@@ -79,15 +88,17 @@ def quartiles(values: list[float]) -> dict:
 
 
 def stats(parent: list[dict], change: list[dict], better: dict) -> dict:
-    """Median and quartiles per metric and side, and pairs won."""
+    """Median and quartiles per metric and side, pairs won and tied."""
     out = {}
     for metric, direction in better.items():
         old = [r[metric] for r in parent]
         new = [r[metric] for r in change]
-        wins = sum((b < a) if direction == "lower" else (b > a)
-                   for a, b in zip(old, new))
+        ties = [math.isclose(a, b, rel_tol=TIE) for a, b in zip(old, new)]
+        wins = sum(not tie and ((b < a) if direction == "lower" else (b > a))
+                   for a, b, tie in zip(old, new, ties))
         out[metric] = {"parent": quartiles(old), "change": quartiles(new),
-                       "change_better": wins, "pairs": len(old)}
+                       "change_better": wins, "ties": sum(ties),
+                       "pairs": len(old)}
     return out
 
 
@@ -100,12 +111,14 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--what", default="",
                         help="what the runs compare, for the file")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="perfbench workload seed of every run")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    result = {"what": args.what,
+    result = {"what": args.what, "seed": args.seed,
               "host": {"cpus": os.cpu_count(),
                        "python": platform.python_version(),
                        "machine": platform.machine()},
@@ -119,13 +132,15 @@ def main(argv=None) -> int:
             for k in range(1, PAIRS + 1):
                 order = ("parent", "change") if k % 2 else ("change", "parent")
                 for side in order:
-                    runs[side].append(run(trees[side], workload, seconds, 0))
+                    runs[side].append(
+                        run(trees[side], workload, seconds, 0, args.seed))
                     print(f"{workload} pair {k} {side}: "
                           f"{json.dumps(runs[side][-1])}", flush=True)
             result["workloads"][workload] = {
                 **runs,
                 "stats": stats(runs["parent"], runs["change"], better),
-                "traced": {side: run(trees[side], workload, seconds, 1)
+                "traced": {side: run(trees[side], workload, seconds, 1,
+                                     args.seed)
                            for side in ("parent", "change")}}
     out = ROOT / f"BENCH_{args.name}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
