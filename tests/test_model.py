@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from saferoute import model
 from saferoute.instances import (
     bundled_case_study_dir,
     load_case_study,
@@ -217,30 +218,96 @@ class TestIndexBlending:
         if nudge == "ulp below" and depart > 0:
             depart = math.nextafter(depart, 0.0)
         rng = random.Random(seed)
+        arc = random_arc(rng)
+        reading = leg(arc, depart)
+        assert reading[0] == travel_time(arc, depart)
+        assert reading == traverse_reading(arc, depart)
 
-        def profile(lo, hi):
-            if rng.random() < 0.5:
-                return TimeProfile.constant(rng.uniform(lo, hi))
-            return TimeProfile(tuple(rng.uniform(lo, hi) for _ in range(24)))
 
-        arc = make_arc(distance=rng.uniform(0.1, 80.0),
-                       speed=profile(5.0, 70.0), tti=profile(1.0, 3.0),
-                       crash=profile(1e-4, 0.2))
-        duration, tti, crash = leg(arc, depart)
-        assert duration == travel_time(arc, depart)
-        trav = traverse(arc, depart)
-        assert duration == trav.duration
-        segments = trav.segments
-        for value, prof in ((tti, arc.tti), (crash, arc.crash)):
-            if prof.is_constant:
-                assert value == prof.values[0]
-            elif len(segments) == 1:
-                assert value == prof.values[segments[0][0]]
-            else:
-                acc = 0.0
-                for slot, miles, _ in segments:  # in driving order
-                    acc += miles * prof.values[slot]
-                assert value == acc / arc.distance
+def random_arc(rng: random.Random) -> Arc:
+    """An arc whose three profiles are each constant or hourly at random."""
+    def profile(lo, hi):
+        if rng.random() < 0.5:
+            return TimeProfile.constant(rng.uniform(lo, hi))
+        return TimeProfile(tuple(rng.uniform(lo, hi) for _ in range(24)))
+
+    return make_arc(distance=rng.uniform(0.1, 80.0),
+                    speed=profile(5.0, 70.0), tti=profile(1.0, 3.0),
+                    crash=profile(1e-4, 0.2))
+
+
+def traverse_reading(arc: Arc, depart: float) -> tuple[float, float, float]:
+    """``leg``'s reading computed from ``traverse``'s segments: the
+    profile's one value, the one segment's hour, or the blend by miles
+    summed in driving order."""
+    trav = traverse(arc, depart)
+    values = []
+    for prof in (arc.tti, arc.crash):
+        if prof.is_constant:
+            values.append(prof.values[0])
+        elif len(trav.segments) == 1:
+            values.append(prof.values[trav.segments[0][0]])
+        else:
+            acc = 0.0
+            for slot, miles, _ in trav.segments:  # in driving order
+                acc += miles * prof.values[slot]
+            values.append(acc / arc.distance)
+    return trav.duration, values[0], values[1]
+
+
+HOURS = st.integers(0, 72)
+#: Departures a memo key must tell apart or merge: any time, an exact
+#: hour boundary, one ulp below one, -0.0 (equal to 0.0) and ints
+#: (equal to their floats).
+DEPARTURES = st.one_of(
+    st.floats(0.0, 72.0), HOURS.map(float),
+    st.integers(1, 72).map(lambda h: math.nextafter(float(h), 0.0)),
+    st.just(-0.0), HOURS)
+
+
+class TestReadingMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_warm_arc_reads_what_a_fresh_one_does(self, seed, data):
+        # every reading of an arc whose memo is warm, including repeats
+        # and keys that compare equal, is the one the kernel computes
+        # on an arc that has read nothing, and traverse's blends
+        rng = random.Random(seed)
+        arc = random_arc(rng)
+        pool = data.draw(st.lists(DEPARTURES, min_size=1, max_size=6))
+        order = data.draw(st.lists(st.sampled_from(pool), max_size=20))
+        for depart in pool + order:
+            expected = traverse_reading(arc, depart)
+            assert model._read_arc(replace(arc), depart) == expected
+            assert leg(arc, depart) == expected
+            assert travel_time(arc, depart) == expected[0]
+        for bad in (-1.0, -5e-324, math.nan, math.inf, -math.inf):
+            for read in (leg, travel_time):
+                with pytest.raises(ModelError, match="departure time"):
+                    read(arc, bad)
+        # a replaced arc keeps no reading of the arc it was made from
+        other = replace(arc, speed=random_arc(rng).speed,
+                        tti=TimeProfile(tuple(rng.uniform(1.0, 3.0)
+                                              for _ in range(24))))
+        for depart in pool:
+            expected = traverse_reading(other, depart)
+            assert leg(other, depart) == expected
+            assert travel_time(other, depart) == expected[0]
+
+    def test_filling_past_the_cap_changes_no_reading(self):
+        rng = random.Random(5)
+        arc = make_arc(distance=25.0,
+                       speed=TimeProfile(tuple(rng.uniform(5.0, 70.0)
+                                               for _ in range(24))),
+                       tti=profile_with({7: 1.5, 8: 2.5}, 1.0))
+        departures = [k / 37 for k in range(model._MEMO_CAP + 100)]
+        first = [leg(arc, d) for d in departures]
+        assert 0 < len(arc._readings) <= model._MEMO_CAP
+        again = [leg(arc, d) for d in reversed(departures)][::-1]
+        assert first == again == [model._read_arc(replace(arc), d)
+                                  for d in departures]
+        assert [travel_time(arc, d) for d in departures] \
+            == [reading[0] for reading in first]
 
 
 #: Values on and next to each range's bounds: speed (0, inf), TTI

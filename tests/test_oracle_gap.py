@@ -1,0 +1,34 @@
+"""tools/oracle_gap.py: one case of its matrix, end to end."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "oracle_gap.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("oracle_gap", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_matrix_keeps_the_generators_pass_through_vertices():
+    labels = []
+    for label, instance, _ in load_tool().matrix():
+        labels.append(label)
+        assert len(instance.customers()) == 5
+        assert instance.fleet.count == 2 and len(instance.dummy_ids) == 2
+    assert len(labels) == len(set(labels)) == 50
+
+
+def test_reports_each_case_and_the_match_count(monkeypatch, capsys):
+    tool = load_tool()
+    monkeypatch.setattr(tool, "GENERATOR_SEEDS", [0])
+    monkeypatch.setattr(tool, "OBJECTIVES", ["distance"])
+    assert tool.main() == 0
+    case, total = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"(match|miss) g=0 distance: \S+ against \S+, "
+                        r"gap \S+", case)
+    assert re.fullmatch(r"[01] of 1 reach the optimum \(\S+ s\)", total)

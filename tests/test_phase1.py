@@ -29,6 +29,23 @@ from helpers import build_augmented, no_return_from_first, reference_feasibility
 RND10 = ensure_augmented(generate_instance(10, seed=0))
 
 
+def test_routes_are_kept_when_already_tuples():
+    # a tuple of tuples is stored as given, the very route objects;
+    # anything else (lists from move application and construction) is
+    # copied into a tuple of tuples
+    routes = ((1, 2), (), (3,))
+    sol = RoutingSolution(routes)
+    assert sol.routes is routes
+    assert all(a is b for a, b in zip(sol.routes, routes))
+    listed = RoutingSolution([[1, 2], [], (3,)])
+    assert listed.routes == routes
+    assert type(listed.routes) is tuple
+    assert all(type(r) is tuple for r in listed.routes)
+    mixed = RoutingSolution(([1, 2], (3,)))
+    assert mixed.routes == ((1, 2), (3,))
+    assert type(mixed.routes[0]) is tuple
+
+
 class TestPropagation:
     def test_waits_out_soft_lower_bound(self):
         # One customer 30 miles out at 30 mph; window opens at hour 2.
@@ -177,6 +194,43 @@ class TestFeasibility:
         # depot copies and ids past the node table
         ids = st.integers(0, len(RND10.nodes) + 2)
         routes = data.draw(st.lists(st.lists(ids, max_size=8), max_size=5))
+        audits = st.lists(st.sampled_from([
+            Violation("capacity", 0, None, "load 120 exceeds capacity 100"),
+            Violation("window", 0, 3, "service before window opens"),
+            Violation("horizon", 0, None, "returns at 30 past 24")]),
+            max_size=2)
+        timings = tuple(RouteTiming(0.0, 0.0, (), 0.0, (),
+                                    tuple(data.draw(audits)))
+                        for _ in routes)
+        sol = RoutingSolution(tuple(map(tuple, routes)), 0.0, timings)
+        assert check_feasibility(sol, RND10) \
+            == reference_feasibility(sol, RND10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_exact_cover_skip_matches_counting_loop(self, data):
+        # skipping the visit count for an exact cover of the customers,
+        # and relabelling verdicts by the constructor, reports what
+        # counting every solution and dataclasses.replace do, in order
+        customers = list(RND10.customers())
+        order = data.draw(st.permutations(customers))
+        cuts = sorted(data.draw(st.lists(
+            st.integers(0, len(order)), max_size=4)))
+        routes = [list(order[a:b])
+                  for a, b in zip([0, *cuts], [*cuts, len(order)])]
+        # edits that break the cover: a repeat, a missing customer, a
+        # depot copy, a pass-through vertex, an id past the node table
+        extra = st.one_of(st.sampled_from(customers),
+                          st.sampled_from((0, RND10.terminal_id,
+                                           *RND10.dummy_ids)),
+                          st.integers(len(RND10.nodes), len(RND10.nodes) + 3))
+        for _ in range(data.draw(st.integers(0, 3))):
+            route = data.draw(st.sampled_from(routes))
+            if route and data.draw(st.booleans()):
+                route.pop(data.draw(st.integers(0, len(route) - 1)))
+            else:
+                route.insert(data.draw(st.integers(0, len(route))),
+                             data.draw(extra))
         audits = st.lists(st.sampled_from([
             Violation("capacity", 0, None, "load 120 exceeds capacity 100"),
             Violation("window", 0, 3, "service before window opens"),

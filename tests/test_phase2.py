@@ -351,8 +351,10 @@ def test_one_traversal_per_driven_leg(monkeypatch):
     # here, 16 of them distinct, when it also walked the route.  The
     # objective reads a timed route's recorded legs and drives none.
     # Every case-study arc varies, so each reading runs model's
-    # allocation-free arc kernel, reached through model's globals.
-    inst = ensure_augmented(load_case_study(bundled_case_study_dir()))
+    # allocation-free arc kernel, reached through model's globals, the
+    # first time its arc is driven at that departure; the arc's memo
+    # serves every repeat, so each objective is counted on a fresh
+    # instance, and a second build on the same instance runs none.
     calls = []
     read_arc = model._read_arc
 
@@ -362,16 +364,22 @@ def test_one_traversal_per_driven_leg(monkeypatch):
 
     monkeypatch.setattr(model, "_read_arc", counted)
     route = (1, 2, 3)
-    weights = ObjectiveWeights().resolved(inst)
     for objective in OBJECTIVES:
+        inst = ensure_augmented(load_case_study(bundled_case_study_dir()))
+        weights = ObjectiveWeights().resolved(inst)
         calls.clear()
         build_schedule_graph(route, inst, 7.0, 3, weights, objective)
         assert 0 < len(calls) <= 16, objective
         assert len(set(calls)) == len(calls), objective
+        calls.clear()
+        build_schedule_graph(route, inst, 7.0, 3, weights, objective)
+        assert calls == [], objective
     timed = propagate_schedule((route,), inst, 7.0)
     for objective in OBJECTIVES:
+        # read on an instance whose arcs have driven nothing yet
+        fresh = ensure_augmented(load_case_study(bundled_case_study_dir()))
         calls.clear()
-        objective_value(objective, timed, inst, weights)
+        objective_value(objective, timed, fresh, weights)
         assert calls == [], objective
 
 
