@@ -25,12 +25,13 @@ A reading depends only on the arc's profiles and the departure, and a
 solve drives the same arcs at the same departures many times over (the
 immediate walk, the retiming graph, the return checks, the insertion
 pre-checks), so each ``Arc`` keeps a private memo of its time-varying
-readings keyed by departure; ``leg`` and ``travel_time`` look there
-before integrating.  The memo holds at most ``_MEMO_CAP`` readings per
-arc and is emptied when full, so an arc holds at most about 0.2 MB of
-readings (about 200 bytes each), and an instance at most that times its
-count of arcs with a varying profile.  Arcs whose three profiles are
-all constant are read in closed form and keep no memo.
+readings keyed by departure; ``leg``, which ``travel_time`` reads,
+looks there before integrating.  The memo holds at most ``_MEMO_CAP``
+readings per arc and is emptied when full, so an arc holds at most
+about 0.2 MB of readings (about 200 bytes each), and an instance at
+most that times its count of arcs with a varying profile.  Arcs whose
+three profiles are all constant are read in closed form and keep no
+memo.
 """
 
 from __future__ import annotations
@@ -363,11 +364,11 @@ def traverse(arc: Arc, depart: float) -> Traversal:
     arc ends or the clock reaches the next hour boundary, whichever
     comes first; at a boundary the next hour's speed takes over.
 
-    This is the segment-recording reference for ``leg`` and
-    ``travel_time``: no solve calls it.  They read an arc through
-    ``_read_arc``, which does the same float operations in the same
-    order without recording segments, so each of their readings
-    equals the one computed from this breakdown bit for bit.
+    This is the segment-recording reference for ``leg``: no solve
+    calls it.  ``leg`` reads an arc through ``_read_arc``, which does
+    the same float operations in the same order without recording
+    segments, so each of its readings equals the one computed from
+    this breakdown bit for bit.
 
     Args:
         arc: arc to traverse.
@@ -497,35 +498,21 @@ def _memo_read(arc: Arc, depart: float) -> tuple[float, float, float]:
 
 
 def travel_time(arc: Arc, depart: float) -> float:
-    """Hours needed to traverse ``arc`` when departing at ``depart``.
-
-    A constant speed profile never changes speed mid-arc, so the time
-    is the closed form distance / speed, the duration ``traverse``
-    returns too; a varying profile is integrated hour by hour by
-    ``_read_arc``, the kernel ``leg`` reads, which builds no segments.
-    Its readings are kept in the arc's memo, shared with ``leg``: at
-    most ``_MEMO_CAP`` (1024) per arc, about 0.2 MB, emptied when full.
-    """
-    if depart < 0 or not math.isfinite(depart):
-        raise _bad_departure(depart)
-    if arc.speed.is_constant:
-        return arc.distance / arc.speed.values[0]
-    return _memo_read(arc, depart)[0]
+    """Hours needed to traverse ``arc`` when departing at ``depart``:
+    the duration ``leg`` reads."""
+    return leg(arc, depart)[0]
 
 
 def leg(arc: Arc, depart: float) -> tuple[float, float, float]:
     """Duration, travel time index and crash probability of one traversal.
 
-    The duration equals ``travel_time``.  A traversal spanning several
-    hours is charged the distance-weighted average of the hourly TTI
-    and crash values it touches, summed in driving order; one hour's
-    traversal is charged that hour's values.  All three readings come
-    from one pass of ``_read_arc``, which records no segments, and none
-    is needed when all three profiles are constant.  Each equals the
-    reading computed from ``traverse``'s segments bit for bit.  The
-    arc's memo, shared with ``travel_time``, keeps each departure's
-    reading, so a repeat departure runs no pass: at most ``_MEMO_CAP``
-    (1024) readings per arc, about 0.2 MB, emptied when full.
+    A traversal spanning several hours is charged the distance-weighted
+    average of the hourly TTI and crash values it touches, summed in
+    driving order; one hour's traversal is charged that hour's values.
+    All three come from one pass of ``_read_arc``, through the arc's
+    memo, or in closed form when all three profiles are constant; each
+    equals the reading computed from ``traverse``'s segments bit for
+    bit.
     """
     if depart < 0 or not math.isfinite(depart):
         raise _bad_departure(depart)

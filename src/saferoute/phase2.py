@@ -20,16 +20,14 @@ a route whose given timing already serves those starts keeps it.
 Costs are additive per driven arc and come from the routing phase's
 ``leg_cost``, the same per-leg cost that ``objective_value`` sums, so
 each edge's arrival and cost follow from one ``model.leg`` reading.
-The graph is built in one pass over the stops that drives each (arc,
-departure) once and walks no route: the reading out of a stop's
-earliest state gives the next stop's earliest start, and the last
-stop's homeward readings serve both its return check and the sink
-edges.
-A path's cost is therefore the route's reported value of every
-objective, summed in the same order, except crash, which reports the
-probability ``-expm1(-sum)`` of its log-survival sum ``sum(-ln(1 -
-xi))``, a monotone map: on its grid the DP's schedule is exactly the
-one the reported objective ranks best.
+The graph is built in one pass over the stops that walks no route.
+Each arc's memo serves every repeated (arc, departure), so the earliest
+starts, return checks and sink edges read their legs afresh and still
+drive none twice.  A path's cost is therefore the route's reported
+value of every objective, summed in the same order, except crash,
+which reports the probability ``-expm1(-sum)`` of its log-survival sum
+``sum(-ln(1 - xi))``, a monotone map: on its grid the DP's schedule is
+exactly the one the reported objective ranks best.
 """
 
 from __future__ import annotations
@@ -103,12 +101,8 @@ def build_schedule_graph(route: tuple[int, ...], instance: Instance,
     """Discretise a route's schedule choices into a layered DAG.
 
     One pass over the stops builds each layer from the one before and
-    walks no route.  The leg into a stop is driven once from every
-    state of the stop before, and the reading out of the earliest
-    state gives the stop's earliest start, as ``time_route`` serves it
-    (driven apart from the immediate departure only when no state
-    leaves then).  The last stop's homeward legs serve both its return
-    check and the sink edges.
+    walks no route: the leg from the immediate departure gives each
+    stop's earliest start, as ``time_route`` serves it.
 
     Args:
         route: visited vertex ids, depot and terminal implicit.
@@ -141,33 +135,25 @@ def build_schedule_graph(route: tuple[int, ...], instance: Instance,
     times: list[tuple[float, ...]] = [(dispatch,)]
     edges: list[tuple[tuple[int, int, float], ...]] = [()]
     immediate = dispatch  # departure before the stop, all served at once
-    # The loop ends at the last stop, whose ``kept`` grid points and
-    # ``homeward`` readings the sink edges read.
-    for pos, (arc, node_id) in enumerate(zip(arcs, route), 1):
+    # The loop ends at the last stop, whose ``leaving`` times and
+    # ``kept`` grid points the sink edges read.
+    for arc, node_id in zip(arcs, route):
         service = instance.node(arc.tail).service_time
         departs = [start + service for start in times[-1]]
-        driven = [leg(arc, depart) for depart in departs]
-        now = driven[0] if departs[0] == immediate else leg(arc, immediate)
         node = instance.node(node_id)
-        lo = max(immediate + now[0], dispatch + node.window_open)
+        lo = max(immediate + leg(arc, immediate)[0],
+                 dispatch + node.window_open)
         hi = dispatch + node.window_close
         if lo > hi + TIME_EPS:
             raise ScheduleInfeasibleError(
                 f"stop {node_id}: earliest start {lo:.6f} after window close {hi:.6f}")
         grid = _grid(lo, min(hi, horizon), m)
         # Keep only starts from which the depot stays reachable in time,
-        # judged as the routing phase's audit judges it.  The last stop
-        # drives the homeward arc, so it is no pass-through copy, which
-        # has none, and its homeward readings give its return times.
+        # judged as the routing phase's audit judges it.
         leaving = [start + node.service_time for start in grid]
-        if pos == len(route):
-            homeward = [leg(arcs[-1], depart) for depart in leaving]
-            backs = [reading[0] for reading in homeward]
-        else:
-            backs = [return_leg_time(instance, node_id, depart)
-                     for depart in leaving]
         kept = [k for k, depart in enumerate(leaving)
-                if depart + backs[k] <= horizon + TIME_EPS]
+                if depart + return_leg_time(instance, node_id, depart)
+                <= horizon + TIME_EPS]
         if not kept:
             raise ScheduleInfeasibleError(
                 f"stop {node_id}: no start allows regaining the depot by "
@@ -175,7 +161,8 @@ def build_schedule_graph(route: tuple[int, ...], instance: Instance,
         times.append(tuple(grid[k] for k in kept))
         layer = []
         for i, depart in enumerate(departs):
-            duration, cost = leg_cost(objective, arc, service, driven[i], weights)
+            duration, cost = leg_cost(objective, arc, service,
+                                      leg(arc, depart), weights)
             arrive = depart + duration
             for j, nxt in enumerate(times[-1]):
                 if nxt >= arrive - TIME_EPS:
@@ -186,7 +173,7 @@ def build_schedule_graph(route: tuple[int, ...], instance: Instance,
     # Every kept start regains the depot in time, by the very reading
     # its sink edge is charged.
     sink = tuple((i, leg_cost(objective, arcs[-1], node.service_time,
-                              homeward[k], weights)[1])
+                              leg(arcs[-1], leaving[k]), weights)[1])
                  for i, k in enumerate(kept))
     return ScheduleGraph(tuple(times), tuple(edges), sink)
 

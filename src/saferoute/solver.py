@@ -40,11 +40,12 @@ polish share one insertion search and one 2-opt, and read every
 distance from one table, the instance's ``length_matrix``, or its
 transpose ``length_columns``.
 
-The insertion search takes the records of the routes it scans from a
-list its caller keeps beside the routes and refreshes after each edit,
-so it looks up a record only for a trial route it audits.  It prices
-each open position with one plain sum and audits a trial route only
-when it would become the new best and an O(1) pre-check lets it fit.
+Repair holds its routes as their records and nothing else.  The
+insertion search reads those records and hands back the winning trial's
+record, which its caller stores as the edited route, so it looks up a
+record only for a trial route it audits.  It prices each open position
+with one plain sum and audits a trial route only when it would become
+the new best and an O(1) pre-check lets it fit.
 The pre-check reads the target route's record: its immediate
 departures, its load, and each stop's latest service start, computed
 backward from the window close, the horizon less the service and the
@@ -178,7 +179,7 @@ def _route_load(instance: Instance, route: list[int]) -> float:
     return sum(instance.node(n).demand for n in route)
 
 
-def _two_opt_pass(instance: Instance, route: list[int],
+def _two_opt_pass(instance: Instance, route: Sequence[int],
                   keep: Callable[[list[int]], bool]) -> list[int]:
     """First-improvement 2-opt until no reversal shortens the path.
 
@@ -255,7 +256,7 @@ def initial_solution(instance: Instance) -> RoutingSolution:
     return RoutingSolution(routes)
 
 
-def _insertion_delta(instance: Instance, route: list[int], pos: int,
+def _insertion_delta(instance: Instance, route: Sequence[int], pos: int,
                      c: int) -> float:
     """Distance growth from inserting c at pos of the depot-closed path."""
     length = instance.length_matrix
@@ -424,18 +425,20 @@ def _window_bounds(c: int, instance: Instance,
 def _cheapest_insertion(held: list[RouteRecord], c: int, instance: Instance,
                         dispatch: float, records: Records,
                         skip: AbstractSet[int] = frozenset(),
-                        below: float = math.inf) -> tuple | None:
-    """Cheapest feasible ``(delta, route, position)`` for customer c, or None.
+                        below: float = math.inf
+                        ) -> tuple[int, RouteRecord] | None:
+    """Cheapest feasible insertion of customer c into ``held``, or None.
 
-    ``held`` holds the caller's routes' records, aligned by index with
-    its routes; the caller refreshes an entry whenever it edits that
-    route.  Scans the window slice of every route whose index is not in
-    the set ``skip`` and that has room for c; polish skips c's own
-    route and the routes that offered c nothing and have not changed
-    since.  A position becomes the best when its distance growth
-    ``delta`` undercuts ``below`` (or, once there is a best, the best's
-    growth) by more than ``_SHORTER`` and its trial route passes the
-    one-route audit.
+    ``held`` is the caller's routes, one record each.  Returns
+    ``(index, record)``: the index of the route c joins and the winning
+    trial route's record, the very entry of ``records`` its audit made,
+    so the caller stores it with ``k, held[k] = best``.  Scans the
+    window slice of every route whose index is not in the set ``skip``
+    and that has room for c; polish skips c's own route and the routes
+    that offered c nothing and have not changed since.  A position
+    becomes the best when its distance growth ``delta`` undercuts
+    ``below`` (or, once there is a best, the best's growth) by more
+    than ``_SHORTER`` and its trial route passes the one-route audit.
 
     A route's window slice is the range ``[lo, hi)`` of positions
     whose latest start is at least ``ready`` and whose departure is at
@@ -488,10 +491,10 @@ def _cheapest_insertion(held: list[RouteRecord], c: int, instance: Instance,
             delta = into_c[before[pos]] + out_of_c[after[pos]] - edges[pos]
             if delta < limit \
                     and _may_fit(record, pos, c, instance, dispatch) \
-                    and not _record(record.route[:pos] + (c,)
-                                    + record.route[pos:], instance,
-                                    dispatch, records).violations:
-                best = (delta, ri, pos)
+                    and not (trial := _record(
+                        record.route[:pos] + (c,) + record.route[pos:],
+                        instance, dispatch, records)).violations:
+                best = ri, trial
                 limit = delta - _SHORTER
     return best
 
@@ -513,25 +516,25 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
     fits nowhere; raises SolverError for more routes than vehicles,
     which no route's audit sees.
 
-    Once ejection ends, ``held`` keeps each route's record beside it for
-    the insertion search.  After each bank insertion the receiving
-    route's entry is replaced by the winning trial's record, a dict hit,
-    as the search audited that trial; ``_polish`` keeps it up to date
-    from then on.
+    Once a route's ejection ends, its last record, which passed the
+    audit, is the route: ``held`` keeps one record per route and
+    nothing beside it.  Each bank insertion stores the insertion
+    search's winning record in the receiving route's slot, and
+    ``_polish`` edits ``held`` the same way.
     """
     if len(solution.routes) > instance.fleet.count:
         raise SolverError("more routes than vehicles")
-    routes: list[list[int]] = [[] for _ in solution.routes]
+    records = {} if records is None else records
     served: set[int] = set()
-    for r, route in zip(routes, solution.routes):
+    held: list[RouteRecord] = []
+    for route in solution.routes:
+        r = []
         for n in route:
             if instance.is_customer(n) and n not in served:
                 served.add(n)
                 r.append(n)
-    records = {} if records is None else records
-    for r in routes:
-        while violations := _record(r, instance, dispatch, records).violations:
-            for v in violations:
+        while (record := _record(r, instance, dispatch, records)).violations:
+            for v in record.violations:
                 if v.node is not None:
                     if v.node in r:  # else ejected earlier this round
                         r.remove(v.node)
@@ -541,17 +544,15 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
                     del r[-1:]  # a no-op if this round emptied r
                 else:  # no arc joins the visits
                     return None
-    held = [_record(r, instance, dispatch, records) for r in routes]
-    bank = set(instance.customers()).difference(*routes)
+        held.append(record)
+    bank = set(instance.customers()).difference(*(h.route for h in held))
     for c in sorted(bank, key=lambda c: (instance.node(c).window_open, c)):
         best = _cheapest_insertion(held, c, instance, dispatch, records)
         if best is None:
             return None
-        _, k, pos = best
-        routes[k].insert(pos, c)
-        held[k] = records[tuple(routes[k])]  # the winning trial's audit
-    _polish(routes, held, instance, dispatch, records)
-    return RoutingSolution(routes)
+        k, held[k] = best
+    _polish(held, instance, dispatch, records)
+    return RoutingSolution(tuple(record.route for record in held))
 
 
 def _may_keep_order(route: list[int], instance: Instance,
@@ -578,17 +579,17 @@ def _may_keep_order(route: list[int], instance: Instance,
     return True
 
 
-def _polish(routes: list[list[int]], held: list[RouteRecord],
-            instance: Instance, dispatch: float, records: Records) -> None:
+def _polish(held: list[RouteRecord], instance: Instance, dispatch: float,
+            records: Records) -> None:
     """Deterministic mileage cleanup of a feasible set of routes.
 
     Alternates single-customer relocations with within-route feasible
-    reversals until neither shortens the total, editing in place.  A
-    relocation needs both routes to pass their audit: the insertion
-    search audits the receiving route, and the donor is audited once a
-    scan has found a position, since dropping a visit can make a later
-    stop late when the direct arc is slower than the two legs through
-    the dropped one.
+    reversals until neither shortens the total, editing ``held``, one
+    record per route, in place.  A relocation needs both routes to pass
+    their audit: the insertion search audits the receiving route, and
+    the donor is audited once a scan has found a position, since
+    dropping a visit can make a later stop late when the direct arc is
+    slower than the two legs through the dropped one.
 
     Each route carries an edit stamp, the clock at its last relocation
     or 2-opt change, and each customer the clock at its last fruitless
@@ -603,23 +604,20 @@ def _polish(routes: list[list[int]], held: list[RouteRecord],
     shorter reversal only when ``_may_keep_order`` cannot show a stop
     late at fastest times, which leaves the audit's verdict unchanged.
 
-    ``held`` holds each route's record, aligned with ``routes``, for the
-    insertion search.  A relocation replaces the donor's entry with the
-    donor audit it has just made and the receiver's with the winning
-    trial's record; a 2-opt change replaces the route's entry with the
-    record of the reversal ``keep`` accepted.  Each is a dict hit on a
-    route just audited, so refreshing walks no route.
+    Every edit stores records just audited: a relocation the donor's
+    and the insertion search's winner, a 2-opt change the record of the
+    reversal ``keep`` accepted, a dict hit, so no edit walks a route.
     """
-    customers = sorted(c for r in routes for c in r)
+    customers = sorted(c for record in held for c in record.route)
     clock = 0
-    edited = [0] * len(routes)  # clock at each route's last edit
-    passed = [-1] * len(routes)  # its stamp when 2-opt last left it
+    edited = [0] * len(held)  # clock at each route's last edit
+    passed = [-1] * len(held)  # its stamp when 2-opt last left it
     fruitless: dict[int, int] = {}  # clock at a customer's last vain scan
     for _ in range(50):
         improved = False
         for c in customers:
-            ri = next(k for k, r in enumerate(routes) if c in r)
-            r = routes[ri]
+            ri = next(k for k, record in enumerate(held) if c in record.route)
+            r = held[ri].route
             i = r.index(c)
             donor = r[:i] + r[i + 1:]
             saving = _insertion_delta(instance, donor, i, c)
@@ -632,23 +630,20 @@ def _polish(routes: list[list[int]], held: list[RouteRecord],
                                                 records)).violations:
                 fruitless[c] = clock
                 continue
-            _, k, pos = best
-            r.remove(c)
-            routes[k].insert(pos, c)
-            held[ri], held[k] = left, records[tuple(routes[k])]
+            held[ri] = left
+            k, held[k] = best
             clock += 1
             edited[ri] = edited[k] = clock
             improved = True
-        for k, r in enumerate(routes):
+        for k, record in enumerate(held):
             if passed[k] == edited[k]:
                 continue
-            shorter = _two_opt_pass(
-                instance, r,
+            shorter = tuple(_two_opt_pass(
+                instance, record.route,
                 lambda t: _may_keep_order(t, instance, dispatch)
-                and not _record(t, instance, dispatch, records).violations)
-            if shorter != r:
-                r[:] = shorter
-                held[k] = records[tuple(r)]  # the accepted reversal's audit
+                and not _record(t, instance, dispatch, records).violations))
+            if shorter != record.route:
+                held[k] = records[shorter]  # the accepted reversal's audit
                 clock += 1
                 edited[k] = clock
                 improved = True

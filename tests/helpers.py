@@ -217,36 +217,37 @@ def reference_insertion(routes: list[list[int]], c: int, instance: Instance,
     has room for c is audited first and compared after, by the rule of
     ``solver._cheapest_insertion``: a feasible trial wins when its
     distance growth undercuts ``below``, then the best so far, by more
-    than ``_SHORTER``.  Returns ``(delta, route, position)`` or None.
+    than ``_SHORTER``.  Returns ``(index, trial route)`` or None.
     """
     demand = instance.node(c).demand
-    best = None
+    best, least = None, below
     for ri, r in enumerate(routes):
         load = sum(instance.node(n).demand for n in r)
         if ri in skip or load + demand > instance.fleet.capacity + TIME_EPS:
             continue
         for pos in range(len(r) + 1):
-            if reference_route_audit((*r[:pos], c, *r[pos:]), instance,
-                                     dispatch):
+            trial = (*r[:pos], c, *r[pos:])
+            if reference_route_audit(trial, instance, dispatch):
                 continue
             delta = _insertion_delta(instance, r, pos, c)
-            if delta < (below if best is None else best[0]) - _SHORTER:
-                best = (delta, ri, pos)
+            if delta < least - _SHORTER:
+                best, least = (ri, trial), delta
     return best
 
 
-def reference_polish(routes: list[list[int]], held: list,
-                     instance: Instance, dispatch: float,
+def reference_polish(held: list, instance: Instance, dispatch: float,
                      records: dict) -> None:
     """``solver._polish`` as a full rescan: every round scans every
     customer against every other route and passes every route to 2-opt.
 
-    The route records the scan reads are rebuilt from ``routes`` before
-    every scan, so none can be stale; ``held`` is ignored.  A relocation
-    needs a winning position and a donor route that passes its audit,
-    the rule of ``solver._polish``; rounds repeat until neither step
-    shortens the total, at most 50.
+    The routes are plain lists, read from ``held`` once at the start;
+    the records each scan reads are rebuilt from them before the scan,
+    so none can be stale, and ``held`` is set to the final routes'
+    records at the end.  A relocation needs a winning position and a
+    donor route that passes its audit, the rule of ``solver._polish``;
+    rounds repeat until neither step shortens the total, at most 50.
     """
+    routes = [list(record.route) for record in held]
     customers = sorted(c for r in routes for c in r)
     for _ in range(50):
         improved = False
@@ -256,14 +257,14 @@ def reference_polish(routes: list[list[int]], held: list,
             i = r.index(c)
             donor = r[:i] + r[i + 1:]
             saving = _insertion_delta(instance, donor, i, c)
-            held = [_record(route, instance, dispatch, records)
-                    for route in routes]
-            best = _cheapest_insertion(held, c, instance, dispatch,
+            scanned = [_record(route, instance, dispatch, records)
+                       for route in routes]
+            best = _cheapest_insertion(scanned, c, instance, dispatch,
                                        records, skip={ri}, below=saving)
             if best is not None and not _record(donor, instance, dispatch,
                                                 records).violations:
-                r.remove(c)
-                routes[best[1]].insert(best[2], c)
+                k, trial = best
+                routes[ri], routes[k] = donor, list(trial.route)
                 improved = True
         for r in routes:
             shorter = _two_opt_pass(
@@ -275,6 +276,7 @@ def reference_polish(routes: list[list[int]], held: list,
                 improved = True
         if not improved:
             break
+    held[:] = [_record(r, instance, dispatch, records) for r in routes]
 
 
 def reference_feasibility(solution: RoutingSolution,

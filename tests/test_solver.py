@@ -364,7 +364,8 @@ def test_cheapest_insertion_matches_reference_scan(data, name, dispatch,
         options = dict(skip=skip)
     records = {}
     held = [_record(r, inst, dispatch, records) for r in routes]
-    assert _cheapest_insertion(held, c, inst, dispatch, records, **options) \
+    best = _cheapest_insertion(held, c, inst, dispatch, records, **options)
+    assert (None if best is None else (best[0], best[1].route)) \
         == reference_insertion(routes, c, inst, dispatch, **options)
 
 
@@ -395,11 +396,12 @@ def test_stamped_polish_matches_full_rescan(data, name, dispatch):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), name=st.sampled_from(["R101", "RND25", "case"]),
        dispatch=st.sampled_from([0.0, 7.0, 12.0, 17.0]))
-def test_held_records_follow_each_bank_insertion(data, name, dispatch):
-    # the insertion search reads the records repair holds beside its
-    # routes; across consecutive scans of the bank loop, and into
-    # polish's first scan, they must be the previous scan's routes with
-    # its winner inserted where it said
+def test_repair_stores_the_records_the_search_returns(data, name, dispatch):
+    # repair holds its routes only as records: each (k, record) the
+    # insertion search returns is the very records entry of the scanned
+    # route k with c inserted, the next scan reads that record in slot
+    # k and every other slot unchanged, and repair's routes are the
+    # routes of the records it holds when polish ends
     inst = audit_instance(name)
     visits = data.draw(st.permutations(inst.customers()))
     fleet = inst.fleet.count
@@ -408,25 +410,41 @@ def test_held_records_follow_each_bank_insertion(data, name, dispatch):
     bounds = [0, *cuts, len(visits)]
     start = RoutingSolution(tuple(tuple(visits[a:b])
                                   for a, b in zip(bounds, bounds[1:])))
-    scans = []
-    insertion = solver._cheapest_insertion
+    scans, final = [], []
+    insertion, polish = solver._cheapest_insertion, solver._polish
 
-    def seen(held, c, *args, **kwargs):
-        best = insertion(held, c, *args, **kwargs)
-        scans.append(([h.route for h in held], c, best, "skip" in kwargs))
+    def seen(held, c, instance, dispatch, records, **kwargs):
+        scanned = list(held)
+        best = insertion(held, c, instance, dispatch, records, **kwargs)
+        if best is not None:
+            k, record = best
+            pos = record.route.index(c)
+            assert record.route[:pos] + record.route[pos + 1:] \
+                == scanned[k].route
+            assert records[record.route] is record
+            assert not record.violations
+        scans.append((scanned, best, "skip" in kwargs))
         return best
 
-    with mock.patch.object(solver, "_cheapest_insertion", seen):
-        make_feasible(start, inst, dispatch)
-    bank = [scan for scan in scans if not scan[3]]
+    def polished(held, *args):
+        polish(held, *args)
+        final.append([record.route for record in held])
+
+    with mock.patch.object(solver, "_cheapest_insertion", seen), \
+            mock.patch.object(solver, "_polish", polished):
+        repaired = make_feasible(start, inst, dispatch)
+    bank = [scan for scan in scans if not scan[2]]
     after = scans[len(bank):len(bank) + 1]  # polish's first scan
-    assert all(scan[3] for scan in scans[len(bank):])
-    for (routes, c, best, _), (held, *_) in zip(bank, bank[1:] + after):
-        assert best is not None
-        _, k, pos = best
-        expected = list(routes)
-        expected[k] = routes[k][:pos] + (c,) + routes[k][pos:]
-        assert held == expected
+    assert all(scan[2] for scan in scans[len(bank):])
+    for (held, best, _), (scanned, *_) in zip(bank, bank[1:] + after):
+        k, record = best
+        expected = [record if i == k else h for i, h in enumerate(held)]
+        assert len(scanned) == len(expected)
+        assert all(a is b for a, b in zip(scanned, expected))
+    if repaired is None:
+        assert not final and (not bank or bank[-1][1] is None)
+    else:
+        assert list(repaired.routes) == final[0]
 
 
 def test_polish_keeps_a_donor_that_would_turn_late():
