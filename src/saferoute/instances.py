@@ -40,6 +40,9 @@ MIN_CRASH = 1e-12
 #: The five day intervals of a step function, and the level each uses.
 INTERVALS = ((0, 6), (6, 9), (9, 15), (15, 19), (19, 24))
 ASSIGNMENT = (0, 2, 1, 2, 0)  # night, AM peak, midday, PM peak, evening
+#: Hour h's entry: the index of the level ``ASSIGNMENT`` gives its interval.
+HOUR_LEVELS = tuple(idx for (lo, hi), idx in zip(INTERVALS, ASSIGNMENT)
+                    for _ in range(lo, hi))
 
 GENERATED_FLEETS = {10: 2, 25: 3, 50: 5, 80: 12}
 
@@ -67,7 +70,7 @@ class StepFunctionSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if len(self.levels) != 3 or not all(math.isfinite(v) for v in self.levels):
+        if len(self.levels) != 3 or not all(map(math.isfinite, self.levels)):
             raise ProfileSpecError(f"need 3 finite levels, got {self.levels!r}")
         if not (math.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0):
             raise ProfileSpecError(
@@ -75,11 +78,7 @@ class StepFunctionSpec:
 
     def base_values(self) -> tuple[float, ...]:
         """The noise-free hourly values."""
-        out = [0.0] * HOURS_PER_DAY
-        for (lo, hi), idx in zip(INTERVALS, ASSIGNMENT):
-            for h in range(lo, hi):
-                out[h] = self.levels[idx]
-        return tuple(out)
+        return tuple(map(self.levels.__getitem__, HOUR_LEVELS))
 
     def peak_level(self) -> float:
         """Level used by the second interval (the morning rush)."""
@@ -90,20 +89,10 @@ class StepFunctionSpec:
         return self.levels[ASSIGNMENT[0]]
 
 
-def _clip(kind: str, value: float) -> float:
-    if kind == "crash":
-        return min(1.0, max(value, MIN_CRASH))
-    if kind == "tti":
-        return max(value, 1.0)
-    return max(value, MIN_SPEED)
-
-
 def _check_levels(spec: StepFunctionSpec, kind: str) -> None:
-    lo_ok = {"crash": lambda v: 0 < v <= 1,
-             "tti": lambda v: v >= 1,
-             "speed": lambda v: v > 0}[kind]
     for v in spec.levels:
-        if not lo_ok(v):
+        if not (0 < v <= 1 if kind == "crash" else
+                v >= 1 if kind == "tti" else v > 0):
             raise ProfileSpecError(f"{kind} level {v!r} out of bounds")
     # Rush hours must be the adverse side: slower, riskier, more congested.
     if kind == "speed":
@@ -117,19 +106,26 @@ def generate_profiles(spec: StepFunctionSpec, kind: str) -> TimeProfile:
     """Noisy hourly profile from a step function.
 
     Deterministic for a given spec (the seed travels inside it).  Values
-    are clipped to the kind's domain: crash stays in (0, 1], TTI never
-    dips below 1, speed keeps a positive floor.
+    are clipped to the kind's domain: crash stays in [``MIN_CRASH``, 1],
+    TTI never dips below 1, speed keeps the floor ``MIN_SPEED``.  Each
+    hour's noise is the expression ``Random.uniform(-a, a)`` computes,
+    ``-a + (a - -a) * random()``, so the values are uniform's bit for bit.
     """
     if kind not in PROFILE_KINDS:
         raise ProfileSpecError(f"unknown profile kind {kind!r}, expected one of {PROFILE_KINDS}")
     _check_levels(spec, kind)
-    rng = random.Random(spec.seed)
+    draw = random.Random(spec.seed).random
     a = spec.noise_amplitude
-    values = tuple(
-        _clip(kind, base * (1.0 + rng.uniform(-a, a)))
-        for base in spec.base_values()
-    )
-    return TimeProfile(values)
+    span = a - -a
+    values = [base * (1.0 + (-a + span * draw()))
+              for base in spec.base_values()]
+    if kind == "crash":
+        values = [v if MIN_CRASH <= v <= 1.0 else
+                  MIN_CRASH if v < MIN_CRASH else 1.0 for v in values]
+    else:
+        floor = 1.0 if kind == "tti" else MIN_SPEED
+        values = [v if v >= floor else floor for v in values]
+    return TimeProfile(tuple(values))
 
 
 # --------------------------------------------------------------------------
@@ -220,13 +216,13 @@ def parse_solomon(text: str) -> Instance:
     unit = TimeProfile.constant(1.0)
     neutral_tti = TimeProfile.constant(1.0)
     crash = TimeProfile.constant(1e-4)
+    points = [(n.id, n.x, n.y) for n in nodes]
     arcs = {}
-    for a in nodes:
-        for b in nodes:
-            if a.id == b.id:
-                continue
-            dist = math.hypot(a.x - b.x, a.y - b.y) or 1e-9
-            arcs[(a.id, b.id)] = Arc(a.id, b.id, dist, unit, neutral_tti, crash)
+    for a, ax, ay in points:
+        for b, bx, by in points:
+            if a != b:
+                dist = math.hypot(ax - bx, ay - by) or 1e-9
+                arcs[(a, b)] = Arc(a, b, dist, unit, neutral_tti, crash)
     return Instance(name, nodes, arcs, fleet, depot_due, dummy_count=2)
 
 
@@ -244,9 +240,8 @@ def _profile_token(profile: TimeProfile) -> str:
 
 
 def _parse_profile_token(token: str, where: str) -> TimeProfile:
-    parts = token.split(",")
     try:
-        values = [float(p) for p in parts]
+        values = list(map(float, token.split(",")))
     except ValueError as exc:
         raise InstanceError(f"{where}: bad profile value ({exc})") from exc
     if len(values) == 1:
@@ -293,9 +288,7 @@ def parse_instance(text: str) -> Instance:
             instance.
     """
     lines = text.splitlines()
-    if not lines or lines[0].strip() != FORMAT_HEADER:
-        raise InstanceError(f"first line must be {FORMAT_HEADER!r}")
-    pos = 1
+    pos = 0
 
     def next_line() -> str:
         nonlocal pos
@@ -305,6 +298,9 @@ def parse_instance(text: str) -> Instance:
             if ln:
                 return ln
         raise InstanceError("unexpected end of file")
+
+    if not text.strip() or next_line() != FORMAT_HEADER:
+        raise InstanceError(f"first line must be {FORMAT_HEADER!r}")
 
     def keyed(key: str) -> str:
         ln = next_line()

@@ -3,8 +3,16 @@
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import replace
 
+from saferoute.instances import (
+    ASSIGNMENT,
+    INTERVALS,
+    MIN_CRASH,
+    MIN_SPEED,
+    StepFunctionSpec,
+)
 from saferoute.model import (
     Arc,
     Fleet,
@@ -62,6 +70,30 @@ def reference_profile_check(tail: int, head: int, speed: TimeProfile,
                 return (f"arc ({tail}, {head}) {kind} value {v} at hour {h} "
                         f"outside {bound}")
     return None
+
+
+def reference_profile(spec: StepFunctionSpec, kind: str) -> tuple[float, ...]:
+    """A generated profile's values, one clipped uniform draw per hour.
+
+    The level of hour h is the one ``ASSIGNMENT`` gives h's interval of
+    ``INTERVALS``, and each value is
+    ``_clip(kind, level * (1.0 + rng.uniform(-a, a)))`` drawn from
+    ``random.Random(spec.seed)``, with ``_clip`` holding crash in
+    [``MIN_CRASH``, 1], TTI at 1 or above and speed at ``MIN_SPEED``
+    or above.
+    """
+    def clip(value: float) -> float:
+        if kind == "crash":
+            return min(1.0, max(value, MIN_CRASH))
+        if kind == "tti":
+            return max(value, 1.0)
+        return max(value, MIN_SPEED)
+
+    rng = random.Random(spec.seed)
+    a = spec.noise_amplitude
+    return tuple(clip(spec.levels[idx] * (1.0 + rng.uniform(-a, a)))
+                 for (lo, hi), idx in zip(INTERVALS, ASSIGNMENT)
+                 for _ in range(lo, hi))
 
 
 def build_instance(

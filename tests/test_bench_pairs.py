@@ -17,7 +17,7 @@ def load_tool():
 
 
 def test_pairs_alternate_and_file_holds_runs_and_quartiles(monkeypatch,
-                                                           tmp_path):
+                                                           tmp_path, capsys):
     tool = load_tool()
     shutil.copy(REPO / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
     monkeypatch.setattr(tool, "ROOT", tmp_path)
@@ -58,6 +58,17 @@ def test_pairs_alternate_and_file_holds_runs_and_quartiles(monkeypatch,
     assert entry["stats"]["setup_s"]["ties"] == 10
     assert solve["ties"] == 0
     assert entry["traced"]["change"]["phase1.audit_calls"] == 7
+    verdicts = {metric: stat["verdict"]
+                for metric, stat in entry["stats"].items()}
+    assert verdicts == {"solve_p50_s": "gain", "evals_per_s": "gain",
+                        "feasible_share": "same", "cost_ratio": "same",
+                        "setup_s": "same"}
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if not line.startswith("w pair ")]
+    assert [line.split(" (")[0] for line in printed[:5]] == [
+        f"w {metric}: {verdict}" for metric, verdict in verdicts.items()]
+    assert printed[0] == ("w solve_p50_s: gain (median 1 -> 0.5, parent "
+                          "q1-q3 1-1, change better in 9 of 10, 0 tied)")
     assert set(data) == {"what", "seed", "host", "workloads"}
     assert data["seed"] == 0
 
@@ -69,11 +80,13 @@ def test_values_within_tie_count_for_neither_side():
               {"cost_ratio": 2.0}]
     change = [{"cost_ratio": 1.1218134732745195},  # rounding apart
               {"cost_ratio": 2.0}, {"cost_ratio": 1.5}]
-    out = tool.stats(parent, change, {"cost_ratio": "lower"})["cost_ratio"]
+    bound = {"cost_ratio": 0.05}
+    out = tool.stats(parent, change, {"cost_ratio": "lower"},
+                     bound)["cost_ratio"]
     assert out["change_better"] == 1 and out["ties"] == 2
     assert out["pairs"] == 3
     # rounding apart the other way is no win for the change either
-    out = tool.stats(change[:2], parent[:2], {"cost_ratio": "lower"})
+    out = tool.stats(change[:2], parent[:2], {"cost_ratio": "lower"}, bound)
     assert out["cost_ratio"]["change_better"] == 0
     assert out["cost_ratio"]["ties"] == 2
 
@@ -95,3 +108,33 @@ def test_seed_reaches_every_run_and_the_file(monkeypatch, tmp_path):
                       "--workload", "w"]) == 0
     assert seeds == [1] * 22  # ten pairs and one traced run a side
     assert json.loads((tmp_path / "BENCH_s.json").read_text())["seed"] == 1
+
+
+def verdict_of(tool, old, new, better="lower", bound=0.25):
+    parent = [{"m": v} for v in old]
+    change = [{"m": v} for v in new]
+    return tool.stats(parent, change, {"m": better}, {"m": bound})["m"]["verdict"]
+
+
+def test_verdict_follows_the_pair_rule():
+    tool = load_tool()
+    steady = [1.0] * 10
+    # a gain needs nine tenths of the pairs and a median gain wider than
+    # the parent's quartile spread
+    assert verdict_of(tool, steady, [0.8] * 9 + [1.1]) == "gain"
+    assert verdict_of(tool, steady, [0.8] * 8 + [1.1] * 2) == "same"
+    wavy = [1.0, 1.1] * 5  # q1 1.0, q3 1.1
+    assert verdict_of(tool, wavy, [v - 0.01 for v in wavy]) == "same"
+    assert verdict_of(tool, wavy, [v - 0.2 for v in wavy]) == "gain"
+    # identical runs tie: no wins, so no gain however the medians round
+    assert verdict_of(tool, steady, [1.0 + 1e-15] * 10, bound=0.05) == "same"
+    assert verdict_of(tool, [1e-15 + 1.0] * 10, steady, bound=0.05) == "same"
+    # worse by more than the bound, in either direction of better
+    assert verdict_of(tool, steady, [1.3] * 10) == "worse"
+    assert verdict_of(tool, steady, [1.2] * 10) == "same"
+    assert verdict_of(tool, [100.0] * 10, [70.0] * 10, "higher") == "worse"
+    assert verdict_of(tool, [100.0] * 10, [130.0] * 10, "higher") == "gain"
+    # a parent that spreads wider than the bound cannot tell
+    loose = [0.6, 0.7, 0.8, 1.0, 1.0, 1.0, 1.2, 1.3, 1.4, 1.5]
+    assert verdict_of(tool, loose, loose[::-1]) == "unresolved"
+    assert verdict_of(tool, loose, [v * 1.5 for v in loose]) == "worse"

@@ -13,7 +13,11 @@ import pytest
 
 import saferoute
 from saferoute.cli import main
-from saferoute.instances import bundled_case_study_dir, serialize_instance
+from saferoute.instances import (
+    bundled_case_study_dir,
+    generate_instance,
+    serialize_instance,
+)
 
 from helpers import (
     build_instance,
@@ -198,6 +202,20 @@ def test_solve_reads_native_and_solomon_files(tmp_path, capsys):
     assert main(["solve", "--instance", str(spath), "--objective",
                  "distance", "--no-gaps", "--scenario", "0"]) == 0
     capsys.readouterr()
+
+
+def test_native_file_may_start_with_a_blank_line(tmp_path, capsys):
+    # it was detected as native and then refused: "first line must be
+    # 'saferoute-instance v1'"
+    text = serialize_instance(generate_instance(4, 0))
+    outputs = []
+    for name, body in (("plain.txt", text), ("blank.txt", "\n" + text)):
+        path = tmp_path / name
+        path.write_text(body)
+        assert main(["solve", "--instance", str(path), "--objective",
+                     "distance", "--no-gaps", "--scenario", "7"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[0]
 
 
 def test_solve_and_verify_an_instance_without_customers(tmp_path, capsys):

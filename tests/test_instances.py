@@ -1,5 +1,6 @@
 """Tests for instance parsing, generation and loading."""
 
+import hashlib
 import math
 import random
 import shutil
@@ -16,6 +17,7 @@ from saferoute.instances import (
     INTERVALS,
     InstanceError,
     MIN_SPEED,
+    PROFILE_KINDS,
     ProfileSpecError,
     StepFunctionSpec,
     bundled_case_study_dir,
@@ -34,7 +36,7 @@ from saferoute.queueing import (
     read_nominal_speeds,
 )
 
-from helpers import with_first_arc_repeated
+from helpers import reference_profile, with_first_arc_repeated
 
 SMALL_SOLOMON = """\
 TOY3
@@ -133,6 +135,28 @@ def test_clipping_keeps_kind_domains():
             StepFunctionSpec((40.0, 30.0, 10.0), noise_amplitude=3.0, seed=seed),
             "speed")
         assert all(v >= MIN_SPEED for v in speed.values)
+
+
+#: Levels each kind's spec accepts.  Noise of amplitude up to 5 moves a
+#: value by up to five times its level either way, so draws cross every
+#: clip: crash above 1 and below ``MIN_CRASH``, speed below
+#: ``MIN_SPEED`` and TTI below 1.
+LEVELS = {"speed": st.floats(1e-3, 80.0), "tti": st.floats(1.0, 3.0),
+          "crash": st.floats(1e-6, 1.0)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(PROFILE_KINDS), data=st.data(),
+       amplitude=st.floats(0.0, 5.0), seed=st.integers(0, 2**32 - 1))
+def test_generated_profile_is_the_clipped_uniform_draw(kind, data, amplitude,
+                                                       seed):
+    x, midday, y = data.draw(st.tuples(*[LEVELS[kind]] * 3))
+    # the rush level is the adverse one: slower, more congested, riskier
+    night, rush = (max(x, y), min(x, y)) if kind == "speed" else (min(x, y),
+                                                                  max(x, y))
+    spec = StepFunctionSpec((night, midday, rush), noise_amplitude=amplitude,
+                            seed=seed)
+    assert generate_profiles(spec, kind).values == reference_profile(spec, kind)
 
 
 # -- classic benchmark layout -------------------------------------------------
@@ -241,6 +265,31 @@ def test_loaders_share_profiles():
     inst = load_solomon("R101")
     assert len(distinct(inst)) == 3
     assert len(distinct(ensure_augmented(inst))) == 3
+
+
+def loader_digest(instances) -> str:
+    """SHA-256 over every node field and every arc's key, distance and
+    hourly speed, TTI and crash values, in the instances' own order."""
+    digest = hashlib.sha256()
+    for inst in instances:
+        for n in inst.nodes:
+            digest.update(repr((n.id, n.x, n.y, n.demand, n.service_time,
+                                n.window_open, n.window_close)).encode())
+        for key, arc in inst.arcs.items():
+            digest.update(repr((key, arc.distance, arc.speed.values,
+                                arc.tti.values, arc.crash.values)).encode())
+    return digest.hexdigest()
+
+
+def test_loaders_are_pinned():
+    # every loader's output, bit for bit: the solves' result digest
+    # covers only the values they read
+    assert loader_digest([
+        ensure_augmented(load_solomon("R101")),
+        load_case_study(bundled_case_study_dir()),
+        ensure_augmented(generate_instance(25, 0)),
+        parse_instance(serialize_instance(generate_instance(10, 3))),
+    ]) == "08a57e2922b840d1f176cc41a1ee114c3e0a01ed460e724a7eff4b9f0d402f7d"
 
 
 # -- synthetic generation ------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -340,6 +340,30 @@ class TestValidation:
             make_arc(crash=TimeProfile.constant(1.1))
         with pytest.raises(ModelError):
             make_arc(tail=3, head=3)
+
+    def test_arc_keeps_its_value_semantics(self):
+        rng = random.Random(3)
+        speed = TimeProfile(tuple(rng.uniform(5.0, 70.0) for _ in range(24)))
+        arc, fresh = (make_arc(distance=25.0, speed=speed) for _ in range(2))
+        readings = [leg(arc, depart) for depart in (0.5, 7.25, 30.0)]
+        assert arc._readings and not fresh._readings
+        assert arc == fresh and hash(arc) == hash(fresh)
+        assert repr(arc) == repr(fresh)
+        assert "_readings" not in repr(arc)
+        for name in ("tail", "head", "distance", "speed", "tti", "crash",
+                     "_readings"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(arc, name, None)
+        with pytest.raises(InvalidProfileError) as err:
+            replace(arc, crash=TimeProfile.constant(1.5))
+        assert err.value.kind == "crash"
+        with pytest.raises(InvalidProfileError) as err:
+            replace(arc, tti=TimeProfile.constant(0.5),
+                    crash=TimeProfile.constant(0.0))
+        assert err.value.kind == "tti"
+        again = replace(arc)
+        assert again == arc and not again._readings
+        assert [leg(again, d) for d in (0.5, 7.25, 30.0)] == readings
 
     @given(pool=st.lists(PROFILES, min_size=1, max_size=4),
            picks=st.lists(st.tuples(*[st.integers(0, 3)] * 3),

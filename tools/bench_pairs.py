@@ -28,7 +28,8 @@ The result is ``BENCH_<name>.json`` in the repository root:
   ``change_better`` (pairs in which the change was better, by the
   metric's ``better`` in BENCHMARK.json, by more than ``TIE`` of the
   larger value) and ``ties`` (pairs within ``TIE`` of each other,
-  which count for neither side) out of ``pairs``;
+  which count for neither side) out of ``pairs``, and the ``verdict``
+  (see ``verdict``), which is also printed, one line per metric;
 * ``workloads.<W>.traced.parent`` and ``.change``: ``correct`` and
   every per-layer metric of the traced run.
 
@@ -87,8 +88,39 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def stats(parent: list[dict], change: list[dict], better: dict) -> dict:
-    """Median and quartiles per metric and side, pairs won and tied."""
+def verdict(entry: dict, direction: str, bound: float) -> str:
+    """``gain``, ``worse``, ``unresolved`` or ``same`` for one metric.
+
+    ``entry`` is one metric's ``stats`` entry, ``bound`` its relative
+    bound in BENCHMARK.json.  Checked in this order:
+
+    * ``gain``: the change was better in at least nine tenths of all
+      pairs run (a tie is no win), and its median is better than the
+      parent's by more than the parent's q3 - q1;
+    * ``worse``: its median is worse than the parent's by more than
+      ``bound`` times the parent's median;
+    * ``unresolved``: the parent's q3 - q1 is wider than that;
+    * ``same``: none of these.
+    """
+    old, new = entry["parent"], entry["change"]
+    gained = old["median"] - new["median"]
+    if direction != "lower":
+        gained = -gained
+    spread = old["q3"] - old["q1"]
+    allowed = bound * abs(old["median"])
+    if 10 * entry["change_better"] >= 9 * entry["pairs"] and gained > spread:
+        return "gain"
+    if -gained > allowed:
+        return "worse"
+    if spread > allowed:
+        return "unresolved"
+    return "same"
+
+
+def stats(parent: list[dict], change: list[dict], better: dict,
+          bound: dict) -> dict:
+    """Median and quartiles per metric and side, pairs won and tied, and
+    the verdict, by each metric's ``better`` and ``bound``."""
     out = {}
     for metric, direction in better.items():
         old = [r[metric] for r in parent]
@@ -96,10 +128,21 @@ def stats(parent: list[dict], change: list[dict], better: dict) -> dict:
         ties = [math.isclose(a, b, rel_tol=TIE) for a, b in zip(old, new)]
         wins = sum(not tie and ((b < a) if direction == "lower" else (b > a))
                    for a, b, tie in zip(old, new, ties))
-        out[metric] = {"parent": quartiles(old), "change": quartiles(new),
-                       "change_better": wins, "ties": sum(ties),
-                       "pairs": len(old)}
+        entry = out[metric] = {
+            "parent": quartiles(old), "change": quartiles(new),
+            "change_better": wins, "ties": sum(ties), "pairs": len(old)}
+        entry["verdict"] = verdict(entry, direction, bound[metric])
     return out
+
+
+def verdict_line(workload: str, metric: str, entry: dict) -> str:
+    """One printed line: the verdict and the numbers it rests on."""
+    old, new = entry["parent"], entry["change"]
+    return (f"{workload} {metric}: {entry['verdict']} (median "
+            f"{old['median']:.6g} -> {new['median']:.6g}, parent q1-q3 "
+            f"{old['q1']:.6g}-{old['q3']:.6g}, change better in "
+            f"{entry['change_better']} of {entry['pairs']}, "
+            f"{entry['ties']} tied)")
 
 
 def main(argv=None) -> int:
@@ -118,6 +161,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     result = {"what": args.what, "seed": args.seed,
               "host": {"cpus": os.cpu_count(),
                        "python": platform.python_version(),
@@ -136,9 +180,12 @@ def main(argv=None) -> int:
                         run(trees[side], workload, seconds, 0, args.seed))
                     print(f"{workload} pair {k} {side}: "
                           f"{json.dumps(runs[side][-1])}", flush=True)
+            pair_stats = stats(runs["parent"], runs["change"], better, bound)
+            for metric, entry in pair_stats.items():
+                print(verdict_line(workload, metric, entry), flush=True)
             result["workloads"][workload] = {
                 **runs,
-                "stats": stats(runs["parent"], runs["change"], better),
+                "stats": pair_stats,
                 "traced": {side: run(trees[side], workload, seconds, 1,
                                      args.seed)
                            for side in ("parent", "change")}}
