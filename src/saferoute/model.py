@@ -19,7 +19,9 @@ a departure at t = 25.5 reads the 01:00-02:00 entry.  Within one hour
 the speed is constant; a traversal that spans an hour boundary
 continues at the next hour's speed from the boundary onward.  Because
 speed depends on the clock only, never on position, an earlier
-departure can never arrive later (first-in-first-out).
+departure can never arrive later (first-in-first-out), and none
+crosses an arc faster than its length over its highest hourly speed:
+the fastest time an instance's lazy ``fastest_matrix`` holds.
 
 A reading depends only on the arc's profiles and the departure, and a
 solve drives the same arcs at the same departures many times over (the
@@ -79,9 +81,15 @@ def hour_index(t: float) -> int:
 
 @dataclass(frozen=True)
 class TimeProfile:
-    """24 hourly values; entry ``h`` applies on [h, h+1) o'clock."""
+    """24 hourly values; entry ``h`` applies on [h, h+1) o'clock.
+
+    Construction sets ``bounds``, ``(min(values), max(values))``, and
+    ``is_constant``, whether the two are equal; neither is compared.
+    """
 
     values: tuple[float, ...]
+    bounds: tuple[float, float] = field(init=False, repr=False, compare=False)
+    is_constant: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.values) != HOURS_PER_DAY:
@@ -90,25 +98,15 @@ class TimeProfile:
             )
         if not all(map(math.isfinite, self.values)):
             raise InvalidProfileError("profile values must be finite")
-        object.__setattr__(self, "values", tuple(map(float, self.values)))
+        values = tuple(map(float, self.values))
+        bounds = min(values), max(values)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "is_constant", bounds[0] == bounds[1])
 
     @classmethod
     def constant(cls, value: float) -> "TimeProfile":
         return cls((float(value),) * HOURS_PER_DAY)
-
-    @cached_property
-    def is_constant(self) -> bool:
-        return len(set(self.values)) == 1
-
-    @cached_property
-    def bounds(self) -> tuple[float, float]:
-        """``(min(values), max(values))``, computed once per profile.
-
-        Every value is finite, so all of them lie in a range exactly
-        when these two do: arcs sharing one profile object share one
-        scan of its values.
-        """
-        return min(self.values), max(self.values)
 
 
 def _check_profile(arc: "Arc", kind: str, lo: float, hi: float,
@@ -116,7 +114,7 @@ def _check_profile(arc: "Arc", kind: str, lo: float, hi: float,
     """Raise unless each value of the arc's ``kind`` profile is in range.
 
     The range is (lo, hi] when ``lo_strict``, else [lo, hi].  A valid
-    profile costs two comparisons against its cached ``bounds``; only a
+    profile costs two comparisons against its ``bounds``; only a
     failing one is scanned hour by hour, to name its first offending
     value in the error.
     """
@@ -168,18 +166,25 @@ class Node:
             )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Arc:
     """Directed road segment with its three hourly profiles.
 
     Construction checks speed in (0, inf), TTI in [1, inf) and crash in
-    (0, 1] with one expression on the profiles' cached ``bounds``, so a
-    profile shared by many arcs is scanned once and a valid arc costs
-    four comparisons.  Only when that expression fails are the profiles
-    scanned, in that order, and the first one out of range raises
-    ``InvalidProfileError`` naming the arc, the kind, the first
+    (0, 1] with one expression on the profiles' ``bounds``, so a valid
+    arc costs four comparisons.  Only when that expression fails are the
+    profiles scanned, in that order, and the first one out of range
+    raises ``InvalidProfileError`` naming the arc, the kind, the first
     offending value and its hour.
+
+    Its own slots hold the six fields and ``_readings``, the memo of
+    ``_read_arc`` by departure, None until the first reading (see
+    ``_memo_read``).  The memo is no field, so ``replace``, a pickle or
+    a copy builds a re-validated arc with an empty memo.
     """
+
+    __slots__ = ("tail", "head", "distance", "speed", "tti", "crash",
+                 "_readings")
 
     tail: int
     head: int
@@ -187,12 +192,6 @@ class Arc:
     speed: TimeProfile
     tti: TimeProfile
     crash: TimeProfile
-    # Memo of ``_read_arc`` by departure, None until the first reading
-    # (see ``_memo_read``).  Outside ``__init__`` and comparison, so
-    # ``dataclasses.replace`` gives the new arc an empty memo rather
-    # than this one's readings.
-    _readings: dict[float, tuple[float, float, float]] | None = field(
-        init=False, repr=False, compare=False)
 
     # By hand: the generated one sets each field through
     # ``object.__setattr__`` and then calls ``__post_init__``; storing
@@ -218,14 +217,15 @@ class Arc:
             _check_profile(self, "tti", 1.0, math.inf, lo_strict=False)
             _check_profile(self, "crash", 0.0, 1.0, lo_strict=True)
 
-    @property
-    def fastest(self) -> float:
-        """Hours the arc takes at its highest hourly speed, a lower bound."""
-        return self.distance / self.speed.bounds[1]
+    # The default restores the slots one ``setattr`` at a time, which
+    # the frozen class refuses.
+    def __reduce__(self):
+        return Arc, (self.tail, self.head, self.distance, self.speed,
+                     self.tti, self.crash)
 
 
-# The slot descriptors of the class ``dataclass`` built, which a frozen
-# arc's ``__init__`` and memo write through.
+# The slot descriptors, which a frozen arc's ``__init__`` and memo
+# write through.
 (_set_tail, _set_head, _set_distance, _set_speed, _set_tti, _set_crash,
  _set_readings) = (getattr(Arc, name).__set__ for name in (
     "tail", "head", "distance", "speed", "tti", "crash", "_readings"))
@@ -328,18 +328,21 @@ class Instance:
         return [list(column) for column in zip(*self.length_matrix)]
 
     @cached_property
-    def fastest_ends(self) -> tuple[list[float], list[float]]:
-        """``(into, out_of)``: per node, the least ``Arc.fastest`` of any
-        arc into it and out of it, inf where there is none; lazy."""
-        into = [math.inf] * len(self.nodes)
-        out_of = [math.inf] * len(self.nodes)
+    def fastest_matrix(self) -> list[list[float]]:
+        """``[tail][head]``: the arc's length over its highest hourly
+        speed, a lower bound on its travel time, inf if missing; lazy."""
+        table = [[math.inf] * len(self.nodes) for _ in self.nodes]
         for (tail, head), arc in self.arcs.items():
-            hours = arc.fastest
-            if hours < into[head]:  # comparisons: a third of min()'s cost
-                into[head] = hours
-            if hours < out_of[tail]:
-                out_of[tail] = hours
-        return into, out_of
+            table[tail][head] = arc.distance / arc.speed.bounds[1]
+        return table
+
+    @cached_property
+    def fastest_ends(self) -> tuple[list[float], list[float]]:
+        """``(into, out_of)``: ``fastest_matrix``'s column and row
+        minima, inf where no arc enters or leaves a node; lazy."""
+        table = self.fastest_matrix
+        return ([min(column) for column in zip(*table)],
+                [min(row) for row in table])
 
     def customers(self) -> tuple[int, ...]:
         """Ids of demand vertices (excludes depot and its duplicates)."""

@@ -40,12 +40,13 @@ polish share one insertion search and one 2-opt, and read every
 distance from one table, the instance's ``length_matrix``, or its
 transpose ``length_columns``.
 
-Repair holds its routes as their records and nothing else.  The
-insertion search reads those records and hands back the winning trial's
-record, which its caller stores as the edited route, so it looks up a
-record only for a trial route it audits.  It prices each open position
-with one plain sum and audits a trial route only when it would become
-the new best and an O(1) pre-check lets it fit.
+Repair holds its routes as their records and nothing else, each one
+past its audit, so with a timing.  The insertion search reads those
+records and hands back the winning trial's record, which its caller
+stores as the edited route, so it looks up a record only for a trial
+route it audits.  It prices each open position with one plain sum and
+audits a trial route only when it would become the new best and an
+O(1) pre-check lets it fit.
 The pre-check reads the target route's record: its immediate
 departures, its load, and each stop's latest service start, computed
 backward from the window close, the horizon less the service and the
@@ -55,6 +56,8 @@ of Donati et al. 2008).
 "Fastest" is the arc's length over its highest hourly speed; under FIFO
 no departure drives the arc faster, so for time-dependent profiles the
 latest starts are a relaxation, and for constant ones they are exact.
+Every pre-check reads it from the instance's ``fastest_matrix`` or
+that table's column and row minima, ``fastest_ends``.
 Both series never decrease along the route, so the positions where a
 customer can pass the pre-check form one slice, found by bisection
 (Campbell & Savelsbergh 2004), and only that slice is priced.  Polish's
@@ -86,7 +89,7 @@ from collections.abc import Callable, Sequence, Set as AbstractSet
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .model import Arc, Instance, MissingArcError, ensure_augmented, travel_time
+from .model import Instance, MissingArcError, ensure_augmented, travel_time
 from .phase1 import (
     OBJECTIVES,
     TIME_EPS,
@@ -281,13 +284,14 @@ class RouteRecord:
     ``dispatch``, None for a missing arc, and ``violations`` the audit
     verdict it recorded (a route-shape violation for a missing arc):
     all that ``evaluate`` reads.  The rest is repair's, each computed on
-    its first read.  Position ``pos`` lies between ``before[pos]`` and
-    ``after[pos]`` on the depot-closed path, ``edges[pos]`` apart (an
-    empty route: 0.0).  ``departures[k]`` is the immediate departure
-    just before stop ``k`` (the depot's first) and ``latest[k]`` the
-    latest service start at stop ``k`` that leaves the rest of the
-    route a chance to pass the audit (``_latest_starts``); both are
-    None with the timing.
+    its first read, and repair reads it only on the records it holds,
+    which passed the audit and so have a timing.  Position ``pos`` lies
+    between ``before[pos]`` and ``after[pos]`` on the depot-closed
+    path, ``edges[pos]`` apart (an empty route: 0.0).  ``departures[k]``
+    is the immediate departure just before stop ``k`` (the depot's
+    first) and ``latest[k]`` the latest service start at stop ``k``
+    that leaves the rest of the route a chance to pass the audit
+    (``_latest_starts``).
     """
 
     route: tuple[int, ...]
@@ -315,15 +319,11 @@ class RouteRecord:
             if self.route else (0.0,)
 
     @cached_property
-    def departures(self) -> tuple[float, ...] | None:
-        if self.timing is None:
-            return None
+    def departures(self) -> tuple[float, ...]:
         return (self.dispatch, *(s.departure for s in self.timing.stops))
 
     @cached_property
-    def latest(self) -> tuple[float, ...] | None:
-        if self.timing is None:
-            return None
+    def latest(self) -> tuple[float, ...]:
         return _latest_starts(self.route, self.instance, self.dispatch)
 
 
@@ -331,28 +331,23 @@ class RouteRecord:
 Records = dict[tuple[int, ...], RouteRecord]
 
 
-def _fastest(arc: Arc | None) -> float:
-    """``Arc.fastest``, inf for a missing arc."""
-    return math.inf if arc is None else arc.fastest
-
-
 def _latest_starts(route: tuple[int, ...], instance: Instance,
                    dispatch: float) -> tuple[float, ...]:
-    """Each stop's latest service start, by a backward pass at fastest
-    times from the window close and the horizon less the service and
-    the fastest return."""
+    """Each stop's latest service start, by a backward pass at the
+    fastest times of ``instance.fastest_matrix`` from the window close
+    and the horizon less the service and the fastest return."""
+    fastest = instance.fastest_matrix
     horizon = dispatch + instance.latest_time
     latest = [0.0] * len(route)
     leave_by = math.inf  # latest departure that reaches the next stop in time
     for k in reversed(range(len(route))):
         node = instance.node(route[k])
-        home = 0.0 if instance.is_dummy(node.id) else _fastest(
-            instance.arcs.get((node.id, instance.terminal_id)))
+        home = 0.0 if instance.is_dummy(node.id) \
+            else fastest[node.id][instance.terminal_id]
         latest[k] = min(dispatch + node.window_close,
                         min(horizon - home, leave_by) - node.service_time)
         if k:
-            leave_by = latest[k] - _fastest(
-                instance.arcs.get((route[k - 1], node.id)))
+            leave_by = latest[k] - fastest[route[k - 1]][node.id]
     return tuple(latest)
 
 
@@ -378,13 +373,12 @@ def _may_fit(record: RouteRecord, pos: int, c: int, instance: Instance,
              dispatch: float) -> bool:
     """O(1) necessary condition for c at ``pos`` to pass the audit.
 
-    Serving c right after the departure before ``pos`` must start
-    within c's window, leave time to regain the depot within the
-    horizon, and reach the old stop ``pos`` by its latest start.  A
-    missing arc defers to the audit.
+    Serving c right after the departure before ``pos`` of the held
+    ``record`` must start within c's window, leave time to regain the
+    depot within the horizon, and reach the old stop ``pos`` by its
+    latest start.  A missing arc into, out of or home from c defers to
+    the audit.
     """
-    if record.departures is None:
-        return True
     prev, nxt = record.before[pos], record.after[pos]
     into = instance.arcs.get((prev, c))
     onward = instance.arcs.get((c, nxt))
@@ -411,9 +405,9 @@ def _window_bounds(c: int, instance: Instance,
     A position whose latest start ``latest[pos]`` lies below ``ready``
     cannot be reached in time after serving c, and one whose departure
     ``departures[pos]`` lies above ``close_by`` cannot reach c by its
-    window close, even at the fastest time of any arc out of or into c;
-    each bound carries twice ``_FIT_MARGIN``, so ``_may_fit`` turns down
-    every position it cuts.
+    window close, even at the fastest time of any arc out of or into c
+    (``instance.fastest_ends``); each bound carries twice
+    ``_FIT_MARGIN``, so ``_may_fit`` turns down every position it cuts.
     """
     into, out_of = instance.fastest_ends
     node = instance.node(c)
@@ -429,11 +423,11 @@ def _cheapest_insertion(held: list[RouteRecord], c: int, instance: Instance,
                         ) -> tuple[int, RouteRecord] | None:
     """Cheapest feasible insertion of customer c into ``held``, or None.
 
-    ``held`` is the caller's routes, one record each.  Returns
-    ``(index, record)``: the index of the route c joins and the winning
-    trial route's record, the very entry of ``records`` its audit made,
-    so the caller stores it with ``k, held[k] = best``.  Scans the
-    window slice of every route whose index is not in the set ``skip``
+    ``held`` is the caller's routes, one record each, each past its
+    audit.  Returns ``(index, record)``: the index of the route c joins
+    and the winning trial route's record, the very entry of ``records``
+    its audit made, so the caller stores it with ``k, held[k] = best``.
+    Scans the window slice of every route whose index is not in the set ``skip``
     and that has room for c; polish skips c's own route and the routes
     that offered c nothing and have not changed since.  A position
     becomes the best when its distance growth ``delta`` undercuts
@@ -443,8 +437,7 @@ def _cheapest_insertion(held: list[RouteRecord], c: int, instance: Instance,
     A route's window slice is the range ``[lo, hi)`` of positions
     whose latest start is at least ``ready`` and whose departure is at
     most ``close_by`` (``_window_bounds``), found by bisection, as both
-    series never decrease; a route with an empty slice is skipped, and
-    one that drives a missing arc (no departures) is scanned whole.  A
+    series never decrease; a route with an empty slice is skipped.  A
     position outside the slice fails ``_may_fit``, or drives a missing
     arc into or out of c that the audit rejects, so the slice changes
     what is priced, never what is found.  A NaN bound cuts nothing:
@@ -479,13 +472,10 @@ def _cheapest_insertion(held: list[RouteRecord], c: int, instance: Instance,
     for ri, record in enumerate(held):
         if ri in skip or record.load + demand > room:
             continue
-        if record.departures is None:
-            lo, hi = 0, len(record.edges)
-        else:
-            lo = bisect_left(record.latest, ready)
-            hi = bisect_right(record.departures, close_by)
-            if lo >= hi:
-                continue
+        lo = bisect_left(record.latest, ready)
+        hi = bisect_right(record.departures, close_by)
+        if lo >= hi:
+            continue
         before, after, edges = record.before, record.after, record.edges
         for pos in range(lo, hi):
             delta = into_c[before[pos]] + out_of_c[after[pos]] - edges[pos]
@@ -507,7 +497,9 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
     Each route keeps its customers at their first visit (pass-through
     vertices, depot copies and surplus copies go), then sheds in rounds
     every stop its own audit names (on a capacity overflow the heaviest
-    customer, on a late return the last stop) until it passes.  The
+    customer) until it passes.  A late return is named twice, as the
+    last stop's ``horizon-return`` and as the route's ``horizon``, so
+    that round sheds the last stop, then the new last one.  The
     bank, every customer no route serves, is re-added earliest window
     first at the feasible position that adds least distance, and the
     routes are polished, all reading route audits from ``records``, the
@@ -566,13 +558,14 @@ def _may_keep_order(route: list[int], instance: Instance,
     timing starts a stop earlier, and the audit would find it late too.
     A missing arc defers to the audit.
     """
+    fastest = instance.fastest_matrix
     depart, prev = dispatch, 0
     for n in route:
-        arc = instance.arcs.get((prev, n))
-        if arc is None:
+        hours = fastest[prev][n]
+        if hours == math.inf:
             return True
         node = instance.node(n)
-        start = max(depart + arc.fastest, dispatch + node.window_open)
+        start = max(depart + hours, dispatch + node.window_open)
         if start > dispatch + node.window_close + _FIT_MARGIN:
             return False
         depart, prev = start + node.service_time, n

@@ -44,7 +44,6 @@ from saferoute.phase2 import (
 from saferoute.solver import (
     _SHORTER,
     _cheapest_insertion,
-    _fastest,
     _insertion_delta,
     _record,
     _route_load,
@@ -452,34 +451,35 @@ def reference_schedule_graph(route: tuple[int, ...], instance: Instance,
     return ScheduleGraph(tuple(times), tuple(edges), tuple(sink))
 
 
+def reference_fastest(instance: Instance, tail: int, head: int) -> float:
+    """The arc's length over the largest of its hourly speeds, inf if
+    the arc is missing."""
+    arc = instance.arcs.get((tail, head))
+    return math.inf if arc is None else arc.distance / max(arc.speed.values)
+
+
 def reference_summary(route: tuple[int, ...], instance: Instance,
                       dispatch: float, timing) -> dict:
     """Every ``solver.RouteRecord`` field, by name, as records were
     filled when each was built whole: edge lengths and a backward
-    latest-start pass around the route's immediate ``timing`` (None
-    for a missing arc)."""
+    latest-start pass around the route's immediate ``timing``."""
     load = _route_load(instance, route)
     length = instance.length_matrix
     before, after = (0, *route), (*route, instance.terminal_id)
     edges = tuple(map(lambda a, b: length[a][b], before, after)) \
         if route else (0.0,)
-    if timing is None:
-        return dict(timing=None, load=load, before=before, after=after,
-                    edges=edges, departures=None, latest=None, violations=(
-                        Violation("route-shape", 0, None,
-                                  "no arc joins the visits"),))
     horizon = dispatch + instance.latest_time
     latest = [0.0] * len(route)
     leave_by = math.inf  # latest departure that reaches the next stop in time
     for k in reversed(range(len(route))):
         node = instance.node(route[k])
-        home = 0.0 if instance.is_dummy(node.id) else _fastest(
-            instance.arcs.get((node.id, instance.terminal_id)))
+        home = 0.0 if instance.is_dummy(node.id) else reference_fastest(
+            instance, node.id, instance.terminal_id)
         latest[k] = min(dispatch + node.window_close,
                         min(horizon - home, leave_by) - node.service_time)
         if k:
-            leave_by = latest[k] - _fastest(
-                instance.arcs.get((route[k - 1], node.id)))
+            leave_by = latest[k] - reference_fastest(
+                instance, route[k - 1], node.id)
     departures = (dispatch, *(s.departure for s in timing.stops))
     return dict(timing=timing, load=load, before=before, after=after,
                 edges=edges, departures=departures, latest=tuple(latest),

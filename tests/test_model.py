@@ -1,8 +1,10 @@
 """Arc traversal, profile handling and depot augmentation."""
 
+import copy
 import math
+import pickle
 import random
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +33,7 @@ from saferoute.model import (
     traverse,
 )
 
-from helpers import reference_profile_check
+from helpers import reference_fastest, reference_profile_check
 from oracle_utils import euler_travel_time
 
 
@@ -71,6 +73,25 @@ class TestTimeProfile:
     def test_hour_index_rejects_negative(self):
         with pytest.raises(ModelError):
             hour_index(-0.1)
+
+    @given(st.one_of(
+        # 24 draws from a few values, so repeats and -0.0 beside 0.0
+        st.lists(st.sampled_from((0.0, -0.0)) | st.floats(-1e3, 1e3),
+                 min_size=1, max_size=3).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=24,
+                                  max_size=24)).map(
+            lambda values: TimeProfile(tuple(values))),
+        st.floats(allow_nan=False, allow_infinity=False).map(
+            TimeProfile.constant)))
+    @settings(max_examples=300, deadline=None)
+    def test_range_is_set_at_construction(self, profile):
+        values = profile.values
+        assert repr(profile.bounds) == repr((min(values), max(values)))
+        assert profile.is_constant == (len(set(values)) == 1)
+        same = replace(profile)
+        assert same == profile and hash(same) == hash(profile)
+        assert repr(same) == repr(profile) == f"TimeProfile(values={values!r})"
+        assert repr(same.bounds) == repr(profile.bounds)
 
 
 class TestTravelTime:
@@ -365,6 +386,24 @@ class TestValidation:
         assert again == arc and not again._readings
         assert [leg(again, d) for d in (0.5, 7.25, 30.0)] == readings
 
+    def test_arc_declares_its_own_slots(self):
+        # the memo is a slot and no field: the frozen class refuses any
+        # assignment, and a pickle or a copy, of an arc or an instance,
+        # builds each arc again through its checks, with an empty memo
+        arc = make_arc(distance=25.0, speed=profile_with({7: 50.0}, 30.0))
+        leg(arc, 7.5)
+        assert arc._readings and not hasattr(arc, "__dict__")
+        assert [f.name for f in fields(Arc)] \
+            == ["tail", "head", "distance", "speed", "tti", "crash"]
+        with pytest.raises(FrozenInstanceError):
+            arc.memo = 1
+        for again in (pickle.loads(pickle.dumps(arc)), copy.copy(arc),
+                      copy.deepcopy(arc)):
+            assert again == arc and again is not arc
+            assert again._readings is None
+        inst = augment_depot(replace(small_instance(2), dummy_count=1))
+        assert pickle.loads(pickle.dumps(inst)) == inst == copy.deepcopy(inst)
+
     @given(pool=st.lists(PROFILES, min_size=1, max_size=4),
            picks=st.lists(st.tuples(*[st.integers(0, 3)] * 3),
                           min_size=1, max_size=6))
@@ -498,6 +537,21 @@ class TestLengthMatrix:
                 assert columns[j][i] == table[i][j]
         assert 0 < missing < n * n - n  # a sparse graph
 
+    @pytest.mark.parametrize("name", ["case", "R101"])
+    def test_fastest_matrix_is_each_arcs_fastest_time(self, name):
+        # each entry is the arc's length over its largest hourly speed,
+        # inf for a missing arc; set-up builds neither fastest table
+        inst = ensure_augmented(
+            load_case_study(bundled_case_study_dir()) if name == "case"
+            else load_solomon("R101"))
+        assert "fastest_matrix" not in inst.__dict__
+        assert "fastest_ends" not in inst.__dict__
+        table = inst.fastest_matrix
+        n = len(inst.nodes)
+        assert len(table) == n and all(len(row) == n for row in table)
+        assert [[reference_fastest(inst, i, j) for j in range(n)]
+                for i in range(n)] == table
+
     def test_fastest_ends_are_the_least_fastest_times(self):
         # the window slice of an insertion reads these bounds; set-up
         # never builds them, and no departure drives an arc faster, up
@@ -509,15 +563,17 @@ class TestLengthMatrix:
             load_solomon("R101")).__dict__
         into, out_of = inst.fastest_ends
         for v in range(len(inst.nodes)):
-            assert into[v] == min((a.fastest for (_, h), a in inst.arcs.items()
-                                   if h == v), default=math.inf)
-            assert out_of[v] == min((a.fastest for (t, _), a
-                                     in inst.arcs.items() if t == v),
+            assert into[v] == min((reference_fastest(inst, t, h)
+                                   for t, h in inst.arcs if h == v),
+                                  default=math.inf)
+            assert out_of[v] == min((reference_fastest(inst, t, h)
+                                     for t, h in inst.arcs if t == v),
                                     default=math.inf)
         assert math.inf in into or math.inf in out_of  # a sparse graph
-        for arc in inst.arcs.values():
-            assert all(travel_time(arc, h / 4) >= arc.fastest - 1e-12
-                       for h in range(96))
+        for (t, h), arc in inst.arcs.items():
+            fastest = reference_fastest(inst, t, h)
+            assert all(travel_time(arc, k / 4) >= fastest - 1e-12
+                       for k in range(96))
 
     def test_replaced_instance_gets_a_fresh_table(self):
         inst = augment_depot(replace(small_instance(3), dummy_count=1))

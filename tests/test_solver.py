@@ -13,7 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import saferoute
@@ -291,6 +291,29 @@ def test_make_feasible_survives_a_route_it_empties():
         == sorted(inst.customers())
 
 
+def test_a_late_return_sheds_the_last_two_stops_in_one_round():
+    # only the return from 3 is late, yet the audit names it twice: as
+    # stop 3's horizon-return and as the route's horizon.  So one
+    # ejection round sheds 3 and then 2, although (1, 2) passes
+    inst = build_augmented([{"x": 10}, {"x": 20}, {"x": 30}], latest=2.2)
+    late = time_route((1, 2, 3), inst, 0.0).violations
+    assert [(v.constraint, v.node) for v in late] \
+        == [("horizon-return", 3), ("horizon", None)]
+    assert not time_route((1, 2), inst, 0.0).violations
+    scans = []
+    insertion = solver._cheapest_insertion
+
+    def seen(held, *args, **kwargs):
+        scans.append([record.route for record in held])
+        return insertion(held, *args, **kwargs)
+
+    with mock.patch.object(solver, "_cheapest_insertion", seen):
+        fixed = make_feasible(RoutingSolution(((1, 2, 3), ())), inst, 0.0)
+    assert scans[0] == [(1,), ()]  # the bank's first scan
+    assert fixed is not None and _passes_audit(fixed, inst, 0.0)
+    assert sorted(n for r in fixed.routes for n in r) == [1, 2, 3]
+
+
 @lru_cache(maxsize=None)
 def audit_instance(name):
     if name == "R101":
@@ -339,7 +362,8 @@ def test_cheapest_insertion_matches_reference_scan(data, name, dispatch,
     # mode and in polish mode, with any set of routes skipped; the
     # sparse case study and the lines with a missing arc put infinite
     # and NaN deltas and empty routes through the one-pass pricing and
-    # its skip
+    # its skip.  The routes are cut to prefixes that pass their audit,
+    # as every route repair holds does
     inst = audit_instance(name)
     visits = data.draw(st.lists(st.sampled_from(inst.customers()),
                                 min_size=2, max_size=14, unique=True))
@@ -350,17 +374,20 @@ def test_cheapest_insertion_matches_reference_scan(data, name, dispatch,
     if data.draw(st.booleans()):  # window order makes more trials feasible
         routes = [sorted(r, key=lambda n: inst.node(n).window_close)
                   for r in routes]
+    routes = [_feasible_prefix(r, inst, dispatch) for r in routes]
     skip = data.draw(st.sets(st.integers(0, len(routes) - 1),
                              max_size=len(routes)))
     if polish:
-        ri = next(k for k, r in enumerate(routes) if r)
+        ri = next((k for k, r in enumerate(routes) if r), None)
+        assume(ri is not None)
         c = routes[ri][data.draw(st.integers(0, len(routes[ri]) - 1))]
         i = routes[ri].index(c)
         options = dict(skip=skip | {ri}, below=_insertion_delta(
             inst, routes[ri][:i] + routes[ri][i + 1:], i, c))
-    else:
-        c = routes[-1].pop() if routes[-1] else visits[0]
-        routes = [[n for n in r if n != c] for r in routes]
+    else:  # c is served by no route, or the last stop of the last one
+        spare = [n for n in visits if all(n not in r for r in routes)]
+        c = spare[0] if spare else next(r for r in reversed(routes)
+                                        if r).pop()
         options = dict(skip=skip)
     records = {}
     held = [_record(r, inst, dispatch, records) for r in routes]
@@ -447,6 +474,43 @@ def test_repair_stores_the_records_the_search_returns(data, name, dispatch):
         assert list(repaired.routes) == final[0]
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(),
+       name=st.sampled_from(["R101", "RND25", "case", "line without 1 0",
+                             "line without 1 2"]),
+       dispatch=st.sampled_from([0.0, 7.0, 12.0, 17.0]))
+def test_held_records_pass_their_audit(data, name, dispatch):
+    # every record repair holds, as each insertion scan reads it and as
+    # polish leaves it, passed its one-route audit, so it has a timing:
+    # none drives a missing arc, and the search reads no record without
+    # departures and latest starts
+    inst = audit_instance(name)
+    visits = data.draw(st.permutations(inst.customers()))
+    fleet = inst.fleet.count
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(visits)),
+                                     min_size=fleet - 1, max_size=fleet - 1)))
+    bounds = [0, *cuts, len(visits)]
+    start = RoutingSolution(tuple(tuple(visits[a:b])
+                                  for a, b in zip(bounds, bounds[1:])))
+    held_seen = []
+    insertion, polish = solver._cheapest_insertion, solver._polish
+
+    def scanned(held, *args, **kwargs):
+        held_seen.append(list(held))
+        return insertion(held, *args, **kwargs)
+
+    def polished(held, *args):
+        polish(held, *args)
+        held_seen.append(list(held))
+
+    with mock.patch.object(solver, "_cheapest_insertion", scanned), \
+            mock.patch.object(solver, "_polish", polished):
+        make_feasible(start, inst, dispatch)
+    for held in held_seen:
+        for record in held:
+            assert record.timing is not None and not record.violations
+
+
 def test_polish_keeps_a_donor_that_would_turn_late():
     # the direct arc 1 -> 3 is slower than the two legs through 2, so
     # moving 2 next to 4, which shortens the total, would start 3 after
@@ -501,6 +565,15 @@ def _tightened(inst, trial, pos, dispatch, what, pick):
     return replace(inst, nodes=tuple(nodes))
 
 
+def _feasible_prefix(route, inst, dispatch) -> list[int]:
+    """``route``'s longest prefix that passes the one-route audit, maybe
+    empty: a prefix of a feasible route is feasible."""
+    route = list(route)
+    while route and reference_route_audit(tuple(route), inst, dispatch):
+        route.pop()
+    return route
+
+
 def _feasible_route(data, inst, dispatch, c):
     """A drawn route without c that passes the audit (maybe empty): one
     of up to four cuts of up to 12 visits, each cut to its longest
@@ -513,13 +586,9 @@ def _feasible_route(data, inst, dispatch, c):
     cuts = sorted(data.draw(st.lists(st.integers(0, len(visits)),
                                      max_size=3)))
     bounds = [0, *cuts, len(visits)]
-    routes = []
-    for a, b in zip(bounds, bounds[1:]):
-        route = visits[a:b]
-        while route and reference_route_audit(tuple(route), inst, dispatch):
-            route.pop()  # a prefix of a feasible route is feasible
-        routes.append(route)
-    return data.draw(st.sampled_from(routes))
+    return data.draw(st.sampled_from([
+        _feasible_prefix(visits[a:b], inst, dispatch)
+        for a, b in zip(bounds, bounds[1:])]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -566,8 +635,6 @@ def test_window_slice_holds_every_trial_the_audit_accepts(data, name,
                           dispatch, tighten,
                           data.draw(st.integers(0, len(route))))
     record = solver._record(route, inst, dispatch, {})
-    if record.departures is None:
-        return  # scanned whole
     for series in (record.departures, record.latest):
         assert all(a <= b for a, b in zip(series, series[1:]))
     ready, close_by = solver._window_bounds(c, inst, dispatch)
@@ -600,8 +667,7 @@ def test_reversal_precheck_passes_every_route_the_audit_accepts(
     i = data.draw(st.integers(0, len(route) - 1))
     j = data.draw(st.integers(i, len(route) - 1))
     route[i:j + 1] = route[i:j + 1][::-1]
-    while route and reference_route_audit(tuple(route), inst, dispatch):
-        route.pop()  # a prefix of a feasible route is feasible
+    route = _feasible_prefix(route, inst, dispatch)
     if route and tighten is not None:
         inst = _tightened(inst, route, 0, dispatch, tighten,
                           data.draw(st.integers(0, len(route))))
@@ -655,8 +721,9 @@ def test_r101_solve_audits_only_winning_trials(monkeypatch):
 def test_lazy_record_equals_eager_summary(data, seed, dispatch):
     # a record fills repair's fields on first read; each equals, bit
     # for bit, what the summary built with every record computed,
-    # whether repair or evaluate made the record, and for routes that
-    # drive a missing arc or lack a way home too
+    # whether repair or evaluate made the record, also on a graph that
+    # lacks an arc of the drawn route or its way home.  Only records
+    # that pass their audit are drawn, as repair reads no other
     rng = random.Random(seed)
     inst = random_instance(rng, rng.randint(2, 5),
                            dummies=rng.randint(0, 2))
@@ -668,10 +735,8 @@ def test_lazy_record_equals_eager_summary(data, seed, dispatch):
         [*zip(path, path[1:]), *((n, inst.terminal_id) for n in route)]))
     inst = replace(inst, arcs={k: a for k, a in inst.arcs.items()
                                if k != cut})
-    try:
-        timing = time_route(route, inst, dispatch)
-    except MissingArcError:
-        timing = None
+    route = tuple(_feasible_prefix(route, inst, dispatch))
+    timing = time_route(route, inst, dispatch)
     records = {}
     evaluate(RoutingSolution((route,)), inst,
              SolverConfig(objective="distance"), dispatch,
