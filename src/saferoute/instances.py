@@ -29,6 +29,7 @@ from .model import (
     ModelError,
     Node,
     TimeProfile,
+    _build_arcs,
     ensure_augmented,
 )
 
@@ -144,7 +145,9 @@ def parse_solomon(text: str) -> Instance:
     probability so risk objectives stay well defined.
 
     Raises:
-        InstanceError: structural problems, naming the offending line.
+        InstanceError: structural problems or values the model refuses
+            in a customer row, naming the offending line; or an
+            inconsistent instance.
     """
     lines = text.splitlines()
     name = ""
@@ -201,29 +204,32 @@ def parse_solomon(text: str) -> Instance:
         if cid in seen:
             raise InstanceError(f"line {i + 1}: duplicate customer id {cid}")
         seen.add(cid)
-        rows.append((cid, *vals))
+        rows.append((cid, *vals, i + 1))
     if len(rows) < 2:
         raise InstanceError("no customer rows found")
 
     rows.sort(key=lambda r: r[0])
     if [r[0] for r in rows] != list(range(len(rows))):
         raise InstanceError("customer ids must be consecutive from 0")
-    depot_due = rows[0][5]
-    nodes = tuple(
-        Node(cid, x, y, demand, service, ready, due)
-        for cid, x, y, demand, ready, due, service in rows
-    )
-    unit = TimeProfile.constant(1.0)
-    neutral_tti = TimeProfile.constant(1.0)
-    crash = TimeProfile.constant(1e-4)
+    nodes = []
+    for cid, x, y, demand, ready, due, service, line in rows:
+        try:
+            nodes.append(Node(cid, x, y, demand, service, ready, due))
+        except ModelError as exc:
+            raise InstanceError(
+                f"line {line}: bad customer row ({exc})") from exc
+    profiles = (TimeProfile.constant(1.0), TimeProfile.constant(1.0),
+                TimeProfile.constant(1e-4))  # unit speed, neutral TTI, crash
     points = [(n.id, n.x, n.y) for n in nodes]
-    arcs = {}
-    for a, ax, ay in points:
-        for b, bx, by in points:
-            if a != b:
-                dist = math.hypot(ax - bx, ay - by) or 1e-9
-                arcs[(a, b)] = Arc(a, b, dist, unit, neutral_tti, crash)
-    return Instance(name, nodes, arcs, fleet, depot_due, dummy_count=2)
+    hypot = math.hypot
+    try:
+        arcs = _build_arcs((a, b, hypot(ax - bx, ay - by) or 1e-9, profiles)
+                           for a, ax, ay in points
+                           for b, bx, by in points if a != b)
+        return Instance(name, tuple(nodes), arcs, fleet, nodes[0].window_close,
+                        dummy_count=2)
+    except ModelError as exc:
+        raise InstanceError(f"inconsistent instance: {exc}") from exc
 
 
 # --------------------------------------------------------------------------

@@ -71,6 +71,28 @@ def reference_profile_check(tail: int, head: int, speed: TimeProfile,
     return None
 
 
+def reference_augmented_arcs(instance: Instance) -> dict[tuple[int, int], Arc]:
+    """The arcs ``augment_depot`` gives ``instance``, by two scans.
+
+    The plain instance's arcs, then one terminal copy of each arc into
+    the depot, then per pass-through copy one copy of each arc out of
+    the depot and one of each arc into it; each scan keeps the order the
+    instance holds its arcs in, and each copy is built by ``Arc(...)``.
+    """
+    terminal = len(instance.nodes)
+    into = [arc for (i, j), arc in instance.arcs.items() if j == 0]
+    out = [arc for (i, j), arc in instance.arcs.items() if i == 0]
+    arcs = dict(instance.arcs)
+    ends = [(arc, arc.tail, terminal) for arc in into]
+    for dummy in range(terminal + 1, terminal + 1 + instance.dummy_count):
+        ends += [(arc, dummy, arc.head) for arc in out]
+        ends += [(arc, arc.tail, dummy) for arc in into]
+    for arc, tail, head in ends:
+        arcs[(tail, head)] = Arc(tail, head, arc.distance, arc.speed,
+                                 arc.tti, arc.crash)
+    return arcs
+
+
 def reference_profile(spec: StepFunctionSpec, kind: str) -> tuple[float, ...]:
     """A generated profile's values, one clipped uniform draw per hour.
 

@@ -212,6 +212,36 @@ def test_parse_solomon_errors():
         parse_solomon("\n\n")
 
 
+@pytest.mark.parametrize("edits, message", [
+    ({"    1      13         14         12":
+      "    1      13         14        -12"},
+     "line 10: bad customer row (node 1: negative demand)"),
+    ({"    2       6         10         30         20        60":
+      "    2       6         10         30         70        60"},
+     "line 11: bad customer row (node 2: bad window [70.0, 60.0])"),
+    ({"    3      10         18": "    3     nan         18"},
+     "line 12: bad customer row (node 3: x must be finite, got nan)"),
+    ({"    0      10         10          0":
+      "    0      10         10          5"},
+     "inconsistent instance: depot must have zero demand and service time"),
+    ({"          0       100          0": "          0         0          0"},
+     "inconsistent instance: latest planning time must be positive"),
+    ({"    1      13": "    1   1e308", "    3      10": "    3  -1e308"},
+     "inconsistent instance: arc (1, 3): distance must be positive and "
+     "finite"),
+], ids=["negative-demand", "reversed-window", "nan-x", "depot-demand",
+        "depot-due-zero", "overflowing-distance"])
+def test_parse_solomon_names_the_values_the_model_refuses(edits, message):
+    # each of these used to raise a bare ModelError, naming no line
+    text = SMALL_SOLOMON
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    with pytest.raises(InstanceError) as err:
+        parse_solomon(text)
+    assert str(err.value) == message
+
+
 # -- native format -----------------------------------------------------------
 
 def test_native_round_trip_is_fixed_point():

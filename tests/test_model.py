@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from saferoute import model
 from saferoute.instances import (
     bundled_case_study_dir,
+    generate_instance,
     load_case_study,
     load_solomon,
 )
@@ -32,8 +33,13 @@ from saferoute.model import (
     travel_time,
     traverse,
 )
+from saferoute.phase1 import default_crash_scale
 
-from helpers import reference_fastest, reference_profile_check
+from helpers import (
+    reference_augmented_arcs,
+    reference_fastest,
+    reference_profile_check,
+)
 from oracle_utils import euler_travel_time
 
 
@@ -346,6 +352,14 @@ PROFILES = st.one_of(
               HOURLY).map(lambda d: profile_with({d[1]: d[2]}, d[0])),
 )
 
+#: In-range profiles, constant or hourly, for speed, TTI and crash.
+VALID_TRIPLES = st.tuples(*(
+    st.one_of(values.map(TimeProfile.constant),
+              st.lists(values, min_size=24, max_size=24).map(
+                  lambda vs: TimeProfile(tuple(vs))))
+    for values in (st.floats(1e-3, 120.0), st.floats(1.0, 4.0),
+                   st.floats(1e-9, 1.0))))
+
 
 class TestValidation:
     def test_arc_rejects_bad_values(self):
@@ -361,6 +375,10 @@ class TestValidation:
             make_arc(crash=TimeProfile.constant(1.1))
         with pytest.raises(ModelError):
             make_arc(tail=3, head=3)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ModelError, match=r"^arc \(0, 1\): distance "
+                               r"must be positive and finite$"):
+                make_arc(distance=bad)
 
     def test_arc_keeps_its_value_semantics(self):
         rng = random.Random(3)
@@ -421,6 +439,73 @@ class TestValidation:
                 Arc(k, k + 1, 1.0, speed, tti, crash)
             assert str(err.value) == expected
 
+    @given(triples=st.lists(VALID_TRIPLES, min_size=1, max_size=3),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bulk_build_is_arc_by_arc(self, triples, data):
+        # rows share one triple, as a loader's do, or draw theirs from a
+        # small pool; at most one row, anywhere, breaks a rule
+        keys = data.draw(st.lists(
+            st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(
+                lambda k: k[0] != k[1]), min_size=1, max_size=10, unique=True))
+        rows = [(tail, head, data.draw(st.floats(1e-6, 1e6)),
+                 data.draw(st.sampled_from(triples)))
+                for tail, head in keys]
+        fault = data.draw(st.one_of(st.none(), st.tuples(
+            st.integers(0, len(rows) - 1), st.sampled_from(
+                ("self-loop", 0.0, -0.0, math.inf, math.nan, "speed", "tti",
+                 "crash")), st.integers(0, 23))))
+        if fault is not None:
+            at, what, hour = fault
+            tail, head, length, triple = rows[at]
+            if what == "self-loop":
+                rows[at] = (tail, tail, length, triple)
+            elif isinstance(what, float):
+                rows[at] = (tail, head, what, triple)
+            else:  # one hour out of range, in a triple of its own
+                kind = ("speed", "tti", "crash").index(what)
+                bad = profile_with({hour: (0.0, 0.5, 1.5)[kind]}, 1.0)
+                rows[at] = (tail, head, length,
+                            triple[:kind] + (bad,) + triple[kind + 1:])
+        expected, error = {}, None
+        for tail, head, length, triple in rows:
+            try:
+                expected[tail, head] = Arc(tail, head, length, *triple)
+            except ModelError as exc:
+                error = exc
+                break
+        fitted = model._profiles_fit
+        checks = []
+        model._profiles_fit = lambda *triple: checks.append(triple) or \
+            fitted(*triple)
+        try:
+            if error is not None:
+                with pytest.raises(type(error)) as err:
+                    model._build_arcs(rows)
+                assert str(err.value) == str(error)
+                assert getattr(err.value, "kind", None) \
+                    == getattr(error, "kind", None)
+                return
+            built = model._build_arcs(rows)
+        finally:
+            model._profiles_fit = fitted
+        # each run of rows sharing one triple checks it once
+        runs = [triple for k, (*_, triple) in enumerate(rows)
+                if k == 0 or triple is not rows[k - 1][3]]
+        assert checks == runs
+        assert list(built) == list(expected)
+        for key, arc in built.items():
+            twin = expected[key]
+            assert arc == twin and hash(arc) == hash(twin)
+            assert repr(arc) == repr(twin)
+            assert [getattr(arc, f.name) for f in fields(Arc)] \
+                == [getattr(twin, f.name) for f in fields(Arc)]
+            assert type(arc) is Arc and arc._readings is None
+            with pytest.raises(FrozenInstanceError):
+                arc.tail = twin.head
+            again = pickle.loads(pickle.dumps(arc))
+            assert again == arc and again._readings is None
+
     def test_node_validation(self):
         with pytest.raises(ModelError):
             Node(1, 0, 0, demand=-1)
@@ -442,6 +527,24 @@ class TestValidation:
             Fleet(0, 100)
         with pytest.raises(ModelError):
             Fleet(2, 0)
+
+    @pytest.mark.parametrize("key, ends, message", [
+        ((1, 0), (0, 1), "arc key (1, 0) mismatches arc endpoints"),
+        ((2, 0), (2, 1), "arc key (2, 0) mismatches arc endpoints"),
+        (("0", "1"), (0, 1), "arc key (0, 1) mismatches arc endpoints"),
+        ((4, 0), (4, 0), "arc (4, 0) references unknown node"),
+        ((0, -1), (0, -1), "arc (0, -1) references unknown node"),
+        (("a", 1), ("a", 1), "arc (a, 1) references unknown node"),
+    ], ids=["swapped", "other-head", "str-key", "tail-past-last",
+            "negative-head", "str-node"])
+    def test_instance_checks_each_arcs_key_and_ends(self, key, ends, message):
+        # nodes 0..3: an arc stored under another key, or reaching a
+        # node the instance lacks, is refused however it got there
+        base = small_instance(3)
+        arcs = {**base.arcs, key: make_arc(tail=ends[0], head=ends[1])}
+        with pytest.raises(ModelError) as err:
+            replace(base, arcs=arcs)
+        assert str(err.value) == message
 
 
 def small_instance(n_customers=3) -> Instance:
@@ -508,6 +611,22 @@ class TestAugmentation:
     def test_negative_count_rejected(self):
         with pytest.raises(ModelError):
             replace(small_instance(2), dummy_count=-1)
+
+    @given(seed=st.integers(0, 2**16), dummies=st.integers(0, 3),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_copies_keep_the_instances_arc_order(self, seed, dummies, data):
+        # a hand-ordered file may hold the depot's arcs in any order; the
+        # copies follow it, and the crash scale sums in that order
+        base = generate_instance(3, seed, dummy_count=dummies)
+        order = data.draw(st.permutations(list(base.arcs)))
+        inst = replace(base, arcs={key: base.arcs[key] for key in order})
+        expected = reference_augmented_arcs(inst)
+        augmented = augment_depot(inst)
+        assert list(augmented.arcs) == list(expected)
+        assert augmented.arcs == expected
+        assert default_crash_scale(augmented).hex() == default_crash_scale(
+            replace(augmented, arcs=expected)).hex()
 
     def test_missing_arc_error(self):
         inst = small_instance(2)
