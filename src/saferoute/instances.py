@@ -420,22 +420,21 @@ def generate_instance(size: int, seed: int, *, fleet_count: int | None = None,
         nodes.append(Node(i, x, y, demand, 0.1, open_t, close_t))
     capacity = max(capacity, math.ceil(1.25 * total_demand / k))
 
-    arcs = {}
+    rows = []
     for a in nodes:
         for b in nodes:
             if a.id == b.id:
                 continue
             amplitude = rng.uniform(0.0, max_noise)
-            profiles = {}
-            for kind, levels in (("speed", SPEED_LEVELS), ("tti", TTI_LEVELS),
-                                 ("crash", CRASH_LEVELS)):
-                spec = StepFunctionSpec(levels, noise_amplitude=amplitude,
-                                        seed=rng.getrandbits(32))
-                profiles[kind] = generate_profiles(spec, kind)
+            profiles = tuple(
+                generate_profiles(StepFunctionSpec(
+                    levels, noise_amplitude=amplitude,
+                    seed=rng.getrandbits(32)), kind)
+                for kind, levels in zip(PROFILE_KINDS, (
+                    SPEED_LEVELS, TTI_LEVELS, CRASH_LEVELS)))
             dist = math.hypot(a.x - b.x, a.y - b.y) or 1e-9
-            arcs[(a.id, b.id)] = Arc(a.id, b.id, dist, profiles["speed"],
-                                     profiles["tti"], profiles["crash"])
-    return Instance(f"RND{size}-s{seed}", tuple(nodes), arcs,
+            rows.append((a.id, b.id, dist, profiles))
+    return Instance(f"RND{size}-s{seed}", tuple(nodes), _build_arcs(rows),
                     Fleet(k, float(capacity)), latest, dummy_count=dummy_count)
 
 

@@ -36,15 +36,16 @@ most that times its count of arcs with a varying profile.  Arcs whose
 three profiles are all constant are read in closed form and keep no
 memo.
 
-Loaders that build many arcs from few profiles (the Solomon parser,
-and ``augment_depot`` for its depot copies) pass ``(tail, head,
-distance, profiles)`` rows to ``_build_arcs``, which fills each arc's
-slots without the call of ``Arc.__init__`` and range-checks a profile
-triple once for each run of rows sharing it; both apply the same
-length and range rules, and a row that breaks one is built by ``Arc``
-itself, so its error is ``Arc``'s.  ``Instance`` checks each arc
-against its key and the node ids without building a tuple per arc,
-and ``augment_depot`` finds the depot's arcs in one scan.
+``Arc(...)`` builds one arc through the dataclass's own ``__init__``.
+Every batch of arcs (the Solomon parser, the generator, and
+``augment_depot`` for its depot copies) is built by ``_build_arcs``
+from ``(tail, head, distance, profiles)`` rows: it fills each arc's
+slots without an ``__init__`` call and range-checks a profile triple
+once for each run of rows sharing it.  Both apply the same length and
+range rules, and a row that breaks one is built by ``Arc`` itself, so
+its error is ``Arc``'s.  ``Instance`` checks each arc against its key
+and the node ids without building a tuple per arc, and
+``augment_depot`` finds the depot's arcs in one scan.
 """
 
 from __future__ import annotations
@@ -193,17 +194,19 @@ class Node:
 class Arc:
     """Directed road segment with its three hourly profiles.
 
-    Construction refuses a self-loop and a length that is not positive
-    and finite (``_length_fits``), then checks speed in (0, inf), TTI in
-    [1, inf) and crash in (0, 1] on the profiles' ``bounds``
-    (``_profiles_fit``), so a valid arc costs four comparisons.  Only
-    when those fail are the profiles scanned, in that order, and the
-    first one out of range raises ``InvalidProfileError`` naming the
-    arc, the kind, the first offending value and its hour.
+    Construction, one arc by ``__post_init__`` or a batch by
+    ``_build_arcs``, refuses a self-loop and a length that is not
+    positive and finite (``_length_fits``), then checks speed in
+    (0, inf), TTI in [1, inf) and crash in (0, 1] on the profiles'
+    ``bounds`` (``_profiles_fit``), so a valid arc costs four
+    comparisons.  Only when those fail are the profiles scanned, in
+    that order, and the first one out of range raises
+    ``InvalidProfileError`` naming the arc, the kind, the first
+    offending value and its hour.
 
     Its own slots hold the six fields and ``_readings``, the memo of
     ``_read_arc`` by departure, None until the first reading (see
-    ``_memo_read``).  The memo is no field, so ``replace``, a pickle or
+    ``leg``).  The memo is no field, so ``replace``, a pickle or
     a copy builds a re-validated arc with an empty memo.
     """
 
@@ -217,26 +220,14 @@ class Arc:
     tti: TimeProfile
     crash: TimeProfile
 
-    # By hand: the generated one sets each field through
-    # ``object.__setattr__`` and then calls ``__post_init__``; storing
-    # straight into the slots and checking the profiles in one
-    # expression builds an arc in about two thirds of the time.
-    def __init__(self, tail: int, head: int, distance: float,
-                 speed: TimeProfile, tti: TimeProfile,
-                 crash: TimeProfile) -> None:
-        _set_tail(self, tail)
-        _set_head(self, head)
-        _set_distance(self, distance)
-        _set_speed(self, speed)
-        _set_tti(self, tti)
-        _set_crash(self, crash)
+    def __post_init__(self) -> None:
         _set_readings(self, None)
-        if tail == head:
-            raise ModelError(f"self-loop arc at node {tail}")
-        if not _length_fits(distance):
-            raise ModelError(
-                f"arc ({tail}, {head}): distance must be positive and finite")
-        if not _profiles_fit(speed, tti, crash):
+        if self.tail == self.head:
+            raise ModelError(f"self-loop arc at node {self.tail}")
+        if not _length_fits(self.distance):
+            raise ModelError(f"arc ({self.tail}, {self.head}): "
+                             "distance must be positive and finite")
+        if not _profiles_fit(self.speed, self.tti, self.crash):
             _check_profile(self, "speed", 0.0, math.inf, lo_strict=True)
             _check_profile(self, "tti", 1.0, math.inf, lo_strict=False)
             _check_profile(self, "crash", 0.0, 1.0, lo_strict=True)
@@ -248,11 +239,9 @@ class Arc:
                      self.tti, self.crash)
 
 
-# The slot descriptors, which a frozen arc's ``__init__`` and memo
-# write through.
-(_set_tail, _set_head, _set_distance, _set_speed, _set_tti, _set_crash,
- _set_readings) = (getattr(Arc, name).__set__ for name in (
-    "tail", "head", "distance", "speed", "tti", "crash", "_readings"))
+# The memo slot's descriptor, which a frozen arc's construction and
+# ``leg`` write through.
+_set_readings = Arc._readings.__set__
 
 
 class _OpenArc:
@@ -260,10 +249,10 @@ class _OpenArc:
 
     ``_build_arcs`` fills one with plain stores and then sets its
     ``__class__`` to ``Arc``, which Python allows between classes with
-    the same slots.  On CPython 3.11 (x86-64) each descriptor call above
-    costs about 65 ns, and an arc needs seven, against about 10 ns for a
-    plain store: 10,100 R101 arcs build in about 6.6 ms this way, 8.9 ms
-    through the descriptors and 12.6 ms through ``Arc(...)``.
+    the same slots.  ``Arc(...)`` instead stores each field through
+    ``object.__setattr__`` and then calls ``__post_init__``: on CPython
+    3.11 (x86-64), 10,100 R101 arcs build in about 7.6 ms this way and
+    16 ms through ``Arc(...)``.
     """
 
     __slots__ = Arc.__slots__
@@ -369,10 +358,12 @@ class Instance:
         return self.terminal_id is not None
 
     def node(self, node_id: int) -> Node:
-        try:
-            return self.nodes[node_id]
-        except IndexError:
-            raise ModelError(f"no node with id {node_id}") from None
+        if node_id >= 0:  # else ``nodes`` would count from the end
+            try:
+                return self.nodes[node_id]
+            except IndexError:
+                pass
+        raise ModelError(f"no node with id {node_id}")
 
     # Built on first use: set-up paths that never ask for customers
     # should not pay for them.
@@ -576,27 +567,6 @@ def _read_arc(arc: Arc, depart: float) -> tuple[float, float, float]:
             crashes[0] if crash.is_constant else crash_sum / distance)
 
 
-def _memo_read(arc: Arc, depart: float) -> tuple[float, float, float]:
-    """``_read_arc(arc, depart)`` through the arc's memo.
-
-    Departures that compare equal (``-0.0`` and ``0.0``, ``3`` and
-    ``3.0``) share one entry, and ``_read_arc`` returns the same floats
-    for them, so a memo hit is the reading bit for bit.  A memo that
-    has reached ``_MEMO_CAP`` readings is emptied before the next one
-    is stored.
-    """
-    memo = arc._readings
-    if memo is None:  # the arc's first time-varying reading
-        memo = {}
-        _set_readings(arc, memo)
-    reading = memo.get(depart)
-    if reading is None:
-        if len(memo) >= _MEMO_CAP:
-            memo.clear()
-        reading = memo[depart] = _read_arc(arc, depart)
-    return reading
-
-
 def travel_time(arc: Arc, depart: float) -> float:
     """Hours needed to traverse ``arc`` when departing at ``depart``:
     the duration ``leg`` reads."""
@@ -613,6 +583,12 @@ def leg(arc: Arc, depart: float) -> tuple[float, float, float]:
     memo, or in closed form when all three profiles are constant; each
     equals the reading computed from ``traverse``'s segments bit for
     bit.
+
+    Departures that compare equal (``-0.0`` and ``0.0``, ``3`` and
+    ``3.0``) share one memo entry, and ``_read_arc`` returns the same
+    floats for them, so a memo hit is the reading bit for bit.  A memo
+    that has reached ``_MEMO_CAP`` readings is emptied before the next
+    one is stored.
     """
     if depart < 0 or not math.isfinite(depart):
         raise _bad_departure(depart)
@@ -620,7 +596,16 @@ def leg(arc: Arc, depart: float) -> tuple[float, float, float]:
     if arc.speed.is_constant and tti.is_constant and crash.is_constant:
         return (arc.distance / arc.speed.values[0], tti.values[0],
                 crash.values[0])
-    return _memo_read(arc, depart)
+    memo = arc._readings
+    if memo is None:  # the arc's first time-varying reading
+        memo = {}
+        _set_readings(arc, memo)
+    reading = memo.get(depart)
+    if reading is None:
+        if len(memo) >= _MEMO_CAP:
+            memo.clear()
+        reading = memo[depart] = _read_arc(arc, depart)
+    return reading
 
 
 def augment_depot(instance: Instance) -> Instance:

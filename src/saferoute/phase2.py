@@ -28,6 +28,13 @@ value of every objective, summed in the same order, except crash,
 which reports the probability ``-expm1(-sum)`` of its log-survival sum
 ``sum(-ln(1 - xi))``, a monotone map: on its grid the DP's schedule is
 exactly the one the reported objective ranks best.
+
+A route the routing phase's audit passes always has a path: each
+stop's grid starts at its immediate start, which the audit accepted
+by the same window, return and horizon comparisons on the same floats,
+so the path through the immediate starts exists.  Phase 2 refuses
+such a route only when no path costs finitely: a leg whose crash
+reading is 1 costs ``inf`` under ``crash`` and ``weighted``.
 """
 
 from __future__ import annotations

@@ -880,7 +880,7 @@ def evaluate(routes: RoutingSolution | tuple, instance: Instance,
             timed = schedule_solution(
                 timed, instance, config.m, weights, config.objective,
                 memo={} if retimed is None else retimed)
-        except ScheduleInfeasibleError:
+        except ScheduleInfeasibleError:  # a leg of crash 1 (see phase2)
             return Evaluation(timed, math.inf, False)
     value = objective_value(config.objective, timed, instance, weights)
     result = Evaluation(timed, value, True)

@@ -633,6 +633,15 @@ class TestAugmentation:
         with pytest.raises(MissingArcError):
             inst.arc(0, 0)
 
+    def test_node_lookup_refuses_unknown_ids(self):
+        # a negative id used to index ``nodes`` from the end
+        inst = ensure_augmented(load_case_study(bundled_case_study_dir()))
+        count = len(inst.nodes)
+        assert [inst.node(k).id for k in range(count)] == list(range(count))
+        for bad in (-1, -count, count, 99):
+            with pytest.raises(ModelError, match=f"^no node with id {bad}$"):
+                inst.node(bad)
+
 
 class TestLengthMatrix:
     def test_entries_are_arc_lengths_or_inf(self):

@@ -568,6 +568,33 @@ def test_one_walk_times_immediate_and_retimed_routes(data, which, dispatch,
     assert timing.violations == ()
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), size=st.integers(1, 8), seed=st.integers(0, 2 ** 16),
+       latest=st.floats(8.0, 14.0),
+       dispatch=st.floats(0.0, 24.0, exclude_max=True), m=st.integers(1, 8))
+def test_phase2_never_refuses_an_audited_route(data, size, seed, latest,
+                                               dispatch, m):
+    # each stop's grid starts at its immediate start, which the audit
+    # accepted by the same comparisons on the same floats, so the path
+    # through the immediate starts exists (generated crash readings
+    # stay far below 1, the one reading that costs inf)
+    inst = ensure_augmented(generate_instance(size, seed, latest=latest))
+    stops = data.draw(st.permutations(inst.customers()))
+    stops = stops[:data.draw(st.integers(1, size))]
+    gaps = data.draw(st.lists(st.integers(1, len(stops) - 1), unique=True,
+                              max_size=len(inst.dummy_ids))) \
+        if len(stops) > 1 else []
+    dummies = iter(inst.dummy_ids)  # pass-through copies between stops
+    route = tuple(n for k, c in enumerate(stops)
+                  for n in ((next(dummies), c) if k in gaps else (c,)))
+    if time_route(route, inst, dispatch).violations:
+        return
+    for objective in OBJECTIVES:
+        starts = optimize_schedule(route, inst, dispatch, m, None,
+                                   objective).service_starts
+        assert time_route(route, inst, dispatch, starts).violations == ()
+
+
 def test_infeasible_window_raises():
     inst = build_augmented([{"x": 30.0, "y": 0.0, "close": 0.5}])
     with pytest.raises(ScheduleInfeasibleError):

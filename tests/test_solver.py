@@ -23,7 +23,12 @@ from saferoute.instances import (
     load_case_study,
     load_solomon,
 )
-from saferoute.model import MissingArcError, augment_depot, ensure_augmented
+from saferoute.model import (
+    MissingArcError,
+    TimeProfile,
+    augment_depot,
+    ensure_augmented,
+)
 from saferoute.phase1 import (
     OBJECTIVES,
     TIME_EPS,
@@ -988,6 +993,24 @@ def test_evaluate_rejects_window_violation():
     cfg = SolverConfig(m=2)
     out = evaluate(((1,), ()), inst, cfg, 0.0, cfg.weights.resolved(inst))
     assert not out.feasible and out.value == math.inf
+
+
+def test_evaluate_rejects_an_audited_route_that_phase2_refuses():
+    # a leg whose crash reading is 1 costs inf under crash and weighted,
+    # so phase 2 finds no finite schedule for a route the audit passes
+    base = load_case_study(bundled_case_study_dir())
+    certain = replace(base.arcs[0, 1], crash=TimeProfile.constant(1.0))
+    base = replace(base, arcs={**base.arcs, (0, 1): certain})
+    inst = ensure_augmented(base)
+    assert time_route((1, 2, 3), inst, 7.0).violations == ()
+    for objective in ("crash", "weighted"):
+        cfg = SolverConfig(objective=objective)
+        with pytest.raises(phase2.ScheduleInfeasibleError):
+            optimize_schedule((1, 2, 3), inst, 7.0, cfg.m, None, objective)
+        out = evaluate(((1, 2, 3),), inst, cfg, 7.0,
+                       cfg.weights.resolved(inst))
+        assert not out.feasible and out.value == math.inf
+        assert solve(base, cfg, 7.0).feasible
 
 
 def test_evaluate_never_stores_a_route_with_a_missing_arc():
