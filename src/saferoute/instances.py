@@ -47,6 +47,9 @@ HOUR_LEVELS = tuple(idx for (lo, hi), idx in zip(INTERVALS, ASSIGNMENT)
 
 GENERATED_FLEETS = {10: 2, 25: 3, 50: 5, 80: 12}
 
+#: The data files shipped inside the package, resolved once at import.
+_DATA_DIR = Path(__file__).resolve().parent / "data"
+
 
 class InstanceError(ValueError):
     """Unusable instance input: bad file, bad spec, missing data."""
@@ -565,8 +568,9 @@ def load_case_study(directory: str | Path) -> Instance:
 
     profiles: dict[tuple[int, int, str], tuple[TimeProfile, int]] = {}
     hours = {f"h{h}": float for h in range(HOURS_PER_DAY)}
-    for line, (tail, head, kind, *values) in rows(
+    for line, row in rows(
             "profiles.csv", {"tail": int, "head": int, "kind": str, **hours}):
+        tail, head, kind = row[:3]
         if kind not in PROFILE_KINDS:
             raise InstanceError(f"profiles.csv line {line}: unknown profile kind "
                                 f"{kind!r}, expected one of {PROFILE_KINDS}")
@@ -574,7 +578,7 @@ def load_case_study(directory: str | Path) -> Instance:
             raise InstanceError(f"profiles.csv line {line}: arc "
                                 f"{(tail, head)} has no distances.csv row")
         try:
-            profile = TimeProfile(tuple(values))
+            profile = TimeProfile(row[3:])
         except ModelError as exc:
             raise InstanceError(f"profiles.csv line {line}: {exc}") from None
         _add_once(profiles, (tail, head, kind), (profile, line), line, "profiles.csv")
@@ -606,12 +610,12 @@ def load_case_study(directory: str | Path) -> Instance:
 
 def bundled_case_study_dir() -> Path:
     """Directory of the CSV bundle shipped inside the package."""
-    return Path(__file__).resolve().parent / "data" / "case_study"
+    return _DATA_DIR / "case_study"
 
 
 def bundled_solomon_path(name: str = "R101") -> Path:
     """Path of a benchmark file shipped inside the package."""
-    return Path(__file__).resolve().parent / "data" / "solomon" / f"{name}.txt"
+    return _DATA_DIR / "solomon" / f"{name}.txt"
 
 
 def load_solomon(name: str = "R101") -> Instance:

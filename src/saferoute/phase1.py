@@ -305,10 +305,6 @@ def check_feasibility(solution: RoutingSolution,
     return tuple(violations)
 
 
-def is_feasible(solution: RoutingSolution, instance: Instance) -> bool:
-    return not check_feasibility(solution, instance)
-
-
 # -- objectives ----------------------------------------------------------
 
 
@@ -331,7 +327,13 @@ def leg_cost(objective: str, arc: Arc, service: float,
         return duration, service + duration
     if objective == "tti":
         return duration, tti
-    surrogate = math.inf if xi >= 1.0 else -math.log1p(-xi)
+    if xi >= 1.0:
+        # a certain crash: -ln(0) is inf, but a zero crash weight charges
+        # no crash term (0 * inf would be nan)
+        surrogate = (0.0 if objective == "weighted" and not weights.w_crash
+                     else math.inf)
+    else:
+        surrogate = -math.log1p(-xi)
     if objective == "crash":
         return duration, surrogate
     if objective == "weighted":

@@ -10,7 +10,9 @@ density relation; eliminating density gives a quadratic linking speed
 to flow.  Every flow below capacity is met at two speeds, a congested
 one (dense, slow) and an uncongested one (light, fast); picking the
 branch per hour from how that hour's count ranks within the day turns
-a 24-hour count series into a 24-hour speed profile.
+a 24-hour count series into a 24-hour speed profile.  Each arc's 24
+roots are solved in one pass (``_roots``), with the coefficients that
+depend only on the arc built once.
 
 Symbols used in the formulas below: ``s0`` free-flow speed (mph),
 ``kj`` jam density (veh/mile), ``beta`` coefficient of variation of
@@ -176,20 +178,39 @@ def speeds_from_flow(q: QueueModel, flow: float) -> tuple[float, float]:
     """
     if not (math.isfinite(flow) and flow >= 0):
         raise QueueingError(f"flow must be non-negative, got {flow!r}")
-    if flow > max_flow(q):
-        raise NoRealRootError(
-            f"flow {flow} exceeds capacity {max_flow(q)}")
-    beta2 = q.cv_service ** 2
+    cap = max_flow(q)
+    if flow > cap:
+        raise NoRealRootError(f"flow {flow} exceeds capacity {cap}")
+    return _roots(q, (flow,))[0]
+
+
+def _roots(q: QueueModel, flows) -> list[tuple[float, float]]:
+    """(congested, uncongested) speeds for each of ``flows``, unchecked.
+
+    The one place the quadratic of ``speeds_from_flow`` is solved: the
+    coefficients that depend only on ``q`` are built once, then each
+    flow, which must lie in [0, ``max_flow(q)``], costs one square root.
+    """
+    s0 = q.nominal_speed
     a = 2.0 * q.jam_density
-    b = flow * (beta2 - 1.0) - 2.0 * q.jam_density * q.nominal_speed
-    c = 2.0 * flow * q.nominal_speed
-    disc = b * b - 4.0 * a * c
-    if disc < 0:
-        disc = 0.0  # flow <= capacity holds, so this is rounding noise
-    root = math.sqrt(disc)
-    lo = (-b - root) / (2.0 * a)
-    hi = (-b + root) / (2.0 * a)
-    return (min(lo, hi), max(lo, hi))
+    slope = q.cv_service ** 2 - 1.0      # b = f (beta^2 - 1) - 2 kj s0
+    offset = 2.0 * q.jam_density * s0
+    four_a = 4.0 * a
+    two_a = 2.0 * a
+    sqrt = math.sqrt
+    pairs = []
+    for flow in flows:
+        b = flow * slope - offset
+        c = 2.0 * flow * s0
+        disc = b * b - four_a * c
+        if disc < 0:
+            disc = 0.0  # flow <= capacity holds, so this is rounding noise
+        root = sqrt(disc)
+        lo = (-b - root) / two_a
+        hi = (-b + root) / two_a
+        # min(lo, hi) and max(lo, hi), spelled as the builtins compare
+        pairs.append((hi if hi < lo else lo, hi if hi > lo else lo))
+    return pairs
 
 
 def calibrate(flows: FlowSeries, nominal_speed: float) -> QueueModel:
@@ -246,11 +267,12 @@ def build_speed_profile(q: QueueModel, flows: FlowSeries,
         warnings.warn(
             f"hourly counts above capacity {cap:.6g} clamped at hours "
             f"{clamped_hours}", stacklevel=2)
-    speeds = []
-    for f in flows.flows:
-        congested_root, uncongested_root = speeds_from_flow(q, min(f, cap))
-        speeds.append(congested_root if f > threshold else uncongested_root)
-    return TimeProfile(tuple(speeds))
+    counts = flows.flows
+    # min(f, cap) is f itself unless f > cap
+    roots = _roots(q, [min(f, cap) for f in counts] if clamped_hours else counts)
+    return TimeProfile(tuple(congested if f > threshold else uncongested
+                             for f, (congested, uncongested)
+                             in zip(counts, roots)))
 
 
 def read_flow_table(path: str) -> dict[tuple[int, int], FlowSeries]:
@@ -259,7 +281,7 @@ def read_flow_table(path: str) -> dict[tuple[int, int], FlowSeries]:
     ``instances._csv_rows``.  A malformed row, an hour outside 0..23, a
     negative or non-finite flow and a repeated hour name their line;
     missing hours are an error too."""
-    table: dict[tuple[int, int], dict[int, float]] = {}
+    table: dict[tuple[int, int], list[float | None]] = {}
     for line, (tail, head, hour, flow) in _csv_rows(
             path, {"tail": int, "head": int, "hour": int, "flow": float},
             QueueingError):
@@ -268,17 +290,19 @@ def read_flow_table(path: str) -> dict[tuple[int, int], FlowSeries]:
         if not 0 <= flow < math.inf:
             raise QueueingError(f"{path} line {line}: flow must be finite "
                                 f"and non-negative, got {flow!r}")
-        slots = table.setdefault((tail, head), {})
-        if hour in slots:
+        slots = table.get((tail, head))
+        if slots is None:
+            slots = table[tail, head] = [None] * HOURS_PER_DAY
+        elif slots[hour] is not None:
             raise QueueingError(f"{path} line {line}: duplicate hour {hour} "
                                 f"for arc ({tail}, {head})")
         slots[hour] = flow
     result: dict[tuple[int, int], FlowSeries] = {}
     for key, slots in table.items():
-        missing = sorted(set(range(HOURS_PER_DAY)) - set(slots))
-        if missing:
+        if None in slots:
+            missing = [h for h, f in enumerate(slots) if f is None]
             raise QueueingError(f"{path}: arc {key} missing hours {missing}")
-        result[key] = FlowSeries(tuple(slots[h] for h in range(HOURS_PER_DAY)))
+        result[key] = FlowSeries(tuple(slots))
     return result
 
 

@@ -41,6 +41,7 @@ from saferoute.phase2 import (
     ScheduleInfeasibleError,
     _grid,
 )
+from saferoute.queueing import QueueModel, max_flow
 from saferoute.solver import (
     _SHORTER,
     _cheapest_insertion,
@@ -115,6 +116,38 @@ def reference_profile(spec: StepFunctionSpec, kind: str) -> tuple[float, ...]:
     return tuple(clip(spec.levels[idx] * (1.0 + rng.uniform(-a, a)))
                  for (lo, hi), idx in zip(INTERVALS, ASSIGNMENT)
                  for _ in range(lo, hi))
+
+
+def reference_speed_profile(q: QueueModel, flows: tuple[float, ...],
+                            quantile: float) -> tuple[float, ...]:
+    """A built speed profile's values, one quadratic solved per hour.
+
+    Each hour's count, clamped to ``max_flow(q)``, is solved from
+    scratch for both roots of 2 kj s^2 + (f (beta^2 - 1) - 2 kj s0) s
+    + 2 f s0 = 0; the hour takes the lower root when its count strictly
+    exceeds the day's linear-interpolation ``quantile``, the higher one
+    otherwise.
+    """
+    ordered = sorted(flows)
+    pos = quantile * (len(ordered) - 1)
+    lo_i, hi_i = math.floor(pos), math.ceil(pos)
+    threshold = ordered[lo_i] + (ordered[hi_i] - ordered[lo_i]) * (pos - lo_i)
+    cap = max_flow(q)
+    speeds = []
+    for f in flows:
+        flow = min(f, cap)
+        beta2 = q.cv_service ** 2
+        a = 2.0 * q.jam_density
+        b = flow * (beta2 - 1.0) - 2.0 * q.jam_density * q.nominal_speed
+        c = 2.0 * flow * q.nominal_speed
+        disc = b * b - 4.0 * a * c
+        if disc < 0:
+            disc = 0.0
+        root = math.sqrt(disc)
+        lo = (-b - root) / (2.0 * a)
+        hi = (-b + root) / (2.0 * a)
+        speeds.append(min(lo, hi) if f > threshold else max(lo, hi))
+    return tuple(speeds)
 
 
 def build_instance(

@@ -17,7 +17,7 @@ from saferoute.phase1 import (
     Violation,
     check_feasibility,
     default_crash_scale,
-    is_feasible,
+    leg_cost,
     objective_value,
     propagate_schedule,
 )
@@ -109,7 +109,6 @@ class TestFeasibility:
         inst = self.make()
         sol = propagate_schedule(((1,), (2,)), inst, 0.0)
         assert check_feasibility(sol, inst) == ()
-        assert is_feasible(sol, inst)
 
     def test_missing_and_duplicate_customers(self):
         inst = self.make()
@@ -183,7 +182,7 @@ class TestFeasibility:
             [{"x": 3, "y": 0}, {"x": 4, "y": 0}], m=1)
         d = inst.dummy_ids[0]
         sol = propagate_schedule(((1, d, 2),), inst, 0.0)
-        assert is_feasible(sol, inst)
+        assert not check_feasibility(sol, inst)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -312,6 +311,22 @@ class TestObjectives:
         # 0.5 * 10 * (-ln 0.9 - ln 0.8) + 0.5 * 3.0
         assert objective_value("weighted", sol, inst, weights) == \
             pytest.approx(5.0 * -math.log(0.72) + 1.5, abs=1e-12)
+
+    def test_zero_crash_weight_charges_a_certain_crash_no_crash_term(self):
+        # w_crash 0 used to charge 0 * inf = nan for a crash reading of 1
+        inst = build_augmented([{"x": 10, "y": 0}],
+                               arc_overrides={(0, 1): {"crash": 1.0}})
+        arc = inst.arc(0, 1)
+        tti_only = ObjectiveWeights(0.0, 1.0, crash_scale=10.0)
+        for xi in (0.3, 1.0):
+            assert leg_cost("weighted", arc, 0.0, (2.0, 1.5, xi),
+                            tti_only) == (2.0, 1.5)
+        mixed = ObjectiveWeights(0.5, 0.5, crash_scale=10.0)
+        assert leg_cost("weighted", arc, 0.0, (2.0, 1.5, 1.0),
+                        mixed) == (2.0, math.inf)
+        sol = propagate_schedule(((1,),), inst, 0.0)
+        assert objective_value("weighted", sol, inst, tti_only) == \
+            objective_value("tti", sol, inst)
 
     def test_distance_total(self):
         inst = build_augmented([{"x": 3, "y": 0}, {"x": 0, "y": 4}])

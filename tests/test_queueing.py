@@ -2,9 +2,13 @@
 
 import math
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from saferoute.instances import bundled_case_study_dir
 from saferoute.model import TimeProfile
 from saferoute.queueing import (
     CalibrationError,
@@ -25,6 +29,7 @@ from saferoute.queueing import (
     waiting_time,
 )
 
+from helpers import reference_speed_profile
 from oracle_utils import golden_section_max, quadratic_roots
 
 REFERENCE = QueueModel(nominal_speed=60.0, jam_density=200.0)
@@ -241,6 +246,28 @@ class TestSpeedProfile:
         with pytest.raises(QueueingError):
             build_speed_profile(REFERENCE, flows, congestion_quantile=1.5)
 
+    @settings(max_examples=300, deadline=None)
+    @given(nominal=st.floats(1.0, 120.0), jam=st.floats(1.0, 500.0),
+           beta=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 4.0),
+           quantile=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           shares=st.lists(st.sampled_from([0.0, 0.5, 1.0])
+                           | st.floats(0.0, 1.3),
+                           min_size=24, max_size=24))
+    def test_profile_matches_a_solve_per_hour(self, nominal, jam, beta,
+                                              quantile, shares):
+        # bit for bit, signed zeros included, and the clamp warns
+        # exactly when some count is above capacity
+        q = QueueModel(nominal, jam, beta)
+        cap = max_flow(q)
+        flows = tuple(share * cap for share in shares)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            profile = build_speed_profile(q, FlowSeries(flows), quantile)
+        expected = reference_speed_profile(q, flows, quantile)
+        assert [v.hex() for v in profile.values] == \
+            [v.hex() for v in expected]
+        assert len(caught) == any(f > cap for f in flows)
+
     def test_profile_is_valid_time_profile(self):
         flows = FlowSeries(tuple(400.0 + 100.0 * (h % 7) for h in range(24)))
         q = calibrate(flows, 45.0)
@@ -261,6 +288,16 @@ class TestFlowTableIO:
         assert set(table) == {(0, 1), (1, 0)}
         assert table[(0, 1)].flows[5] == 105.0
 
+    @settings(max_examples=25, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_row_order_does_not_matter(self, tmp_path_factory, rng):
+        bundled = bundled_case_study_dir() / "flows.csv"
+        header, *rows = bundled.read_text().splitlines()
+        rng.shuffle(rows)
+        path = tmp_path_factory.mktemp("shuffled") / "flows.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        assert read_flow_table(str(path)) == read_flow_table(str(bundled))
+
     def test_missing_hour_rejected(self, tmp_path):
         path = tmp_path / "flows.csv"
         lines = ["tail,head,hour,flow"]
@@ -273,13 +310,16 @@ class TestFlowTableIO:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "flows.csv"
         path.write_text("a,b,c,d\n0,1,0,5\n")
-        with pytest.raises(QueueingError, match="header"):
+        with pytest.raises(QueueingError, match="line 1: missing columns: "
+                           "tail, head, hour, flow; expected header"):
             read_flow_table(str(path))
 
     def test_duplicate_hour_rejected(self, tmp_path):
         path = tmp_path / "flows.csv"
         path.write_text("tail,head,hour,flow\n0,1,3,5\n0,1,3,6\n")
-        with pytest.raises(QueueingError, match="duplicate"):
+        # the message, not the tmp path, which holds this test's name
+        with pytest.raises(QueueingError,
+                           match=r"line 3: duplicate hour 3 for arc \(0, 1\)"):
             read_flow_table(str(path))
 
     @pytest.mark.parametrize("text, message", [

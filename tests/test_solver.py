@@ -32,6 +32,7 @@ from saferoute.model import (
 from saferoute.phase1 import (
     OBJECTIVES,
     TIME_EPS,
+    ObjectiveWeights,
     RoutingSolution,
     check_feasibility,
     objective_value,
@@ -1011,6 +1012,21 @@ def test_evaluate_rejects_an_audited_route_that_phase2_refuses():
                        cfg.weights.resolved(inst))
         assert not out.feasible and out.value == math.inf
         assert solve(base, cfg, 7.0).feasible
+
+
+def test_zero_crash_weight_solves_a_certain_crash_as_tti():
+    # with w_crash 0, weighted is tti in meaning and in every leg cost,
+    # a leg whose crash reading is 1 included (it used to cost nan, and
+    # phase 2 refused (1, 2, 3))
+    base = load_case_study(bundled_case_study_dir())
+    certain = replace(base.arcs[0, 1], crash=TimeProfile.constant(1.0))
+    base = replace(base, arcs={**base.arcs, (0, 1): certain})
+    tti = solve(base, SolverConfig(objective="tti"), 7.0)
+    weighted = solve(base, SolverConfig(
+        objective="weighted", weights=ObjectiveWeights(0.0, 1.0)), 7.0)
+    assert tti.solution.routes == ((1, 2, 3),)
+    assert (weighted.value, weighted.solution.routes) == \
+        (tti.value, tti.solution.routes)
 
 
 def test_evaluate_never_stores_a_route_with_a_missing_arc():

@@ -24,7 +24,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from saferoute.instances import StepFunctionSpec, generate_profiles, load_case_study
-from saferoute.phase1 import is_feasible, objective_value, propagate_schedule
+from saferoute.phase1 import (check_feasibility, objective_value,
+                              propagate_schedule)
 from saferoute.queueing import FlowSeries, build_speed_profile, calibrate
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "saferoute" / "data" / "case_study"
@@ -170,7 +171,7 @@ def verify() -> None:
         feasible = []
         for perm in perms:
             sol = propagate_schedule((perm,), instance, float(hour))
-            if is_feasible(sol, instance):
+            if not check_feasibility(sol, instance):
                 feasible.append((objective_value("distance", sol, instance), perm))
         assert feasible, f"no feasible order at dispatch hour {hour}"
         low = min(feasible)[0]
