@@ -174,17 +174,12 @@ def _selected_hours(args) -> list[int]:
     return [args.scenario if args.scenario is not None else 0]
 
 
-def _route_str(instance: Instance, routes) -> str:
-    """Human form of the visit orders; every depot copy prints as 0."""
-    def label(n: int) -> str:
-        if n == 0 or n == instance.terminal_id or instance.is_dummy(n):
-            return "0"
-        return str(n)
-
+def _route_str(routes) -> str:
+    """Human form of the visit orders, the depot at both ends as 0."""
     legs = []
     for route in routes:
         if route:
-            legs.append("-".join(["0", *(label(n) for n in route), "0"]))
+            legs.append("-".join(["0", *map(str, route), "0"]))
     return ";".join(legs) if legs else "-"
 
 
@@ -226,8 +221,7 @@ def cmd_solve(args) -> int:
         result = solve(instance, config, dispatch=float(hour))
         if not result.feasible:
             all_feasible = False
-            rows.append((hour, "no", _route_str(instance,
-                                                result.solution.routes),
+            rows.append((hour, "no", _route_str(result.solution.routes),
                          config.objective, "inf", "", "", ""))
             continue
         gaps: list = []
@@ -244,7 +238,7 @@ def cmd_solve(args) -> int:
                                        config.weights)
                 gaps.append((mine - base) / base if base > 0 else 0.0)
         rows.append((hour, "yes",
-                     _route_str(instance, result.solution.routes),
+                     _route_str(result.solution.routes),
                      config.objective, result.value, *gaps))
     _emit(header, rows, args.out)
     return EXIT_OK if all_feasible else EXIT_INFEASIBLE
@@ -289,8 +283,7 @@ def cmd_generate(args) -> int:
     instance = generate_instance(
         args.size, args.seed if args.seed is not None else 0,
         fleet_count=args.fleet, capacity=args.capacity,
-        latest=args.latest, max_noise=args.noise,
-        dummy_count=args.dummies)
+        latest=args.latest, max_noise=args.noise)
     text = serialize_instance(instance)
     with open(args.out, "w", newline="") as fh:
         fh.write(text)
@@ -396,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="depot horizon in hours (>= 8)")
     p.add_argument("--noise", type=float, default=0.15,
                    help="largest profile noise amplitude")
-    p.add_argument("--dummies", type=int, default=2,
-                   help="depot pass-through copies to declare")
     p.add_argument("--out", required=True, help="instance file path")
     p.set_defaults(func=cmd_generate)
     return parser

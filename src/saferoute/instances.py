@@ -37,6 +37,8 @@ PROFILE_KINDS = ("speed", "tti", "crash")
 
 MIN_SPEED = 1e-3
 MIN_CRASH = 1e-12
+#: The largest crash value below 1, the model's open upper bound.
+MAX_CRASH = math.nextafter(1.0, 0.0)
 
 #: The five day intervals of a step function, and the level each uses.
 INTERVALS = ((0, 6), (6, 9), (9, 15), (15, 19), (19, 24))
@@ -95,7 +97,7 @@ class StepFunctionSpec:
 
 def _check_levels(spec: StepFunctionSpec, kind: str) -> None:
     for v in spec.levels:
-        if not (0 < v <= 1 if kind == "crash" else
+        if not (0 < v < 1 if kind == "crash" else
                 v >= 1 if kind == "tti" else v > 0):
             raise ProfileSpecError(f"{kind} level {v!r} out of bounds")
     # Rush hours must be the adverse side: slower, riskier, more congested.
@@ -110,8 +112,9 @@ def generate_profiles(spec: StepFunctionSpec, kind: str) -> TimeProfile:
     """Noisy hourly profile from a step function.
 
     Deterministic for a given spec (the seed travels inside it).  Values
-    are clipped to the kind's domain: crash stays in [``MIN_CRASH``, 1],
-    TTI never dips below 1, speed keeps the floor ``MIN_SPEED``.  Each
+    are clipped to the kind's domain: crash stays in [``MIN_CRASH``,
+    ``MAX_CRASH``], TTI never dips below 1, speed keeps the floor
+    ``MIN_SPEED``.  Each
     hour's noise is the expression ``Random.uniform(-a, a)`` computes,
     ``-a + (a - -a) * random()``, so the values are uniform's bit for bit.
     """
@@ -124,8 +127,8 @@ def generate_profiles(spec: StepFunctionSpec, kind: str) -> TimeProfile:
     values = [base * (1.0 + (-a + span * draw()))
               for base in spec.base_values()]
     if kind == "crash":
-        values = [v if MIN_CRASH <= v <= 1.0 else
-                  MIN_CRASH if v < MIN_CRASH else 1.0 for v in values]
+        values = [v if MIN_CRASH <= v <= MAX_CRASH else
+                  MIN_CRASH if v < MIN_CRASH else MAX_CRASH for v in values]
     else:
         floor = 1.0 if kind == "tti" else MIN_SPEED
         values = [v if v >= floor else floor for v in values]
@@ -229,8 +232,7 @@ def parse_solomon(text: str) -> Instance:
         arcs = _build_arcs((a, b, hypot(ax - bx, ay - by) or 1e-9, profiles)
                            for a, ax, ay in points
                            for b, bx, by in points if a != b)
-        return Instance(name, tuple(nodes), arcs, fleet, nodes[0].window_close,
-                        dummy_count=2)
+        return Instance(name, tuple(nodes), arcs, fleet, nodes[0].window_close)
     except ModelError as exc:
         raise InstanceError(f"inconsistent instance: {exc}") from exc
 
@@ -266,7 +268,7 @@ def serialize_instance(instance: Instance) -> str:
 
     Floats are emitted with ``repr`` so parsing the output reproduces
     every value bit-exactly.  Augmented instances are rejected: the
-    terminal and pass-through vertices are derived data.
+    terminal copy is derived data.
     """
     if instance.is_augmented:
         raise InstanceError("serialize the plain instance, not the augmented one")
@@ -274,7 +276,6 @@ def serialize_instance(instance: Instance) -> str:
     out.append(f"name {instance.name}")
     out.append(f"latest {instance.latest_time!r}")
     out.append(f"fleet {instance.fleet.count} {instance.fleet.capacity!r}")
-    out.append(f"dummies {instance.dummy_count}")
     out.append(f"nodes {len(instance.nodes)}")
     for n in instance.nodes:
         out.append(f"{n.id} {n.x!r} {n.y!r} {n.demand!r} {n.service_time!r} "
@@ -289,6 +290,9 @@ def serialize_instance(instance: Instance) -> str:
 
 def parse_instance(text: str) -> Instance:
     """Read the native text format back into an instance.
+
+    A ``dummies`` line after the fleet line, which older files carry,
+    is skipped whatever its value.
 
     Raises:
         InstanceError: a malformed header, node or arc row, a repeated
@@ -311,9 +315,10 @@ def parse_instance(text: str) -> Instance:
     if not text.strip() or next_line() != FORMAT_HEADER:
         raise InstanceError(f"first line must be {FORMAT_HEADER!r}")
 
-    def keyed(key: str) -> str:
-        ln = next_line()
-        head, _, rest = ln.partition(" ")
+    def keyed(key: str, skip: str | None = None) -> str:
+        head, _, rest = next_line().partition(" ")
+        if head == skip:
+            head, _, rest = next_line().partition(" ")
         if head != key:
             raise InstanceError(f"line {pos}: expected {key!r}, got {head!r}")
         return rest.strip()
@@ -323,8 +328,7 @@ def parse_instance(text: str) -> Instance:
         latest = float(keyed("latest"))
         count_s, cap_s = keyed("fleet").split()
         fleet = Fleet(int(count_s), float(cap_s))
-        dummies = int(keyed("dummies"))
-        n_nodes = int(keyed("nodes"))
+        n_nodes = int(keyed("nodes", skip="dummies"))
     except (ValueError, ModelError) as exc:
         raise InstanceError(f"line {pos}: bad header value ({exc})") from exc
 
@@ -365,8 +369,7 @@ def parse_instance(text: str) -> Instance:
             raise InstanceError(
                 f"line {extra + 1}: text after the {n_arcs} declared arcs")
     try:
-        return Instance(name, tuple(nodes), arcs, fleet, latest,
-                        dummy_count=dummies)
+        return Instance(name, tuple(nodes), arcs, fleet, latest)
     except ModelError as exc:
         raise InstanceError(f"inconsistent instance: {exc}") from exc
 
@@ -382,7 +385,7 @@ CRASH_LEVELS = (2e-4, 5e-4, 1.2e-3)
 
 def generate_instance(size: int, seed: int, *, fleet_count: int | None = None,
                       capacity: float = 200.0, latest: float = 14.0,
-                      max_noise: float = 0.15, dummy_count: int = 2) -> Instance:
+                      max_noise: float = 0.15) -> Instance:
     """Random planar instance with noisy step profiles on every arc.
 
     Customers are spread uniformly around a central depot; each arc
@@ -399,7 +402,6 @@ def generate_instance(size: int, seed: int, *, fleet_count: int | None = None,
         capacity: per-vehicle capacity floor (raised if demand is tight).
         latest: planning horizon in hours.
         max_noise: per-arc noise amplitude upper bound.
-        dummy_count: recommended depot pass-through count.
     """
     if size < 1:
         raise InstanceError(f"size must be positive, got {size}")
@@ -438,7 +440,7 @@ def generate_instance(size: int, seed: int, *, fleet_count: int | None = None,
             dist = math.hypot(a.x - b.x, a.y - b.y) or 1e-9
             rows.append((a.id, b.id, dist, profiles))
     return Instance(f"RND{size}-s{seed}", tuple(nodes), _build_arcs(rows),
-                    Fleet(k, float(capacity)), latest, dummy_count=dummy_count)
+                    Fleet(k, float(capacity)), latest)
 
 
 # --------------------------------------------------------------------------
@@ -508,10 +510,12 @@ def load_case_study(directory: str | Path) -> Instance:
     Reads meta.csv ``key,value``, nodes.csv
     ``id,x,y,demand,service,open,close``, distances.csv
     ``tail,head,miles`` and profiles.csv ``tail,head,kind,h0,...,h23``
-    (one row per arc and profile kind) through ``_csv_rows``.  Returns
-    the augmented instance, ready to solve.  Every fault, a value the
-    model would reject included, is an ``InstanceError`` naming its file
-    and, when one row is at fault, its line.
+    (one row per arc and profile kind) through ``_csv_rows``.  A
+    meta.csv key it does not read, such as the ``dummies`` of older
+    bundles, is ignored.  Returns the augmented instance, ready to
+    solve.  Every fault, a value the model would reject included, is an
+    ``InstanceError`` naming its file and, when one row is at fault, its
+    line.
 
     A demand total above the whole fleet's capacity only warns: the
     instance remains loadable for inspection.
@@ -537,7 +541,7 @@ def load_case_study(directory: str | Path) -> Instance:
                             f"{convert.__name__} above {above}, got {text!r}")
 
     fleet = Fleet(setting("vehicles", int, 0), setting("capacity", float, 0))
-    latest, dummies = setting("latest", float, 0), setting("dummies", int, -1)
+    latest = setting("latest", float, 0)
     name = meta["name"][0] if "name" in meta else directory.name
 
     nodes: dict[int, tuple[Node, int]] = {}
@@ -598,7 +602,7 @@ def load_case_study(directory: str | Path) -> Instance:
             raise InstanceError(f"distances.csv line {line}: {exc}") from None
 
     instance = Instance(name, tuple(nodes[i][0] for i in range(len(nodes))),
-                        arcs, fleet, latest, dummy_count=dummies)
+                        arcs, fleet, latest)
     total = instance.total_demand()
     if total > fleet.count * fleet.capacity:
         warnings.warn(

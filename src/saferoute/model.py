@@ -2,17 +2,15 @@
 
 The road network is a directed graph.  Vertex 0 is the depot, vertices
 1..n are customer sites.  Route planning works on an augmented copy of
-the graph that adds a terminal duplicate of the depot (where every
-route ends) and the instance's ``dummy_count`` pass-through
-duplicates that let a vehicle swing by the depot corridor in the middle
-of a route without closing it.
+the graph that adds a terminal duplicate of the depot, where every
+route ends.
 
 Every arc carries three hourly profiles:
 
 * driving speed (mph),
 * travel time index (TTI, actual travel time divided by free-flow
   travel time, so always >= 1),
-* crash probability for one traversal during that hour, in (0, 1].
+* crash probability for one traversal during that hour, in (0, 1).
 
 All times are expressed in hours.  Profile lookups wrap modulo 24, so
 a departure at t = 25.5 reads the 01:00-02:00 entry.  Within one hour
@@ -38,14 +36,14 @@ memo.
 
 ``Arc(...)`` builds one arc through the dataclass's own ``__init__``.
 Every batch of arcs (the Solomon parser, the generator, and
-``augment_depot`` for its depot copies) is built by ``_build_arcs``
+``augment_depot`` for the terminal copy) is built by ``_build_arcs``
 from ``(tail, head, distance, profiles)`` rows: it fills each arc's
 slots without an ``__init__`` call and range-checks a profile triple
 once for each run of rows sharing it.  Both apply the same length and
 range rules, and a row that breaks one is built by ``Arc`` itself, so
 its error is ``Arc``'s.  ``Instance`` checks each arc against its key
 and the node ids without building a tuple per arc, and
-``augment_depot`` finds the depot's arcs in one scan.
+``augment_depot`` finds the arcs into the depot in one scan.
 """
 
 from __future__ import annotations
@@ -123,9 +121,9 @@ class TimeProfile:
 def _profiles_fit(speed: TimeProfile, tti: TimeProfile,
                   crash: TimeProfile) -> bool:
     """Whether speed lies in (0, inf), TTI in [1, inf) and crash in
-    (0, 1]: four comparisons against the profiles' ``bounds``."""
+    (0, 1): four comparisons against the profiles' ``bounds``."""
     return (speed.bounds[0] > 0 and tti.bounds[0] >= 1
-            and 0 < crash.bounds[0] and crash.bounds[1] <= 1)
+            and 0 < crash.bounds[0] and crash.bounds[1] < 1)
 
 
 def _length_fits(distance: float) -> bool:
@@ -134,22 +132,21 @@ def _length_fits(distance: float) -> bool:
 
 
 def _check_profile(arc: "Arc", kind: str, lo: float, hi: float,
-                   lo_strict: bool) -> None:
+                   strict: bool) -> None:
     """Raise unless each value of the arc's ``kind`` profile is in range.
 
-    The range is (lo, hi] when ``lo_strict``, else [lo, hi].  A valid
+    The range is (lo, hi) when ``strict``, else [lo, hi].  A valid
     profile costs two comparisons against its ``bounds``; only a
     failing one is scanned hour by hour, to name its first offending
     value in the error.
     """
     profile = getattr(arc, kind)
     least, most = profile.bounds
-    if (least > lo if lo_strict else least >= lo) and most <= hi:
+    if (lo < least and most < hi) if strict else (lo <= least and most <= hi):
         return
     for h, v in enumerate(profile.values):
-        ok = (v > lo if lo_strict else v >= lo) and v <= hi
-        if not ok:
-            bound = f"({lo}, {hi}]" if lo_strict else f"[{lo}, {hi}]"
+        if not ((lo < v < hi) if strict else (lo <= v <= hi)):
+            bound = f"({lo}, {hi})" if strict else f"[{lo}, {hi}]"
             raise InvalidProfileError(
                 f"arc ({arc.tail}, {arc.head}) {kind} value {v} at hour {h} "
                 f"outside {bound}", kind)
@@ -197,7 +194,7 @@ class Arc:
     Construction, one arc by ``__post_init__`` or a batch by
     ``_build_arcs``, refuses a self-loop and a length that is not
     positive and finite (``_length_fits``), then checks speed in
-    (0, inf), TTI in [1, inf) and crash in (0, 1] on the profiles'
+    (0, inf), TTI in [1, inf) and crash in (0, 1) on the profiles'
     ``bounds`` (``_profiles_fit``), so a valid arc costs four
     comparisons.  Only when those fail are the profiles scanned, in
     that order, and the first one out of range raises
@@ -228,9 +225,9 @@ class Arc:
             raise ModelError(f"arc ({self.tail}, {self.head}): "
                              "distance must be positive and finite")
         if not _profiles_fit(self.speed, self.tti, self.crash):
-            _check_profile(self, "speed", 0.0, math.inf, lo_strict=True)
-            _check_profile(self, "tti", 1.0, math.inf, lo_strict=False)
-            _check_profile(self, "crash", 0.0, 1.0, lo_strict=True)
+            _check_profile(self, "speed", 0.0, math.inf, strict=True)
+            _check_profile(self, "tti", 1.0, math.inf, strict=False)
+            _check_profile(self, "crash", 0.0, 1.0, strict=True)
 
     # The default restores the slots one ``setattr`` at a time, which
     # the frozen class refuses.
@@ -312,8 +309,9 @@ class Instance:
 
     ``nodes[i].id == i`` always holds; the depot is node 0.  Plain
     instances contain only the depot and customers.  ``augment_depot``
-    returns the extended instance whose extra vertices carry ids above
-    the customer range; routes are expressed over the extended graph.
+    returns the extended instance whose terminal copy of the depot
+    carries the id after the last customer; routes are expressed over
+    the extended graph.
     """
 
     name: str
@@ -321,9 +319,7 @@ class Instance:
     arcs: dict[tuple[int, int], Arc]
     fleet: Fleet
     latest_time: float
-    dummy_count: int = 0
     terminal_id: int | None = None
-    dummy_ids: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.nodes:
@@ -338,8 +334,6 @@ class Instance:
             raise ModelError("depot must have zero demand and service time")
         if not (math.isfinite(self.latest_time) and self.latest_time > 0):
             raise ModelError("latest planning time must be positive")
-        if self.dummy_count < 0:
-            raise ModelError("dummy vertex count must be non-negative")
         ids = {n.id for n in self.nodes}
         for (i, j), arc in self.arcs.items():
             if arc.tail != i or arc.head != j:  # no tuple built per arc
@@ -369,8 +363,8 @@ class Instance:
     # should not pay for them.
     @cached_property
     def _customer_ids(self) -> tuple[int, ...]:
-        special = {0, self.terminal_id, *self.dummy_ids}
-        return tuple(n.id for n in self.nodes if n.id not in special)
+        return tuple(n.id for n in self.nodes
+                     if n.id != 0 and n.id != self.terminal_id)
 
     @cached_property
     def customer_set(self) -> frozenset[int]:
@@ -408,14 +402,12 @@ class Instance:
                 [min(row) for row in table])
 
     def customers(self) -> tuple[int, ...]:
-        """Ids of demand vertices (excludes depot and its duplicates)."""
+        """Ids of demand vertices: every node but the depot and its
+        terminal copy."""
         return self._customer_ids
 
     def is_customer(self, node_id: int) -> bool:
         return node_id in self.customer_set
-
-    def is_dummy(self, node_id: int) -> bool:
-        return node_id in self.dummy_ids
 
     def arc(self, tail: int, head: int) -> Arc:
         try:
@@ -514,8 +506,10 @@ def _read_arc(arc: Arc, depart: float) -> tuple[float, float, float]:
     straight into running sums of miles * TTI and miles * crash, in
     driving order, and each sum is divided by the arc length once at
     the end.  A one-segment reading is that hour's values and a
-    constant TTI or crash profile its one value.  The clock never falls
-    below ``depart >= 0``, so ``int(t)`` is its floor and
+    constant TTI or crash profile its one value.  A crash blend is
+    capped at the profile's highest value: the quotient's rounding can
+    lift a blend of values just below 1 to 1 or past it.  The clock
+    never falls below ``depart >= 0``, so ``int(t)`` is its floor and
     ``int(t) % HOURS_PER_DAY`` its hour, with no check per step.
     """
     remaining = distance = arc.distance
@@ -562,9 +556,13 @@ def _read_arc(arc: Arc, depart: float) -> tuple[float, float, float]:
                              f"from t={depart} did not converge")
     if count == 1:
         return duration, ttis[slot], crashes[slot]
-    return (duration,
-            ttis[0] if tti.is_constant else tti_sum / distance,
-            crashes[0] if crash.is_constant else crash_sum / distance)
+    if crash.is_constant:
+        xi = crashes[0]
+    else:  # a blend is at most the highest value, which is below 1
+        xi = crash_sum / distance
+        if xi > crash.bounds[1]:  # lifted there by rounding
+            xi = crash.bounds[1]
+    return duration, ttis[0] if tti.is_constant else tti_sum / distance, xi
 
 
 def travel_time(arc: Arc, depart: float) -> float:
@@ -578,7 +576,8 @@ def leg(arc: Arc, depart: float) -> tuple[float, float, float]:
 
     A traversal spanning several hours is charged the distance-weighted
     average of the hourly TTI and crash values it touches, summed in
-    driving order; one hour's traversal is charged that hour's values.
+    driving order, the crash average capped at the profile's highest
+    value; one hour's traversal is charged that hour's values.
     All three come from one pass of ``_read_arc``, through the arc's
     memo, or in closed form when all three profiles are constant; each
     equals the reading computed from ``traverse``'s segments bit for
@@ -609,14 +608,10 @@ def leg(arc: Arc, depart: float) -> tuple[float, float, float]:
 
 
 def augment_depot(instance: Instance) -> Instance:
-    """Add a terminal depot copy and ``dummy_count`` pass-through copies.
+    """Add a terminal depot copy, where every route ends.
 
-    The terminal copy receives every arc that pointed at the depot, so
-    routes can end on it.  Each pass-through copy inherits the full set
-    of depot-incident arcs (in both directions) but carries no demand
-    and no service time; copies are not connected to the depot, to the
-    terminal or to each other, since those hops would be zero-length
-    self-trips.
+    The terminal copy receives every arc that pointed at the depot and
+    carries no demand and no service time.
 
     Args:
         instance: plain instance (never augmented twice).
@@ -627,40 +622,18 @@ def augment_depot(instance: Instance) -> Instance:
     if instance.is_augmented:
         raise ModelError("instance is already augmented")
     depot = instance.depot
-    next_id = len(instance.nodes)
-    terminal = Node(next_id, depot.x, depot.y, 0.0, 0.0,
+    terminal = Node(len(instance.nodes), depot.x, depot.y, 0.0, 0.0,
                     depot.window_open, depot.window_close)
-    dummies = tuple(
-        Node(next_id + 1 + k, depot.x, depot.y, 0.0, 0.0,
-             depot.window_open, depot.window_close)
-        for k in range(instance.dummy_count)
-    )
-    nodes = instance.nodes + (terminal,) + dummies
-    # one scan finds the depot's arcs, in the order the instance holds
-    # them, as (other end, length, profiles) to copy
-    into_depot, out_of_depot = [], []
-    for (i, j), arc in instance.arcs.items():
-        if j == 0:
-            into_depot.append(
-                (arc.tail, arc.distance, (arc.speed, arc.tti, arc.crash)))
-        elif i == 0:
-            out_of_depot.append(
-                (arc.head, arc.distance, (arc.speed, arc.tti, arc.crash)))
-    rows = [(i, terminal.id, length, profiles)
-            for i, length, profiles in into_depot]
-    for dummy in dummies:
-        rows += [(dummy.id, j, length, profiles)
-                 for j, length, profiles in out_of_depot]
-        rows += [(i, dummy.id, length, profiles)
-                 for i, length, profiles in into_depot]
-    return replace(instance, nodes=nodes,
+    # copies of the arcs into the depot, in the order the instance holds them
+    rows = [(i, terminal.id, arc.distance, (arc.speed, arc.tti, arc.crash))
+            for (i, j), arc in instance.arcs.items() if j == 0]
+    return replace(instance, nodes=instance.nodes + (terminal,),
                    arcs={**instance.arcs, **_build_arcs(rows)},
-                   terminal_id=terminal.id,
-                   dummy_ids=tuple(d.id for d in dummies))
+                   terminal_id=terminal.id)
 
 
 def ensure_augmented(instance: Instance) -> Instance:
-    """Return ``instance`` augmented with its declared dummy count (idempotent)."""
+    """Return ``instance`` augmented (idempotent)."""
     if instance.is_augmented:
         return instance
     return augment_depot(instance)

@@ -1,9 +1,8 @@
 """Ground-truth solvers by exhaustive enumeration.
 
 Small instances can be solved exactly: every split of the customers
-over the fleet, every visit order, and every way of weaving in the
-depot pass-through vertices is generated and scored by the solver's
-own ``evaluate``, and the best feasible candidates are kept.  The same
+over the fleet and every visit order is generated and scored by the
+solver's own ``evaluate``, and the best feasible candidates are kept.  The same
 idea verifies the retiming phase by walking every path of the schedule
 graph.  Both enumerations refuse to run past an explicit candidate
 budget rather than return a silently truncated answer, which keeps
@@ -76,33 +75,6 @@ def _partitions(items: tuple[int, ...], max_blocks: int):
             yield part + [[first]]
 
 
-def _gap_choices(routes: list[tuple[int, ...]], max_dummies: int):
-    """Yield dummy placements: sets of (route index, internal gap index).
-
-    A pass-through vertex only makes sense strictly between two
-    customers (it has no arcs to the depot copies), and two in a row
-    would need an arc between copies, so each gap takes at most one.
-    """
-    gaps = [(ri, gi) for ri, route in enumerate(routes)
-            for gi in range(1, len(route))]
-    for k in range(min(max_dummies, len(gaps)) + 1):
-        yield from itertools.combinations(gaps, k)
-
-
-def _weave(routes: list[tuple[int, ...]], placement, dummy_ids) -> tuple:
-    chosen = sorted(placement)
-    woven = []
-    next_dummy = iter(dummy_ids)
-    for ri, route in enumerate(routes):
-        out = []
-        for gi, node in enumerate(route):
-            if (ri, gi) in chosen:
-                out.append(next(next_dummy))
-            out.append(node)
-        woven.append(tuple(out))
-    return tuple(woven)
-
-
 def enumerate_routes(instance: Instance, objective: str, *,
                      dispatch: float = 0.0,
                      weights: ObjectiveWeights | None = None,
@@ -112,11 +84,11 @@ def enumerate_routes(instance: Instance, objective: str, *,
     """Exact routing optimum by full enumeration.
 
     Every partition of the customers over at most ``fleet.count``
-    vehicles is expanded into all visit orders and all depot
-    pass-through placements, and each candidate is scored by
-    ``solver.evaluate``, the call ``solve`` makes: timed with immediate
-    departures, audited, retimed on a ``schedule_m``-point grid (but
-    for distance, which retiming cannot change) and measured.  A
+    vehicles is expanded into all visit orders, and each candidate, an
+    ordered partition, is scored once by ``solver.evaluate``, the call
+    ``solve`` makes: timed with immediate departures, audited, retimed
+    on a ``schedule_m``-point grid (but for distance, which retiming
+    cannot change) and measured.  A
     candidate that is infeasible, or drives a missing arc, is skipped.
     No route record is shared between candidates, so the oracle stays
     an independent check of the solver's.
@@ -137,7 +109,6 @@ def enumerate_routes(instance: Instance, objective: str, *,
 
     capacity = instance.fleet.capacity
     demand = {c: instance.node(c).demand for c in customers}
-    m = len(instance.dummy_ids)
     best = math.inf
     optima: list[RoutingSolution] = []
     enumerated = 0
@@ -147,21 +118,18 @@ def enumerate_routes(instance: Instance, objective: str, *,
             continue  # capacity is order-independent, prune the whole block
         for ordered in itertools.product(
                 *(itertools.permutations(block) for block in part)):
-            routes = [tuple(r) for r in ordered]
-            for placement in _gap_choices(routes, m):
-                enumerated += 1
-                if enumerated > budget:
-                    raise OracleBudgetError(
-                        f"enumeration budget {budget} exhausted", budget)
-                scored = evaluate(_weave(routes, placement, instance.dummy_ids),
-                                  instance, config, dispatch, weights)
-                if not scored.feasible:
-                    continue
-                if scored.value < best - TIE_EPS:
-                    best, optima = scored.value, [scored.solution]
-                elif scored.value <= best + TIE_EPS:
-                    best = min(best, scored.value)
-                    optima.append(scored.solution)
+            enumerated += 1
+            if enumerated > budget:
+                raise OracleBudgetError(
+                    f"enumeration budget {budget} exhausted", budget)
+            scored = evaluate(ordered, instance, config, dispatch, weights)
+            if not scored.feasible:
+                continue
+            if scored.value < best - TIE_EPS:
+                best, optima = scored.value, [scored.solution]
+            elif scored.value <= best + TIE_EPS:
+                best = min(best, scored.value)
+                optima.append(scored.solution)
 
     if not optima:
         raise OracleInfeasibleError(

@@ -3,7 +3,7 @@
 A solution assigns every customer to exactly one vehicle route.  Routes
 are stored as the visited vertex ids between the depot and the terminal
 copy (both implicit), so ``(3, 1, 5)`` means depot -> 3 -> 1 -> 5 ->
-terminal.  Pass-through depot duplicates may appear inside a route.
+terminal.  Neither depot copy may appear inside a route.
 
 Propagation turns a bare assignment into a timed solution by walking
 each route from the dispatch instant with immediate departures: arrive,
@@ -236,12 +236,9 @@ def propagate_schedule(solution: RoutingSolution | tuple[tuple[int, ...], ...],
 def return_leg_time(instance: Instance, node_id: int, depart: float) -> float:
     """Hours to regain the depot from ``node_id`` leaving at ``depart``.
 
-    Zero from a pass-through copy, which already sits at the depot;
-    infinite when no arc leads back to the terminal, since then no
+    Infinite when no arc leads back to the terminal, since then no
     return is guaranteed.
     """
-    if instance.is_dummy(node_id):
-        return 0.0
     arc = instance.arcs.get((node_id, instance.terminal_id))
     return math.inf if arc is None else travel_time(arc, depart)
 
@@ -250,14 +247,13 @@ def check_feasibility(solution: RoutingSolution,
                       instance: Instance) -> tuple[Violation, ...]:
     """All requirement violations of a timed solution (empty = feasible).
 
-    Whole-solution checks: every customer served exactly once,
-    pass-through dummies used at most once, no depot copy inside a
-    route, and fleet size.  Routes that visit exactly the customers,
-    each once, trip none of the first three, so only other routes have
-    their visits counted, in one pass; each customer's count is checked
-    and taken out, and only what is left, depot copies, pass-through
-    vertices and unknown ids, is walked in id order for the other
-    checks, as a customer id trips none of them.  Each route's own
+    Whole-solution checks: every customer served exactly once, no
+    depot copy inside a route, and fleet size.  Routes that visit
+    exactly the customers, each once, trip neither of the first two,
+    so only other routes have their visits counted, in one pass; each
+    customer's count is checked and taken out, and only what is left,
+    depot copies and unknown ids, is walked in id order for the other
+    check, as a customer id trips neither.  Each route's own
     audit (capacity, windows, non-negativity, return to the depot,
     horizon) is the verdict its ``time_route`` walk recorded,
     relabelled with the vehicle index, and a clean verdict adds
@@ -279,16 +275,12 @@ def check_feasibility(solution: RoutingSolution,
             if seen != 1:
                 violations.append(Violation(
                     "visit-count", -1, c, f"customer visited {seen} times"))
-        for n, seen in sorted(counts.items()):
+        for n in sorted(counts):
             if n == 0 or n == instance.terminal_id:
                 violations.append(Violation(
                     "route-shape", -1, n,
                     "depot copies may not appear inside a route"))
-            elif instance.is_dummy(n) and seen > 1:
-                violations.append(Violation(
-                    "visit-count", -1, n,
-                    f"pass-through vertex visited {seen} times"))
-            elif not instance.is_dummy(n):
+            else:
                 violations.append(Violation(
                     "visit-count", -1, n, "unknown vertex in route"))
 
@@ -327,13 +319,7 @@ def leg_cost(objective: str, arc: Arc, service: float,
         return duration, service + duration
     if objective == "tti":
         return duration, tti
-    if xi >= 1.0:
-        # a certain crash: -ln(0) is inf, but a zero crash weight charges
-        # no crash term (0 * inf would be nan)
-        surrogate = (0.0 if objective == "weighted" and not weights.w_crash
-                     else math.inf)
-    else:
-        surrogate = -math.log1p(-xi)
+    surrogate = -math.log1p(-xi)
     if objective == "crash":
         return duration, surrogate
     if objective == "weighted":
@@ -345,14 +331,19 @@ def leg_cost(objective: str, arc: Arc, service: float,
 def default_crash_scale(instance: Instance) -> float:
     """Rescaling that brings crash terms to TTI magnitude.
 
-    Mean hourly TTI over all arcs divided by mean hourly crash
-    probability, so a unit of rescaled crash weighs about as much as a
-    unit of TTI in the weighted objective.
+    Mean hourly TTI divided by mean hourly crash probability, both over
+    the arcs that join two original nodes, so a unit of rescaled crash
+    weighs about as much as a unit of TTI in the weighted objective.
+    The terminal copy's arcs are left out, so a plain instance and its
+    augmented form read the same scale.
     """
     tti_sum = 0.0
     crash_sum = 0.0
     cells = 0
+    terminal = instance.terminal_id
     for arc in instance.arcs.values():
+        if arc.head == terminal:
+            continue
         tti_sum += sum(arc.tti.values)
         crash_sum += sum(arc.crash.values)
         cells += len(arc.tti.values)

@@ -32,9 +32,8 @@ exactly the one the reported objective ranks best.
 A route the routing phase's audit passes always has a path: each
 stop's grid starts at its immediate start, which the audit accepted
 by the same window, return and horizon comparisons on the same floats,
-so the path through the immediate starts exists.  Phase 2 refuses
-such a route only when no path costs finitely: a leg whose crash
-reading is 1 costs ``inf`` under ``crash`` and ``weighted``.
+so the path through the immediate starts exists, and it costs
+finitely, as the model keeps every crash reading below 1.
 """
 
 from __future__ import annotations

@@ -67,16 +67,15 @@ above the audit's ``TIME_EPS``, so none turns down a trial that the
 audit would accept: the audit stays the only judge of feasibility, and
 the search finds exactly what auditing every would-be best finds.
 
-Annealing uses six neighborhood families (relocation including depot
-pass-through edits, swaps, 2-opt, 3-opt, segment reversal, route
-splits), Boltzmann acceptance, geometric cooling from
-``INITIAL_TEMPERATURE`` to ``FINAL_TEMPERATURE`` over the configured
-number of temperatures, and a small elitist pool: each temperature runs
-``MOVES_PER_SEED`` moves from each of the ``POOL_SIZE`` best distinct
-feasible solutions seen so far.  The 2-opt and segment-reversal
-families share their branches in ``sample_move`` and ``apply_move``, so
-a segment reversal is drawn with probability 1/3; merging the two would
-change the random stream.
+Annealing uses six neighborhood families (relocation, swaps, 2-opt,
+3-opt, segment reversal, route splits), Boltzmann acceptance,
+geometric cooling from ``INITIAL_TEMPERATURE`` to ``FINAL_TEMPERATURE``
+over the configured number of temperatures, and a small elitist pool:
+each temperature runs ``MOVES_PER_SEED`` moves from each of the
+``POOL_SIZE`` best distinct feasible solutions seen so far.  The 2-opt
+and segment-reversal families share their branches in ``sample_move``
+and ``apply_move``, so a segment reversal is drawn with probability
+1/3; merging the two would change the random stream.
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ from .phase1 import (
     propagate_schedule,
     time_route,
 )
-from .phase2 import ScheduleInfeasibleError, schedule_solution
+from .phase2 import schedule_solution
 
 MOVE_KINDS = ("insertion", "swap", "two_opt", "three_opt", "reversion", "split")
 
@@ -342,8 +341,7 @@ def _latest_starts(route: tuple[int, ...], instance: Instance,
     leave_by = math.inf  # latest departure that reaches the next stop in time
     for k in reversed(range(len(route))):
         node = instance.node(route[k])
-        home = 0.0 if instance.is_dummy(node.id) \
-            else fastest[node.id][instance.terminal_id]
+        home = fastest[node.id][instance.terminal_id]
         latest[k] = min(dispatch + node.window_close,
                         min(horizon - home, leave_by) - node.service_time)
         if k:
@@ -494,8 +492,8 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
                   ) -> RoutingSolution | None:
     """Deterministic repair: eject into a bank, re-insert cheapest.
 
-    Each route keeps its customers at their first visit (pass-through
-    vertices, depot copies and surplus copies go), then sheds in rounds
+    Each route keeps its customers at their first visit (depot copies,
+    unknown ids and surplus copies go), then sheds in rounds
     every stop its own audit names (on a capacity overflow the heaviest
     customer) until it passes.  A late return is named twice, as the
     last stop's ``horizon-return`` and as the route's ``horizon``, so
@@ -665,14 +663,11 @@ def _customer_positions(routes) -> list[tuple[int, int]]:
     return [(ri, i) for ri, r in enumerate(routes) for i in range(len(r))]
 
 
-def sample_move(solution: RoutingSolution, instance: Instance,
-                rng: random.Random) -> Move:
+def sample_move(solution: RoutingSolution, rng: random.Random) -> Move:
     """Draw a random move valid for the solution's current shape.
 
     The kind is uniform over the six families; segment sizes of 1 or 2
-    are uniform where the family supports both.  Relocation doubles as
-    the depot pass-through editor: it can bring an unused pass-through
-    vertex into a route or drop one from it.
+    are uniform where the family supports both.
     """
     routes = solution.routes
     positions = _customer_positions(routes)
@@ -682,20 +677,6 @@ def sample_move(solution: RoutingSolution, instance: Instance,
     for _ in range(64):
         kind = MOVE_KINDS[rng.randrange(len(MOVE_KINDS))]
         if kind == "insertion":
-            used = {n for r in routes for n in r}
-            free = [d for d in instance.dummy_ids if d not in used]
-            placed = [(ri, i) for ri, r in enumerate(routes)
-                      for i, n in enumerate(r) if instance.is_dummy(n)]
-            roll = rng.random()
-            if free and roll < 0.25:
-                ri = rng.randrange(len(routes))
-                if len(routes[ri]) < 2:
-                    continue  # pass-through needs customers on both sides
-                gap = rng.randrange(1, len(routes[ri]))
-                return Move("insertion", ("add-pass", free[0], ri, gap))
-            if placed and roll < 0.5:
-                ri, i = placed[rng.randrange(len(placed))]
-                return Move("insertion", ("drop-pass", ri, i))
             ri, i = positions[rng.randrange(len(positions))]
             seg = 1 if rng.random() < 0.5 else 2
             if i + seg > len(routes[ri]):
@@ -705,7 +686,7 @@ def sample_move(solution: RoutingSolution, instance: Instance,
             if slots < 1:
                 continue
             j = rng.randrange(slots)
-            return Move("insertion", ("relocate", ri, i, seg, rj, j))
+            return Move("insertion", (ri, i, seg, rj, j))
         if kind == "swap":
             if len(positions) < 2:
                 continue
@@ -747,7 +728,7 @@ def sample_move(solution: RoutingSolution, instance: Instance,
             return Move("split", (ri, cut, rj))
     # everything else degenerate: relocate one customer onto its own spot
     ri, i = positions[rng.randrange(len(positions))]
-    return Move("insertion", ("relocate", ri, i, 1, ri, i))
+    return Move("insertion", (ri, i, 1, ri, i))
 
 
 def apply_move(solution: RoutingSolution, move: Move) -> RoutingSolution:
@@ -755,18 +736,10 @@ def apply_move(solution: RoutingSolution, move: Move) -> RoutingSolution:
     routes = [list(r) for r in solution.routes]
     p = move.params
     if move.kind == "insertion":
-        tag = p[0]
-        if tag == "add-pass":
-            _, dummy, ri, gap = p
-            routes[ri].insert(gap, dummy)
-        elif tag == "drop-pass":
-            _, ri, i = p
-            del routes[ri][i]
-        else:
-            _, ri, i, seg, rj, j = p
-            chunk = routes[ri][i:i + seg]
-            del routes[ri][i:i + seg]
-            routes[rj][j:j] = chunk
+        ri, i, seg, rj, j = p
+        chunk = routes[ri][i:i + seg]
+        del routes[ri][i:i + seg]
+        routes[rj][j:j] = chunk
     elif move.kind == "swap":
         ra, ia, rb, ib, seg = p
         if ra == rb:
@@ -876,12 +849,9 @@ def evaluate(routes: RoutingSolution | tuple, instance: Instance,
     if check_feasibility(timed, instance):
         return Evaluation(timed, math.inf, False)
     if config.objective != "distance":
-        try:
-            timed = schedule_solution(
-                timed, instance, config.m, weights, config.objective,
-                memo={} if retimed is None else retimed)
-        except ScheduleInfeasibleError:  # a leg of crash 1 (see phase2)
-            return Evaluation(timed, math.inf, False)
+        timed = schedule_solution(
+            timed, instance, config.m, weights, config.objective,
+            memo={} if retimed is None else retimed)
     value = objective_value(config.objective, timed, instance, weights)
     result = Evaluation(timed, value, True)
     if scored is not None:
@@ -961,7 +931,7 @@ def solve(instance: Instance, config: SolverConfig | None = None,
             for member in list(pool) or [first]:
                 current = member
                 for _ in range(MOVES_PER_SEED):
-                    move = sample_move(current.solution, instance, rng)
+                    move = sample_move(current.solution, rng)
                     candidate = score(apply_move(current.solution, move))
                     if not candidate.feasible:
                         continue

@@ -9,6 +9,7 @@ from dataclasses import replace
 from saferoute.instances import (
     ASSIGNMENT,
     INTERVALS,
+    MAX_CRASH,
     MIN_CRASH,
     MIN_SPEED,
     StepFunctionSpec,
@@ -52,6 +53,11 @@ from saferoute.solver import (
 )
 
 
+#: The three largest crash values an arc admits, the highest first.
+TOP_CRASHES = (MAX_CRASH, math.nextafter(MAX_CRASH, 0.0),
+               math.nextafter(math.nextafter(MAX_CRASH, 0.0), 0.0))
+
+
 def reference_profile_check(tail: int, head: int, speed: TimeProfile,
                             tti: TimeProfile, crash: TimeProfile) -> str | None:
     """The arc's range check as a scan of every hour of every profile.
@@ -60,37 +66,28 @@ def reference_profile_check(tail: int, head: int, speed: TimeProfile,
     returns the ``InvalidProfileError`` message for the first value out
     of range, or None when all 72 values are in range.
     """
-    for kind, profile, lo, hi, lo_strict in (
+    for kind, profile, lo, hi, strict in (
             ("speed", speed, 0.0, math.inf, True),
             ("tti", tti, 1.0, math.inf, False),
             ("crash", crash, 0.0, 1.0, True)):
         for h, v in enumerate(profile.values):
-            if not ((v > lo if lo_strict else v >= lo) and v <= hi):
-                bound = f"({lo}, {hi}]" if lo_strict else f"[{lo}, {hi}]"
+            if not ((lo < v < hi) if strict else (lo <= v <= hi)):
+                bound = f"({lo}, {hi})" if strict else f"[{lo}, {hi}]"
                 return (f"arc ({tail}, {head}) {kind} value {v} at hour {h} "
                         f"outside {bound}")
     return None
 
 
 def reference_augmented_arcs(instance: Instance) -> dict[tuple[int, int], Arc]:
-    """The arcs ``augment_depot`` gives ``instance``, by two scans.
-
-    The plain instance's arcs, then one terminal copy of each arc into
-    the depot, then per pass-through copy one copy of each arc out of
-    the depot and one of each arc into it; each scan keeps the order the
-    instance holds its arcs in, and each copy is built by ``Arc(...)``.
+    """The arcs ``augment_depot`` gives ``instance``: the plain
+    instance's arcs, then one terminal copy of each arc into the depot,
+    in the order the instance holds them, each built by ``Arc(...)``.
     """
     terminal = len(instance.nodes)
-    into = [arc for (i, j), arc in instance.arcs.items() if j == 0]
-    out = [arc for (i, j), arc in instance.arcs.items() if i == 0]
     arcs = dict(instance.arcs)
-    ends = [(arc, arc.tail, terminal) for arc in into]
-    for dummy in range(terminal + 1, terminal + 1 + instance.dummy_count):
-        ends += [(arc, dummy, arc.head) for arc in out]
-        ends += [(arc, arc.tail, dummy) for arc in into]
-    for arc, tail, head in ends:
-        arcs[(tail, head)] = Arc(tail, head, arc.distance, arc.speed,
-                                 arc.tti, arc.crash)
+    for arc in [arc for (i, j), arc in instance.arcs.items() if j == 0]:
+        arcs[(arc.tail, terminal)] = Arc(arc.tail, terminal, arc.distance,
+                                         arc.speed, arc.tti, arc.crash)
     return arcs
 
 
@@ -101,12 +98,12 @@ def reference_profile(spec: StepFunctionSpec, kind: str) -> tuple[float, ...]:
     ``INTERVALS``, and each value is
     ``_clip(kind, level * (1.0 + rng.uniform(-a, a)))`` drawn from
     ``random.Random(spec.seed)``, with ``_clip`` holding crash in
-    [``MIN_CRASH``, 1], TTI at 1 or above and speed at ``MIN_SPEED``
-    or above.
+    [``MIN_CRASH``, ``MAX_CRASH``], TTI at 1 or above and speed at
+    ``MIN_SPEED`` or above.
     """
     def clip(value: float) -> float:
         if kind == "crash":
-            return min(1.0, max(value, MIN_CRASH))
+            return min(MAX_CRASH, max(value, MIN_CRASH))
         if kind == "tti":
             return max(value, 1.0)
         return max(value, MIN_SPEED)
@@ -161,7 +158,6 @@ def build_instance(
     tti: float | TimeProfile = 1.0,
     crash: float | TimeProfile = 0.01,
     arc_overrides: dict | None = None,
-    dummy_count: int = 0,
 ) -> Instance:
     """Dense Euclidean instance from terse customer dicts.
 
@@ -198,8 +194,7 @@ def build_instance(
                 as_profile(spec.get("tti", tti)),
                 as_profile(spec.get("crash", crash)),
             )
-    return Instance(name, tuple(nodes), arcs, Fleet(*fleet), latest,
-                    dummy_count=dummy_count)
+    return Instance(name, tuple(nodes), arcs, Fleet(*fleet), latest)
 
 
 def with_first_arc_repeated(text: str) -> tuple[str, int]:
@@ -217,8 +212,8 @@ def with_first_arc_repeated(text: str) -> tuple[str, int]:
     return "\n".join(lines) + "\n", first + 2
 
 
-def build_augmented(customers: list[dict], m: int = 0, **kwargs) -> Instance:
-    return augment_depot(build_instance(customers, dummy_count=m, **kwargs))
+def build_augmented(customers: list[dict], **kwargs) -> Instance:
+    return augment_depot(build_instance(customers, **kwargs))
 
 
 def two_on_a_line_without(missing: tuple[int, int]) -> Instance:
@@ -265,12 +260,8 @@ def reference_audit(route: tuple[int, ...], timing, instance: Instance,
             violations.append(Violation(
                 "non-negative", 0, stop.node,
                 "negative time or load along the route"))
-        if instance.is_dummy(stop.node):
-            back = 0.0
-        else:
-            arc = instance.arcs.get((stop.node, instance.terminal_id))
-            back = (math.inf if arc is None
-                    else travel_time(arc, stop.departure))
+        arc = instance.arcs.get((stop.node, instance.terminal_id))
+        back = math.inf if arc is None else travel_time(arc, stop.departure)
         if stop.departure + back > horizon + TIME_EPS:
             violations.append(Violation(
                 "horizon-return", 0, stop.node,
@@ -371,7 +362,7 @@ def reference_feasibility(solution: RoutingSolution,
     loop that walks every visited id, customers included.
 
     Customers' visit counts in id order, then every visited id in id
-    order (depot copies, repeated pass-through vertices, unknown ids),
+    order (depot copies, unknown ids),
     then the fleet size, then each timing's violations relabelled with
     its vehicle index.
     """
@@ -385,16 +376,12 @@ def reference_feasibility(solution: RoutingSolution,
         if seen != 1:
             violations.append(Violation(
                 "visit-count", -1, c, f"customer visited {seen} times"))
-    for n, seen in sorted(counts.items()):
+    for n in sorted(counts):
         if n == 0 or n == instance.terminal_id:
             violations.append(Violation(
                 "route-shape", -1, n,
                 "depot copies may not appear inside a route"))
-        elif instance.is_dummy(n) and seen > 1:
-            violations.append(Violation(
-                "visit-count", -1, n,
-                f"pass-through vertex visited {seen} times"))
-        elif not instance.is_dummy(n) and not instance.is_customer(n):
+        elif not instance.is_customer(n):
             violations.append(Violation(
                 "visit-count", -1, n, "unknown vertex in route"))
     used = sum(1 for r in solution.routes if r)
@@ -528,8 +515,7 @@ def reference_summary(route: tuple[int, ...], instance: Instance,
     leave_by = math.inf  # latest departure that reaches the next stop in time
     for k in reversed(range(len(route))):
         node = instance.node(route[k])
-        home = 0.0 if instance.is_dummy(node.id) else reference_fastest(
-            instance, node.id, instance.terminal_id)
+        home = reference_fastest(instance, node.id, instance.terminal_id)
         latest[k] = min(dispatch + node.window_close,
                         min(horizon - home, leave_by) - node.service_time)
         if k:

@@ -100,15 +100,10 @@ def test_acceptance_4_schedule_dp_equals_enumeration():
         started = time.perf_counter()
         compared = 0
         while compared < 500:
-            inst = random_instance(rng, rng.randint(2, 5), dummies=1)
+            inst = random_instance(rng, rng.randint(2, 5))
             pool = list(inst.customers())
             rng.shuffle(pool)
             route = pool[:rng.randint(1, min(4, len(pool)))]
-            if rng.random() < 0.3:
-                route.insert(rng.randrange(1, len(route) + 1) - 1,
-                             inst.dummy_ids[0])
-            if route[0] == inst.dummy_ids[0] or route[-1] == inst.dummy_ids[0]:
-                continue
             m = rng.randint(1, 4)
             dispatch = rng.uniform(0.0, 12.0)
             objective = OBJECTIVES[rng.randrange(len(OBJECTIVES))]
@@ -205,11 +200,10 @@ def test_acceptance_8_solver_internal_properties():
                 [{"x": rng.uniform(-8, 8), "y": rng.uniform(-8, 8),
                   "demand": rng.randint(5, 15), "service": 0.05}
                  for _ in range(6)],
-                m=2, fleet=(3, 200.0))
+                fleet=(3, 200.0))
             res = solve(inst, SolverConfig(seed=trial, m=2))
             assert res.feasible
-            visits = Counter(n for r in res.solution.routes for n in r
-                             if not inst.is_dummy(n))
+            visits = Counter(n for r in res.solution.routes for n in r)
             assert visits == Counter({c: 1 for c in inst.customers()})
             assert all(a >= b - 1e-15
                        for a, b in zip(res.history, res.history[1:]))

@@ -151,8 +151,7 @@ def test_solve_all_scenarios_emits_24_rows(tmp_path, capsys):
 
 def test_solve_flags_infeasible_scenario(tmp_path, capsys):
     # window closes before any vehicle can arrive: nothing to serve it
-    inst = build_instance([{"x": 6.0, "y": 0.0, "close": 0.05}],
-                          dummy_count=1)
+    inst = build_instance([{"x": 6.0, "y": 0.0, "close": 0.05}])
     path = tmp_path / "bad.txt"
     path.write_text(serialize_instance(inst))
     out = tmp_path / "res.tsv"
@@ -183,8 +182,7 @@ def test_solve_missing_instance(capsys):
 
 
 def test_solve_reads_native_and_solomon_files(tmp_path, capsys):
-    native = build_instance(
-        [{"x": 2.0, "y": 1.0}, {"x": 4.0, "y": 2.0}], dummy_count=1)
+    native = build_instance([{"x": 2.0, "y": 1.0}, {"x": 4.0, "y": 2.0}])
     npath = tmp_path / "native.txt"
     npath.write_text(serialize_instance(native))
     assert main(["solve", "--instance", str(npath), "--objective",
@@ -343,8 +341,7 @@ def _case_study_with_zero_miles(tmp_path: Path) -> str:
 
 @pytest.mark.parametrize("case", [
     "solomon-negative-demand", "solomon-ready-after-due",
-    "case-study-zero-miles", "generate-negative-dummies",
-    "generate-infinite-latest"])
+    "case-study-zero-miles", "generate-infinite-latest"])
 def test_bad_numbers_in_an_instance_exit_3(tmp_path, capsys, case):
     # the model rejects the values; the CLI reports them as bad input,
     # never as a traceback or the verification-gap exit code
@@ -358,9 +355,7 @@ def test_bad_numbers_in_an_instance_exit_3(tmp_path, capsys, case):
     elif case.startswith("case-study"):
         argv = [*solve, _case_study_with_zero_miles(tmp_path)]
     else:
-        flag = ["--dummies", "-1"] if case.endswith("dummies") \
-            else ["--latest", "inf"]
-        argv = ["generate", "--size", "3", *flag,
+        argv = ["generate", "--size", "3", "--latest", "inf",
                 "--out", str(tmp_path / "g.txt")]
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("error: ")
@@ -384,7 +379,7 @@ def test_non_finite_node_value_exits_3(tmp_path, capsys, column, name):
     capsys.readouterr()
     assert main(["solve", "--instance", str(source), "--scenario", "7",
                  "--no-gaps"]) == 3
-    assert capsys.readouterr().err == "error: line 8: bad node row " \
+    assert capsys.readouterr().err == "error: line 7: bad node row " \
         f"(node 1: {name} must be finite, got nan)\n"
 
 

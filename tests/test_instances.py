@@ -107,6 +107,8 @@ def test_kind_bounds_enforced():
         generate_profiles(StepFunctionSpec((0.9, 1.2, 1.5)), "tti")
     with pytest.raises(ProfileSpecError):
         generate_profiles(StepFunctionSpec((0.1, 0.5, 1.5)), "crash")
+    with pytest.raises(ProfileSpecError):  # crash lies in (0, 1)
+        generate_profiles(StepFunctionSpec((0.1, 0.5, 1.0)), "crash")
     with pytest.raises(ProfileSpecError):
         generate_profiles(StepFunctionSpec((-5.0, 30.0, 20.0)), "speed")
     with pytest.raises(ProfileSpecError):
@@ -139,10 +141,10 @@ def test_clipping_keeps_kind_domains():
 
 #: Levels each kind's spec accepts.  Noise of amplitude up to 5 moves a
 #: value by up to five times its level either way, so draws cross every
-#: clip: crash above 1 and below ``MIN_CRASH``, speed below
+#: clip: crash above ``MAX_CRASH`` and below ``MIN_CRASH``, speed below
 #: ``MIN_SPEED`` and TTI below 1.
 LEVELS = {"speed": st.floats(1e-3, 80.0), "tti": st.floats(1.0, 3.0),
-          "crash": st.floats(1e-6, 1.0)}
+          "crash": st.floats(1e-6, 1.0, exclude_max=True)}
 
 
 @settings(max_examples=300, deadline=None)
@@ -260,6 +262,29 @@ def test_native_round_trip_generated_instance():
     assert serialize_instance(again) == text
 
 
+def test_native_file_with_a_dummies_line_loads_the_same():
+    # older files declare a count of depot pass-through copies after
+    # the fleet line; any value is read past and the instance is the
+    # one the file without the line holds
+    inst = generate_instance(10, seed=42)
+    text = serialize_instance(inst)
+    for value in ("2", "0", "-1", "many"):
+        old = text.replace("\nnodes 11\n", f"\ndummies {value}\nnodes 11\n")
+        assert old.splitlines()[4] == f"dummies {value}"
+        assert parse_instance(old) == inst == parse_instance(text)
+
+
+def test_case_study_with_a_dummies_key_loads_the_same(tmp_path):
+    # older bundles carry a dummies key in meta.csv, which is ignored
+    with_key = tmp_path / "with_key"
+    _case_study_edited(with_key, "meta.csv", lambda ls: ls + ["dummies,2"])
+    without = tmp_path / "without"
+    _case_study_edited(without, "meta.csv", lambda ls: ls)
+    assert "dummies,2" in (with_key / "meta.csv").read_text()
+    assert load_case_study(with_key) == load_case_study(without) \
+        == load_case_study(bundled_case_study_dir())
+
+
 def test_native_format_errors():
     inst = generate_instance(10, seed=1)
     with pytest.raises(InstanceError, match="augmented"):
@@ -319,7 +344,7 @@ def test_loaders_are_pinned():
         load_case_study(bundled_case_study_dir()),
         ensure_augmented(generate_instance(25, 0)),
         parse_instance(serialize_instance(generate_instance(10, 3))),
-    ]) == "08a57e2922b840d1f176cc41a1ee114c3e0a01ed460e724a7eff4b9f0d402f7d"
+    ]) == "56fad1b1b7101008c5fa9dba8c51e3f975bb5e6432195c2b6992278fb5ed9c61"
 
 
 # -- synthetic generation ------------------------------------------------------
@@ -345,7 +370,7 @@ def test_generated_profiles_stay_in_domain():
     for arc in inst.arcs.values():
         assert all(v > 0 for v in arc.speed.values)
         assert all(v >= 1 for v in arc.tti.values)
-        assert all(0 < v <= 1 for v in arc.crash.values)
+        assert all(0 < v < 1 for v in arc.crash.values)
         assert not arc.speed.is_constant
 
 
@@ -377,8 +402,7 @@ def test_case_study_loads_augmented():
     assert all(n.service_time == 0.1 for n in nodes)
     assert all((n.window_open, n.window_close) == (0.0, 1.3) for n in nodes)
     assert inst.latest_time == 23.0
-    assert inst.dummy_count == 2 and len(inst.dummy_ids) == 2
-    assert inst.terminal_id == 4
+    assert len(inst.nodes) == 5 and inst.terminal_id == 4
     assert inst.arc(0, 1).distance == 6.8009
 
 
@@ -413,7 +437,7 @@ def _case_study_edited(tmp_path, name, edit):
     ("profiles.csv", lambda ls: ls + [ls[1]],
      r"profiles.csv line 38: duplicate entry \(0, 1, 'speed'\)"),
     ("meta.csv", lambda ls: ls + ["vehicles,2"],
-     r"meta.csv line 7: duplicate entry 'vehicles'"),
+     r"meta.csv line 6: duplicate entry 'vehicles'"),
     ("distances.csv", lambda ls: [ln for ln in ls if ln != "2,3,9.1"],
      r"profiles.csv line 32: arc \(2, 3\) has no distances.csv row"),
     ("meta.csv", lambda ls: ["k,v"] + ls[1:],

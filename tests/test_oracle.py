@@ -57,26 +57,13 @@ def test_symmetric_instance_reports_all_ties():
         assert objective_value("distance", sol, inst) == pytest.approx(20.0)
 
 
-def test_enumeration_count_with_dummies():
-    # 3 customers on one vehicle: 6 orders, each with 2 internal gaps
-    # taking up to 2 pass-through stops -> 4 placements per order
-    inst = build_augmented(
-        [{"x": 1.0}, {"x": 2.0}, {"x": 3.0}],
-        m=2, fleet=(1, 1000.0))
-    result = enumerate_routes(inst, "distance")
-    assert result.enumerated == 24
-
-
-def test_dummy_detour_wins_on_risky_arc():
-    overrides = {(1, 2): {"crash": 0.9}, (2, 1): {"crash": 0.9}}
-    inst = build_augmented(
-        [{"x": 5.0, "y": 1.0}, {"x": 5.0, "y": -1.0}],
-        m=1, fleet=(1, 100.0), crash=0.001, arc_overrides=overrides)
-    result = enumerate_routes(inst, "crash")
-    dummy = inst.dummy_ids[0]
-    assert all(dummy in sol.routes[0] for sol in result.solutions)
-    direct = propagate_schedule(((1, 2),), inst, 0.0)
-    assert result.value < objective_value("crash", direct, inst) - 0.5
+def test_enumeration_scores_each_ordered_partition_once():
+    # 3 customers: 3! orders on one vehicle; on two, also 3 splits of
+    # one customer and an ordered pair
+    customers = [{"x": 1.0}, {"x": 2.0}, {"x": 3.0}]
+    for count, expected in ((1, 6), (2, 6 + 3 * 2)):
+        inst = build_augmented(customers, fleet=(count, 1000.0))
+        assert enumerate_routes(inst, "distance").enumerated == expected
 
 
 def test_oracle_never_beaten_by_sampled_candidates():
@@ -219,14 +206,14 @@ ORACLE_MATCH_FLOOR = 27
 
 def test_solver_reaches_the_enumerated_optimum_on_the_oracle_matrix():
     # a fixed matrix, never re-seeded or resized: ten 5-customer,
-    # 2-vehicle generated instances without pass-through vertices,
-    # every objective, dispatch hour 7, the default config; the
-    # optimum is enumerated with the solver's grid and weights.  Every
-    # miss is printed with its gap (pytest -s, or on failure)
+    # 2-vehicle generated instances, every objective, dispatch hour 7,
+    # the default config; the optimum is enumerated with the solver's
+    # grid and weights.  Every miss is printed with its gap (pytest -s,
+    # or on failure)
     matches, misses = 0, []
     for g in range(10):
         inst = ensure_augmented(
-            generate_instance(5, g, fleet_count=2, dummy_count=0))
+            generate_instance(5, g, fleet_count=2))
         for objective in OBJECTIVES:
             config = SolverConfig(objective=objective)
             optimum = enumerate_routes(

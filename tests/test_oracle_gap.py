@@ -15,11 +15,15 @@ def load_tool():
 
 
 def test_matrix_keeps_the_generators_pass_through_vertices():
+    # the generator's instances as it makes them, which is the Tier-1
+    # oracle matrix: five customers, two vehicles and no depot copy
+    # but the terminal, since pass-through vertices no longer exist
     labels = []
     for label, instance, _ in load_tool().matrix():
         labels.append(label)
-        assert len(instance.customers()) == 5
-        assert instance.fleet.count == 2 and len(instance.dummy_ids) == 2
+        assert instance.customers() == (1, 2, 3, 4, 5)
+        assert instance.fleet.count == 2
+        assert len(instance.nodes) == 7 and instance.terminal_id == 6
     assert len(labels) == len(set(labels)) == 50
 
 

@@ -2,13 +2,20 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saferoute.instances import generate_instance
-from saferoute.model import TimeProfile, ensure_augmented
+from saferoute.instances import (
+    MAX_CRASH,
+    bundled_case_study_dir,
+    generate_instance,
+    load_case_study,
+    load_solomon,
+)
+from saferoute.model import InvalidProfileError, TimeProfile, ensure_augmented
 from saferoute.phase1 import (
     ObjectiveWeights,
     RouteTiming,
@@ -24,8 +31,7 @@ from saferoute.phase1 import (
 
 from helpers import build_augmented, no_return_from_first, reference_feasibility
 
-#: RND10 with its two pass-through vertices: ids 1-10 are customers, 11
-#: is the terminal copy, 12 and 13 pass through the depot.
+#: RND10 augmented: ids 1-10 are customers, 11 is the terminal copy.
 RND10 = ensure_augmented(generate_instance(10, seed=0))
 
 
@@ -170,27 +176,25 @@ class TestFeasibility:
                    for v in check_feasibility(bad, inst))
 
     def test_dummy_repeat_flagged(self):
+        # the ids after the terminal, where pass-through copies of the
+        # depot used to sit, are unknown vertices: a repeated one is
+        # flagged once, and so is one visited once
         inst = build_augmented(
-            [{"x": 3, "y": 0}, {"x": 4, "y": 0}, {"x": 5, "y": 0}], m=1)
-        d = inst.dummy_ids[0]
-        sol = propagate_schedule(((1, d, 2, d, 3),), inst, 0.0)
-        assert any(v.constraint == "visit-count" and v.node == d
-                   for v in check_feasibility(sol, inst))
-
-    def test_dummy_single_use_ok(self):
-        inst = build_augmented(
-            [{"x": 3, "y": 0}, {"x": 4, "y": 0}], m=1)
-        d = inst.dummy_ids[0]
-        sol = propagate_schedule(((1, d, 2),), inst, 0.0)
-        assert not check_feasibility(sol, inst)
+            [{"x": 3, "y": 0}, {"x": 4, "y": 0}, {"x": 5, "y": 0}])
+        d = inst.terminal_id + 1
+        for route in ((1, d, 2, d, 3), (1, d, 2, 3)):
+            sol = RoutingSolution((route,), 0.0, (RouteTiming(
+                0.0, 0.0, (), 0.0, (), ()),))
+            assert check_feasibility(sol, inst) == (Violation(
+                "visit-count", -1, d, "unknown vertex in route"),)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_visit_checks_match_counting_loop(self, data):
         # counting visits in one pass and walking only the ids left once
         # the customers are taken out reports what walking every visited
-        # id did, in the same order: repeats, omissions, pass-throughs,
-        # depot copies and ids past the node table
+        # id did, in the same order: repeats, omissions, depot copies
+        # and ids past the node table
         ids = st.integers(0, len(RND10.nodes) + 2)
         routes = data.draw(st.lists(st.lists(ids, max_size=8), max_size=5))
         audits = st.lists(st.sampled_from([
@@ -218,10 +222,9 @@ class TestFeasibility:
         routes = [list(order[a:b])
                   for a, b in zip([0, *cuts], [*cuts, len(order)])]
         # edits that break the cover: a repeat, a missing customer, a
-        # depot copy, a pass-through vertex, an id past the node table
+        # depot copy, an id past the node table
         extra = st.one_of(st.sampled_from(customers),
-                          st.sampled_from((0, RND10.terminal_id,
-                                           *RND10.dummy_ids)),
+                          st.sampled_from((0, RND10.terminal_id)),
                           st.integers(len(RND10.nodes), len(RND10.nodes) + 3))
         for _ in range(data.draw(st.integers(0, 3))):
             route = data.draw(st.sampled_from(routes))
@@ -286,11 +289,13 @@ class TestObjectives:
                 1 - direct, abs=1e-12)
 
     def test_certain_crash_saturates(self):
+        # the model admits crash values below 1: the highest one makes
+        # the route's crash probability the highest float below 1
         inst = build_augmented(
             [{"x": 10, "y": 0}],
-            arc_overrides={(0, 1): {"crash": 1.0}})
+            arc_overrides={(0, 1): {"crash": MAX_CRASH}})
         sol = propagate_schedule(((1,),), inst, 0.0)
-        assert objective_value("crash", sol, inst) == 1.0
+        assert objective_value("crash", sol, inst) == MAX_CRASH
 
     def test_tti_sums_per_arc(self):
         inst = build_augmented([{"x": 10, "y": 0}], tti=1.5)
@@ -313,17 +318,23 @@ class TestObjectives:
             pytest.approx(5.0 * -math.log(0.72) + 1.5, abs=1e-12)
 
     def test_zero_crash_weight_charges_a_certain_crash_no_crash_term(self):
-        # w_crash 0 used to charge 0 * inf = nan for a crash reading of 1
+        # the model refuses a certain crash, so the riskiest leg reads
+        # the largest crash value below 1, whose log-survival term is
+        # finite: w_crash 0 charges none of it, and a positive weight
+        # charges a finite cost
+        with pytest.raises(InvalidProfileError, match=r"crash value 1\.0"):
+            build_augmented([{"x": 10, "y": 0}],
+                            arc_overrides={(0, 1): {"crash": 1.0}})
         inst = build_augmented([{"x": 10, "y": 0}],
-                               arc_overrides={(0, 1): {"crash": 1.0}})
+                               arc_overrides={(0, 1): {"crash": MAX_CRASH}})
         arc = inst.arc(0, 1)
         tti_only = ObjectiveWeights(0.0, 1.0, crash_scale=10.0)
-        for xi in (0.3, 1.0):
+        for xi in (0.3, MAX_CRASH):
             assert leg_cost("weighted", arc, 0.0, (2.0, 1.5, xi),
                             tti_only) == (2.0, 1.5)
         mixed = ObjectiveWeights(0.5, 0.5, crash_scale=10.0)
-        assert leg_cost("weighted", arc, 0.0, (2.0, 1.5, 1.0),
-                        mixed) == (2.0, math.inf)
+        assert leg_cost("weighted", arc, 0.0, (2.0, 1.5, MAX_CRASH),
+                        mixed) == (2.0, 5.0 * -math.log1p(-MAX_CRASH) + 0.75)
         sol = propagate_schedule(((1,),), inst, 0.0)
         assert objective_value("weighted", sol, inst, tti_only) == \
             objective_value("tti", sol, inst)
@@ -399,4 +410,21 @@ class TestObjectives:
         assert default_crash_scale(inst) == pytest.approx(24.0)
         w = ObjectiveWeights().resolved(inst)
         assert w.crash_scale == pytest.approx(24.0)
+
+    @pytest.mark.parametrize("name", ["case", "R101", "RND10"])
+    def test_default_crash_scale_ignores_the_terminal_copy(self, name):
+        # the scale averages over the arcs between original nodes, so a
+        # plain instance and its augmented form weigh crash alike
+        if name == "case":  # loaded augmented: strip the terminal copy
+            case = load_case_study(bundled_case_study_dir())
+            plain = replace(case, nodes=case.nodes[:-1], terminal_id=None,
+                            arcs={key: arc for key, arc in case.arcs.items()
+                                  if case.terminal_id not in key})
+        else:
+            plain = load_solomon("R101") if name == "R101" \
+                else generate_instance(10, seed=0)
+        augmented = ensure_augmented(plain)
+        assert len(augmented.arcs) > len(plain.arcs)
+        assert default_crash_scale(augmented).hex() \
+            == default_crash_scale(plain).hex()
 

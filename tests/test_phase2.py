@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from saferoute import model, phase2
 from saferoute.instances import (
+    MAX_CRASH,
     bundled_case_study_dir,
     generate_instance,
     load_case_study,
@@ -47,6 +48,7 @@ from saferoute.phase2 import (
 )
 
 from helpers import (
+    TOP_CRASHES,
     build_augmented,
     no_return_from_first,
     reference_audit,
@@ -58,7 +60,7 @@ def random_profile(rng, lo, hi):
     return TimeProfile(tuple(rng.uniform(lo, hi) for _ in range(24)))
 
 
-def random_instance(rng, n_customers, dummies=0, crash_hi=0.05):
+def random_instance(rng, n_customers, crash_hi=0.05):
     customers = [
         {
             "x": rng.uniform(-8.0, 8.0),
@@ -80,8 +82,8 @@ def random_instance(rng, n_customers, dummies=0, crash_hi=0.05):
                     "tti": random_profile(rng, 1.0, 3.0),
                     "crash": random_profile(rng, 1e-5, crash_hi),
                 }
-    return build_augmented(customers, dummies, fleet=(3, 1000.0),
-                           latest=24.0, arc_overrides=overrides)
+    return build_augmented(customers, fleet=(3, 1000.0), latest=24.0,
+                           arc_overrides=overrides)
 
 
 def retimed(route, dispatch, sched: Schedule, inst) -> RoutingSolution:
@@ -236,7 +238,7 @@ def test_rescheduled_solution_stays_feasible():
     rng = random.Random(59)
     checked = 0
     for trial in range(60):
-        inst = random_instance(rng, rng.randint(2, 5), dummies=1)
+        inst = random_instance(rng, rng.randint(2, 5))
         n = len(inst.customers())
         ids = list(range(1, n + 1))
         rng.shuffle(ids)
@@ -403,9 +405,8 @@ def test_layer_pass_matches_reference_graph(data, seed, dispatch, objective,
     # DP's starts whether it is handed an untimed route, its immediate
     # timing (kept when the DP starts there) or its retimed timing
     rng = random.Random(seed)
-    inst = random_instance(rng, rng.randint(2, 5),
-                           dummies=rng.randint(0, 2))
-    ids = list(inst.customers()) + list(inst.dummy_ids)
+    inst = random_instance(rng, rng.randint(2, 5))
+    ids = list(inst.customers())
     route = tuple(data.draw(st.permutations(ids)))[
         :data.draw(st.integers(1, len(ids)))]
     # cut nothing, one arc of the path or one stop's way home, and
@@ -450,19 +451,6 @@ def test_distance_ties_resolve_to_earliest_times():
     sched = optimize_schedule(route, inst, 2.0, m=6, objective="distance")
     assert sched.service_starts == tuple(
         s.service_start for s in prop.timings[0].stops)
-
-
-def test_dummy_stop_schedules_and_revalidates():
-    rng = random.Random(29)
-    inst = random_instance(rng, 3, dummies=2)
-    dummy = inst.dummy_ids[0]
-    route = (1, dummy, 2, 3)
-    sched = optimize_schedule(route, inst, 0.0, m=3, objective="crash")
-    timed = retimed(route, 0.0, sched, inst)
-    assert not check_feasibility(timed, inst)
-    pos = route.index(dummy) + 1
-    graph = build_schedule_graph(route, inst, 0.0, m=3, objective="crash")
-    assert len(graph.times[pos]) >= 1
 
 
 def test_schedule_solution_keeps_empty_routes():
@@ -536,7 +524,7 @@ def test_one_walk_times_immediate_and_retimed_routes(data, which, dispatch,
     # timing it gives a DP schedule serves exactly the DP's starts,
     # waits at the stop, and passes the audit
     inst = walk_instances()[which]
-    ids = list(inst.customers()) + list(inst.dummy_ids)
+    ids = list(inst.customers())
     size = data.draw(st.integers(1, min(5, len(ids))), label="size")
     route = tuple(data.draw(st.permutations(ids), label="order")[:size])
     try:
@@ -571,28 +559,37 @@ def test_one_walk_times_immediate_and_retimed_routes(data, which, dispatch,
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), size=st.integers(1, 8), seed=st.integers(0, 2 ** 16),
        latest=st.floats(8.0, 14.0),
-       dispatch=st.floats(0.0, 24.0, exclude_max=True), m=st.integers(1, 8))
+       dispatch=st.floats(0.0, 24.0, exclude_max=True), m=st.integers(1, 8),
+       crashes=st.sampled_from(("generated", "up to the bound", "at the top")))
 def test_phase2_never_refuses_an_audited_route(data, size, seed, latest,
-                                               dispatch, m):
+                                               dispatch, m, crashes):
     # each stop's grid starts at its immediate start, which the audit
     # accepted by the same comparisons on the same floats, so the path
-    # through the immediate starts exists (generated crash readings
-    # stay far below 1, the one reading that costs inf)
-    inst = ensure_augmented(generate_instance(size, seed, latest=latest))
-    stops = data.draw(st.permutations(inst.customers()))
-    stops = stops[:data.draw(st.integers(1, size))]
-    gaps = data.draw(st.lists(st.integers(1, len(stops) - 1), unique=True,
-                              max_size=len(inst.dummy_ids))) \
-        if len(stops) > 1 else []
-    dummies = iter(inst.dummy_ids)  # pass-through copies between stops
-    route = tuple(n for k, c in enumerate(stops)
-                  for n in ((next(dummies), c) if k in gaps else (c,)))
-    if time_route(route, inst, dispatch).violations:
+    # through the immediate starts exists, and it costs finitely, as no
+    # crash reading reaches 1 even when the hourly values sit just
+    # below it (a blend of those can round up to 1 or past it)
+    inst = generate_instance(size, seed, latest=latest)
+    if crashes != "generated":
+        rng = random.Random(seed)
+        draw = (lambda: rng.uniform(1e-4, MAX_CRASH)) \
+            if crashes == "up to the bound" else (lambda: rng.choice(
+                TOP_CRASHES))
+        inst = replace(inst, arcs={key: replace(arc, crash=TimeProfile(
+            tuple(draw() for _ in range(24))))
+            for key, arc in inst.arcs.items()})
+    inst = ensure_augmented(inst)
+    route = data.draw(st.permutations(inst.customers()))
+    route = tuple(route[:data.draw(st.integers(1, size))])
+    immediate = time_route(route, inst, dispatch)
+    assert all(xi < 1.0 for _, _, xi in immediate.legs)
+    if immediate.violations:
         return
     for objective in OBJECTIVES:
         starts = optimize_schedule(route, inst, dispatch, m, None,
                                    objective).service_starts
-        assert time_route(route, inst, dispatch, starts).violations == ()
+        timing = time_route(route, inst, dispatch, starts)
+        assert timing.violations == ()
+        assert all(xi < 1.0 for _, _, xi in timing.legs)
 
 
 def test_infeasible_window_raises():

@@ -31,7 +31,7 @@ def test_expect_fails_on_a_mismatch_and_prints_both(monkeypatch, capsys):
 
 #: The digest of the whole matrix.  A change that alters a result on
 #: purpose re-pins it and says why in CHANGES.md.
-PINNED = "5791b613052e3fa4b6ef4d82dc9cefd72e16a1e87398844e5fd9941140c5835c"
+PINNED = "2baeb74d772ea1399d6d54fafdbde0a6afe2fc6141943d47373431c284687ce0"
 
 
 def test_matrix_digest_is_pinned(capsys):

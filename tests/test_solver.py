@@ -18,12 +18,14 @@ from hypothesis import strategies as st
 
 import saferoute
 from saferoute.instances import (
+    MAX_CRASH,
     bundled_case_study_dir,
     generate_instance,
     load_case_study,
     load_solomon,
 )
 from saferoute.model import (
+    InvalidProfileError,
     MissingArcError,
     TimeProfile,
     augment_depot,
@@ -143,7 +145,7 @@ def test_initial_solution_splits_ring_by_half_plane():
         ang = math.pi / 8 + k * math.pi / 4
         customers.append({"x": 10 * math.cos(ang), "y": 10 * math.sin(ang),
                           "demand": 1.0})
-    inst = build_augmented(customers, m=0, fleet=(2, 100.0))
+    inst = build_augmented(customers, fleet=(2, 100.0))
     sol = initial_solution(inst)
     assert len(sol.routes) == 2
     # angles below pi belong to the first vehicle, the rest to the second
@@ -152,7 +154,7 @@ def test_initial_solution_splits_ring_by_half_plane():
 
 
 def test_initial_solution_single_customer():
-    inst = build_augmented([{"x": 3.0, "y": 4.0}], m=0)
+    inst = build_augmented([{"x": 3.0, "y": 4.0}])
     assert initial_solution(inst).routes == ((1,), ())
 
 
@@ -160,14 +162,14 @@ def test_initial_solution_spills_capacity_overflow():
     customers = [{"x": 5.0, "y": 1.0, "demand": 60.0},
                  {"x": 6.0, "y": 1.0, "demand": 60.0},
                  {"x": 7.0, "y": 1.0, "demand": 60.0}]
-    inst = build_augmented(customers, m=0, fleet=(3, 100.0))
+    inst = build_augmented(customers, fleet=(3, 100.0))
     sol = initial_solution(inst)
     assert sorted(len(r) for r in sol.routes) == [1, 1, 1]
     assert {n for r in sol.routes for n in r} == {1, 2, 3}
 
 
 def test_initial_solution_zero_customers():
-    inst = build_augmented([], m=0, fleet=(3, 50.0))
+    inst = build_augmented([], fleet=(3, 50.0))
     assert initial_solution(inst).routes == ((), (), ())
 
 
@@ -175,7 +177,7 @@ def test_initial_solution_orders_by_radius():
     # same narrow slice: outward sweep sorts by distance from the depot
     customers = [{"x": 9.0, "y": 0.5}, {"x": 3.0, "y": 0.2},
                  {"x": 6.0, "y": 0.4}]
-    inst = build_augmented(customers, m=0, fleet=(1, 500.0))
+    inst = build_augmented(customers, fleet=(1, 500.0))
     assert initial_solution(inst).routes[0] == (2, 3, 1)
 
 
@@ -186,7 +188,7 @@ def test_make_feasible_repairs_window_order():
     # serving the far customer first makes the near window unreachable
     customers = [{"x": 3.0, "y": 0.0, "close": 0.2},
                  {"x": 6.0, "y": 0.0, "close": 24.0}]
-    inst = build_augmented(customers, m=0, fleet=(2, 100.0))
+    inst = build_augmented(customers, fleet=(2, 100.0))
     broken = RoutingSolution(((2, 1), ()))
     assert check_feasibility(propagate_schedule(broken, inst, 0.0), inst)
     fixed = make_feasible(broken, inst, 0.0)
@@ -196,13 +198,13 @@ def test_make_feasible_repairs_window_order():
 
 
 def test_make_feasible_gives_up_on_impossible_window():
-    inst = build_augmented([{"x": 3.0, "y": 0.0, "close": 0.05}], m=0)
+    inst = build_augmented([{"x": 3.0, "y": 0.0, "close": 0.05}])
     assert make_feasible(RoutingSolution(((1,), ())), inst, 0.0) is None
 
 
 def test_make_feasible_keeps_feasible_input_feasible():
     rng = random.Random(21)
-    inst = build_augmented(random_customers(rng, 5), m=0, fleet=(2, 200.0))
+    inst = build_augmented(random_customers(rng, 5), fleet=(2, 200.0))
     sol = initial_solution(inst)
     fixed = make_feasible(sol, inst, 0.0)
     assert fixed is not None
@@ -211,12 +213,12 @@ def test_make_feasible_keeps_feasible_input_feasible():
 
 @pytest.mark.parametrize("copy", ["depot", "terminal", "pass-through"])
 def test_make_feasible_drops_a_depot_copy(copy):
-    # the copy is no customer to re-insert: it goes, also a pass-through
-    # vertex that the audit accepts, and the two customers stay where
-    # they were
-    inst = build_augmented([{"x": 1}, {"x": 2}], m=1)
+    # the copy is no customer to re-insert: it goes, and the two
+    # customers stay where they were; so does the id after the
+    # terminal, where a pass-through copy of the depot used to sit
+    inst = build_augmented([{"x": 1}, {"x": 2}])
     inside = {"depot": 0, "terminal": inst.terminal_id,
-              "pass-through": inst.dummy_ids[0]}[copy]
+              "pass-through": inst.terminal_id + 1}[copy]
     fixed = make_feasible(RoutingSolution(((1, inside, 2), ())), inst, 0.0)
     assert fixed is not None and fixed.routes == ((1, 2), ())
 
@@ -226,7 +228,7 @@ def test_make_feasible_drops_a_depot_copy(copy):
 def test_make_feasible_serves_each_customer_once(routes):
     # a surplus copy goes, and a customer served nowhere is re-inserted
     # like an ejected one
-    inst = build_augmented([{"x": 1}, {"x": 2}], m=0, fleet=(2, 100.0))
+    inst = build_augmented([{"x": 1}, {"x": 2}], fleet=(2, 100.0))
     fixed = make_feasible(RoutingSolution(routes), inst, 0.0)
     assert fixed is not None
     assert not check_feasibility(propagate_schedule(fixed, inst, 0.0), inst)
@@ -237,7 +239,7 @@ def test_make_feasible_rejects_more_routes_than_vehicles():
     # each route passes its own audit, and capacity keeps them apart, so
     # only the fleet size could turn this start down
     inst = build_augmented([{"x": 1, "demand": 60}, {"x": 2, "demand": 60}],
-                           m=0, fleet=(1, 100.0))
+                           fleet=(1, 100.0))
     with pytest.raises(SolverError):
         make_feasible(RoutingSolution(((1,), (2,))), inst, 0.0)
 
@@ -338,10 +340,9 @@ def audit_instance(name):
 def test_route_check_matches_whole_audit(data, name, dispatch):
     # repair judges one route by the verdict its record holds; it
     # must say what the whole-solution audit says of that route, visit
-    # counts aside, for the customers and pass-through vertices repair
-    # hands it
+    # counts aside, for the customers repair hands it
     inst = audit_instance(name)
-    pool = [*inst.customers(), *inst.dummy_ids]
+    pool = list(inst.customers())
     route = tuple(data.draw(st.lists(st.sampled_from(pool), min_size=1,
                                      max_size=12)))
     verdict = solver._record(route, inst, dispatch, {}).violations
@@ -585,7 +586,7 @@ def _feasible_route(data, inst, dispatch, c):
     of up to four cuts of up to 12 visits, each cut to its longest
     feasible prefix."""
     visits = data.draw(st.lists(st.sampled_from(
-        [n for n in inst.customers() + inst.dummy_ids if n != c]),
+        [n for n in inst.customers() if n != c]),
         max_size=12, unique=True))
     if data.draw(st.booleans()):  # window order keeps more of a route
         visits.sort(key=lambda n: inst.node(n).window_close)
@@ -666,7 +667,7 @@ def test_reversal_precheck_passes_every_route_the_audit_accepts(
     # horizon sits within the audit's TIME_EPS of its timing
     inst = audit_instance(name)
     route = data.draw(st.lists(st.sampled_from(
-        [*inst.customers(), *inst.dummy_ids]), min_size=1, max_size=12,
+        inst.customers()), min_size=1, max_size=12,
         unique=True))
     if data.draw(st.booleans()):  # window order keeps more of a route
         route.sort(key=lambda n: inst.node(n).window_close)
@@ -731,9 +732,8 @@ def test_lazy_record_equals_eager_summary(data, seed, dispatch):
     # lacks an arc of the drawn route or its way home.  Only records
     # that pass their audit are drawn, as repair reads no other
     rng = random.Random(seed)
-    inst = random_instance(rng, rng.randint(2, 5),
-                           dummies=rng.randint(0, 2))
-    ids = list(inst.customers()) + list(inst.dummy_ids)
+    inst = random_instance(rng, rng.randint(2, 5))
+    ids = list(inst.customers())
     route = tuple(data.draw(st.permutations(ids)))[
         :data.draw(st.integers(0, len(ids)))]
     path = (0, *route, inst.terminal_id)
@@ -797,7 +797,7 @@ def test_repair_walks_each_route_once(monkeypatch, name, dispatch):
     res = solve(inst, SolverConfig(objective=objective, seed=0), dispatch)
     assert res.feasible
     assert walks and max(walks.values()) == 1
-    assert sum(walks.values()) <= (317 if name == "R101" else 345)
+    assert sum(walks.values()) <= (317 if name == "R101" else 375)
 
 
 def test_r101_scan_looks_up_only_trial_records(monkeypatch):
@@ -904,19 +904,11 @@ def test_swap_and_reversion_are_involutions():
     assert apply_move(apply_move(sol, rev), rev).routes == sol.routes
 
 
-def test_pass_through_moves_invert_each_other():
-    sol = RoutingSolution(((1, 2, 3),))
-    added = apply_move(sol, Move("insertion", ("add-pass", 9, 0, 2)))
-    assert added.routes == ((1, 2, 9, 3),)
-    removed = apply_move(added, Move("insertion", ("drop-pass", 0, 2)))
-    assert removed.routes == sol.routes
-
-
 def test_relocate_across_routes_and_back():
     sol = RoutingSolution(((1, 2, 3), (4,)))
-    there = apply_move(sol, Move("insertion", ("relocate", 0, 1, 2, 1, 0)))
+    there = apply_move(sol, Move("insertion", (0, 1, 2, 1, 0)))
     assert there.routes == ((1,), (2, 3, 4))
-    back = apply_move(there, Move("insertion", ("relocate", 1, 0, 2, 0, 1)))
+    back = apply_move(there, Move("insertion", (1, 0, 2, 0, 1)))
     assert back.routes == sol.routes
 
 
@@ -947,31 +939,23 @@ def test_move_kind_is_validated():
 
 def test_sampled_moves_preserve_visit_multiset():
     rng = random.Random(77)
-    inst = build_augmented(random_customers(rng, 6), m=2, fleet=(3, 400.0))
+    inst = build_augmented(random_customers(rng, 6), fleet=(3, 400.0))
     sol = initial_solution(inst)
-    want = Counter(n for r in sol.routes for n in r if not inst.is_dummy(n))
+    want = Counter(n for r in sol.routes for n in r)
     for _ in range(400):
-        move = sample_move(sol, inst, rng)
+        move = sample_move(sol, rng)
         assert move.kind in MOVE_KINDS
         sol = apply_move(sol, move)
-        got = Counter(n for r in sol.routes for n in r)
-        dummies = [n for n in got if inst.is_dummy(n)]
-        for d in dummies:
-            assert got[d] == 1  # pass-through vertices never duplicate
-            del got[d]
-        assert got == want
+        assert Counter(n for r in sol.routes for n in r) == want
         assert len(sol.routes) == inst.fleet.count
 
 
 def test_sample_move_on_single_customer():
-    inst = build_augmented([{"x": 2.0, "y": 1.0}], m=1, fleet=(1, 50.0))
     sol = RoutingSolution(((1,),))
     rng = random.Random(5)
     for _ in range(50):
-        move = sample_move(sol, inst, rng)
-        moved = apply_move(sol, move)
-        kept = [n for r in moved.routes for n in r if not inst.is_dummy(n)]
-        assert kept == [1]
+        moved = apply_move(sol, sample_move(sol, rng))
+        assert moved.routes == ((1,),)
 
 
 # --- evaluation ----------------------------------------------------------
@@ -979,7 +963,7 @@ def test_sample_move_on_single_customer():
 
 def test_evaluate_skips_scheduling_for_distance():
     inst = build_augmented([{"x": 2.0, "y": 0.0}, {"x": 4.0, "y": 0.0}],
-                           m=1, fleet=(2, 100.0))
+                           fleet=(2, 100.0))
     cfg = SolverConfig(objective="distance", m=2)
     retimed = {}
     out = evaluate(((1, 2), ()), inst, cfg, 0.0,
@@ -990,37 +974,37 @@ def test_evaluate_skips_scheduling_for_distance():
 
 
 def test_evaluate_rejects_window_violation():
-    inst = build_augmented([{"x": 6.0, "y": 0.0, "close": 0.1}], m=0)
+    inst = build_augmented([{"x": 6.0, "y": 0.0, "close": 0.1}])
     cfg = SolverConfig(m=2)
     out = evaluate(((1,), ()), inst, cfg, 0.0, cfg.weights.resolved(inst))
     assert not out.feasible and out.value == math.inf
 
 
-def test_evaluate_rejects_an_audited_route_that_phase2_refuses():
-    # a leg whose crash reading is 1 costs inf under crash and weighted,
-    # so phase 2 finds no finite schedule for a route the audit passes
+def test_evaluate_scores_an_audited_route_of_near_certain_crash():
+    # the model refuses a crash value of 1, which phase 2 used to meet
+    # as a leg costing inf; at the largest value below 1 the leg costs
+    # finitely, so phase 2 retimes every route the audit passes
     base = load_case_study(bundled_case_study_dir())
-    certain = replace(base.arcs[0, 1], crash=TimeProfile.constant(1.0))
-    base = replace(base, arcs={**base.arcs, (0, 1): certain})
+    with pytest.raises(InvalidProfileError):
+        replace(base.arcs[0, 1], crash=TimeProfile.constant(1.0))
+    near = replace(base.arcs[0, 1], crash=TimeProfile.constant(MAX_CRASH))
+    base = replace(base, arcs={**base.arcs, (0, 1): near})
     inst = ensure_augmented(base)
     assert time_route((1, 2, 3), inst, 7.0).violations == ()
     for objective in ("crash", "weighted"):
         cfg = SolverConfig(objective=objective)
-        with pytest.raises(phase2.ScheduleInfeasibleError):
-            optimize_schedule((1, 2, 3), inst, 7.0, cfg.m, None, objective)
         out = evaluate(((1, 2, 3),), inst, cfg, 7.0,
                        cfg.weights.resolved(inst))
-        assert not out.feasible and out.value == math.inf
+        assert out.feasible and out.value < math.inf
         assert solve(base, cfg, 7.0).feasible
 
 
 def test_zero_crash_weight_solves_a_certain_crash_as_tti():
     # with w_crash 0, weighted is tti in meaning and in every leg cost,
-    # a leg whose crash reading is 1 included (it used to cost nan, and
-    # phase 2 refused (1, 2, 3))
+    # a leg of the highest crash value the model admits (below 1) included
     base = load_case_study(bundled_case_study_dir())
-    certain = replace(base.arcs[0, 1], crash=TimeProfile.constant(1.0))
-    base = replace(base, arcs={**base.arcs, (0, 1): certain})
+    near = replace(base.arcs[0, 1], crash=TimeProfile.constant(MAX_CRASH))
+    base = replace(base, arcs={**base.arcs, (0, 1): near})
     tti = solve(base, SolverConfig(objective="tti"), 7.0)
     weighted = solve(base, SolverConfig(
         objective="weighted", weights=ObjectiveWeights(0.0, 1.0)), 7.0)
@@ -1044,6 +1028,10 @@ def test_evaluate_never_stores_a_route_with_a_missing_arc():
 def memo_instance(name):
     if name == "case":
         return ensure_augmented(load_case_study(bundled_case_study_dir()))
+    if name == "case less (1, 2)":  # a candidate may drive a missing arc
+        case = memo_instance("case")
+        return replace(case, arcs={key: arc for key, arc in case.arcs.items()
+                                   if key != (1, 2)})
     if name == "R101":
         return ensure_augmented(load_solomon("R101"))
     return ensure_augmented(generate_instance(25, seed=0))
@@ -1088,7 +1076,7 @@ def memo_walk(name, dispatch, objective, walk_seed, steps=30):
             alone = reschedule(alone, {})
         steps_seen.append((shared, again, alone, hit))
         last = solution
-        solution = apply_move(solution, sample_move(solution, inst, rng))
+        solution = apply_move(solution, sample_move(solution, rng))
     fixes = {}  # the records a repair from a fresh dict leaves
     fresh = make_feasible(last, inst, dispatch, fixes)
     shared = make_feasible(last, inst, dispatch, records)
@@ -1101,7 +1089,8 @@ def memo_walk(name, dispatch, objective, walk_seed, steps=30):
 
 @settings(max_examples=40, deadline=None)
 @given(walk_seed=st.integers(0, 2 ** 32 - 1),
-       case=st.one_of(st.tuples(st.just("case"),
+       case=st.one_of(st.tuples(st.sampled_from(["case",
+                                                 "case less (1, 2)"]),
                                 st.integers(0, 23).map(float),
                                 st.sampled_from(OBJECTIVES)),
                       st.tuples(st.sampled_from(["RND25", "R101"]),
@@ -1123,8 +1112,9 @@ def test_route_memo_changes_no_evaluation(walk_seed, case):
 
 def test_memo_walk_meets_both_kinds_of_rejection():
     # the property above must see a missing arc (untimed rejection) and
-    # an audit rejection (timed) on the case study
-    *steps, _ = memo_walk("case", 7.0, "weighted", walk_seed=3, steps=60)
+    # an audit rejection (timed) on the case study less one arc
+    *steps, _ = memo_walk("case less (1, 2)", 7.0, "weighted", walk_seed=3,
+                          steps=60)
     rejected = [shared for shared, _, _, _ in steps if not shared.feasible]
     assert any(e.solution.timings is None for e in rejected)
     assert any(e.solution.timings is not None for e in rejected)
@@ -1170,7 +1160,7 @@ def test_solver_config_validation():
 
 def test_solve_is_deterministic_per_seed():
     rng = random.Random(13)
-    inst = build_augmented(random_customers(rng, 6), m=2, fleet=(2, 300.0))
+    inst = build_augmented(random_customers(rng, 6), fleet=(2, 300.0))
     cfg = SolverConfig(seed=42, m=2, max_outer_iterations=5)
     a = solve(inst, cfg)
     b = solve(inst, cfg)
@@ -1182,7 +1172,7 @@ def test_solve_is_deterministic_per_seed():
 
 def test_zero_iteration_budget_returns_scheduled_initial():
     rng = random.Random(9)
-    inst = build_augmented(random_customers(rng, 4), m=1, fleet=(2, 200.0))
+    inst = build_augmented(random_customers(rng, 4), fleet=(2, 200.0))
     cfg = SolverConfig(max_outer_iterations=0, m=2)
     res = solve(inst, cfg)
     assert res.feasible
@@ -1194,7 +1184,7 @@ def test_zero_iteration_budget_returns_scheduled_initial():
 
 def test_incumbent_history_is_nonincreasing():
     rng = random.Random(31)
-    inst = build_augmented(random_customers(rng, 7), m=2, fleet=(3, 300.0))
+    inst = build_augmented(random_customers(rng, 7), fleet=(3, 300.0))
     for seed in range(4):
         res = solve(inst, SolverConfig(seed=seed, m=2))
         assert res.history
@@ -1205,7 +1195,7 @@ def test_incumbent_history_is_nonincreasing():
 def test_solved_solutions_pass_feasibility_audit():
     rng = random.Random(55)
     for trial in range(4):
-        inst = build_augmented(random_customers(rng, 6), m=2,
+        inst = build_augmented(random_customers(rng, 6),
                                fleet=(3, 300.0))
         res = solve(inst, SolverConfig(seed=trial, m=2,
                                        max_outer_iterations=4))
@@ -1217,7 +1207,7 @@ def test_solved_solutions_pass_feasibility_audit():
 
 def test_solve_flags_unservable_instance():
     # the lone customer's window closes before any vehicle can arrive
-    inst = build_augmented([{"x": 6.0, "y": 0.0, "close": 0.1}], m=0)
+    inst = build_augmented([{"x": 6.0, "y": 0.0, "close": 0.1}])
     res = solve(inst, SolverConfig(m=2, max_outer_iterations=3))
     assert not res.feasible
     assert res.value == math.inf
@@ -1225,7 +1215,7 @@ def test_solve_flags_unservable_instance():
 
 
 def test_solve_rejects_bad_dispatch():
-    inst = build_augmented([{"x": 2.0, "y": 0.0}], m=0)
+    inst = build_augmented([{"x": 2.0, "y": 0.0}])
     with pytest.raises(SolverError):
         solve(inst, SolverConfig(m=2), dispatch=-1.0)
 

@@ -53,7 +53,6 @@ META = {
     "vehicles": "1",
     "capacity": "300.0",
     "latest": "23.0",
-    "dummies": "2",
 }
 
 TTI_LEVELS = (1.08, 1.4, 1.85)
