@@ -33,7 +33,7 @@ from .instances import (
     parse_solomon,
     serialize_instance,
 )
-from .model import Instance, ModelError, ensure_augmented
+from .model import Instance, ModelError
 from .oracle import (
     OracleBudgetError,
     OracleInfeasibleError,
@@ -211,7 +211,7 @@ def cmd_speeds(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    instance = ensure_augmented(load_any_instance(args.instance))
+    instance = load_any_instance(args.instance)
     config = build_solver_config(args)
     header = ("scenario", "feasible", "route", "objective", "value",
               "tt_gap", "cr_gap", "td_gap")
@@ -249,7 +249,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    instance = ensure_augmented(load_any_instance(args.instance))
+    instance = load_any_instance(args.instance)
     config = build_solver_config(args)
     weights = config.weights.resolved(instance)
     header = ("scenario", "oracle", "solver", "gap", "within")

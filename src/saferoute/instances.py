@@ -30,7 +30,6 @@ from .model import (
     Node,
     TimeProfile,
     _build_arcs,
-    ensure_augmented,
 )
 
 PROFILE_KINDS = ("speed", "tti", "crash")
@@ -267,11 +266,8 @@ def serialize_instance(instance: Instance) -> str:
     """Write an instance in the native text format.
 
     Floats are emitted with ``repr`` so parsing the output reproduces
-    every value bit-exactly.  Augmented instances are rejected: the
-    terminal copy is derived data.
+    every value bit-exactly.
     """
-    if instance.is_augmented:
-        raise InstanceError("serialize the plain instance, not the augmented one")
     out = [FORMAT_HEADER]
     out.append(f"name {instance.name}")
     out.append(f"latest {instance.latest_time!r}")
@@ -512,8 +508,8 @@ def load_case_study(directory: str | Path) -> Instance:
     ``tail,head,miles`` and profiles.csv ``tail,head,kind,h0,...,h23``
     (one row per arc and profile kind) through ``_csv_rows``.  A
     meta.csv key it does not read, such as the ``dummies`` of older
-    bundles, is ignored.  Returns the augmented instance, ready to
-    solve.  Every fault, a value the model would reject included, is an
+    bundles, is ignored.  Returns the instance, ready to solve.  Every
+    fault, a value the model would reject included, is an
     ``InstanceError`` naming its file and, when one row is at fault, its
     line.
 
@@ -609,7 +605,7 @@ def load_case_study(directory: str | Path) -> Instance:
             f"total demand {total} exceeds fleet capacity "
             f"{fleet.count * fleet.capacity}; instance cannot be fully served",
             stacklevel=2)
-    return ensure_augmented(instance)
+    return instance
 
 
 def bundled_case_study_dir() -> Path:

@@ -1,9 +1,8 @@
 """Core network model for time-dependent routing.
 
 The road network is a directed graph.  Vertex 0 is the depot, vertices
-1..n are customer sites.  Route planning works on an augmented copy of
-the graph that adds a terminal duplicate of the depot, where every
-route ends.
+1..n are customer sites.  Every route leaves the depot and ends there,
+over an arc into vertex 0.
 
 Every arc carries three hourly profiles:
 
@@ -35,21 +34,19 @@ three profiles are all constant are read in closed form and keep no
 memo.
 
 ``Arc(...)`` builds one arc through the dataclass's own ``__init__``.
-Every batch of arcs (the Solomon parser, the generator, and
-``augment_depot`` for the terminal copy) is built by ``_build_arcs``
-from ``(tail, head, distance, profiles)`` rows: it fills each arc's
-slots without an ``__init__`` call and range-checks a profile triple
-once for each run of rows sharing it.  Both apply the same length and
-range rules, and a row that breaks one is built by ``Arc`` itself, so
-its error is ``Arc``'s.  ``Instance`` checks each arc against its key
-and the node ids without building a tuple per arc, and
-``augment_depot`` finds the arcs into the depot in one scan.
+Every batch of arcs (the Solomon parser and the generator) is built
+by ``_build_arcs`` from ``(tail, head, distance, profiles)`` rows: it
+fills each arc's slots without an ``__init__`` call and range-checks a
+profile triple once for each run of rows sharing it.  Both apply the
+same length and range rules, and a row that breaks one is built by
+``Arc`` itself, so its error is ``Arc``'s.  ``Instance`` checks each
+arc against its key and the node ids without building a tuple per arc.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 HOURS_PER_DAY = 24
@@ -307,11 +304,8 @@ class Fleet:
 class Instance:
     """A routing problem: nodes, arcs, fleet and planning horizon.
 
-    ``nodes[i].id == i`` always holds; the depot is node 0.  Plain
-    instances contain only the depot and customers.  ``augment_depot``
-    returns the extended instance whose terminal copy of the depot
-    carries the id after the last customer; routes are expressed over
-    the extended graph.
+    ``nodes[i].id == i`` always holds; the depot is node 0 and every
+    other node is a customer.
     """
 
     name: str
@@ -319,7 +313,6 @@ class Instance:
     arcs: dict[tuple[int, int], Arc]
     fleet: Fleet
     latest_time: float
-    terminal_id: int | None = None
 
     def __post_init__(self) -> None:
         if not self.nodes:
@@ -347,10 +340,6 @@ class Instance:
     def depot(self) -> Node:
         return self.nodes[0]
 
-    @property
-    def is_augmented(self) -> bool:
-        return self.terminal_id is not None
-
     def node(self, node_id: int) -> Node:
         if node_id >= 0:  # else ``nodes`` would count from the end
             try:
@@ -363,8 +352,7 @@ class Instance:
     # should not pay for them.
     @cached_property
     def _customer_ids(self) -> tuple[int, ...]:
-        return tuple(n.id for n in self.nodes
-                     if n.id != 0 and n.id != self.terminal_id)
+        return tuple(range(1, len(self.nodes)))
 
     @cached_property
     def customer_set(self) -> frozenset[int]:
@@ -402,8 +390,7 @@ class Instance:
                 [min(row) for row in table])
 
     def customers(self) -> tuple[int, ...]:
-        """Ids of demand vertices: every node but the depot and its
-        terminal copy."""
+        """Ids of demand vertices: every node but the depot."""
         return self._customer_ids
 
     def is_customer(self, node_id: int) -> bool:
@@ -608,32 +595,10 @@ def leg(arc: Arc, depart: float) -> tuple[float, float, float]:
 
 
 def augment_depot(instance: Instance) -> Instance:
-    """Add a terminal depot copy, where every route ends.
-
-    The terminal copy receives every arc that pointed at the depot and
-    carries no demand and no service time.
-
-    Args:
-        instance: plain instance (never augmented twice).
-
-    Returns:
-        New augmented instance; the input is left untouched.
-    """
-    if instance.is_augmented:
-        raise ModelError("instance is already augmented")
-    depot = instance.depot
-    terminal = Node(len(instance.nodes), depot.x, depot.y, 0.0, 0.0,
-                    depot.window_open, depot.window_close)
-    # copies of the arcs into the depot, in the order the instance holds them
-    rows = [(i, terminal.id, arc.distance, (arc.speed, arc.tti, arc.crash))
-            for (i, j), arc in instance.arcs.items() if j == 0]
-    return replace(instance, nodes=instance.nodes + (terminal,),
-                   arcs={**instance.arcs, **_build_arcs(rows)},
-                   terminal_id=terminal.id)
+    """Return ``instance``; kept only for the benchmark harness."""
+    return instance
 
 
 def ensure_augmented(instance: Instance) -> Instance:
-    """Return ``instance`` augmented (idempotent)."""
-    if instance.is_augmented:
-        return instance
-    return augment_depot(instance)
+    """Return ``instance``; kept only for the benchmark harness."""
+    return instance

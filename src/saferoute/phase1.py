@@ -1,9 +1,9 @@
 """Routing phase: solutions, schedule propagation, feasibility, objectives.
 
 A solution assigns every customer to exactly one vehicle route.  Routes
-are stored as the visited vertex ids between the depot and the terminal
-copy (both implicit), so ``(3, 1, 5)`` means depot -> 3 -> 1 -> 5 ->
-terminal.  Neither depot copy may appear inside a route.
+are stored as the visited vertex ids between leaving the depot and
+returning to it (both implicit), so ``(3, 1, 5)`` means depot -> 3 ->
+1 -> 5 -> depot.  The depot may not appear inside a route.
 
 Propagation turns a bare assignment into a timed solution by walking
 each route from the dispatch instant with immediate departures: arrive,
@@ -121,12 +121,10 @@ class RoutingSolution:
 
 
 def _route_arcs(instance: Instance, route: tuple[int, ...]) -> list[Arc]:
-    """Arcs driven along a route, depot to terminal."""
-    if instance.terminal_id is None:
-        raise SolutionError("instance must be augmented before evaluation")
+    """Arcs driven along a route, from the depot back to it."""
     if not route:
         return []
-    path = [0, *route, instance.terminal_id]
+    path = [0, *route, 0]
     return [instance.arc(path[i], path[i + 1]) for i in range(len(path) - 1)]
 
 
@@ -150,7 +148,6 @@ def time_route(route: tuple[int, ...], instance: Instance, dispatch: float,
 
     Raises:
         MissingArcError: the route uses an arc absent from the graph.
-        SolutionError: instance not augmented.
     """
     arcs = _route_arcs(instance, route)
     if not route:
@@ -214,7 +211,7 @@ def propagate_schedule(solution: RoutingSolution | tuple[tuple[int, ...], ...],
 
     Args:
         solution: bare routes (or a solution whose routes are reused).
-        instance: augmented instance.
+        instance: the instance the routes visit.
         dispatch: hour-of-day at which all vehicles leave the depot;
             node windows are interpreted relative to this instant.
 
@@ -223,7 +220,7 @@ def propagate_schedule(solution: RoutingSolution | tuple[tuple[int, ...], ...],
 
     Raises:
         MissingArcError: a route uses an arc absent from the graph.
-        SolutionError: instance not augmented, or dispatch negative.
+        SolutionError: dispatch negative.
     """
     routes = solution.routes if isinstance(solution, RoutingSolution) \
         else tuple(tuple(r) for r in solution)
@@ -236,10 +233,10 @@ def propagate_schedule(solution: RoutingSolution | tuple[tuple[int, ...], ...],
 def return_leg_time(instance: Instance, node_id: int, depart: float) -> float:
     """Hours to regain the depot from ``node_id`` leaving at ``depart``.
 
-    Infinite when no arc leads back to the terminal, since then no
-    return is guaranteed.
+    Infinite when no arc leads back to the depot, since then no return
+    is guaranteed.
     """
-    arc = instance.arcs.get((node_id, instance.terminal_id))
+    arc = instance.arcs.get((node_id, 0))
     return math.inf if arc is None else travel_time(arc, depart)
 
 
@@ -248,11 +245,11 @@ def check_feasibility(solution: RoutingSolution,
     """All requirement violations of a timed solution (empty = feasible).
 
     Whole-solution checks: every customer served exactly once, no
-    depot copy inside a route, and fleet size.  Routes that visit
+    depot inside a route, and fleet size.  Routes that visit
     exactly the customers, each once, trip neither of the first two,
     so only other routes have their visits counted, in one pass; each
     customer's count is checked and taken out, and only what is left,
-    depot copies and unknown ids, is walked in id order for the other
+    the depot and unknown ids, is walked in id order for the other
     check, as a customer id trips neither.  Each route's own
     audit (capacity, windows, non-negativity, return to the depot,
     horizon) is the verdict its ``time_route`` walk recorded,
@@ -261,8 +258,6 @@ def check_feasibility(solution: RoutingSolution,
     """
     if not solution.timed:
         raise SolutionError("feasibility needs a timed solution, propagate first")
-    if instance.terminal_id is None:
-        raise SolutionError("instance must be augmented before evaluation")
     violations: list[Violation] = []
 
     routes = solution.routes
@@ -276,10 +271,10 @@ def check_feasibility(solution: RoutingSolution,
                 violations.append(Violation(
                     "visit-count", -1, c, f"customer visited {seen} times"))
         for n in sorted(counts):
-            if n == 0 or n == instance.terminal_id:
+            if n == 0:
                 violations.append(Violation(
                     "route-shape", -1, n,
-                    "depot copies may not appear inside a route"))
+                    "the depot may not appear inside a route"))
             else:
                 violations.append(Violation(
                     "visit-count", -1, n, "unknown vertex in route"))
@@ -332,18 +327,13 @@ def default_crash_scale(instance: Instance) -> float:
     """Rescaling that brings crash terms to TTI magnitude.
 
     Mean hourly TTI divided by mean hourly crash probability, both over
-    the arcs that join two original nodes, so a unit of rescaled crash
-    weighs about as much as a unit of TTI in the weighted objective.
-    The terminal copy's arcs are left out, so a plain instance and its
-    augmented form read the same scale.
+    every arc, so a unit of rescaled crash weighs about as much as a
+    unit of TTI in the weighted objective.
     """
     tti_sum = 0.0
     crash_sum = 0.0
     cells = 0
-    terminal = instance.terminal_id
     for arc in instance.arcs.values():
-        if arc.head == terminal:
-            continue
         tti_sum += sum(arc.tti.values)
         crash_sum += sum(arc.crash.values)
         cells += len(arc.tti.values)

@@ -7,10 +7,10 @@ re-timed on a time-expanded graph: each stop gets up to ``m`` candidate
 service-start times spread evenly over its feasible interval, a state
 ``p`` at the next stop is linked from state ``s`` when leaving right
 after service at ``s`` reaches the stop no later than ``p``, and a
-shortest path from the fixed dispatch state to the terminal gives the
-cheapest schedule.  Every leg is driven, and charged, from the
-departure right after the upstream service; a vehicle that reaches a
-stop before its chosen start spends the slack waiting at that stop.
+shortest path from the fixed dispatch state to the return to the depot
+gives the cheapest schedule.  Every leg is driven, and charged, from
+the departure right after the upstream service; a vehicle that reaches
+a stop before its chosen start spends the slack waiting at that stop.
 
 The retiming phase only picks the service starts.  The times that
 follow from them (arrivals, departures, the return) come from the
@@ -70,8 +70,8 @@ class ScheduleGraph:
     ``times[p]`` are the sorted candidate service-start instants of
     position ``p`` (position 0 is the depot with the single dispatch
     instant).  ``edges[p]`` links position ``p-1`` states to position
-    ``p`` states as (prev_index, cur_index, cost) triples; the terminal
-    is a single implicit sink reached via ``sink_edges`` =
+    ``p`` states as (prev_index, cur_index, cost) triples; the return
+    to the depot is a single implicit sink reached via ``sink_edges`` =
     (prev_index, cost) pairs.
     """
 
@@ -111,8 +111,8 @@ def build_schedule_graph(route: tuple[int, ...], instance: Instance,
     stop's earliest start, as ``time_route`` serves it.
 
     Args:
-        route: visited vertex ids, depot and terminal implicit.
-        instance: augmented instance.
+        route: visited vertex ids, the depot at both ends implicit.
+        instance: the instance the route visits.
         dispatch: fixed depot departure instant (hour of day).
         m: candidate service starts per stop, >= 1.
         weights: crash/TTI mix used when ``objective='weighted'``;
@@ -126,15 +126,13 @@ def build_schedule_graph(route: tuple[int, ...], instance: Instance,
     """
     if m < 1:
         raise ScheduleError(f"need at least one candidate time per stop, got {m}")
-    if instance.terminal_id is None:
-        raise SolutionError("instance must be augmented before scheduling")
     if not route:
         raise ScheduleError("cannot schedule an empty route")
     if objective not in OBJECTIVES:
         raise ScheduleError(f"unknown objective {objective!r}")
     if objective == "weighted":
         weights = (weights or ObjectiveWeights()).resolved(instance)
-    node_ids = (0, *route, instance.terminal_id)
+    node_ids = (0, *route, 0)
     arcs = [instance.arc(a, b) for a, b in zip(node_ids, node_ids[1:])]
     horizon = dispatch + instance.latest_time
 
@@ -226,7 +224,7 @@ def optimize_schedule(route: tuple[int, ...], instance: Instance,
             sink_cost = cand
             sink_pred = i
     if sink_pred < 0:
-        raise ScheduleInfeasibleError("terminal unreachable in schedule graph")
+        raise ScheduleInfeasibleError("sink unreachable in schedule graph")
 
     indices = [0] * n_pos
     indices[-1] = sink_pred

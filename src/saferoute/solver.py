@@ -88,7 +88,7 @@ from collections.abc import Callable, Sequence, Set as AbstractSet
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .model import Instance, MissingArcError, ensure_augmented, travel_time
+from .model import Instance, MissingArcError, travel_time
 from .phase1 import (
     OBJECTIVES,
     TIME_EPS,
@@ -173,7 +173,7 @@ def _route_distance(instance: Instance, route: list[int]) -> float:
     if not route:
         return 0.0
     length = instance.length_matrix
-    path = [0, *route, instance.terminal_id]
+    path = [0, *route, 0]
     return sum(length[a][b] for a, b in zip(path, path[1:]))
 
 
@@ -211,7 +211,6 @@ def initial_solution(instance: Instance) -> RoutingSolution:
     the two halves.  Each route then gets a 2-opt polish, and nodes
     that would break capacity spill over to the following vehicle.
     """
-    instance = ensure_augmented(instance)
     k = instance.fleet.count
     if k < 1:
         raise SolverError("need at least one vehicle")
@@ -263,7 +262,7 @@ def _insertion_delta(instance: Instance, route: Sequence[int], pos: int,
     """Distance growth from inserting c at pos of the depot-closed path."""
     length = instance.length_matrix
     prev = route[pos - 1] if pos > 0 else 0
-    nxt = route[pos] if pos < len(route) else instance.terminal_id
+    nxt = route[pos] if pos < len(route) else 0
     added = length[prev][c] + length[c][nxt]
     if route:
         added -= length[prev][nxt]
@@ -309,7 +308,7 @@ class RouteRecord:
 
     @cached_property
     def after(self) -> tuple[int, ...]:
-        return (*self.route, self.instance.terminal_id)
+        return (*self.route, 0)
 
     @cached_property
     def edges(self) -> tuple[float, ...]:
@@ -341,7 +340,7 @@ def _latest_starts(route: tuple[int, ...], instance: Instance,
     leave_by = math.inf  # latest departure that reaches the next stop in time
     for k in reversed(range(len(route))):
         node = instance.node(route[k])
-        home = fastest[node.id][instance.terminal_id]
+        home = fastest[node.id][0]
         latest[k] = min(dispatch + node.window_close,
                         min(horizon - home, leave_by) - node.service_time)
         if k:
@@ -380,7 +379,7 @@ def _may_fit(record: RouteRecord, pos: int, c: int, instance: Instance,
     prev, nxt = record.before[pos], record.after[pos]
     into = instance.arcs.get((prev, c))
     onward = instance.arcs.get((c, nxt))
-    home = instance.arcs.get((c, instance.terminal_id))
+    home = instance.arcs.get((c, 0))
     if into is None or onward is None or home is None:
         return True
     node = instance.node(c)
@@ -492,7 +491,7 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
                   ) -> RoutingSolution | None:
     """Deterministic repair: eject into a bank, re-insert cheapest.
 
-    Each route keeps its customers at their first visit (depot copies,
+    Each route keeps its customers at their first visit (the depot,
     unknown ids and surplus copies go), then sheds in rounds
     every stop its own audit names (on a capacity overflow the heaviest
     customer) until it passes.  A late return is named twice, as the
@@ -890,7 +889,6 @@ def solve(instance: Instance, config: SolverConfig | None = None,
     """
     started = time.perf_counter()
     config = config or SolverConfig()
-    instance = ensure_augmented(instance)
     if dispatch < 0 or not math.isfinite(dispatch):
         raise SolverError(f"dispatch must be a non-negative hour, got {dispatch!r}")
     rng = random.Random(config.seed)

@@ -21,7 +21,6 @@ from saferoute.model import (
     MissingArcError,
     Node,
     TimeProfile,
-    augment_depot,
     leg,
     travel_time,
 )
@@ -30,7 +29,6 @@ from saferoute.phase1 import (
     TIME_EPS,
     ObjectiveWeights,
     RoutingSolution,
-    SolutionError,
     Violation,
     leg_cost,
     return_leg_time,
@@ -76,19 +74,6 @@ def reference_profile_check(tail: int, head: int, speed: TimeProfile,
                 return (f"arc ({tail}, {head}) {kind} value {v} at hour {h} "
                         f"outside {bound}")
     return None
-
-
-def reference_augmented_arcs(instance: Instance) -> dict[tuple[int, int], Arc]:
-    """The arcs ``augment_depot`` gives ``instance``: the plain
-    instance's arcs, then one terminal copy of each arc into the depot,
-    in the order the instance holds them, each built by ``Arc(...)``.
-    """
-    terminal = len(instance.nodes)
-    arcs = dict(instance.arcs)
-    for arc in [arc for (i, j), arc in instance.arcs.items() if j == 0]:
-        arcs[(arc.tail, terminal)] = Arc(arc.tail, terminal, arc.distance,
-                                         arc.speed, arc.tti, arc.crash)
-    return arcs
 
 
 def reference_profile(spec: StepFunctionSpec, kind: str) -> tuple[float, ...]:
@@ -212,10 +197,6 @@ def with_first_arc_repeated(text: str) -> tuple[str, int]:
     return "\n".join(lines) + "\n", first + 2
 
 
-def build_augmented(customers: list[dict], **kwargs) -> Instance:
-    return augment_depot(build_instance(customers, **kwargs))
-
-
 def two_on_a_line_without(missing: tuple[int, int]) -> Instance:
     """Two customers on a line, one vehicle, and no arc ``missing``."""
     base = build_instance([{"x": 1}, {"x": 2}], fleet=(1, 100.0))
@@ -225,7 +206,7 @@ def two_on_a_line_without(missing: tuple[int, int]) -> Instance:
 
 def no_return_from_first() -> Instance:
     """Two customers on a line, one vehicle, and no arc from 1 to the depot."""
-    return augment_depot(two_on_a_line_without((1, 0)))
+    return two_on_a_line_without((1, 0))
 
 
 def reference_audit(route: tuple[int, ...], timing, instance: Instance,
@@ -260,7 +241,7 @@ def reference_audit(route: tuple[int, ...], timing, instance: Instance,
             violations.append(Violation(
                 "non-negative", 0, stop.node,
                 "negative time or load along the route"))
-        arc = instance.arcs.get((stop.node, instance.terminal_id))
+        arc = instance.arcs.get((stop.node, 0))
         back = math.inf if arc is None else travel_time(arc, stop.departure)
         if stop.departure + back > horizon + TIME_EPS:
             violations.append(Violation(
@@ -362,7 +343,7 @@ def reference_feasibility(solution: RoutingSolution,
     loop that walks every visited id, customers included.
 
     Customers' visit counts in id order, then every visited id in id
-    order (depot copies, unknown ids),
+    order (the depot, unknown ids),
     then the fleet size, then each timing's violations relabelled with
     its vehicle index.
     """
@@ -377,10 +358,10 @@ def reference_feasibility(solution: RoutingSolution,
             violations.append(Violation(
                 "visit-count", -1, c, f"customer visited {seen} times"))
     for n in sorted(counts):
-        if n == 0 or n == instance.terminal_id:
+        if n == 0:
             violations.append(Violation(
                 "route-shape", -1, n,
-                "depot copies may not appear inside a route"))
+                "the depot may not appear inside a route"))
         elif not instance.is_customer(n):
             violations.append(Violation(
                 "visit-count", -1, n, "unknown vertex in route"))
@@ -406,8 +387,8 @@ def reference_schedule_graph(route: tuple[int, ...], instance: Instance,
     ``return_leg_time`` and the sink edges drive it again.
 
     Args:
-        route: visited vertex ids, depot and terminal implicit.
-        instance: augmented instance.
+        route: visited vertex ids, the depot at both ends implicit.
+        instance: the instance the route visits.
         dispatch: fixed depot departure instant (hour of day).
         m: candidate service starts per stop, >= 1.
         weights: crash/TTI mix used when ``objective='weighted'``;
@@ -421,15 +402,13 @@ def reference_schedule_graph(route: tuple[int, ...], instance: Instance,
     """
     if m < 1:
         raise ScheduleError(f"need at least one candidate time per stop, got {m}")
-    if instance.terminal_id is None:
-        raise SolutionError("instance must be augmented before scheduling")
     if not route:
         raise ScheduleError("cannot schedule an empty route")
     if objective not in OBJECTIVES:
         raise ScheduleError(f"unknown objective {objective!r}")
     if objective == "weighted":
         weights = (weights or ObjectiveWeights()).resolved(instance)
-    node_ids = (0, *route, instance.terminal_id)
+    node_ids = (0, *route, 0)
     horizon = dispatch + instance.latest_time
 
     # Immediate-departure propagation pins each stop's earliest start,
@@ -477,7 +456,7 @@ def reference_schedule_graph(route: tuple[int, ...], instance: Instance,
         edges.append(tuple(layer))
 
     sink = []
-    arc = instance.arc(route[-1], instance.terminal_id)
+    arc = instance.arc(route[-1], 0)
     service = instance.node(arc.tail).service_time
     for i, start in enumerate(times[-1]):
         depart = start + service
@@ -507,7 +486,7 @@ def reference_summary(route: tuple[int, ...], instance: Instance,
     latest-start pass around the route's immediate ``timing``."""
     load = _route_load(instance, route)
     length = instance.length_matrix
-    before, after = (0, *route), (*route, instance.terminal_id)
+    before, after = (0, *route), (*route, 0)
     edges = tuple(map(lambda a, b: length[a][b], before, after)) \
         if route else (0.0,)
     horizon = dispatch + instance.latest_time
@@ -515,7 +494,7 @@ def reference_summary(route: tuple[int, ...], instance: Instance,
     leave_by = math.inf  # latest departure that reaches the next stop in time
     for k in reversed(range(len(route))):
         node = instance.node(route[k])
-        home = reference_fastest(instance, node.id, instance.terminal_id)
+        home = reference_fastest(instance, node.id, 0)
         latest[k] = min(dispatch + node.window_close,
                         min(horizon - home, leave_by) - node.service_time)
         if k:

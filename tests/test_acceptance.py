@@ -23,7 +23,7 @@ from saferoute.instances import (
     load_case_study,
     load_solomon,
 )
-from saferoute.model import Arc, TimeProfile, ensure_augmented, travel_time
+from saferoute.model import Arc, TimeProfile, travel_time
 from saferoute.oracle import enumerate_routes, enumerate_schedules
 from saferoute.phase1 import OBJECTIVES, RoutingSolution, check_feasibility
 from saferoute.phase2 import ScheduleInfeasibleError, optimize_schedule
@@ -44,7 +44,7 @@ from saferoute.solver import (
     solve,
 )
 
-from helpers import build_augmented
+from helpers import build_instance
 from test_phase2 import random_instance
 
 
@@ -154,7 +154,7 @@ def test_acceptance_6_case_study_distance_anchor():
         customers = inst.customers()
         matrix_best = min(
             sum(inst.arc(a, b).distance
-                for a, b in zip((0, *perm), (*perm, inst.terminal_id)))
+                for a, b in zip((0, *perm), (*perm, 0)))
             for perm in itertools.permutations(customers))
         for hour in range(24):
             val = enumerate_routes(inst, "distance",
@@ -165,7 +165,7 @@ def test_acceptance_6_case_study_distance_anchor():
 
 def test_acceptance_7_benchmark_regression_bounds():
     with criterion(7, "R101 distance lands between optimum and 1.35x"):
-        inst = ensure_augmented(load_solomon("R101"))
+        inst = load_solomon("R101")
         for seed in (0, 1, 2):
             config = SolverConfig(objective="distance", seed=seed)
             started = time.perf_counter()
@@ -196,7 +196,7 @@ def test_acceptance_8_solver_internal_properties():
 
         # accepted solutions visit every customer exactly once
         for trial in range(3):
-            inst = build_augmented(
+            inst = build_instance(
                 [{"x": rng.uniform(-8, 8), "y": rng.uniform(-8, 8),
                   "demand": rng.randint(5, 15), "service": 0.05}
                  for _ in range(6)],

@@ -29,7 +29,9 @@ from saferoute.instances import (
     parse_solomon,
     serialize_instance,
 )
-from saferoute.model import ensure_augmented
+from saferoute.oracle import enumerate_routes
+from saferoute.phase1 import propagate_schedule
+from saferoute.phase2 import build_schedule_graph, optimize_schedule
 from saferoute.queueing import (
     QueueingError,
     read_flow_table,
@@ -287,8 +289,6 @@ def test_case_study_with_a_dummies_key_loads_the_same(tmp_path):
 
 def test_native_format_errors():
     inst = generate_instance(10, seed=1)
-    with pytest.raises(InstanceError, match="augmented"):
-        serialize_instance(ensure_augmented(inst))
     with pytest.raises(InstanceError, match="first line"):
         parse_instance("not-the-header\n")
     text = serialize_instance(inst)
@@ -319,7 +319,6 @@ def test_loaders_share_profiles():
 
     inst = load_solomon("R101")
     assert len(distinct(inst)) == 3
-    assert len(distinct(ensure_augmented(inst))) == 3
 
 
 def loader_digest(instances) -> str:
@@ -338,13 +337,15 @@ def loader_digest(instances) -> str:
 
 def test_loaders_are_pinned():
     # every loader's output, bit for bit: the solves' result digest
-    # covers only the values they read
+    # covers only the values they read.  Re-pinned once when the
+    # terminal copy of the depot went: the old digest's input less that
+    # node and the arcs into it
     assert loader_digest([
-        ensure_augmented(load_solomon("R101")),
+        load_solomon("R101"),
         load_case_study(bundled_case_study_dir()),
-        ensure_augmented(generate_instance(25, 0)),
+        generate_instance(25, 0),
         parse_instance(serialize_instance(generate_instance(10, 3))),
-    ]) == "56fad1b1b7101008c5fa9dba8c51e3f975bb5e6432195c2b6992278fb5ed9c61"
+    ]) == "309f286abf3ac0396d6001eb0b05f6304086c087c440faad7b5bafc94815b9b2"
 
 
 # -- synthetic generation ------------------------------------------------------
@@ -391,9 +392,8 @@ def test_generate_validation():
 
 # -- case-study bundle ---------------------------------------------------------
 
-def test_case_study_loads_augmented():
+def test_case_study_loads_depot_and_customers():
     inst = load_case_study(bundled_case_study_dir())
-    assert inst.is_augmented
     assert len(inst.customers()) == 3
     nodes = [inst.node(i) for i in inst.customers()]
     assert [n.demand for n in nodes] == [100.0, 120.0, 80.0]
@@ -402,8 +402,32 @@ def test_case_study_loads_augmented():
     assert all(n.service_time == 0.1 for n in nodes)
     assert all((n.window_open, n.window_close) == (0.0, 1.3) for n in nodes)
     assert inst.latest_time == 23.0
-    assert len(inst.nodes) == 5 and inst.terminal_id == 4
+    assert len(inst.nodes) == 4 and inst.customers() == (1, 2, 3)
     assert inst.arc(0, 1).distance == 6.8009
+
+
+def test_case_study_round_trips_through_the_native_format():
+    directory = bundled_case_study_dir()
+    assert parse_instance(serialize_instance(load_case_study(directory))) \
+        == load_case_study(directory)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda inst: enumerate_routes(inst, "distance").value,
+     142.4611238304596),
+    (lambda inst: propagate_schedule(((1, 2, 3, 4),), inst, 0.0)
+     .timings[0].violations, ()),
+    (lambda inst: build_schedule_graph((1,), inst, 0.0, 3).times,
+     ((0.0,), (0.5459723871406064, 2.238486193570303, 3.931))),
+    (lambda inst: optimize_schedule((1,), inst, 0.0, 3).service_starts,
+     (0.5459723871406064,)),
+], ids=["enumerate_routes", "propagate_schedule", "build_schedule_graph",
+        "optimize_schedule"])
+def test_entry_points_take_a_generated_instance(call, expected):
+    # every public entry point reads the instance as generated, as
+    # ``solve`` does; the readings are the ones the same calls gave
+    # when routes ended at a copy of the depot
+    assert call(generate_instance(4, 0)) == expected
 
 
 def test_case_study_missing_file(tmp_path):

@@ -1,4 +1,4 @@
-"""Arc traversal, profile handling and depot augmentation."""
+"""Arc traversal, profile handling and instance lookups."""
 
 import copy
 import math
@@ -14,7 +14,6 @@ from saferoute import model
 from saferoute.instances import (
     MAX_CRASH,
     bundled_case_study_dir,
-    generate_instance,
     load_case_study,
     load_solomon,
 )
@@ -34,11 +33,9 @@ from saferoute.model import (
     travel_time,
     traverse,
 )
-from saferoute.phase1 import default_crash_scale
 
 from helpers import (
     TOP_CRASHES,
-    reference_augmented_arcs,
     reference_fastest,
     reference_profile_check,
 )
@@ -449,7 +446,7 @@ class TestValidation:
                       copy.deepcopy(arc)):
             assert again == arc and again is not arc
             assert again._readings is None
-        inst = augment_depot(small_instance(2))
+        inst = small_instance(2)
         assert pickle.loads(pickle.dumps(inst)) == inst == copy.deepcopy(inst)
 
     @given(pool=st.lists(PROFILES, min_size=1, max_size=4),
@@ -592,54 +589,22 @@ def small_instance(n_customers=3) -> Instance:
 
 
 class TestAugmentation:
-    def test_terminal_inherits_depot_arcs(self):
-        base = small_instance(3)
-        inst = augment_depot(base)
-        for c in (1, 2, 3):
-            assert inst.arc(c, inst.terminal_id).distance == base.arc(c, 0).distance
-        # No arcs leave the terminal.
-        assert not any(tail == inst.terminal_id for tail, _ in inst.arcs)
+    """Routes end at node 0, so an instance is never augmented: what
+    used to read its depot copies reads the plain instance."""
 
     def test_customer_lookup_skips_depot_copies(self):
-        inst = augment_depot(small_instance(3))
+        inst = small_instance(3)
         members = [n for n in range(-1, len(inst.nodes) + 2)
                    if inst.is_customer(n)]
         assert members == [1, 2, 3]
         assert inst.customers() is inst.customers()
 
-    def test_zero_dummies_adds_terminal_only(self):
-        # the terminal copy is the one vertex augmentation adds: at the
-        # depot, with no demand and no service, and no other copy
-        base = small_instance(3)
-        inst = augment_depot(base)
-        assert inst.nodes[:4] == base.nodes and len(inst.nodes) == 4 + 1
-        assert inst.terminal_id == 4
-        assert inst.customers() == (1, 2, 3)
-        node = inst.node(inst.terminal_id)
-        assert node.demand == 0 and node.service_time == 0
-        assert (node.x, node.y) == (inst.depot.x, inst.depot.y)
-        assert set(inst.arcs) - set(base.arcs) == {(c, 4) for c in (1, 2, 3)}
-
-    def test_double_augmentation_rejected(self):
-        inst = augment_depot(small_instance(2))
-        with pytest.raises(ModelError):
-            augment_depot(inst)
+    def test_harness_names_return_their_argument(self):
+        # ``augment_depot`` and ``ensure_augmented`` stay only for the
+        # benchmark harness, and add nothing
+        inst = small_instance(2)
+        assert augment_depot(inst) is inst
         assert ensure_augmented(inst) is inst
-
-    @given(seed=st.integers(0, 2**16), data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_copies_keep_the_instances_arc_order(self, seed, data):
-        # a hand-ordered file may hold the depot's arcs in any order; the
-        # copies follow it, and the crash scale sums in that order
-        base = generate_instance(3, seed)
-        order = data.draw(st.permutations(list(base.arcs)))
-        inst = replace(base, arcs={key: base.arcs[key] for key in order})
-        expected = reference_augmented_arcs(inst)
-        augmented = augment_depot(inst)
-        assert list(augmented.arcs) == list(expected)
-        assert augmented.arcs == expected
-        assert default_crash_scale(augmented).hex() == default_crash_scale(
-            replace(augmented, arcs=expected)).hex()
 
     def test_missing_arc_error(self):
         inst = small_instance(2)
@@ -648,7 +613,7 @@ class TestAugmentation:
 
     def test_node_lookup_refuses_unknown_ids(self):
         # a negative id used to index ``nodes`` from the end
-        inst = ensure_augmented(load_case_study(bundled_case_study_dir()))
+        inst = load_case_study(bundled_case_study_dir())
         count = len(inst.nodes)
         assert [inst.node(k).id for k in range(count)] == list(range(count))
         for bad in (-1, -count, count, 99):
@@ -658,7 +623,7 @@ class TestAugmentation:
 
 class TestLengthMatrix:
     def test_entries_are_arc_lengths_or_inf(self):
-        inst = ensure_augmented(load_case_study(bundled_case_study_dir()))
+        inst = load_case_study(bundled_case_study_dir())
         # nothing on the set-up path builds the tables
         assert "length_matrix" not in inst.__dict__
         assert "length_columns" not in inst.__dict__
@@ -682,9 +647,8 @@ class TestLengthMatrix:
     def test_fastest_matrix_is_each_arcs_fastest_time(self, name):
         # each entry is the arc's length over its largest hourly speed,
         # inf for a missing arc; set-up builds neither fastest table
-        inst = ensure_augmented(
-            load_case_study(bundled_case_study_dir()) if name == "case"
-            else load_solomon("R101"))
+        inst = load_case_study(bundled_case_study_dir()) if name == "case" \
+            else load_solomon("R101")
         assert "fastest_matrix" not in inst.__dict__
         assert "fastest_ends" not in inst.__dict__
         table = inst.fastest_matrix
@@ -697,27 +661,30 @@ class TestLengthMatrix:
         # the window slice of an insertion reads these bounds; set-up
         # never builds them, and no departure drives an arc faster, up
         # to the rounding of the hour-by-hour sum, which the slice's
-        # margin covers
-        inst = ensure_augmented(load_case_study(bundled_case_study_dir()))
+        # margin covers.  Every node of the case study has arcs in and
+        # out, so a copy without the arcs out of node 1 holds the inf
+        inst = load_case_study(bundled_case_study_dir())
         assert "fastest_ends" not in inst.__dict__
-        assert "fastest_ends" not in ensure_augmented(
-            load_solomon("R101")).__dict__
-        into, out_of = inst.fastest_ends
-        for v in range(len(inst.nodes)):
-            assert into[v] == min((reference_fastest(inst, t, h)
-                                   for t, h in inst.arcs if h == v),
-                                  default=math.inf)
-            assert out_of[v] == min((reference_fastest(inst, t, h)
-                                     for t, h in inst.arcs if t == v),
-                                    default=math.inf)
-        assert math.inf in into or math.inf in out_of  # a sparse graph
+        assert "fastest_ends" not in load_solomon("R101").__dict__
+        cut = replace(inst, arcs={(t, h): arc for (t, h), arc
+                                  in inst.arcs.items() if t != 1})
+        for graph in (inst, cut):
+            into, out_of = graph.fastest_ends
+            for v in range(len(graph.nodes)):
+                assert into[v] == min((reference_fastest(graph, t, h)
+                                       for t, h in graph.arcs if h == v),
+                                      default=math.inf)
+                assert out_of[v] == min((reference_fastest(graph, t, h)
+                                         for t, h in graph.arcs if t == v),
+                                        default=math.inf)
+        assert out_of[1] == math.inf
         for (t, h), arc in inst.arcs.items():
             fastest = reference_fastest(inst, t, h)
             assert all(travel_time(arc, k / 4) >= fastest - 1e-12
                        for k in range(96))
 
     def test_replaced_instance_gets_a_fresh_table(self):
-        inst = augment_depot(small_instance(3))
+        inst = small_instance(3)
         before = inst.length_matrix
         moved = tuple(replace(node, x=2 * node.x, y=2 * node.y)
                       for node in inst.nodes)

@@ -11,7 +11,6 @@ from saferoute.instances import (
     generate_instance,
     load_case_study,
 )
-from saferoute.model import augment_depot, ensure_augmented
 from saferoute.oracle import (
     OracleBudgetError,
     OracleInfeasibleError,
@@ -29,12 +28,12 @@ from saferoute.phase1 import (
 from saferoute.phase2 import ScheduleInfeasibleError, optimize_schedule
 from saferoute.solver import SolverConfig, solve
 
-from helpers import build_augmented, two_on_a_line_without
+from helpers import build_instance, two_on_a_line_without
 from test_phase2 import random_instance
 
 
 def test_single_customer_forced_solution():
-    inst = build_augmented([{"x": 4.0, "y": 3.0}], fleet=(1, 50.0))
+    inst = build_instance([{"x": 4.0, "y": 3.0}], fleet=(1, 50.0))
     result = enumerate_routes(inst, "distance")
     assert result.enumerated == 1
     assert len(result.solutions) == 1
@@ -45,7 +44,7 @@ def test_single_customer_forced_solution():
 
 def test_symmetric_instance_reports_all_ties():
     customers = [{"x": 5.0, "y": 0.0}, {"x": -5.0, "y": 0.0}]
-    inst = build_augmented(customers, fleet=(2, 100.0))
+    inst = build_instance(customers, fleet=(2, 100.0))
     result = enumerate_routes(inst, "distance")
     # single route either way (5+10+5) ties with the two-vehicle split
     assert result.value == pytest.approx(20.0)
@@ -62,7 +61,7 @@ def test_enumeration_scores_each_ordered_partition_once():
     # one customer and an ordered pair
     customers = [{"x": 1.0}, {"x": 2.0}, {"x": 3.0}]
     for count, expected in ((1, 6), (2, 6 + 3 * 2)):
-        inst = build_augmented(customers, fleet=(count, 1000.0))
+        inst = build_instance(customers, fleet=(count, 1000.0))
         assert enumerate_routes(inst, "distance").enumerated == expected
 
 
@@ -109,33 +108,33 @@ def test_retiming_never_hurts_the_optimum():
 
 def test_candidate_with_a_missing_arc_is_skipped():
     # (1, 2) drives the missing arc; (2, 1) serves both customers
-    inst = augment_depot(two_on_a_line_without((1, 2)))
+    inst = two_on_a_line_without((1, 2))
     for objective in OBJECTIVES:
         result = enumerate_routes(inst, objective)
         assert tuple(sol.routes for sol in result.solutions) == (((2, 1),),)
 
 
 def test_budget_exhaustion_raises():
-    inst = build_augmented([{"x": 1.0}, {"x": 2.0}, {"x": 3.0}],
-                           fleet=(2, 1000.0))
+    inst = build_instance([{"x": 1.0}, {"x": 2.0}, {"x": 3.0}],
+                          fleet=(2, 1000.0))
     with pytest.raises(OracleBudgetError) as info:
         enumerate_routes(inst, "distance", budget=2)
     assert info.value.enumerated == 2
 
 
 def test_size_cap_refusal():
-    inst = build_augmented([{"x": float(i)} for i in range(1, 10)],
-                           fleet=(3, 1000.0))
+    inst = build_instance([{"x": float(i)} for i in range(1, 10)],
+                          fleet=(3, 1000.0))
     with pytest.raises(OracleSizeError, match="9 customers"):
         enumerate_routes(inst, "distance")
-    small = build_augmented([{"x": float(i)} for i in range(1, 5)],
-                            fleet=(2, 1000.0))
+    small = build_instance([{"x": float(i)} for i in range(1, 5)],
+                           fleet=(2, 1000.0))
     with pytest.raises(OracleSizeError):
         enumerate_routes(small, "distance", max_customers=3)
 
 
 def test_infeasible_instance_raises():
-    inst = build_augmented([{"x": 30.0, "close": 0.5}], fleet=(1, 100.0))
+    inst = build_instance([{"x": 30.0, "close": 0.5}], fleet=(1, 100.0))
     with pytest.raises(OracleInfeasibleError):
         enumerate_routes(inst, "distance")
 
@@ -173,7 +172,7 @@ def test_schedule_enumeration_matches_dp():
 
 
 def test_schedule_enumeration_m1_single_path():
-    inst = build_augmented([{"x": 3.0}, {"x": 6.0}], fleet=(1, 100.0))
+    inst = build_instance([{"x": 3.0}, {"x": 6.0}], fleet=(1, 100.0))
     result = enumerate_schedules((1, 2), inst, 1, objective="tti")
     assert result.enumerated == 1
     sched = optimize_schedule((1, 2), inst, 0.0, 1, objective="tti")
@@ -181,8 +180,8 @@ def test_schedule_enumeration_m1_single_path():
 
 
 def test_schedule_budget_refusal():
-    inst = build_augmented([{"x": float(i)} for i in range(1, 5)],
-                           fleet=(1, 1000.0))
+    inst = build_instance([{"x": float(i)} for i in range(1, 5)],
+                          fleet=(1, 1000.0))
     with pytest.raises(OracleBudgetError):
         enumerate_schedules((1, 2, 3, 4), inst, 10, budget=100)
 
@@ -190,7 +189,7 @@ def test_schedule_budget_refusal():
 def test_weighted_objective_uses_weights():
     # all weight on crash at unit scale leaves the log-survival sum,
     # whose optimum is crash's
-    inst = build_augmented([{"x": 2.0}, {"x": 4.0}], fleet=(2, 100.0))
+    inst = build_instance([{"x": 2.0}, {"x": 4.0}], fleet=(2, 100.0))
     w = ObjectiveWeights(1.0, 0.0, crash_scale=1.0)
     result = enumerate_routes(inst, "weighted", weights=w)
     pure = enumerate_routes(inst, "crash")
@@ -212,8 +211,7 @@ def test_solver_reaches_the_enumerated_optimum_on_the_oracle_matrix():
     # or on failure)
     matches, misses = 0, []
     for g in range(10):
-        inst = ensure_augmented(
-            generate_instance(5, g, fleet_count=2))
+        inst = generate_instance(5, g, fleet_count=2)
         for objective in OBJECTIVES:
             config = SolverConfig(objective=objective)
             optimum = enumerate_routes(

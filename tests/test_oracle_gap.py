@@ -16,14 +16,14 @@ def load_tool():
 
 def test_matrix_keeps_the_generators_pass_through_vertices():
     # the generator's instances as it makes them, which is the Tier-1
-    # oracle matrix: five customers, two vehicles and no depot copy
-    # but the terminal, since pass-through vertices no longer exist
+    # oracle matrix: five customers, two vehicles and the depot, with
+    # no copy of it, since every route ends at node 0
     labels = []
     for label, instance, _ in load_tool().matrix():
         labels.append(label)
         assert instance.customers() == (1, 2, 3, 4, 5)
         assert instance.fleet.count == 2
-        assert len(instance.nodes) == 7 and instance.terminal_id == 6
+        assert len(instance.nodes) == 6
     assert len(labels) == len(set(labels)) == 50
 
 

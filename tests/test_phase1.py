@@ -2,8 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +13,7 @@ from saferoute.instances import (
     load_case_study,
     load_solomon,
 )
-from saferoute.model import InvalidProfileError, TimeProfile, ensure_augmented
+from saferoute.model import InvalidProfileError, TimeProfile
 from saferoute.phase1 import (
     ObjectiveWeights,
     RouteTiming,
@@ -29,10 +27,10 @@ from saferoute.phase1 import (
     propagate_schedule,
 )
 
-from helpers import build_augmented, no_return_from_first, reference_feasibility
+from helpers import build_instance, no_return_from_first, reference_feasibility
 
-#: RND10 augmented: ids 1-10 are customers, 11 is the terminal copy.
-RND10 = ensure_augmented(generate_instance(10, seed=0))
+#: RND10: the depot is id 0, ids 1-10 are customers.
+RND10 = generate_instance(10, seed=0)
 
 
 def test_routes_are_kept_when_already_tuples():
@@ -55,7 +53,7 @@ def test_routes_are_kept_when_already_tuples():
 class TestPropagation:
     def test_waits_out_soft_lower_bound(self):
         # One customer 30 miles out at 30 mph; window opens at hour 2.
-        inst = build_augmented(
+        inst = build_instance(
             [{"x": 30.0, "y": 0.0, "service": 0.1, "open": 2.0, "close": 8.0}])
         sol = propagate_schedule(((1,),), inst, dispatch=0.0)
         stop = sol.timings[0].stops[0]
@@ -65,7 +63,7 @@ class TestPropagation:
         assert sol.timings[0].return_arrival == pytest.approx(3.1)
 
     def test_windows_shift_with_dispatch(self):
-        inst = build_augmented(
+        inst = build_instance(
             [{"x": 30.0, "y": 0.0, "service": 0.1, "open": 2.0, "close": 8.0}])
         sol = propagate_schedule(((1,),), inst, dispatch=5.0)
         stop = sol.timings[0].stops[0]
@@ -74,7 +72,7 @@ class TestPropagation:
         assert sol.timings[0].return_arrival == pytest.approx(8.1)
 
     def test_loads_decrease_along_route(self):
-        inst = build_augmented([
+        inst = build_instance([
             {"x": 3, "y": 0, "demand": 10},
             {"x": 4, "y": 0, "demand": 20},
             {"x": 5, "y": 0, "demand": 5},
@@ -85,19 +83,13 @@ class TestPropagation:
         assert [s.load_after for s in timing.stops] == [25, 5, 0]
 
     def test_empty_route_is_inert(self):
-        inst = build_augmented([{"x": 1}])
+        inst = build_instance([{"x": 1}])
         sol = propagate_schedule(((1,), ()), inst, 0.0)
         assert sol.timings[1].stops == ()
         assert sol.timings[1].return_arrival == 0.0
 
-    def test_requires_augmented_instance(self):
-        from helpers import build_instance
-        inst = build_instance([{"x": 1}])
-        with pytest.raises(SolutionError):
-            propagate_schedule(((1,),), inst, 0.0)
-
     def test_negative_dispatch_rejected(self):
-        inst = build_augmented([{"x": 1}])
+        inst = build_instance([{"x": 1}])
         with pytest.raises(SolutionError):
             propagate_schedule(((1,),), inst, -1.0)
 
@@ -109,7 +101,7 @@ class TestFeasibility:
             {"x": 0, "y": 4, "demand": 10, "close": 8.0},
         ])
         defaults.update(kw)
-        return build_augmented(defaults.pop("customers"), **defaults)
+        return build_instance(defaults.pop("customers"), **defaults)
 
     def test_clean_solution_passes(self):
         inst = self.make()
@@ -136,13 +128,13 @@ class TestFeasibility:
                    for v in check_feasibility(sol, inst))
 
     def test_window_close_is_hard(self):
-        inst = build_augmented([{"x": 30, "y": 0, "close": 0.5}])
+        inst = build_instance([{"x": 30, "y": 0, "close": 0.5}])
         sol = propagate_schedule(((1,),), inst, 0.0)  # arrives at 1.0
         assert any(v.constraint == "window"
                    for v in check_feasibility(sol, inst))
 
     def test_horizon_on_return(self):
-        inst = build_augmented([{"x": 30, "y": 0}], latest=1.5)
+        inst = build_instance([{"x": 30, "y": 0}], latest=1.5)
         sol = propagate_schedule(((1,),), inst, 0.0)  # returns at ~2.0
         kinds = {v.constraint for v in check_feasibility(sol, inst)}
         assert "horizon" in kinds
@@ -151,7 +143,7 @@ class TestFeasibility:
         # Returning from node 1 directly is painfully slow, so the
         # guarantee breaks at node 1 even though the actual route
         # returns in time via node 2.
-        inst = build_augmented(
+        inst = build_instance(
             [{"x": 3, "y": 0, "demand": 1}, {"x": 4, "y": 0, "demand": 1}],
             latest=3.0,
             arc_overrides={(1, 0): {"distance": 100.0}},
@@ -176,12 +168,12 @@ class TestFeasibility:
                    for v in check_feasibility(bad, inst))
 
     def test_dummy_repeat_flagged(self):
-        # the ids after the terminal, where pass-through copies of the
-        # depot used to sit, are unknown vertices: a repeated one is
-        # flagged once, and so is one visited once
-        inst = build_augmented(
+        # the ids past the node table, where copies of the depot used to
+        # sit, are unknown vertices: a repeated one is flagged once, and
+        # so is one visited once
+        inst = build_instance(
             [{"x": 3, "y": 0}, {"x": 4, "y": 0}, {"x": 5, "y": 0}])
-        d = inst.terminal_id + 1
+        d = len(inst.nodes) + 1
         for route in ((1, d, 2, d, 3), (1, d, 2, 3)):
             sol = RoutingSolution((route,), 0.0, (RouteTiming(
                 0.0, 0.0, (), 0.0, (), ()),))
@@ -193,8 +185,8 @@ class TestFeasibility:
     def test_visit_checks_match_counting_loop(self, data):
         # counting visits in one pass and walking only the ids left once
         # the customers are taken out reports what walking every visited
-        # id did, in the same order: repeats, omissions, depot copies
-        # and ids past the node table
+        # id did, in the same order: repeats, omissions, the depot and
+        # ids past the node table
         ids = st.integers(0, len(RND10.nodes) + 2)
         routes = data.draw(st.lists(st.lists(ids, max_size=8), max_size=5))
         audits = st.lists(st.sampled_from([
@@ -221,10 +213,9 @@ class TestFeasibility:
             st.integers(0, len(order)), max_size=4)))
         routes = [list(order[a:b])
                   for a, b in zip([0, *cuts], [*cuts, len(order)])]
-        # edits that break the cover: a repeat, a missing customer, a
-        # depot copy, an id past the node table
-        extra = st.one_of(st.sampled_from(customers),
-                          st.sampled_from((0, RND10.terminal_id)),
+        # edits that break the cover: a repeat, a missing customer, the
+        # depot, an id past the node table
+        extra = st.one_of(st.sampled_from(customers), st.just(0),
                           st.integers(len(RND10.nodes), len(RND10.nodes) + 3))
         for _ in range(data.draw(st.integers(0, 3))):
             route = data.draw(st.sampled_from(routes))
@@ -253,8 +244,8 @@ class TestFeasibility:
 
 class TestObjectives:
     def crash_pair_instance(self):
-        # Route depot -> 1 -> terminal with crash 0.1 then 0.2.
-        return build_augmented(
+        # Route depot -> 1 -> depot with crash 0.1 then 0.2.
+        return build_instance(
             [{"x": 10, "y": 0}],
             arc_overrides={
                 (1, 0): {"crash": 0.2},
@@ -278,7 +269,7 @@ class TestObjectives:
             pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
             for (i, j), x in zip(pairs, xs):
                 overrides[(i, j)] = {"crash": x}
-            inst = build_augmented(
+            inst = build_instance(
                 [{"x": k, "y": 1, "demand": 1} for k in range(1, 6)],
                 arc_overrides=overrides, fleet=(1, 100))
             sol = propagate_schedule(((1, 2, 3, 4, 5),), inst, 0.0)
@@ -291,21 +282,21 @@ class TestObjectives:
     def test_certain_crash_saturates(self):
         # the model admits crash values below 1: the highest one makes
         # the route's crash probability the highest float below 1
-        inst = build_augmented(
+        inst = build_instance(
             [{"x": 10, "y": 0}],
             arc_overrides={(0, 1): {"crash": MAX_CRASH}})
         sol = propagate_schedule(((1,),), inst, 0.0)
         assert objective_value("crash", sol, inst) == MAX_CRASH
 
     def test_tti_sums_per_arc(self):
-        inst = build_augmented([{"x": 10, "y": 0}], tti=1.5)
+        inst = build_instance([{"x": 10, "y": 0}], tti=1.5)
         sol = propagate_schedule(((1,),), inst, 0.0)
         assert objective_value("tti", sol, inst) == pytest.approx(3.0)
 
     def test_weighted_mix(self):
         inst = self.crash_pair_instance()
         # force TTI sum to 3.0
-        inst = build_augmented(
+        inst = build_instance(
             [{"x": 10, "y": 0}],
             arc_overrides={
                 (0, 1): {"crash": 0.1, "tti": 1.5},
@@ -323,10 +314,10 @@ class TestObjectives:
         # finite: w_crash 0 charges none of it, and a positive weight
         # charges a finite cost
         with pytest.raises(InvalidProfileError, match=r"crash value 1\.0"):
-            build_augmented([{"x": 10, "y": 0}],
-                            arc_overrides={(0, 1): {"crash": 1.0}})
-        inst = build_augmented([{"x": 10, "y": 0}],
-                               arc_overrides={(0, 1): {"crash": MAX_CRASH}})
+            build_instance([{"x": 10, "y": 0}],
+                           arc_overrides={(0, 1): {"crash": 1.0}})
+        inst = build_instance([{"x": 10, "y": 0}],
+                              arc_overrides={(0, 1): {"crash": MAX_CRASH}})
         arc = inst.arc(0, 1)
         tti_only = ObjectiveWeights(0.0, 1.0, crash_scale=10.0)
         for xi in (0.3, MAX_CRASH):
@@ -340,14 +331,14 @@ class TestObjectives:
             objective_value("tti", sol, inst)
 
     def test_distance_total(self):
-        inst = build_augmented([{"x": 3, "y": 0}, {"x": 0, "y": 4}])
+        inst = build_instance([{"x": 3, "y": 0}, {"x": 0, "y": 4}])
         sol = propagate_schedule(((1,), (2,)), inst, 0.0)
         assert objective_value("distance", sol, inst) == pytest.approx(14.0)
 
     def test_time_excludes_waiting(self):
         # 30 miles at 30 mph each way, service 0.1, window opens at 5:
         # the 4 hour wait must not be charged.
-        inst = build_augmented([{"x": 30, "y": 0, "service": 0.1, "open": 5.0}])
+        inst = build_instance([{"x": 30, "y": 0, "service": 0.1, "open": 5.0}])
         sol = propagate_schedule(((1,),), inst, 0.0)
         assert sol.timings[0].return_arrival == pytest.approx(6.1)
         assert objective_value("time", sol, inst) == pytest.approx(2.1)
@@ -356,8 +347,8 @@ class TestObjectives:
         # Speed doubles from hour 1 on; waiting shifts the return leg
         # into the fast hour, so charged driving time shrinks.
         profile = TimeProfile((15.0,) + (30.0,) * 23)
-        no_wait = build_augmented([{"x": 10, "y": 0}], speed=profile)
-        wait = build_augmented([{"x": 10, "y": 0, "open": 1.0}], speed=profile)
+        no_wait = build_instance([{"x": 10, "y": 0}], speed=profile)
+        wait = build_instance([{"x": 10, "y": 0, "open": 1.0}], speed=profile)
         t_eager = objective_value(
             "time", propagate_schedule(((1,),), no_wait, 0.0), no_wait)
         t_waity = objective_value(
@@ -368,7 +359,7 @@ class TestObjectives:
         # Minimising the log-survival sum and the probability itself
         # must order solutions identically.
         rng = random.Random(6)
-        inst = build_augmented(
+        inst = build_instance(
             [{"x": 1, "y": 1}, {"x": 2, "y": 0}, {"x": 0, "y": 2}],
             crash=TimeProfile(tuple(rng.uniform(0.01, 0.3) for _ in range(24))),
             fleet=(1, 100))
@@ -383,7 +374,7 @@ class TestObjectives:
             sorted(range(6), key=logs.__getitem__)
 
     def test_objective_dispatch_and_errors(self):
-        inst = build_augmented([{"x": 3, "y": 0}])
+        inst = build_instance([{"x": 3, "y": 0}])
         sol = propagate_schedule(((1,),), inst, 0.0)
         for name in ("crash", "tti", "weighted", "distance", "time"):
             assert objective_value(name, sol, inst) >= 0
@@ -406,25 +397,21 @@ class TestObjectives:
                 ObjectiveWeights(0.5, 0.5, crash_scale=bad)
 
     def test_default_crash_scale(self):
-        inst = build_augmented([{"x": 3, "y": 0}], tti=1.2, crash=0.05)
+        inst = build_instance([{"x": 3, "y": 0}], tti=1.2, crash=0.05)
         assert default_crash_scale(inst) == pytest.approx(24.0)
         w = ObjectiveWeights().resolved(inst)
         assert w.crash_scale == pytest.approx(24.0)
 
     @pytest.mark.parametrize("name", ["case", "R101", "RND10"])
     def test_default_crash_scale_ignores_the_terminal_copy(self, name):
-        # the scale averages over the arcs between original nodes, so a
-        # plain instance and its augmented form weigh crash alike
-        if name == "case":  # loaded augmented: strip the terminal copy
-            case = load_case_study(bundled_case_study_dir())
-            plain = replace(case, nodes=case.nodes[:-1], terminal_id=None,
-                            arcs={key: arc for key, arc in case.arcs.items()
-                                  if case.terminal_id not in key})
-        else:
-            plain = load_solomon("R101") if name == "R101" \
-                else generate_instance(10, seed=0)
-        augmented = ensure_augmented(plain)
-        assert len(augmented.arcs) > len(plain.arcs)
-        assert default_crash_scale(augmented).hex() \
-            == default_crash_scale(plain).hex()
+        # routes end at node 0, so no terminal copy adds arcs to leave
+        # out: the scale is mean hourly TTI over mean hourly crash with
+        # every arc counted, summed in the order the instance holds them
+        inst = load_case_study(bundled_case_study_dir()) if name == "case" \
+            else load_solomon("R101") if name == "R101" else RND10
+        arcs = inst.arcs.values()
+        cells = 24 * len(arcs)
+        tti = sum(sum(arc.tti.values) for arc in arcs) / cells
+        crash = sum(sum(arc.crash.values) for arc in arcs) / cells
+        assert default_crash_scale(inst).hex() == (tti / crash).hex()
 

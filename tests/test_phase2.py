@@ -21,7 +21,6 @@ from saferoute.instances import (
 from saferoute.model import (
     MissingArcError,
     TimeProfile,
-    ensure_augmented,
     leg,
     travel_time,
 )
@@ -49,7 +48,7 @@ from saferoute.phase2 import (
 
 from helpers import (
     TOP_CRASHES,
-    build_augmented,
+    build_instance,
     no_return_from_first,
     reference_audit,
     reference_schedule_graph,
@@ -82,8 +81,8 @@ def random_instance(rng, n_customers, crash_hi=0.05):
                     "tti": random_profile(rng, 1.0, 3.0),
                     "crash": random_profile(rng, 1e-5, crash_hi),
                 }
-    return build_augmented(customers, fleet=(3, 1000.0), latest=24.0,
-                           arc_overrides=overrides)
+    return build_instance(customers, fleet=(3, 1000.0), latest=24.0,
+                          arc_overrides=overrides)
 
 
 def retimed(route, dispatch, sched: Schedule, inst) -> RoutingSolution:
@@ -169,7 +168,7 @@ def test_edges_match_recomputation_from_primitives():
     weights = ObjectiveWeights(0.5, 0.5).resolved(inst)
     route = (2, 1, 3)
     graph = build_schedule_graph(route, inst, 1.5, m=5, weights=weights)
-    node_ids = (0, *route, inst.terminal_id)
+    node_ids = (0, *route, 0)
     for pos in range(1, len(graph.times)):
         tail, head = node_ids[pos - 1], node_ids[pos]
         service = inst.node(tail).service_time
@@ -192,7 +191,7 @@ def test_frozen_two_hour_delay():
     # calm from hour 2 on, so the best of the starts {1.0, 1.5, 2.0}
     # is to wait a full hour before serving.
     crash_back = TimeProfile((0.1, 0.3, 0.1) + (0.1,) * 21)
-    inst = build_augmented(
+    inst = build_instance(
         [{"x": 30.0, "y": 0.0, "service": 0.0, "close": 2.0}],
         arc_overrides={(1, 0): {"crash": crash_back}},
         crash=0.01,
@@ -262,12 +261,12 @@ def test_horizon_filter_keeps_late_starts_out():
     # at 1.2 hours; only starts that still allow the 20-minute ride
     # home may be kept.
     crash = TimeProfile((0.3,) + (1e-4,) * 23)
-    inst = build_augmented(
+    inst = build_instance(
         [{"x": 10.0, "y": 0.0, "service": 0.0, "close": 24.0}],
         latest=1.2, crash=crash,
     )
     graph = build_schedule_graph((1,), inst, 0.0, m=5, objective="crash")
-    back = inst.arc(1, inst.terminal_id)
+    back = inst.arc(1, 0)
     for start in graph.times[1]:
         assert start + travel_time(back, start) <= 1.2 + 1e-9
     lo = travel_time(inst.arc(0, 1), 0.0)
@@ -367,7 +366,7 @@ def test_one_traversal_per_driven_leg(monkeypatch):
     monkeypatch.setattr(model, "_read_arc", counted)
     route = (1, 2, 3)
     for objective in OBJECTIVES:
-        inst = ensure_augmented(load_case_study(bundled_case_study_dir()))
+        inst = load_case_study(bundled_case_study_dir())
         weights = ObjectiveWeights().resolved(inst)
         calls.clear()
         build_schedule_graph(route, inst, 7.0, 3, weights, objective)
@@ -379,7 +378,7 @@ def test_one_traversal_per_driven_leg(monkeypatch):
     timed = propagate_schedule((route,), inst, 7.0)
     for objective in OBJECTIVES:
         # read on an instance whose arcs have driven nothing yet
-        fresh = ensure_augmented(load_case_study(bundled_case_study_dir()))
+        fresh = load_case_study(bundled_case_study_dir())
         calls.clear()
         objective_value(objective, timed, fresh, weights)
         assert calls == [], objective
@@ -411,9 +410,9 @@ def test_layer_pass_matches_reference_graph(data, seed, dispatch, objective,
         :data.draw(st.integers(1, len(ids)))]
     # cut nothing, one arc of the path or one stop's way home, and
     # shorten the horizon and the windows to reach every failure
-    path = (0, *route, inst.terminal_id)
+    path = (0, *route, 0)
     cut = data.draw(st.none() | st.sampled_from(
-        [*zip(path, path[1:]), *((n, inst.terminal_id) for n in route)]))
+        [*zip(path, path[1:]), *((n, 0) for n in route)]))
     shrink = data.draw(st.just(1.0) | st.floats(0.125, 1.0))
     inst = replace(
         inst, arcs={k: a for k, a in inst.arcs.items() if k != cut},
@@ -483,7 +482,7 @@ def test_schedule_solution_retimes_each_memo_route_once(monkeypatch):
 
 
 def test_schedule_solution_never_stores_an_infeasible_route():
-    inst = build_augmented([{"x": 30.0, "y": 0.0}], latest=1.5)
+    inst = build_instance([{"x": 30.0, "y": 0.0}], latest=1.5)
     prop = propagate_schedule(((1,),), inst, 0.0)
     memo = {}
     for _ in range(2):
@@ -495,17 +494,17 @@ def test_schedule_solution_never_stores_an_infeasible_route():
 @functools.cache
 def walk_instances():
     """The case study, RND25 (generator seed 0), a sparse graph and R101."""
-    return (ensure_augmented(load_case_study(bundled_case_study_dir())),
-            ensure_augmented(generate_instance(25, 0)),
+    return (load_case_study(bundled_case_study_dir()),
+            generate_instance(25, 0),
             no_return_from_first(),
-            ensure_augmented(load_solomon("R101")))
+            load_solomon("R101"))
 
 
 def assert_walk_recorded(route, timing, inst, dispatch):
     """The timing's verdict is the reference audit's, and each recorded
     leg is ``model.leg`` at that leg's departure, bit for bit."""
     assert timing.violations == reference_audit(route, timing, inst, dispatch)
-    path = (0, *route, inst.terminal_id)
+    path = (0, *route, 0)
     departs = (timing.depot_departure,
                *(stop.departure for stop in timing.stops))
     assert len(timing.legs) == len(departs)
@@ -577,7 +576,6 @@ def test_phase2_never_refuses_an_audited_route(data, size, seed, latest,
         inst = replace(inst, arcs={key: replace(arc, crash=TimeProfile(
             tuple(draw() for _ in range(24))))
             for key, arc in inst.arcs.items()})
-    inst = ensure_augmented(inst)
     route = data.draw(st.permutations(inst.customers()))
     route = tuple(route[:data.draw(st.integers(1, size))])
     immediate = time_route(route, inst, dispatch)
@@ -593,13 +591,13 @@ def test_phase2_never_refuses_an_audited_route(data, size, seed, latest,
 
 
 def test_infeasible_window_raises():
-    inst = build_augmented([{"x": 30.0, "y": 0.0, "close": 0.5}])
+    inst = build_instance([{"x": 30.0, "y": 0.0, "close": 0.5}])
     with pytest.raises(ScheduleInfeasibleError):
         build_schedule_graph((1,), inst, 0.0, m=3, objective="crash")
 
 
 def test_unreachable_horizon_raises():
-    inst = build_augmented([{"x": 30.0, "y": 0.0}], latest=1.5)
+    inst = build_instance([{"x": 30.0, "y": 0.0}], latest=1.5)
     with pytest.raises(ScheduleInfeasibleError):
         optimize_schedule((1,), inst, 0.0, m=2, objective="tti")
 
@@ -612,7 +610,7 @@ def test_stop_without_return_arc_has_no_start():
 
 
 def test_schedule_argument_errors():
-    inst = build_augmented([{"x": 3.0}])
+    inst = build_instance([{"x": 3.0}])
     with pytest.raises(ScheduleError):
         optimize_schedule((1,), inst, 0.0, m=0)
     with pytest.raises(ScheduleError):
@@ -628,7 +626,7 @@ def test_schedule_argument_errors():
 def test_leg_cost_objectives_agree_with_profiles():
     crash = TimeProfile((0.2,) + (0.05,) * 23)
     tti = TimeProfile((2.5,) + (1.25,) * 23)
-    inst = build_augmented(
+    inst = build_instance(
         [{"x": 10.0, "y": 0.0}],
         arc_overrides={(0, 1): {"crash": crash, "tti": tti}},
     )

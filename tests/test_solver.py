@@ -28,8 +28,6 @@ from saferoute.model import (
     InvalidProfileError,
     MissingArcError,
     TimeProfile,
-    augment_depot,
-    ensure_augmented,
 )
 from saferoute.phase1 import (
     OBJECTIVES,
@@ -62,7 +60,7 @@ from saferoute.solver import (
 )
 
 from helpers import (
-    build_augmented,
+    build_instance,
     no_return_from_first,
     reference_insertion,
     reference_polish,
@@ -145,7 +143,7 @@ def test_initial_solution_splits_ring_by_half_plane():
         ang = math.pi / 8 + k * math.pi / 4
         customers.append({"x": 10 * math.cos(ang), "y": 10 * math.sin(ang),
                           "demand": 1.0})
-    inst = build_augmented(customers, fleet=(2, 100.0))
+    inst = build_instance(customers, fleet=(2, 100.0))
     sol = initial_solution(inst)
     assert len(sol.routes) == 2
     # angles below pi belong to the first vehicle, the rest to the second
@@ -154,7 +152,7 @@ def test_initial_solution_splits_ring_by_half_plane():
 
 
 def test_initial_solution_single_customer():
-    inst = build_augmented([{"x": 3.0, "y": 4.0}])
+    inst = build_instance([{"x": 3.0, "y": 4.0}])
     assert initial_solution(inst).routes == ((1,), ())
 
 
@@ -162,14 +160,14 @@ def test_initial_solution_spills_capacity_overflow():
     customers = [{"x": 5.0, "y": 1.0, "demand": 60.0},
                  {"x": 6.0, "y": 1.0, "demand": 60.0},
                  {"x": 7.0, "y": 1.0, "demand": 60.0}]
-    inst = build_augmented(customers, fleet=(3, 100.0))
+    inst = build_instance(customers, fleet=(3, 100.0))
     sol = initial_solution(inst)
     assert sorted(len(r) for r in sol.routes) == [1, 1, 1]
     assert {n for r in sol.routes for n in r} == {1, 2, 3}
 
 
 def test_initial_solution_zero_customers():
-    inst = build_augmented([], fleet=(3, 50.0))
+    inst = build_instance([], fleet=(3, 50.0))
     assert initial_solution(inst).routes == ((), (), ())
 
 
@@ -177,7 +175,7 @@ def test_initial_solution_orders_by_radius():
     # same narrow slice: outward sweep sorts by distance from the depot
     customers = [{"x": 9.0, "y": 0.5}, {"x": 3.0, "y": 0.2},
                  {"x": 6.0, "y": 0.4}]
-    inst = build_augmented(customers, fleet=(1, 500.0))
+    inst = build_instance(customers, fleet=(1, 500.0))
     assert initial_solution(inst).routes[0] == (2, 3, 1)
 
 
@@ -188,7 +186,7 @@ def test_make_feasible_repairs_window_order():
     # serving the far customer first makes the near window unreachable
     customers = [{"x": 3.0, "y": 0.0, "close": 0.2},
                  {"x": 6.0, "y": 0.0, "close": 24.0}]
-    inst = build_augmented(customers, fleet=(2, 100.0))
+    inst = build_instance(customers, fleet=(2, 100.0))
     broken = RoutingSolution(((2, 1), ()))
     assert check_feasibility(propagate_schedule(broken, inst, 0.0), inst)
     fixed = make_feasible(broken, inst, 0.0)
@@ -198,13 +196,13 @@ def test_make_feasible_repairs_window_order():
 
 
 def test_make_feasible_gives_up_on_impossible_window():
-    inst = build_augmented([{"x": 3.0, "y": 0.0, "close": 0.05}])
+    inst = build_instance([{"x": 3.0, "y": 0.0, "close": 0.05}])
     assert make_feasible(RoutingSolution(((1,), ())), inst, 0.0) is None
 
 
 def test_make_feasible_keeps_feasible_input_feasible():
     rng = random.Random(21)
-    inst = build_augmented(random_customers(rng, 5), fleet=(2, 200.0))
+    inst = build_instance(random_customers(rng, 5), fleet=(2, 200.0))
     sol = initial_solution(inst)
     fixed = make_feasible(sol, inst, 0.0)
     assert fixed is not None
@@ -213,12 +211,13 @@ def test_make_feasible_keeps_feasible_input_feasible():
 
 @pytest.mark.parametrize("copy", ["depot", "terminal", "pass-through"])
 def test_make_feasible_drops_a_depot_copy(copy):
-    # the copy is no customer to re-insert: it goes, and the two
-    # customers stay where they were; so does the id after the
-    # terminal, where a pass-through copy of the depot used to sit
-    inst = build_augmented([{"x": 1}, {"x": 2}])
-    inside = {"depot": 0, "terminal": inst.terminal_id,
-              "pass-through": inst.terminal_id + 1}[copy]
+    # the depot is no customer to re-insert: it goes, and the two
+    # customers stay where they were; so do the unknown ids past the
+    # node table, where the terminal and pass-through copies of the
+    # depot used to sit
+    inst = build_instance([{"x": 1}, {"x": 2}])
+    inside = {"depot": 0, "terminal": len(inst.nodes),
+              "pass-through": len(inst.nodes) + 1}[copy]
     fixed = make_feasible(RoutingSolution(((1, inside, 2), ())), inst, 0.0)
     assert fixed is not None and fixed.routes == ((1, 2), ())
 
@@ -228,7 +227,7 @@ def test_make_feasible_drops_a_depot_copy(copy):
 def test_make_feasible_serves_each_customer_once(routes):
     # a surplus copy goes, and a customer served nowhere is re-inserted
     # like an ejected one
-    inst = build_augmented([{"x": 1}, {"x": 2}], fleet=(2, 100.0))
+    inst = build_instance([{"x": 1}, {"x": 2}], fleet=(2, 100.0))
     fixed = make_feasible(RoutingSolution(routes), inst, 0.0)
     assert fixed is not None
     assert not check_feasibility(propagate_schedule(fixed, inst, 0.0), inst)
@@ -238,15 +237,15 @@ def test_make_feasible_serves_each_customer_once(routes):
 def test_make_feasible_rejects_more_routes_than_vehicles():
     # each route passes its own audit, and capacity keeps them apart, so
     # only the fleet size could turn this start down
-    inst = build_augmented([{"x": 1, "demand": 60}, {"x": 2, "demand": 60}],
-                           fleet=(1, 100.0))
+    inst = build_instance([{"x": 1, "demand": 60}, {"x": 2, "demand": 60}],
+                          fleet=(1, 100.0))
     with pytest.raises(SolverError):
         make_feasible(RoutingSolution(((1,), (2,))), inst, 0.0)
 
 
 def _served_distance(sol, inst):
     return sum(inst.arc(a, b).distance for r in sol.routes if r
-               for a, b in zip((0, *r), (*r, inst.terminal_id)))
+               for a, b in zip((0, *r), (*r, 0)))
 
 
 def _passes_audit(sol, inst, dispatch):
@@ -303,7 +302,7 @@ def test_a_late_return_sheds_the_last_two_stops_in_one_round():
     # only the return from 3 is late, yet the audit names it twice: as
     # stop 3's horizon-return and as the route's horizon.  So one
     # ejection round sheds 3 and then 2, although (1, 2) passes
-    inst = build_augmented([{"x": 10}, {"x": 20}, {"x": 30}], latest=2.2)
+    inst = build_instance([{"x": 10}, {"x": 20}, {"x": 30}], latest=2.2)
     late = time_route((1, 2, 3), inst, 0.0).violations
     assert [(v.constraint, v.node) for v in late] \
         == [("horizon-return", 3), ("horizon", None)]
@@ -325,13 +324,13 @@ def test_a_late_return_sheds_the_last_two_stops_in_one_round():
 @lru_cache(maxsize=None)
 def audit_instance(name):
     if name == "R101":
-        return ensure_augmented(load_solomon("R101"))
+        return load_solomon("R101")
     if name == "case":
-        return ensure_augmented(load_case_study(bundled_case_study_dir()))
+        return load_case_study(bundled_case_study_dir())
     if name.startswith("line without"):  # e.g. "line without 1 0"
         tail, head = map(int, name.split()[2:])
-        return augment_depot(two_on_a_line_without((tail, head)))
-    return ensure_augmented(generate_instance(25, seed=0))
+        return two_on_a_line_without((tail, head))
+    return generate_instance(25, seed=0)
 
 
 @settings(max_examples=120, deadline=None)
@@ -522,7 +521,7 @@ def test_polish_keeps_a_donor_that_would_turn_late():
     # the direct arc 1 -> 3 is slower than the two legs through 2, so
     # moving 2 next to 4, which shortens the total, would start 3 after
     # its window closes; the start passes the audit and is kept
-    inst = build_augmented(
+    inst = build_instance(
         [{"x": 1}, {"x": 2, "y": 1}, {"x": 3, "close": 0.5, "demand": 60},
          {"x": 2, "y": 2, "demand": 50}],
         fleet=(2, 100.0), arc_overrides={(1, 3): {"speed": 1.0}})
@@ -546,7 +545,7 @@ def test_r101_polish_prices_only_edited_routes(monkeypatch):
         return insertion(routes, c, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_cheapest_insertion", counted)
-    res = solve(ensure_augmented(load_solomon("R101")),
+    res = solve(load_solomon("R101"),
                 SolverConfig(objective="distance", seed=0), 0.0)
     assert res.value == 1846.1684329678744
     assert 0 < priced["routes"] <= 8000
@@ -715,7 +714,7 @@ def test_r101_solve_audits_only_winning_trials(monkeypatch):
     counted("_latest_starts")
     counted("_may_fit")
     monkeypatch.setattr(solver, "make_feasible", repair)
-    res = solve(ensure_augmented(load_solomon("R101")),
+    res = solve(load_solomon("R101"),
                 SolverConfig(objective="distance", seed=0), 0.0)
     assert res.value == 1846.1684329678744
     assert 0 < calls["_latest_starts"] <= 260
@@ -736,9 +735,9 @@ def test_lazy_record_equals_eager_summary(data, seed, dispatch):
     ids = list(inst.customers())
     route = tuple(data.draw(st.permutations(ids)))[
         :data.draw(st.integers(0, len(ids)))]
-    path = (0, *route, inst.terminal_id)
+    path = (0, *route, 0)
     cut = data.draw(st.none() | st.sampled_from(
-        [*zip(path, path[1:]), *((n, inst.terminal_id) for n in route)]))
+        [*zip(path, path[1:]), *((n, 0) for n in route)]))
     inst = replace(inst, arcs={k: a for k, a in inst.arcs.items()
                                if k != cut})
     route = tuple(_feasible_prefix(route, inst, dispatch))
@@ -766,7 +765,7 @@ def test_case_study_solve_runs_no_latest_start_pass(monkeypatch):
                         lambda *a: calls.update(["latest"]) or latest(*a))
     monkeypatch.setattr(solver, "make_feasible",
                         lambda *a: calls.update(["repair"]) or repair(*a))
-    inst = ensure_augmented(load_case_study(bundled_case_study_dir()))
+    inst = load_case_study(bundled_case_study_dir())
     for hour in range(24):
         for objective in OBJECTIVES:
             solve(inst, SolverConfig(objective=objective), float(hour))
@@ -781,7 +780,7 @@ def test_repair_walks_each_route_once(monkeypatch, name, dispatch):
     # immediate walk, whichever module times it.  Phase 2 makes none:
     # its graph build once walked every route it retimed
     inst = audit_instance("R101") if name == "R101" \
-        else ensure_augmented(generate_instance(80, seed=0))
+        else generate_instance(80, seed=0)
     walks = Counter()
 
     def counted(walk):
@@ -824,7 +823,7 @@ def test_r101_scan_looks_up_only_trial_records(monkeypatch):
                          **kwargs)
 
     monkeypatch.setattr(solver, "_cheapest_insertion", counted)
-    res = solve(ensure_augmented(load_solomon("R101")),
+    res = solve(load_solomon("R101"),
                 SolverConfig(objective="distance", seed=0), 0.0)
     assert res.value == 1846.1684329678744
     assert 0 < lookups["records"] <= 181
@@ -842,7 +841,7 @@ def test_r101_solve_prices_each_route_in_one_pass(monkeypatch):
         return delta(*args)
 
     monkeypatch.setattr(solver, "_insertion_delta", counted)
-    res = solve(ensure_augmented(load_solomon("R101")),
+    res = solve(load_solomon("R101"),
                 SolverConfig(objective="distance", seed=0), 0.0)
     assert res.value == 1846.1684329678744
     assert 0 < calls["delta"] <= 662
@@ -859,7 +858,7 @@ def test_solve_resolves_weights_only_for_weighted(monkeypatch):
         return scale(instance)
 
     monkeypatch.setattr(phase1, "default_crash_scale", counted)
-    solve(ensure_augmented(load_solomon("R101")),
+    solve(load_solomon("R101"),
           SolverConfig(objective="distance", seed=0), 0.0)
     assert calls["scale"] == 0
     res = solve(load_case_study(bundled_case_study_dir()),
@@ -870,7 +869,7 @@ def test_solve_resolves_weights_only_for_weighted(monkeypatch):
 
 def test_r101_distance_pinned():
     # bit-exact anchor of the construction, repair and polish path
-    res = solve(ensure_augmented(load_solomon("R101")),
+    res = solve(load_solomon("R101"),
                 SolverConfig(objective="distance", seed=0), 0.0)
     assert res.feasible
     assert res.value == 1846.1684329678744
@@ -939,7 +938,7 @@ def test_move_kind_is_validated():
 
 def test_sampled_moves_preserve_visit_multiset():
     rng = random.Random(77)
-    inst = build_augmented(random_customers(rng, 6), fleet=(3, 400.0))
+    inst = build_instance(random_customers(rng, 6), fleet=(3, 400.0))
     sol = initial_solution(inst)
     want = Counter(n for r in sol.routes for n in r)
     for _ in range(400):
@@ -962,8 +961,8 @@ def test_sample_move_on_single_customer():
 
 
 def test_evaluate_skips_scheduling_for_distance():
-    inst = build_augmented([{"x": 2.0, "y": 0.0}, {"x": 4.0, "y": 0.0}],
-                           fleet=(2, 100.0))
+    inst = build_instance([{"x": 2.0, "y": 0.0}, {"x": 4.0, "y": 0.0}],
+                          fleet=(2, 100.0))
     cfg = SolverConfig(objective="distance", m=2)
     retimed = {}
     out = evaluate(((1, 2), ()), inst, cfg, 0.0,
@@ -974,7 +973,7 @@ def test_evaluate_skips_scheduling_for_distance():
 
 
 def test_evaluate_rejects_window_violation():
-    inst = build_augmented([{"x": 6.0, "y": 0.0, "close": 0.1}])
+    inst = build_instance([{"x": 6.0, "y": 0.0, "close": 0.1}])
     cfg = SolverConfig(m=2)
     out = evaluate(((1,), ()), inst, cfg, 0.0, cfg.weights.resolved(inst))
     assert not out.feasible and out.value == math.inf
@@ -988,8 +987,7 @@ def test_evaluate_scores_an_audited_route_of_near_certain_crash():
     with pytest.raises(InvalidProfileError):
         replace(base.arcs[0, 1], crash=TimeProfile.constant(1.0))
     near = replace(base.arcs[0, 1], crash=TimeProfile.constant(MAX_CRASH))
-    base = replace(base, arcs={**base.arcs, (0, 1): near})
-    inst = ensure_augmented(base)
+    inst = replace(base, arcs={**base.arcs, (0, 1): near})
     assert time_route((1, 2, 3), inst, 7.0).violations == ()
     for objective in ("crash", "weighted"):
         cfg = SolverConfig(objective=objective)
@@ -1027,14 +1025,14 @@ def test_evaluate_never_stores_a_route_with_a_missing_arc():
 @lru_cache(maxsize=None)
 def memo_instance(name):
     if name == "case":
-        return ensure_augmented(load_case_study(bundled_case_study_dir()))
+        return load_case_study(bundled_case_study_dir())
     if name == "case less (1, 2)":  # a candidate may drive a missing arc
         case = memo_instance("case")
         return replace(case, arcs={key: arc for key, arc in case.arcs.items()
                                    if key != (1, 2)})
     if name == "R101":
-        return ensure_augmented(load_solomon("R101"))
-    return ensure_augmented(generate_instance(25, seed=0))
+        return load_solomon("R101")
+    return generate_instance(25, seed=0)
 
 
 def memo_walk(name, dispatch, objective, walk_seed, steps=30):
@@ -1160,7 +1158,7 @@ def test_solver_config_validation():
 
 def test_solve_is_deterministic_per_seed():
     rng = random.Random(13)
-    inst = build_augmented(random_customers(rng, 6), fleet=(2, 300.0))
+    inst = build_instance(random_customers(rng, 6), fleet=(2, 300.0))
     cfg = SolverConfig(seed=42, m=2, max_outer_iterations=5)
     a = solve(inst, cfg)
     b = solve(inst, cfg)
@@ -1172,7 +1170,7 @@ def test_solve_is_deterministic_per_seed():
 
 def test_zero_iteration_budget_returns_scheduled_initial():
     rng = random.Random(9)
-    inst = build_augmented(random_customers(rng, 4), fleet=(2, 200.0))
+    inst = build_instance(random_customers(rng, 4), fleet=(2, 200.0))
     cfg = SolverConfig(max_outer_iterations=0, m=2)
     res = solve(inst, cfg)
     assert res.feasible
@@ -1184,7 +1182,7 @@ def test_zero_iteration_budget_returns_scheduled_initial():
 
 def test_incumbent_history_is_nonincreasing():
     rng = random.Random(31)
-    inst = build_augmented(random_customers(rng, 7), fleet=(3, 300.0))
+    inst = build_instance(random_customers(rng, 7), fleet=(3, 300.0))
     for seed in range(4):
         res = solve(inst, SolverConfig(seed=seed, m=2))
         assert res.history
@@ -1195,8 +1193,8 @@ def test_incumbent_history_is_nonincreasing():
 def test_solved_solutions_pass_feasibility_audit():
     rng = random.Random(55)
     for trial in range(4):
-        inst = build_augmented(random_customers(rng, 6),
-                               fleet=(3, 300.0))
+        inst = build_instance(random_customers(rng, 6),
+                              fleet=(3, 300.0))
         res = solve(inst, SolverConfig(seed=trial, m=2,
                                        max_outer_iterations=4))
         assert res.feasible
@@ -1207,7 +1205,7 @@ def test_solved_solutions_pass_feasibility_audit():
 
 def test_solve_flags_unservable_instance():
     # the lone customer's window closes before any vehicle can arrive
-    inst = build_augmented([{"x": 6.0, "y": 0.0, "close": 0.1}])
+    inst = build_instance([{"x": 6.0, "y": 0.0, "close": 0.1}])
     res = solve(inst, SolverConfig(m=2, max_outer_iterations=3))
     assert not res.feasible
     assert res.value == math.inf
@@ -1215,7 +1213,7 @@ def test_solve_flags_unservable_instance():
 
 
 def test_solve_rejects_bad_dispatch():
-    inst = build_augmented([{"x": 2.0, "y": 0.0}])
+    inst = build_instance([{"x": 2.0, "y": 0.0}])
     with pytest.raises(SolverError):
         solve(inst, SolverConfig(m=2), dispatch=-1.0)
 

@@ -27,7 +27,6 @@ from saferoute import (
     OBJECTIVES,
     SolverConfig,
     enumerate_routes,
-    ensure_augmented,
     generate_instance,
     solve,
 )
@@ -43,8 +42,7 @@ MATCH = 1e-9
 def matrix():
     """Yield (label, instance, objective) for every case."""
     for g in GENERATOR_SEEDS:
-        instance = ensure_augmented(
-            generate_instance(CUSTOMERS, g, fleet_count=FLEET))
+        instance = generate_instance(CUSTOMERS, g, fleet_count=FLEET)
         for objective in OBJECTIVES:
             yield f"g={g} {objective}", instance, objective
 
