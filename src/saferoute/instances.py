@@ -5,8 +5,9 @@ Four sources of routing problems are supported:
 * classic benchmark files in the Solomon layout (constant unit speed,
   so travel time equals Euclidean distance),
 * a native text format that round-trips every field bit-exactly,
-* synthetic generators that lay customers around a depot and give every
-  arc noisy three-level step profiles for speed, congestion and risk,
+* a synthetic generator that lays customers around a depot and gives
+  every arc noisy three-level step profiles for speed, congestion and
+  risk (``generate_profiles``, from the module's constant levels),
 * the bundled four-node delivery case packaged as CSV files.
 """
 
@@ -17,7 +18,6 @@ import csv
 import math
 import random
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 from .model import (
@@ -53,78 +53,27 @@ _DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 class InstanceError(ValueError):
-    """Unusable instance input: bad file, bad spec, missing data."""
+    """Unusable instance input: bad file, bad setting, missing data."""
 
 
-class ProfileSpecError(InstanceError):
-    """Step-function specification violates its bounds."""
+def generate_profiles(levels: tuple[float, float, float], kind: str,
+                      amplitude: float, seed: int) -> TimeProfile:
+    """Noisy hourly profile from a three-level step function.
 
-
-@dataclass(frozen=True)
-class StepFunctionSpec:
-    """Three-level step function over the five day ``INTERVALS``, plus noise.
-
-    ``levels`` are the plain values; ``ASSIGNMENT`` picks which level
-    each interval uses (the middle intervals the midday level, both
-    rush windows the third level).  Each hourly value is drawn once as
-    level * (1 + U(-a, +a)) with a = ``noise_amplitude``.
-    """
-
-    levels: tuple[float, float, float]
-    noise_amplitude: float = 0.15
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if len(self.levels) != 3 or not all(map(math.isfinite, self.levels)):
-            raise ProfileSpecError(f"need 3 finite levels, got {self.levels!r}")
-        if not (math.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0):
-            raise ProfileSpecError(
-                f"noise amplitude must be >= 0, got {self.noise_amplitude!r}")
-
-    def base_values(self) -> tuple[float, ...]:
-        """The noise-free hourly values."""
-        return tuple(map(self.levels.__getitem__, HOUR_LEVELS))
-
-    def peak_level(self) -> float:
-        """Level used by the second interval (the morning rush)."""
-        return self.levels[ASSIGNMENT[1]]
-
-    def offpeak_level(self) -> float:
-        """Level used by the first interval (night)."""
-        return self.levels[ASSIGNMENT[0]]
-
-
-def _check_levels(spec: StepFunctionSpec, kind: str) -> None:
-    for v in spec.levels:
-        if not (0 < v < 1 if kind == "crash" else
-                v >= 1 if kind == "tti" else v > 0):
-            raise ProfileSpecError(f"{kind} level {v!r} out of bounds")
-    # Rush hours must be the adverse side: slower, riskier, more congested.
-    if kind == "speed":
-        if spec.peak_level() > spec.offpeak_level():
-            raise ProfileSpecError("speed must drop during rush hours")
-    elif spec.peak_level() < spec.offpeak_level():
-        raise ProfileSpecError(f"{kind} must rise during rush hours")
-
-
-def generate_profiles(spec: StepFunctionSpec, kind: str) -> TimeProfile:
-    """Noisy hourly profile from a step function.
-
-    Deterministic for a given spec (the seed travels inside it).  Values
-    are clipped to the kind's domain: crash stays in [``MIN_CRASH``,
+    Hour h draws ``levels[HOUR_LEVELS[h]] * (1 + U(-a, a))``, a =
+    ``amplitude``, from ``random.Random(seed)``, the noise being the
+    expression ``Random.uniform(-a, a)`` computes, ``-a + (a - -a) *
+    random()``, so the values are uniform's bit for bit.  Values are
+    clipped to the kind's domain: crash stays in [``MIN_CRASH``,
     ``MAX_CRASH``], TTI never dips below 1, speed keeps the floor
-    ``MIN_SPEED``.  Each
-    hour's noise is the expression ``Random.uniform(-a, a)`` computes,
-    ``-a + (a - -a) * random()``, so the values are uniform's bit for bit.
+    ``MIN_SPEED``.
     """
     if kind not in PROFILE_KINDS:
-        raise ProfileSpecError(f"unknown profile kind {kind!r}, expected one of {PROFILE_KINDS}")
-    _check_levels(spec, kind)
-    draw = random.Random(spec.seed).random
-    a = spec.noise_amplitude
-    span = a - -a
-    values = [base * (1.0 + (-a + span * draw()))
-              for base in spec.base_values()]
+        raise InstanceError(f"unknown profile kind {kind!r}, expected one of {PROFILE_KINDS}")
+    draw = random.Random(seed).random
+    span = amplitude - -amplitude
+    values = [levels[idx] * (1.0 + (-amplitude + span * draw()))
+              for idx in HOUR_LEVELS]
     if kind == "crash":
         values = [v if MIN_CRASH <= v <= MAX_CRASH else
                   MIN_CRASH if v < MIN_CRASH else MAX_CRASH for v in values]
@@ -397,12 +346,15 @@ def generate_instance(size: int, seed: int, *, fleet_count: int | None = None,
         fleet_count: override the fleet size table.
         capacity: per-vehicle capacity floor (raised if demand is tight).
         latest: planning horizon in hours.
-        max_noise: per-arc noise amplitude upper bound.
+        max_noise: per-arc noise amplitude upper bound, finite and
+            >= 0, checked before the first draw.
     """
     if size < 1:
         raise InstanceError(f"size must be positive, got {size}")
     if latest < 8.0:
         raise InstanceError(f"horizon below 8 hours leaves no room for windows, got {latest}")
+    if not (math.isfinite(max_noise) and max_noise >= 0):
+        raise InstanceError(f"max_noise must be finite and >= 0, got {max_noise!r}")
     k = fleet_count if fleet_count is not None else GENERATED_FLEETS.get(size)
     if k is None:
         k = max(2, round(size / 8))
@@ -428,9 +380,7 @@ def generate_instance(size: int, seed: int, *, fleet_count: int | None = None,
                 continue
             amplitude = rng.uniform(0.0, max_noise)
             profiles = tuple(
-                generate_profiles(StepFunctionSpec(
-                    levels, noise_amplitude=amplitude,
-                    seed=rng.getrandbits(32)), kind)
+                generate_profiles(levels, kind, amplitude, rng.getrandbits(32))
                 for kind, levels in zip(PROFILE_KINDS, (
                     SPEED_LEVELS, TTI_LEVELS, CRASH_LEVELS)))
             dist = math.hypot(a.x - b.x, a.y - b.y) or 1e-9

@@ -494,16 +494,18 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
     Each route keeps its customers at their first visit (the depot,
     unknown ids and surplus copies go), then sheds in rounds
     every stop its own audit names (on a capacity overflow the heaviest
-    customer) until it passes.  A late return is named twice, as the
-    last stop's ``horizon-return`` and as the route's ``horizon``, so
-    that round sheds the last stop, then the new last one.  The
-    bank, every customer no route serves, is re-added earliest window
-    first at the feasible position that adds least distance, and the
+    customer) until it passes.  A late return, named once as the last
+    stop's ``horizon-return``, also sheds the stop before it in the
+    same round, by a rule of its own.  The bank, every customer no
+    route serves, is re-added earliest window first at the feasible
+    position that adds least distance, and the
     routes are polished, all reading route audits from ``records``, the
     route records ``solve`` shares with ``evaluate`` (a new dict when
-    None).  Returns None when a route drives a missing arc or a customer
-    fits nowhere; raises SolverError for more routes than vehicles,
-    which no route's audit sees.
+    None).  More routes than vehicles are cut to the loaded ones, in
+    order, padded with empty routes to the fleet size.  Returns None
+    when a route drives a missing arc or a customer fits nowhere;
+    raises SolverError for more loaded routes than vehicles, the
+    audit's ``fleet-size`` fault, which no route's audit sees.
 
     Once a route's ejection ends, its last record, which passed the
     audit, is the route: ``held`` keeps one record per route and
@@ -511,12 +513,16 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
     search's winning record in the receiving route's slot, and
     ``_polish`` edits ``held`` the same way.
     """
-    if len(solution.routes) > instance.fleet.count:
-        raise SolverError("more routes than vehicles")
+    routes = solution.routes
+    if len(routes) > instance.fleet.count:
+        routes = [route for route in routes if route]
+        if len(routes) > instance.fleet.count:
+            raise SolverError("more loaded routes than vehicles")
+        routes += [()] * (instance.fleet.count - len(routes))
     records = {} if records is None else records
     served: set[int] = set()
     held: list[RouteRecord] = []
-    for route in solution.routes:
+    for route in routes:
         r = []
         for n in route:
             if instance.is_customer(n) and n not in served:
@@ -529,10 +535,12 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
                         r.remove(v.node)
                 elif v.constraint == "capacity":
                     r.remove(max(r, key=lambda c: instance.node(c).demand))
-                elif v.constraint == "horizon":
-                    del r[-1:]  # a no-op if this round emptied r
                 else:  # no arc joins the visits
                     return None
+            late = record.violations[-1]  # the last stop's checks come last
+            if (late.constraint, late.node) == ("horizon-return",
+                                                record.route[-1]):
+                del r[-1:]  # the stop before it; a no-op if r is now empty
         held.append(record)
     bank = set(instance.customers()).difference(*(h.route for h in held))
     for c in sorted(bank, key=lambda c: (instance.node(c).window_open, c)):

@@ -12,7 +12,6 @@ from saferoute.instances import (
     MAX_CRASH,
     MIN_CRASH,
     MIN_SPEED,
-    StepFunctionSpec,
 )
 from saferoute.model import (
     Arc,
@@ -76,15 +75,16 @@ def reference_profile_check(tail: int, head: int, speed: TimeProfile,
     return None
 
 
-def reference_profile(spec: StepFunctionSpec, kind: str) -> tuple[float, ...]:
+def reference_profile(levels: tuple[float, float, float], kind: str,
+                      amplitude: float, seed: int) -> tuple[float, ...]:
     """A generated profile's values, one clipped uniform draw per hour.
 
     The level of hour h is the one ``ASSIGNMENT`` gives h's interval of
     ``INTERVALS``, and each value is
-    ``_clip(kind, level * (1.0 + rng.uniform(-a, a)))`` drawn from
-    ``random.Random(spec.seed)``, with ``_clip`` holding crash in
-    [``MIN_CRASH``, ``MAX_CRASH``], TTI at 1 or above and speed at
-    ``MIN_SPEED`` or above.
+    ``_clip(kind, level * (1.0 + rng.uniform(-a, a)))`` with a =
+    ``amplitude``, drawn from ``random.Random(seed)``, with ``_clip``
+    holding crash in [``MIN_CRASH``, ``MAX_CRASH``], TTI at 1 or above
+    and speed at ``MIN_SPEED`` or above.
     """
     def clip(value: float) -> float:
         if kind == "crash":
@@ -93,9 +93,9 @@ def reference_profile(spec: StepFunctionSpec, kind: str) -> tuple[float, ...]:
             return max(value, 1.0)
         return max(value, MIN_SPEED)
 
-    rng = random.Random(spec.seed)
-    a = spec.noise_amplitude
-    return tuple(clip(spec.levels[idx] * (1.0 + rng.uniform(-a, a)))
+    rng = random.Random(seed)
+    a = amplitude
+    return tuple(clip(levels[idx] * (1.0 + rng.uniform(-a, a)))
                  for (lo, hi), idx in zip(INTERVALS, ASSIGNMENT)
                  for _ in range(lo, hi))
 
@@ -213,10 +213,10 @@ def reference_audit(route: tuple[int, ...], timing, instance: Instance,
                     dispatch: float) -> tuple[Violation, ...]:
     """Per-route audit of a timed route, re-derived from its stops alone.
 
-    Capacity, then per stop the window close, window open,
-    non-negativity and the return-to-depot guarantee, then the return
-    leg's horizon, all under vehicle 0: the verdict ``time_route``
-    records, computed here by a separate pass over the timing.
+    Capacity, then per stop the window close, window open and the
+    return-to-depot guarantee (none needed from the depot itself), all
+    under vehicle 0: the verdict ``time_route`` records, computed here
+    by a separate pass over the timing.
     """
     if not route:
         return ()
@@ -237,21 +237,14 @@ def reference_audit(route: tuple[int, ...], timing, instance: Instance,
         if stop.service_start < dispatch + node.window_open - TIME_EPS:
             violations.append(Violation(
                 "window", 0, stop.node, "service before window opens"))
-        if stop.arrival < dispatch - TIME_EPS or stop.load_after < -TIME_EPS:
-            violations.append(Violation(
-                "non-negative", 0, stop.node,
-                "negative time or load along the route"))
         arc = instance.arcs.get((stop.node, 0))
-        back = math.inf if arc is None else travel_time(arc, stop.departure)
+        back = 0.0 if stop.node == 0 else math.inf if arc is None \
+            else travel_time(arc, stop.departure)
         if stop.departure + back > horizon + TIME_EPS:
             violations.append(Violation(
                 "horizon-return", 0, stop.node,
                 "no arc leads back to the depot" if back == math.inf
                 else f"cannot regain depot by hour {horizon:.6f}"))
-    if timing.return_arrival > horizon + TIME_EPS:
-        violations.append(Violation(
-            "horizon", 0, None,
-            f"returns at {timing.return_arrival:.6f} past {horizon:.6f}"))
     return tuple(violations)
 
 

@@ -46,17 +46,3 @@ def golden_section_max(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
         c = b - invphi * (b - a)
         d = a + invphi * (b - a)
     return fn((a + b) / 2)
-
-
-def brute_force_min_distance(matrix: dict[tuple[int, int], float],
-                             customers: list[int]) -> float:
-    """Cheapest single-vehicle tour over all visit orders, straight
-    permutation scan over the distance matrix."""
-    import itertools
-
-    best = math.inf
-    for order in itertools.permutations(customers):
-        path = [0, *order, 0]
-        total = sum(matrix[(path[i], path[i + 1])] for i in range(len(path) - 1))
-        best = min(best, total)
-    return best

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import random
 import shutil
 import tempfile
 import warnings
@@ -14,12 +13,11 @@ from hypothesis import strategies as st
 
 from saferoute.instances import (
     ASSIGNMENT,
+    HOUR_LEVELS,
     INTERVALS,
     InstanceError,
     MIN_SPEED,
     PROFILE_KINDS,
-    ProfileSpecError,
-    StepFunctionSpec,
     bundled_case_study_dir,
     generate_instance,
     generate_profiles,
@@ -59,24 +57,24 @@ CUST NO.  XCOORD.   YCOORD.    DEMAND   READY TIME  DUE DATE   SERVICE TIME
 # -- step-function profiles -------------------------------------------------
 
 def test_base_values_follow_assignment():
-    spec = StepFunctionSpec((10.0, 20.0, 30.0), noise_amplitude=0.0)
-    values = spec.base_values()
+    values = generate_profiles((10.0, 20.0, 30.0), "speed", 0.0, 0).values
     for (lo, hi), idx in zip(INTERVALS, ASSIGNMENT):
         for h in range(lo, hi):
             assert values[h] == (10.0, 20.0, 30.0)[idx]
 
 
 def test_zero_noise_is_exact_step_function():
-    spec = StepFunctionSpec((1.1, 1.5, 2.0), noise_amplitude=0.0, seed=9)
-    profile = generate_profiles(spec, "tti")
-    assert profile.values == spec.base_values()
+    levels = (1.1, 1.5, 2.0)
+    profile = generate_profiles(levels, "tti", 0.0, 9)
+    assert profile.values == tuple(levels[idx] for idx in HOUR_LEVELS)
 
 
 def test_same_seed_same_profile():
-    spec = StepFunctionSpec((30.0, 25.0, 15.0), noise_amplitude=0.2, seed=123)
-    assert generate_profiles(spec, "speed") == generate_profiles(spec, "speed")
-    other = StepFunctionSpec((30.0, 25.0, 15.0), noise_amplitude=0.2, seed=124)
-    assert generate_profiles(other, "speed") != generate_profiles(spec, "speed")
+    levels = (30.0, 25.0, 15.0)
+    assert generate_profiles(levels, "speed", 0.2, 123) \
+        == generate_profiles(levels, "speed", 0.2, 123)
+    assert generate_profiles(levels, "speed", 0.2, 124) \
+        != generate_profiles(levels, "speed", 0.2, 123)
 
 
 def test_noise_is_bounded_and_uniform():
@@ -86,9 +84,8 @@ def test_noise_is_bounded_and_uniform():
     base = 40.0
     samples = []
     for seed in range(10_000):
-        spec = StepFunctionSpec((base, 35.0, 20.0), noise_amplitude=0.2,
-                                seed=seed)
-        value = generate_profiles(spec, "speed").values[0]
+        value = generate_profiles((base, 35.0, 20.0), "speed", 0.2,
+                                  seed).values[0]
         samples.append(value / base - 1.0)
     assert all(-0.2 <= s <= 0.2 for s in samples)
     n = len(samples)
@@ -97,51 +94,29 @@ def test_noise_is_bounded_and_uniform():
     assert d < 1.6276 / math.sqrt(n)
 
 
-def test_spec_validation():
-    with pytest.raises(ProfileSpecError):
-        StepFunctionSpec((1.0, 2.0))
-    with pytest.raises(ProfileSpecError):
-        StepFunctionSpec((1.0, 2.0, 3.0), noise_amplitude=-0.1)
-
-
 def test_kind_bounds_enforced():
-    with pytest.raises(ProfileSpecError):
-        generate_profiles(StepFunctionSpec((0.9, 1.2, 1.5)), "tti")
-    with pytest.raises(ProfileSpecError):
-        generate_profiles(StepFunctionSpec((0.1, 0.5, 1.5)), "crash")
-    with pytest.raises(ProfileSpecError):  # crash lies in (0, 1)
-        generate_profiles(StepFunctionSpec((0.1, 0.5, 1.0)), "crash")
-    with pytest.raises(ProfileSpecError):
-        generate_profiles(StepFunctionSpec((-5.0, 30.0, 20.0)), "speed")
-    with pytest.raises(ProfileSpecError):
-        generate_profiles(StepFunctionSpec((1.0, 2.0, 3.0)), "cost")
-    # rush hours must be adverse: faster peaks or safer peaks are specs bugs
-    with pytest.raises(ProfileSpecError):
-        generate_profiles(StepFunctionSpec((20.0, 30.0, 40.0)), "speed")
-    with pytest.raises(ProfileSpecError):
-        generate_profiles(StepFunctionSpec((0.5, 0.2, 0.1)), "crash")
-    with pytest.raises(ProfileSpecError):
-        generate_profiles(StepFunctionSpec((2.0, 1.5, 1.2)), "tti")
+    # the kind must be one of the three profile kinds
+    with pytest.raises(InstanceError, match="unknown profile kind"):
+        generate_profiles((1.0, 2.0, 3.0), "cost", 0.15, 0)
+
+
+@pytest.mark.parametrize("max_noise", [-0.1, math.nan, math.inf])
+def test_generator_refuses_a_bad_noise_bound(max_noise):
+    with pytest.raises(InstanceError, match="max_noise"):
+        generate_instance(3, 0, max_noise=max_noise)
 
 
 def test_clipping_keeps_kind_domains():
-    rng = random.Random(5)
     for seed in range(200):
-        crash = generate_profiles(
-            StepFunctionSpec((0.3, 0.5, 0.9), noise_amplitude=3.0, seed=seed),
-            "crash")
+        crash = generate_profiles((0.3, 0.5, 0.9), "crash", 3.0, seed)
         assert all(0 < v <= 1 for v in crash.values)
-        tti = generate_profiles(
-            StepFunctionSpec((1.0, 1.2, 1.9), noise_amplitude=3.0, seed=seed),
-            "tti")
+        tti = generate_profiles((1.0, 1.2, 1.9), "tti", 3.0, seed)
         assert all(v >= 1 for v in tti.values)
-        speed = generate_profiles(
-            StepFunctionSpec((40.0, 30.0, 10.0), noise_amplitude=3.0, seed=seed),
-            "speed")
+        speed = generate_profiles((40.0, 30.0, 10.0), "speed", 3.0, seed)
         assert all(v >= MIN_SPEED for v in speed.values)
 
 
-#: Levels each kind's spec accepts.  Noise of amplitude up to 5 moves a
+#: Levels in each kind's domain.  Noise of amplitude up to 5 moves a
 #: value by up to five times its level either way, so draws cross every
 #: clip: crash above ``MAX_CRASH`` and below ``MIN_CRASH``, speed below
 #: ``MIN_SPEED`` and TTI below 1.
@@ -154,13 +129,9 @@ LEVELS = {"speed": st.floats(1e-3, 80.0), "tti": st.floats(1.0, 3.0),
        amplitude=st.floats(0.0, 5.0), seed=st.integers(0, 2**32 - 1))
 def test_generated_profile_is_the_clipped_uniform_draw(kind, data, amplitude,
                                                        seed):
-    x, midday, y = data.draw(st.tuples(*[LEVELS[kind]] * 3))
-    # the rush level is the adverse one: slower, more congested, riskier
-    night, rush = (max(x, y), min(x, y)) if kind == "speed" else (min(x, y),
-                                                                  max(x, y))
-    spec = StepFunctionSpec((night, midday, rush), noise_amplitude=amplitude,
-                            seed=seed)
-    assert generate_profiles(spec, kind).values == reference_profile(spec, kind)
+    levels = data.draw(st.tuples(*[LEVELS[kind]] * 3))
+    assert generate_profiles(levels, kind, amplitude, seed).values \
+        == reference_profile(levels, kind, amplitude, seed)
 
 
 # -- classic benchmark layout -------------------------------------------------

@@ -1,7 +1,10 @@
 """Propagation, feasibility checking and the five objectives."""
 
+import functools
 import math
 import random
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +16,9 @@ from saferoute.instances import (
     load_case_study,
     load_solomon,
 )
-from saferoute.model import InvalidProfileError, TimeProfile
+from saferoute.model import InvalidProfileError, MissingArcError, TimeProfile
 from saferoute.phase1 import (
+    TIME_EPS,
     ObjectiveWeights,
     RouteTiming,
     RoutingSolution,
@@ -25,12 +29,20 @@ from saferoute.phase1 import (
     leg_cost,
     objective_value,
     propagate_schedule,
+    time_route,
 )
 
 from helpers import build_instance, no_return_from_first, reference_feasibility
 
 #: RND10: the depot is id 0, ids 1-10 are customers.
 RND10 = generate_instance(10, seed=0)
+
+
+@functools.cache
+def audit_instances():
+    """The case study, RND10 and R101, by name."""
+    return {"case": load_case_study(bundled_case_study_dir()),
+            "RND10": RND10, "R101": load_solomon("R101")}
 
 
 def test_routes_are_kept_when_already_tuples():
@@ -136,8 +148,8 @@ class TestFeasibility:
     def test_horizon_on_return(self):
         inst = build_instance([{"x": 30, "y": 0}], latest=1.5)
         sol = propagate_schedule(((1,),), inst, 0.0)  # returns at ~2.0
-        kinds = {v.constraint for v in check_feasibility(sol, inst)}
-        assert "horizon" in kinds
+        assert [(v.constraint, v.node) for v in check_feasibility(sol, inst)] \
+            == [("horizon-return", 1)]
 
     def test_departure_must_allow_regaining_depot(self):
         # Returning from node 1 directly is painfully slow, so the
@@ -161,11 +173,13 @@ class TestFeasibility:
             == [("horizon-return", 1)]
 
     def test_depot_inside_route_flagged(self):
-        inst = self.make()
-        sol = propagate_schedule(((1,), (2,)), inst, 0.0)
-        bad = RoutingSolution(((1, 0, 2),), sol.dispatch, sol.timings[:1])
-        assert any(v.constraint == "route-shape"
-                   for v in check_feasibility(bad, inst))
+        # the depot inside a route is a route-shape fault; from the depot
+        # the return takes no time, so it is no horizon-return fault too
+        inst = load_case_study(bundled_case_study_dir())
+        bad = propagate_schedule(((1, 0, 2, 3),), inst, 7.0)
+        assert [(v.constraint, v.vehicle, v.node)
+                for v in check_feasibility(bad, inst)] \
+            == [("route-shape", -1, 0), ("window", 0, 3)]
 
     def test_dummy_repeat_flagged(self):
         # the ids past the node table, where copies of the depot used to
@@ -192,7 +206,8 @@ class TestFeasibility:
         audits = st.lists(st.sampled_from([
             Violation("capacity", 0, None, "load 120 exceeds capacity 100"),
             Violation("window", 0, 3, "service before window opens"),
-            Violation("horizon", 0, None, "returns at 30 past 24")]),
+            Violation("horizon-return", 0, 3,
+                      "cannot regain depot by hour 24.000000")]),
             max_size=2)
         timings = tuple(RouteTiming(0.0, 0.0, (), 0.0, (),
                                     tuple(data.draw(audits)))
@@ -227,7 +242,8 @@ class TestFeasibility:
         audits = st.lists(st.sampled_from([
             Violation("capacity", 0, None, "load 120 exceeds capacity 100"),
             Violation("window", 0, 3, "service before window opens"),
-            Violation("horizon", 0, None, "returns at 30 past 24")]),
+            Violation("horizon-return", 0, 3,
+                      "cannot regain depot by hour 24.000000")]),
             max_size=2)
         timings = tuple(RouteTiming(0.0, 0.0, (), 0.0, (),
                                     tuple(data.draw(audits)))
@@ -240,6 +256,33 @@ class TestFeasibility:
         inst = self.make()
         with pytest.raises(SolutionError):
             check_feasibility(RoutingSolution(((1,), (2,))), inst)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(["case", "RND10", "R101"]),
+           dispatch=st.sampled_from([0.0, 7.0, 12.0, 17.0]),
+           shrink=st.floats(0.05, 1.0))
+    def test_route_verdict_names_each_fault_once(self, data, name, dispatch,
+                                                 shrink):
+        # a route of distinct nodes, the depot among them, under a
+        # horizon cut to a share of the instance's: its verdict names no
+        # (constraint, node) pair twice, and a return past the horizon
+        # exactly once, as the last stop's horizon-return
+        inst = audit_instances()[name]
+        inst = replace(inst, latest_time=inst.latest_time * shrink)
+        route = tuple(data.draw(st.lists(
+            st.integers(0, len(inst.nodes) - 1), min_size=1, max_size=12,
+            unique=True)))
+        try:
+            timing = time_route(route, inst, dispatch)
+        except MissingArcError:  # the depot first or last drives (0, 0)
+            return
+        pairs = [(v.constraint, v.node) for v in timing.violations]
+        assert len(pairs) == len(set(pairs))
+        late = timing.return_arrival > dispatch + inst.latest_time + TIME_EPS
+        assert pairs.count(("horizon-return", route[-1])) == late
+        # capacity is the one fault of the whole route
+        assert all(node is not None for kind, node in pairs
+                   if kind != "capacity")
 
 
 class TestObjectives:

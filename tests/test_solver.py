@@ -243,6 +243,39 @@ def test_make_feasible_rejects_more_routes_than_vehicles():
         make_feasible(RoutingSolution(((1,), (2,))), inst, 0.0)
 
 
+@pytest.mark.parametrize("start", [((1, 2, 3), ()), ((), (), (3, 2, 1))])
+def test_make_feasible_repairs_a_start_the_audit_accepts(start):
+    # the one-vehicle case study: the audit counts loaded routes only,
+    # so empty routes past the fleet size are no fault, and repair keeps
+    # the loaded route and drops the surplus empty ones
+    inst = load_case_study(bundled_case_study_dir())
+    assert not check_feasibility(propagate_schedule(start, inst, 0.0), inst)
+    assert evaluate(start, inst, SolverConfig(objective="distance"), 0.0,
+                    ObjectiveWeights()).value == pytest.approx(32.3009)
+    fixed = make_feasible(RoutingSolution(start), inst, 0.0)
+    assert fixed is not None
+    assert fixed.routes == tuple(r for r in start if r)
+
+
+def test_a_demand_scale_that_never_binds_changes_no_case_study_result():
+    # demands near 10^7 under a capacity of 2e7, which never binds: the
+    # load left after the last stop can round to a hair below zero, and
+    # no rounding error may reject a route, so each of the 120 solves of
+    # the sweep returns the bundled case study's value and routes
+    case = load_case_study(bundled_case_study_dir())
+    demands = {1: 44505.87, 2: 9712075.28, 3: 9399971.05}
+    scaled = replace(case, nodes=tuple(
+        replace(n, demand=demands.get(n.id, n.demand)) for n in case.nodes),
+        fleet=replace(case.fleet, capacity=2e7))
+    for hour in range(24):
+        for objective in OBJECTIVES:
+            config = SolverConfig(objective=objective, seed=hour)
+            want = solve(case, config, float(hour))
+            got = solve(scaled, config, float(hour))
+            assert (got.value, got.solution.routes) \
+                == (want.value, want.solution.routes), (hour, objective)
+
+
 def _served_distance(sol, inst):
     return sum(inst.arc(a, b).distance for r in sol.routes if r
                for a, b in zip((0, *r), (*r, 0)))
@@ -299,13 +332,13 @@ def test_make_feasible_survives_a_route_it_empties():
 
 
 def test_a_late_return_sheds_the_last_two_stops_in_one_round():
-    # only the return from 3 is late, yet the audit names it twice: as
-    # stop 3's horizon-return and as the route's horizon.  So one
-    # ejection round sheds 3 and then 2, although (1, 2) passes
+    # only the return from 3 is late, and the audit names it once, as
+    # stop 3's horizon-return.  Repair's late-return rule sheds the stop
+    # before it too, so one ejection round sheds 3 and then 2, although
+    # (1, 2) passes
     inst = build_instance([{"x": 10}, {"x": 20}, {"x": 30}], latest=2.2)
     late = time_route((1, 2, 3), inst, 0.0).violations
-    assert [(v.constraint, v.node) for v in late] \
-        == [("horizon-return", 3), ("horizon", None)]
+    assert [(v.constraint, v.node) for v in late] == [("horizon-return", 3)]
     assert not time_route((1, 2), inst, 0.0).violations
     scans = []
     insertion = solver._cheapest_insertion

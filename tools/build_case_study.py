@@ -23,7 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from saferoute.instances import StepFunctionSpec, generate_profiles, load_case_study
+from saferoute.instances import generate_profiles, load_case_study
 from saferoute.phase1 import (check_feasibility, objective_value,
                               propagate_schedule)
 from saferoute.queueing import FlowSeries, build_speed_profile, calibrate
@@ -112,11 +112,9 @@ def build() -> None:
     crash_profiles = {}
     for (i, j) in arcs:
         tti_profiles[(i, j)] = generate_profiles(
-            StepFunctionSpec(TTI_LEVELS, noise_amplitude=PROFILE_NOISE,
-                             seed=rng.getrandbits(32)), "tti")
+            TTI_LEVELS, "tti", PROFILE_NOISE, rng.getrandbits(32))
         crash_profiles[(i, j)] = generate_profiles(
-            StepFunctionSpec(CRASH_LEVELS, noise_amplitude=PROFILE_NOISE,
-                             seed=rng.getrandbits(32)), "crash")
+            CRASH_LEVELS, "crash", PROFILE_NOISE, rng.getrandbits(32))
 
     with (OUT / "meta.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
