@@ -14,8 +14,7 @@ a stop before its chosen start spends the slack waiting at that stop.
 
 The retiming phase only picks the service starts.  The times that
 follow from them (arrivals, departures, the return) come from the
-routing phase's ``time_route``, the same walk that propagation uses;
-a route whose given timing already serves those starts keeps it.
+routing phase's ``time_route``, the same walk that propagation uses.
 
 Costs are additive per driven arc and come from the routing phase's
 ``leg_cost``, the same per-leg cost that ``objective_value`` sums, so
@@ -245,10 +244,8 @@ def schedule_solution(solution: RoutingSolution, instance: Instance, m: int,
     and ``time_route`` turns them into the route's timing, the only
     thing kept of the DP's answer: its starts are the timing's
     ``service_start``s and its cost the ``leg_cost`` sum over the
-    timing's legs.  A timed solution's own timing of a route is kept
-    when its service starts equal the DP's, as then it is the very
-    timing that walk would give; so each timing in ``solution.timings``
-    must come from ``time_route`` at ``solution.dispatch``.
+    timing's legs.  It reads only ``solution.routes`` and
+    ``solution.dispatch``.
 
     ``memo`` maps each route retimed so far to its timing, shared only
     by calls with the same instance, dispatch, ``m``, weights and
@@ -258,19 +255,14 @@ def schedule_solution(solution: RoutingSolution, instance: Instance, m: int,
     """
     if solution.dispatch is None:
         raise SolutionError("schedule needs a dispatched solution")
-    given = solution.timings or (None,) * len(solution.routes)
     timings = []
-    for route, held in zip(solution.routes, given):
+    for route in solution.routes:
         timing = memo.get(route)
         if timing is None:
             starts = optimize_schedule(route, instance, solution.dispatch, m,
                                        weights, objective).service_starts \
                 if route else ()
-            if held is not None and starts == tuple(
-                    stop.service_start for stop in held.stops):
-                timing = memo[route] = held
-            else:
-                timing = memo[route] = time_route(
-                    route, instance, solution.dispatch, starts)
+            timing = memo[route] = time_route(
+                route, instance, solution.dispatch, starts)
         timings.append(timing)
     return RoutingSolution(solution.routes, solution.dispatch, tuple(timings))

@@ -212,8 +212,6 @@ def initial_solution(instance: Instance) -> RoutingSolution:
     that would break capacity spill over to the following vehicle.
     """
     k = instance.fleet.count
-    if k < 1:
-        raise SolverError("need at least one vehicle")
     customers = instance.customers()
     if not customers:
         return RoutingSolution(tuple(() for _ in range(k)))
@@ -826,8 +824,8 @@ def evaluate(routes: RoutingSolution | tuple, instance: Instance,
     fields repair reads are computed if repair reads them.  A candidate
     not in ``scored`` is audited and scored whole from its routes'
     recorded verdicts and legs, so a recorded route re-walks nothing,
-    and its immediate timings go to ``schedule_solution``, which keeps
-    each one the DP leaves unchanged.
+    and ``schedule_solution`` times each route it retimes at the DP's
+    starts.
 
     ``scored`` is the calling solve's candidate memo, under the same
     sharing rule: a candidate found there is returned as stored, and a

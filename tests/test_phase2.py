@@ -402,7 +402,7 @@ def test_layer_pass_matches_reference_graph(data, seed, dispatch, objective,
     # reading an immediate walk built, raises the same error class
     # where it raised, and schedule_solution times each route at the
     # DP's starts whether it is handed an untimed route, its immediate
-    # timing (kept when the DP starts there) or its retimed timing
+    # timing or its retimed timing
     rng = random.Random(seed)
     inst = random_instance(rng, rng.randint(2, 5))
     ids = list(inst.customers())
@@ -437,9 +437,6 @@ def test_layer_pass_matches_reference_graph(data, seed, dispatch, objective,
                    RoutingSolution((route,), dispatch, (expected,))):
         got = schedule_solution(handed, inst, m, weights, objective, memo={})
         assert got.timings == (expected,)
-        if handed.timed and starts == tuple(
-                stop.service_start for stop in handed.timings[0].stops):
-            assert got.timings[0] is handed.timings[0]
 
 
 def test_distance_ties_resolve_to_earliest_times():
@@ -461,6 +458,25 @@ def test_schedule_solution_keeps_empty_routes():
     assert timed.timings[1].stops == ()
     assert timed.timings[1].return_arrival == 0.0
     assert timed.routes == prop.routes
+
+
+def test_schedule_solution_times_the_dps_starts_not_the_handed_timing():
+    # at hour 7 the DP keeps route (1, 2, 3)'s immediate starts, so a
+    # handed timing with those starts but a wrong return must not
+    # come back: the result is the walk at the DP's starts
+    inst = load_case_study(bundled_case_study_dir())
+    route, dispatch = (1, 2, 3), 7.0
+    weights = ObjectiveWeights().resolved(inst)
+    immediate = propagate_schedule((route,), inst, dispatch)
+    starts = optimize_schedule(route, inst, dispatch, 3,
+                               weights).service_starts
+    assert starts == tuple(
+        stop.service_start for stop in immediate.timings[0].stops)
+    altered = replace(immediate.timings[0], return_arrival=
+                      immediate.timings[0].return_arrival + 1.0)
+    handed = RoutingSolution((route,), dispatch, (altered,))
+    got = schedule_solution(handed, inst, 3, weights, memo={})
+    assert got.timings == (time_route(route, inst, dispatch, starts),)
 
 
 def test_schedule_solution_retimes_each_memo_route_once(monkeypatch):
