@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -63,7 +62,7 @@ HOURS = 24
 
 
 class InputError(ValueError):
-    """Unusable input file or environment value."""
+    """Unusable input file or configuration."""
 
 
 # --------------------------------------------------------------------------
@@ -147,21 +146,12 @@ def _read_config_file(path: str) -> dict:
 
 
 def build_solver_config(args) -> SolverConfig:
-    """Merge config file, environment and flags (flag wins, then env)."""
+    """Merge config file and flags (a flag wins)."""
     kwargs = _read_config_file(args.config) if args.config else {}
     if getattr(args, "objective", None):
         kwargs["objective"] = args.objective
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get("SAFEROUTE_SEED")
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise InputError(
-                    f"SAFEROUTE_SEED must be an integer, got {env!r}")
-    if seed is not None:
-        kwargs["seed"] = seed
+    if args.seed is not None:
+        kwargs["seed"] = args.seed
     try:
         return SolverConfig(**kwargs)
     except (SolverError, TypeError, ValueError) as exc:
@@ -342,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--objective", choices=OBJECTIVES, default=None,
                        help="objective to optimize (default weighted)")
         p.add_argument("--seed", type=int, default=None,
-                       help="rng seed (overrides SAFEROUTE_SEED and config)")
+                       help="rng seed (overrides config)")
         p.add_argument("--config", help="JSON solver configuration file")
 
     p = sub.add_parser("speeds",

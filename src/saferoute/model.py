@@ -389,6 +389,22 @@ class Instance:
         return ([min(column) for column in zip(*table)],
                 [min(row) for row in table])
 
+    @cached_property
+    def crash_scale(self) -> float:
+        """Mean hourly TTI over mean hourly crash probability, both over
+        every arc, 1.0 without arcs or crash: the rescaling that brings
+        ``weighted``'s crash term to TTI magnitude; lazy."""
+        tti_sum = 0.0
+        crash_sum = 0.0
+        cells = 0
+        for arc in self.arcs.values():
+            tti_sum += sum(arc.tti.values)
+            crash_sum += sum(arc.crash.values)
+            cells += len(arc.tti.values)
+        if cells == 0 or crash_sum == 0:
+            return 1.0
+        return (tti_sum / cells) / (crash_sum / cells)
+
     def customers(self) -> tuple[int, ...]:
         """Ids of demand vertices: every node but the depot."""
         return self._customer_ids

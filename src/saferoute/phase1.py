@@ -320,31 +320,12 @@ def leg_cost(objective: str, arc: Arc, service: float,
     raise SolutionError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
 
 
-def default_crash_scale(instance: Instance) -> float:
-    """Rescaling that brings crash terms to TTI magnitude.
-
-    Mean hourly TTI divided by mean hourly crash probability, both over
-    every arc, so a unit of rescaled crash weighs about as much as a
-    unit of TTI in the weighted objective.
-    """
-    tti_sum = 0.0
-    crash_sum = 0.0
-    cells = 0
-    for arc in instance.arcs.values():
-        tti_sum += sum(arc.tti.values)
-        crash_sum += sum(arc.crash.values)
-        cells += len(arc.tti.values)
-    if cells == 0 or crash_sum == 0:
-        return 1.0
-    return (tti_sum / cells) / (crash_sum / cells)
-
-
 @dataclass(frozen=True)
 class ObjectiveWeights:
     """Convex weights of the crash/TTI mix plus the crash rescale factor.
 
     ``crash_scale=None`` means "calibrate from the instance" via
-    ``default_crash_scale``.
+    ``Instance.crash_scale``.
     """
 
     w_crash: float = 0.5
@@ -364,7 +345,7 @@ class ObjectiveWeights:
     def resolved(self, instance: Instance) -> "ObjectiveWeights":
         if self.crash_scale is not None:
             return self
-        return replace(self, crash_scale=default_crash_scale(instance))
+        return replace(self, crash_scale=instance.crash_scale)
 
 
 def objective_value(name: str, solution: RoutingSolution, instance: Instance,

@@ -16,9 +16,9 @@ dicts local to the call.  Its ``RouteRecord`` per distinct route holds
 the route's one immediate-departure walk, with the audit verdict and
 driven legs that the audit and the objective read, and fills what
 repair's insertion search reads on repair's first read of it; repair
-and ``evaluate`` share these records, and the retiming phase walks no
-route with immediate departures, so no route is walked twice that way
-in one solve.
+and ``evaluate`` get every record from ``_record``, and the retiming
+phase walks no route with immediate departures, so no route that has
+its arcs is walked twice that way in one solve.
 Its retimed timings hold each route ``schedule_solution`` has retimed.
 Its candidate memo maps a candidate's routes to its feasible
 ``Evaluation``: the annealer revisits the same few candidates over and
@@ -41,12 +41,12 @@ distance from one table, the instance's ``length_matrix``, or its
 transpose ``length_columns``.
 
 Repair holds its routes as their records and nothing else, each one
-past its audit, so with a timing.  The insertion search reads those
-records and hands back the winning trial's record, which its caller
-stores as the edited route, so it looks up a record only for a trial
-route it audits.  It prices each open position with one plain sum and
-audits a trial route only when it would become the new best and an
-O(1) pre-check lets it fit.
+past its audit.  The insertion search reads those records and hands
+back the winning trial's record, which its caller stores as the edited
+route, so it looks up a record only for a trial route it audits.  It
+prices each open position with one plain sum and audits a trial route
+only when it would become the new best and an O(1) pre-check lets it
+fit.
 The pre-check reads the target route's record: its immediate
 departures, its load, and each stop's latest service start, computed
 backward from the window close, the horizon less the service and the
@@ -95,11 +95,9 @@ from .phase1 import (
     ObjectiveWeights,
     RouteTiming,
     RoutingSolution,
-    Violation,
     check_feasibility,
     objective_value,
     propagate_schedule,
-    time_route,
 )
 from .phase2 import schedule_solution
 
@@ -276,12 +274,12 @@ _FIT_MARGIN = 1e-6
 class RouteRecord:
     """One solve's record of one route, read by repair and ``evaluate``.
 
-    ``timing`` is the route's immediate-departure ``time_route`` walk at
-    ``dispatch``, None for a missing arc, and ``violations`` the audit
-    verdict it recorded (a route-shape violation for a missing arc):
-    all that ``evaluate`` reads.  The rest is repair's, each computed on
-    its first read, and repair reads it only on the records it holds,
-    which passed the audit and so have a timing.  Position ``pos`` lies
+    ``timing`` is the route's immediate-departure walk, with the audit
+    verdict it recorded: all that ``evaluate`` reads.  Only ``_record``
+    builds a record, and a route that drives a missing arc gets none.
+    The rest is repair's, each computed on its first read, and repair
+    reads it only on the records it holds, which passed the audit.
+    ``load`` is the walk's own demand sum.  Position ``pos`` lies
     between ``before[pos]`` and ``after[pos]`` on the depot-closed
     path, ``edges[pos]`` apart (an empty route: 0.0).  ``departures[k]``
     is the immediate departure just before stop ``k`` (the depot's
@@ -292,13 +290,11 @@ class RouteRecord:
 
     route: tuple[int, ...]
     instance: Instance = field(repr=False, compare=False)
-    dispatch: float
-    timing: RouteTiming | None
-    violations: tuple[Violation, ...]
+    timing: RouteTiming
 
     @cached_property
     def load(self) -> float:
-        return _route_load(self.instance, self.route)
+        return self.timing.initial_load
 
     @cached_property
     def before(self) -> tuple[int, ...]:
@@ -316,11 +312,13 @@ class RouteRecord:
 
     @cached_property
     def departures(self) -> tuple[float, ...]:
-        return (self.dispatch, *(s.departure for s in self.timing.stops))
+        timing = self.timing
+        return (timing.depot_departure, *(s.departure for s in timing.stops))
 
     @cached_property
     def latest(self) -> tuple[float, ...]:
-        return _latest_starts(self.route, self.instance, self.dispatch)
+        return _latest_starts(self.route, self.instance,
+                              self.timing.depot_departure)
 
 
 #: One solve's records, by route.
@@ -347,21 +345,26 @@ def _latest_starts(route: tuple[int, ...], instance: Instance,
 
 
 def _record(route: Sequence[int], instance: Instance, dispatch: float,
-            records: Records) -> RouteRecord:
-    """``route``'s record, walked and stored on first use."""
+            records: Records) -> RouteRecord | None:
+    """``route``'s record, walked by ``propagate_schedule`` and stored on
+    first use; None, with nothing stored, when it drives a missing arc,
+    so such a route is walked again, where a profiler sees it raise."""
     key = tuple(route)
     record = records.get(key)
     if record is None:
         try:
-            timing = time_route(key, instance, dispatch)
+            timing = propagate_schedule((key,), instance, dispatch).timings[0]
         except MissingArcError:
-            record = RouteRecord(key, instance, dispatch, None, (Violation(
-                "route-shape", 0, None, "no arc joins the visits"),))
-        else:
-            record = RouteRecord(key, instance, dispatch, timing,
-                                 timing.violations)
-        records[key] = record
+            return None
+        record = records[key] = RouteRecord(key, instance, timing)
     return record
+
+
+def _passing(route: Sequence[int], instance: Instance, dispatch: float,
+             records: Records) -> RouteRecord | None:
+    """``route``'s record when it passes its one-route audit, else None."""
+    record = _record(route, instance, dispatch, records)
+    return None if record is None or record.timing.violations else record
 
 
 def _may_fit(record: RouteRecord, pos: int, c: int, instance: Instance,
@@ -452,10 +455,10 @@ def _cheapest_insertion(held: list[RouteRecord], c: int, instance: Instance,
     Under FIFO a feasible trial meets them all: c's start and return
     are the very values the audit compares, and no drive beats the
     fastest time the latest starts subtract.  So the pre-check changes
-    what is audited, never what is found.  ``records`` holds every
-    trial route's ``RouteRecord`` (its audit), by route, for reuse
-    across calls on the same instance and dispatch; the scan reads
-    ``records`` for trial audits only.
+    what is audited, never what is found.  ``records`` holds the
+    ``RouteRecord`` (its audit) of every trial route that has its arcs,
+    by route, for reuse across calls on the same instance and dispatch;
+    the scan reads ``records`` for trial audits only.
     """
     demand = instance.node(c).demand
     room = instance.fleet.capacity + TIME_EPS
@@ -476,9 +479,9 @@ def _cheapest_insertion(held: list[RouteRecord], c: int, instance: Instance,
             delta = into_c[before[pos]] + out_of_c[after[pos]] - edges[pos]
             if delta < limit \
                     and _may_fit(record, pos, c, instance, dispatch) \
-                    and not (trial := _record(
+                    and (trial := _passing(
                         record.route[:pos] + (c,) + record.route[pos:],
-                        instance, dispatch, records)).violations:
+                        instance, dispatch, records)) is not None:
                 best = ri, trial
                 limit = delta - _SHORTER
     return best
@@ -526,19 +529,20 @@ def make_feasible(solution: RoutingSolution, instance: Instance,
             if instance.is_customer(n) and n not in served:
                 served.add(n)
                 r.append(n)
-        while (record := _record(r, instance, dispatch, records)).violations:
-            for v in record.violations:
+        while (record := _record(r, instance, dispatch, records)) is not None \
+                and (violations := record.timing.violations):
+            for v in violations:
                 if v.node is not None:
                     if v.node in r:  # else ejected earlier this round
                         r.remove(v.node)
-                elif v.constraint == "capacity":
+                else:  # capacity, the only verdict without a node
                     r.remove(max(r, key=lambda c: instance.node(c).demand))
-                else:  # no arc joins the visits
-                    return None
-            late = record.violations[-1]  # the last stop's checks come last
+            late = violations[-1]  # the last stop's checks come last
             if (late.constraint, late.node) == ("horizon-return",
                                                 record.route[-1]):
                 del r[-1:]  # the stop before it; a no-op if r is now empty
+        if record is None:  # no arc joins the visits
+            return None
         held.append(record)
     bank = set(instance.customers()).difference(*(h.route for h in held))
     for c in sorted(bank, key=lambda c: (instance.node(c).window_open, c)):
@@ -622,8 +626,8 @@ def _polish(held: list[RouteRecord], instance: Instance, dispatch: float,
                 if edited[ri] <= since else {ri}
             best = _cheapest_insertion(held, c, instance, dispatch,
                                        records, skip=skip, below=saving)
-            if best is None or (left := _record(donor, instance, dispatch,
-                                                records)).violations:
+            if best is None or (left := _passing(donor, instance, dispatch,
+                                                 records)) is None:
                 fruitless[c] = clock
                 continue
             held[ri] = left
@@ -637,7 +641,7 @@ def _polish(held: list[RouteRecord], instance: Instance, dispatch: float,
             shorter = tuple(_two_opt_pass(
                 instance, record.route,
                 lambda t: _may_keep_order(t, instance, dispatch)
-                and not _record(t, instance, dispatch, records).violations))
+                and _passing(t, instance, dispatch, records) is not None))
             if shorter != record.route:
                 held[k] = records[shorter]  # the accepted reversal's audit
                 clock += 1
@@ -817,15 +821,12 @@ def evaluate(routes: RoutingSolution | tuple, instance: Instance,
     ``records`` is the calling solve's route records, which its repair
     shares, and ``retimed`` its ``schedule_solution`` memo; both serve
     only calls with the same instance and dispatch, ``retimed`` also
-    only the same config and weights.  A route whose record holds a
-    timing reuses it; any other is timed by ``propagate_schedule``,
-    where a profiler sees a missing arc raise, and recorded unless it
-    drives one.  The record holds only the walk and its verdict; the
-    fields repair reads are computed if repair reads them.  A candidate
-    not in ``scored`` is audited and scored whole from its routes'
-    recorded verdicts and legs, so a recorded route re-walks nothing,
-    and ``schedule_solution`` times each route it retimes at the DP's
-    starts.
+    only the same config and weights.  Each route's record comes from
+    ``_record``; a route that drives a missing arc has none, and makes
+    the candidate infeasible.  A candidate not in ``scored`` is audited
+    and scored whole from its routes' recorded verdicts and legs, so a
+    recorded route re-walks nothing, and ``schedule_solution`` times
+    each route it retimes at the DP's starts.
 
     ``scored`` is the calling solve's candidate memo, under the same
     sharing rule: a candidate found there is returned as stored, and a
@@ -839,17 +840,10 @@ def evaluate(routes: RoutingSolution | tuple, instance: Instance,
         return hit
     records = {} if records is None else records
     timings = []
-    try:
-        for route in sol.routes:
-            record = records.get(route)
-            if record is None or record.timing is None:
-                timing = propagate_schedule((route,), instance,
-                                            dispatch).timings[0]
-                record = records[route] = RouteRecord(
-                    route, instance, dispatch, timing, timing.violations)
-            timings.append(record.timing)
-    except MissingArcError:
-        return Evaluation(sol, math.inf, False)
+    for route in sol.routes:
+        if (record := _record(route, instance, dispatch, records)) is None:
+            return Evaluation(sol, math.inf, False)
+        timings.append(record.timing)
     timed = RoutingSolution(sol.routes, dispatch, tuple(timings))
     if check_feasibility(timed, instance):
         return Evaluation(timed, math.inf, False)
@@ -898,7 +892,7 @@ def solve(instance: Instance, config: SolverConfig | None = None,
     if dispatch < 0 or not math.isfinite(dispatch):
         raise SolverError(f"dispatch must be a non-negative hour, got {dispatch!r}")
     rng = random.Random(config.seed)
-    # only weighted reads the crash scale, a pass over every arc
+    # only weighted reads the crash scale, which the instance keeps
     weights = config.weights.resolved(instance) \
         if config.objective == "weighted" else config.weights
 

@@ -45,7 +45,6 @@ from saferoute.solver import (
     _cheapest_insertion,
     _insertion_delta,
     _record,
-    _route_load,
     _two_opt_pass,
 )
 
@@ -250,8 +249,9 @@ def reference_audit(route: tuple[int, ...], timing, instance: Instance,
 
 def reference_route_audit(route: tuple[int, ...], instance: Instance,
                           dispatch: float) -> tuple[Violation, ...]:
-    """``reference_audit`` of the route's immediate timing, or the one
-    route-shape violation repair gives up on when it drives a missing arc."""
+    """``reference_audit`` of the route's immediate timing, or one
+    route-shape violation when it drives a missing arc, which gets no
+    record and so fails every audit repair makes."""
     try:
         timing = time_route(route, instance, dispatch)
     except MissingArcError:
@@ -297,7 +297,12 @@ def reference_polish(held: list, instance: Instance, dispatch: float,
     records at the end.  A relocation needs a winning position and a
     donor route that passes its audit, the rule of ``solver._polish``;
     rounds repeat until neither step shortens the total, at most 50.
+    A route that drives a missing arc has no record and fails its audit.
     """
+    def passes(route) -> bool:
+        record = _record(route, instance, dispatch, records)
+        return record is not None and not record.timing.violations
+
     routes = [list(record.route) for record in held]
     customers = sorted(c for r in routes for c in r)
     for _ in range(50):
@@ -312,16 +317,12 @@ def reference_polish(held: list, instance: Instance, dispatch: float,
                        for route in routes]
             best = _cheapest_insertion(scanned, c, instance, dispatch,
                                        records, skip={ri}, below=saving)
-            if best is not None and not _record(donor, instance, dispatch,
-                                                records).violations:
+            if best is not None and passes(donor):
                 k, trial = best
                 routes[ri], routes[k] = donor, list(trial.route)
                 improved = True
         for r in routes:
-            shorter = _two_opt_pass(
-                instance, r,
-                lambda t: not _record(t, instance, dispatch,
-                                      records).violations)
+            shorter = _two_opt_pass(instance, r, passes)
             if shorter != r:
                 r[:] = shorter
                 improved = True
@@ -475,9 +476,10 @@ def reference_fastest(instance: Instance, tail: int, head: int) -> float:
 def reference_summary(route: tuple[int, ...], instance: Instance,
                       dispatch: float, timing) -> dict:
     """Every ``solver.RouteRecord`` field, by name, as records were
-    filled when each was built whole: edge lengths and a backward
-    latest-start pass around the route's immediate ``timing``."""
-    load = _route_load(instance, route)
+    filled when each was built whole: the load as the walk sums it, edge
+    lengths and a backward latest-start pass around the route's
+    immediate ``timing``."""
+    load = sum((instance.node(n).demand for n in route), 0.0)
     length = instance.length_matrix
     before, after = (0, *route), (*route, 0)
     edges = tuple(map(lambda a, b: length[a][b], before, after)) \
@@ -495,5 +497,4 @@ def reference_summary(route: tuple[int, ...], instance: Instance,
                 instance, route[k - 1], node.id)
     departures = (dispatch, *(s.departure for s in timing.stops))
     return dict(timing=timing, load=load, before=before, after=after,
-                edges=edges, departures=departures, latest=tuple(latest),
-                violations=timing.violations)
+                edges=edges, departures=departures, latest=tuple(latest))

@@ -538,23 +538,27 @@ def test_readme_config_block_is_the_default_config():
 
 
 def test_seed_precedence_flag_env_config(tmp_path, capsys, monkeypatch):
-    base = ["solve", "--instance", CASE_DIR, "--objective", "weighted",
-            "--scenario", "6", "--no-gaps"]
-    flagged = tmp_path / "flag.tsv"
-    plain = tmp_path / "plain.tsv"
-    enved = tmp_path / "env.tsv"
+    # the flag beats the config file, and the environment sets no seed;
+    # on this generated instance seeds 0, 3 and 99 find three solutions
+    inst = tmp_path / "rnd8.txt"
+    assert main(["generate", "--size", "8", "--seed", "1",
+                 "--out", str(inst)]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 99}))
 
-    assert main([*base, "--seed", "3", "--out", str(plain)]) == 0
-    monkeypatch.setenv("SAFEROUTE_SEED", "99")
-    assert main([*base, "--seed", "3", "--out", str(flagged)]) == 0
-    assert flagged.read_bytes() == plain.read_bytes()  # flag beats env
+    def solved(*flags) -> bytes:
+        out = tmp_path / "out.tsv"
+        assert main(["solve", "--instance", str(inst), "--objective",
+                     "weighted", "--scenario", "7", "--no-gaps", *flags,
+                     "--out", str(out)]) == 0
+        return out.read_bytes()
 
+    flagged = solved("--config", str(config), "--seed", "3")
+    assert flagged == solved("--seed", "3") \
+        != solved("--config", str(config))  # flag beats config
+    unset = solved()
     monkeypatch.setenv("SAFEROUTE_SEED", "3")
-    assert main([*base, "--out", str(enved)]) == 0
-    assert enved.read_bytes() == plain.read_bytes()  # env supplies the seed
-
-    monkeypatch.setenv("SAFEROUTE_SEED", "not-a-number")
-    assert main([*base]) == 3
+    assert solved() == unset != flagged  # the environment sets no seed
     capsys.readouterr()
 
 

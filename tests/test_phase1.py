@@ -25,7 +25,6 @@ from saferoute.phase1 import (
     SolutionError,
     Violation,
     check_feasibility,
-    default_crash_scale,
     leg_cost,
     objective_value,
     propagate_schedule,
@@ -441,20 +440,19 @@ class TestObjectives:
 
     def test_default_crash_scale(self):
         inst = build_instance([{"x": 3, "y": 0}], tti=1.2, crash=0.05)
-        assert default_crash_scale(inst) == pytest.approx(24.0)
+        assert inst.crash_scale == pytest.approx(24.0)
         w = ObjectiveWeights().resolved(inst)
         assert w.crash_scale == pytest.approx(24.0)
 
     @pytest.mark.parametrize("name", ["case", "R101", "RND10"])
-    def test_default_crash_scale_ignores_the_terminal_copy(self, name):
-        # routes end at node 0, so no terminal copy adds arcs to leave
-        # out: the scale is mean hourly TTI over mean hourly crash with
-        # every arc counted, summed in the order the instance holds them
+    def test_default_crash_scale_averages_every_arc(self, name):
+        # the scale is mean hourly TTI over mean hourly crash with every
+        # arc counted, summed in the order the instance holds them
         inst = load_case_study(bundled_case_study_dir()) if name == "case" \
             else load_solomon("R101") if name == "R101" else RND10
         arcs = inst.arcs.values()
         cells = 24 * len(arcs)
         tti = sum(sum(arc.tti.values) for arc in arcs) / cells
         crash = sum(sum(arc.crash.values) for arc in arcs) / cells
-        assert default_crash_scale(inst).hex() == (tti / crash).hex()
+        assert inst.crash_scale.hex() == (tti / crash).hex()
 

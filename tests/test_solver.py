@@ -367,25 +367,32 @@ def audit_instance(name):
 
 
 @settings(max_examples=120, deadline=None)
-@given(data=st.data(), name=st.sampled_from(["R101", "RND25"]),
+@given(data=st.data(),
+       name=st.sampled_from(["R101", "RND25", "line without 1 0"]),
        dispatch=st.sampled_from([0.0, 7.0, 12.0, 17.0]))
 def test_route_check_matches_whole_audit(data, name, dispatch):
     # repair judges one route by the verdict its record holds; it
     # must say what the whole-solution audit says of that route, visit
-    # counts aside, for the customers repair hands it
+    # counts aside, for the customers repair hands it.  A route gets a
+    # record, stored under it and holding the walk's timing, exactly
+    # when propagation can walk it; on the line with no way home from 1
+    # a route that ends at 1 gets none, and nothing is stored
     inst = audit_instance(name)
     pool = list(inst.customers())
     route = tuple(data.draw(st.lists(st.sampled_from(pool), min_size=1,
                                      max_size=12)))
-    verdict = solver._record(route, inst, dispatch, {}).violations
+    records = {}
+    record = solver._record(route, inst, dispatch, records)
     try:
         timed = propagate_schedule((route,), inst, dispatch)
     except MissingArcError:
-        assert [v.constraint for v in verdict] == ["route-shape"]
+        assert record is None and records == {}
         return
+    assert records == {route: record} and records[route] is record
+    assert record.timing == timed.timings[0]
     expected = tuple(v for v in check_feasibility(timed, inst)
                      if v.constraint != "visit-count")
-    assert verdict == expected
+    assert record.timing.violations == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -488,7 +495,7 @@ def test_repair_stores_the_records_the_search_returns(data, name, dispatch):
             assert record.route[:pos] + record.route[pos + 1:] \
                 == scanned[k].route
             assert records[record.route] is record
-            assert not record.violations
+            assert not record.timing.violations
         scans.append((scanned, best, "skip" in kwargs))
         return best
 
@@ -520,9 +527,9 @@ def test_repair_stores_the_records_the_search_returns(data, name, dispatch):
        dispatch=st.sampled_from([0.0, 7.0, 12.0, 17.0]))
 def test_held_records_pass_their_audit(data, name, dispatch):
     # every record repair holds, as each insertion scan reads it and as
-    # polish leaves it, passed its one-route audit, so it has a timing:
-    # none drives a missing arc, and the search reads no record without
-    # departures and latest starts
+    # polish leaves it, passed its one-route audit: none drives a
+    # missing arc, as such a route gets no record, and the search reads
+    # departures and latest starts only of routes that pass
     inst = audit_instance(name)
     visits = data.draw(st.permutations(inst.customers()))
     fleet = inst.fleet.count
@@ -547,7 +554,7 @@ def test_held_records_pass_their_audit(data, name, dispatch):
         make_feasible(start, inst, dispatch)
     for held in held_seen:
         for record in held:
-            assert record.timing is not None and not record.violations
+            assert not record.timing.violations
 
 
 def test_polish_keeps_a_donor_that_would_turn_late():
@@ -760,7 +767,7 @@ def test_r101_solve_audits_only_winning_trials(monkeypatch):
 def test_lazy_record_equals_eager_summary(data, seed, dispatch):
     # a record fills repair's fields on first read; each equals, bit
     # for bit, what the summary built with every record computed,
-    # whether repair or evaluate made the record, also on a graph that
+    # whether repair's call or evaluate's made the record, also on a graph that
     # lacks an arc of the drawn route or its way home.  Only records
     # that pass their audit are drawn, as repair reads no other
     rng = random.Random(seed)
@@ -823,7 +830,6 @@ def test_repair_walks_each_route_once(monkeypatch, name, dispatch):
         return timed
 
     monkeypatch.setattr(phase1, "time_route", counted(phase1.time_route))
-    monkeypatch.setattr(solver, "time_route", counted(solver.time_route))
     monkeypatch.setattr(phase2, "time_route", counted(phase2.time_route))
     objective = "distance" if name == "R101" else "weighted"
     res = solve(inst, SolverConfig(objective=objective, seed=0), dispatch)
@@ -880,24 +886,15 @@ def test_r101_solve_prices_each_route_in_one_pass(monkeypatch):
     assert 0 < calls["delta"] <= 662
 
 
-def test_solve_resolves_weights_only_for_weighted(monkeypatch):
-    # the crash scale is a pass over every arc's profiles; only the
-    # weighted objective reads it, once a solve
-    calls = Counter()
-    scale = phase1.default_crash_scale
-
-    def counted(instance):
-        calls["scale"] += 1
-        return scale(instance)
-
-    monkeypatch.setattr(phase1, "default_crash_scale", counted)
-    solve(load_solomon("R101"),
-          SolverConfig(objective="distance", seed=0), 0.0)
-    assert calls["scale"] == 0
-    res = solve(load_case_study(bundled_case_study_dir()),
-                SolverConfig(objective="weighted", seed=0), 7.0)
+def test_solve_resolves_weights_only_for_weighted():
+    # the crash scale is a pass over every arc's profiles, which the
+    # instance keeps once made; only the weighted objective reads it
+    inst = load_case_study(bundled_case_study_dir())
+    solve(inst, SolverConfig(objective="distance", seed=0), 7.0)
+    assert "crash_scale" not in inst.__dict__
+    res = solve(inst, SolverConfig(objective="weighted", seed=0), 7.0)
     assert res.feasible
-    assert calls["scale"] == 1
+    assert "crash_scale" in inst.__dict__
 
 
 def test_r101_distance_pinned():
