@@ -253,7 +253,7 @@ def cmd_verify(args) -> int:
         except OracleInfeasibleError:
             oracle = math.inf
         result = solve(instance, config, dispatch=float(hour))
-        mine = result.value if result.feasible else math.inf
+        mine = result.value
         if math.isinf(oracle) and math.isinf(mine):
             gap = 0.0  # both agree the scenario cannot be served
         else:

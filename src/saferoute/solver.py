@@ -859,9 +859,8 @@ def evaluate(routes: RoutingSolution | tuple, instance: Instance,
 
 
 def _admit(pool: list[Evaluation], candidate: Evaluation) -> None:
-    """Keep the pool as the best ``POOL_SIZE`` distinct feasible solutions."""
-    if not candidate.feasible:
-        return
+    """Keep the pool as the best ``POOL_SIZE`` distinct solutions; callers
+    pass feasible candidates only, so every member is feasible."""
     key = candidate.solution.routes
     for i, member in enumerate(pool):
         if member.solution.routes == key:
@@ -882,10 +881,10 @@ def solve(instance: Instance, config: SolverConfig | None = None,
     seeded generator drives construction fallbacks, move sampling and
     acceptance, and the route records, the retimed timings and the
     candidate memo live only for this call, so a repeated feasible
-    candidate is scored once.  The result
-    carries the best solution exactly as ``evaluate`` scored it; when no
-    feasible solution is ever seen the best-effort candidate is returned
-    flagged infeasible with an infinite value.
+    candidate is scored once.  The result carries the best solution
+    exactly as ``evaluate`` scored it; when repair gives up, no search
+    runs, and the unrepaired construction after one evaluation is
+    returned, flagged infeasible with an infinite value.
     """
     started = time.perf_counter()
     config = config or SolverConfig()
@@ -912,10 +911,12 @@ def solve(instance: Instance, config: SolverConfig | None = None,
     first = score(start)
     if not first.feasible:
         repaired = make_feasible(first.solution, instance, dispatch, records)
-        if repaired is not None:
-            first = score(repaired)
+        if repaired is None:
+            return SolveResult(first.solution, first.value, config.objective,
+                               False, 1, (), time.perf_counter() - started)
+        first = score(repaired)
 
-    pool = [first] if first.feasible else []
+    pool = [first]
     history: list[float] = []
 
     # with no customer there is no move to make
@@ -925,22 +926,19 @@ def solve(instance: Instance, config: SolverConfig | None = None,
         temperature = INITIAL_TEMPERATURE
         for _ in range(config.max_outer_iterations):
             temperature *= alpha
-            # nothing feasible yet: keep searching from the best effort
-            for member in list(pool) or [first]:
-                current = member
+            for current in list(pool):
                 for _ in range(MOVES_PER_SEED):
                     move = sample_move(current.solution, rng)
                     candidate = score(apply_move(current.solution, move))
                     if not candidate.feasible:
                         continue
-                    delta = candidate.value - current.value \
-                        if current.feasible else -math.inf
-                    if acceptance(delta, temperature, rng):
+                    if acceptance(candidate.value - current.value,
+                                  temperature, rng):
                         current = candidate
                     _admit(pool, candidate)
-            history.append((pool[0] if pool else first).value)
+            history.append(pool[0].value)
 
-    best = pool[0] if pool else first
+    best = pool[0]
     return SolveResult(best.solution, best.value, config.objective,
                        best.feasible, evaluations, tuple(history),
                        time.perf_counter() - started)

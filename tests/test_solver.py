@@ -13,7 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import saferoute
@@ -1234,12 +1234,55 @@ def test_solved_solutions_pass_feasibility_audit():
 
 
 def test_solve_flags_unservable_instance():
-    # the lone customer's window closes before any vehicle can arrive
+    # the lone customer's window closes before any vehicle can arrive,
+    # so repair gives up and the solve stops after scoring its start
     inst = build_instance([{"x": 6.0, "y": 0.0, "close": 0.1}])
     res = solve(inst, SolverConfig(m=2, max_outer_iterations=3))
     assert not res.feasible
     assert res.value == math.inf
-    assert all(v == math.inf for v in res.history)
+    assert res.evaluations == 1
+    assert res.history == ()
+    unsearched = solve(inst, SolverConfig(m=2, max_outer_iterations=0))
+    assert res.solution == unsearched.solution
+    assert res.value == unsearched.value
+
+
+_WINDOW_CUSTOMER = st.fixed_dictionaries({
+    "x": st.floats(-8.0, 8.0), "y": st.floats(-8.0, 8.0),
+    "demand": st.floats(5.0, 40.0),
+    "open": st.floats(0.0, 1.0),
+    # widths from a window shorter than most drives to a whole day
+    "width": st.one_of(st.floats(0.0, 0.4), st.floats(0.4, 24.0)),
+})
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs=st.lists(_WINDOW_CUSTOMER, min_size=1, max_size=5),
+       vehicles=st.integers(1, 3))
+@example(specs=[{"x": 6.0, "y": 0.0, "demand": 10.0, "open": 0.0,
+                 "width": 0.1}], vehicles=1)
+def test_feasibility_is_settled_by_construction_and_repair(specs, vehicles):
+    # whether a solve is feasible depends on (instance, dispatch) alone:
+    # no objective and no seed can turn a failed repair into a result,
+    # so a feasible hour is feasible for every objective solved there
+    inst = build_instance(
+        [{"x": c["x"], "y": c["y"], "demand": c["demand"],
+          "open": c["open"], "close": c["open"] + c["width"]}
+         for c in specs], fleet=(vehicles, 60.0))
+    start = initial_solution(inst)
+    settled = evaluate(start, inst, SolverConfig(objective="distance"),
+                       0.0, ObjectiveWeights()).feasible \
+        or make_feasible(start, inst, 0.0) is not None
+    for objective in OBJECTIVES:
+        for seed in (0, 1):
+            res = solve(inst, SolverConfig(objective=objective, seed=seed,
+                                           m=2, max_outer_iterations=2))
+            assert res.feasible == settled
+            if not res.feasible:
+                assert res.solution.routes == start.routes
+                assert res.value == math.inf
+                assert res.evaluations == 1
+                assert res.history == ()
 
 
 def test_solve_rejects_bad_dispatch():

@@ -7,14 +7,16 @@ Run from the repository root:
 The matrix is ``generate_instance(n, g)`` for n = 25, 50, 80 and
 generator seeds g = 0-9, each solved at dispatch hours 7, 12 and 17
 under ``weighted`` with the default ``SolverConfig``: 90 scenarios,
-about 10 s on one core of a 2-vCPU host (Python 3.11).
+about 8 s on one core of a 2-vCPU host (Python 3.11).
 
 It prints one line per scenario: ``feasible`` or ``inf``, the value,
 the fleet size, the demand bound ceil(sum d / Q) (total demand over
 vehicle capacity, rounded up) and how many customers' one-stop routes
 fail their audit at that hour.  A scenario is marked ``certified``
 when either proves it cannot be served: the demand bound exceeds the
-fleet, or some customer cannot be served even alone.  A last line
+fleet, or some customer cannot be served even alone.  ``solve``
+searches only from a feasible start, so every ``inf`` is a repair that
+gave up, and an uncertified one was never shown unservable.  A last line
 counts the ``inf`` scenarios per size and the certified ones.  It is
 a report, not a check: it exits 0 whatever the counts.  Standard
 library only.
